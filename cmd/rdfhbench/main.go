@@ -3,8 +3,7 @@
 // {ZoneMaps no/yes}, cold and hot. Total time is wall time plus
 // simulated I/O (100µs per page miss of the tracked buffer pool), so the
 // cold/hot and locality contrasts are deterministic and machine
-// independent; see EXPERIMENTS.md for the comparison with the paper's
-// absolute numbers.
+// independent.
 //
 // Usage:
 //

@@ -92,6 +92,7 @@ Flags:`)
 	if err := organize(st, organized); err != nil {
 		return err
 	}
+	st.SetLogger(logger) // one line per refresh that folded writes in
 
 	var m srdf.Mode = plan.ModeRDFScan
 	if *mode == "default" {

@@ -99,3 +99,36 @@ func BenchmarkCompact_Merge(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRefresh_AfterBatch measures what a read pays to see a batch:
+// the refresh that folds 12 k appended triples (6 k new subjects) into a
+// 200 k-triple organized store whose previous epoch had SPO, PSO and POS
+// sorted — the appended rows are sorted and merged into those three, the
+// touched subjects re-routed through the delta layer. The batch is
+// deleted again outside the timer so every iteration starts from the
+// same store.
+func BenchmarkRefresh_AfterBatch(b *testing.B) {
+	const n, batch = 100000, 6000
+	st := deltaBenchStore(b, n, 0)
+	if _, err := st.Query(deltaBenchQuery, core.QueryOptions{Mode: plan.ModeDefault}); err != nil {
+		b.Fatal(err) // a Default plan: sorts PSO and POS
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		addDelta(st, n, batch)
+		b.StartTimer()
+		if got := st.Stats().Triples; got != 2*(n+batch) {
+			b.Fatalf("%d triples after the batch, want %d", got, 2*(n+batch))
+		}
+		b.StopTimer()
+		for j := 0; j < batch; j++ {
+			s := dict.IRI(fmt.Sprintf("http://del/s%06d", n+j))
+			st.Delete(nt.Triple{S: s, P: dict.IRI("http://del/a"), O: dict.IntLit(int64(j % 9973))})
+			st.Delete(nt.Triple{S: s, P: dict.IRI("http://del/b"), O: dict.IntLit(int64(j % 89))})
+		}
+		st.Stats()
+		b.StartTimer()
+	}
+}

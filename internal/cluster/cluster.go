@@ -92,7 +92,14 @@ func (inf *Info) RowOf(csID int, subj dict.OID) (int, bool) {
 // place, updating the schema's subject references to the new OIDs.
 // The caller must rebuild projections afterwards.
 func Reorganize(tb *triples.Table, d *dict.Dictionary, schema *cs.Schema, opts Options) (*Info, error) {
-	spo := triples.Build(tb, triples.SPO)
+	return ReorganizeSPO(triples.Build(tb, triples.SPO), tb, d, schema, opts)
+}
+
+// ReorganizeSPO is Reorganize for a caller that already holds tb's SPO
+// projection (the one schema discovery ran on). The projection is read
+// for sort-key values only and is stale once this returns: tb has been
+// renumbered, spo has not.
+func ReorganizeSPO(spo *triples.Projection, tb *triples.Table, d *dict.Dictionary, schema *cs.Schema, opts Options) (*Info, error) {
 	inf := &Info{byCS: make(map[int]int)}
 
 	// --- Literal remap: value order. ---

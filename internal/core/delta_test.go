@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"log/slog"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"srdf/internal/dict"
 	"srdf/internal/nt"
 	"srdf/internal/plan"
+	"srdf/internal/triples"
 )
 
 // deltaGraph builds n subjects of one characteristic set.
@@ -214,5 +219,99 @@ func TestOrganizeAfterDeltas(t *testing.T) {
 	// s0 lost its name, so the two-prop star excludes it: 14 rows
 	if got := mustRows(t, s, plan.ModeRDFScan); got != 14 {
 		t.Fatalf("rows = %d, want 14", got)
+	}
+}
+
+// checkIndexCurrent compares every projection the store (and its
+// irregular residue) has sorted so far with a from-scratch sort of the
+// table it indexes.
+func checkIndexCurrent(t *testing.T, s *Store, when string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sets := map[string]struct {
+		idx *triples.IndexSet
+		tb  *triples.Table
+	}{"store": {s.idx, s.table}, "irregular": {s.cat.IrregularIdx, s.cat.Irregular}}
+	for name, x := range sets {
+		if s.idxRows != s.table.Len() || len(s.deadSet) != 0 {
+			t.Fatalf("%s: refresh left %d of %d rows indexed, %d dead", when, s.idxRows, s.table.Len(), len(s.deadSet))
+		}
+		for _, p := range x.idx.Materialized() {
+			got, want := x.idx.Get(p), triples.Build(x.tb, p)
+			if !slices.Equal(got.A, want.A) || !slices.Equal(got.B, want.B) || !slices.Equal(got.C, want.C) {
+				t.Fatalf("%s: %s index %v differs from a fresh sort of its table (%d rows, want %d)",
+					when, name, p, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// TestRefreshMergesIndex drives the incremental index path: batches of
+// adds, deletes, re-adds and no-ops — some with NumTriples applying the
+// deletions before the refresh does — must leave every sorted
+// projection identical to a fresh sort, carry exactly the projections
+// the previous epoch had, and log one line per folding refresh.
+func TestRefreshMergesIndex(t *testing.T) {
+	s := newDeltaStore(t, 60, 40)
+	var logged bytes.Buffer
+	s.SetLogger(slog.New(slog.NewTextHandler(&logged, nil)))
+	if got := s.idx.Materialized(); !slices.Equal(got, []triples.Perm{triples.SPO}) {
+		t.Fatalf("Organize sorted %v, want SPO only", got)
+	}
+	mustRows(t, s, plan.ModeDefault) // a Default plan reads PSO and POS
+	want := s.idx.Materialized()
+	if len(want) < 2 || len(want) == len(triples.AllPerms) {
+		t.Fatalf("a two-property star materialized %v", want)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	live := make(map[int]bool)
+	for i := 0; i < 60; i++ {
+		live[i] = true
+	}
+	for batch := 0; batch < 30; batch++ {
+		for op := 0; op < 1+rng.Intn(12); op++ {
+			i := rng.Intn(90)
+			a, b := deltaTriple(i)
+			switch rng.Intn(4) {
+			case 0, 1:
+				s.Add(a)
+				s.Add(b)
+				live[i] = true
+			case 2:
+				s.Delete(a)
+				delete(live, i)
+				if rng.Intn(2) == 0 {
+					s.NumTriples() // applies the deletion ahead of the refresh
+				}
+				if rng.Intn(3) == 0 {
+					s.Add(a) // delete-then-re-add
+					s.Add(b)
+					live[i] = true
+				}
+			case 3:
+				s.Delete(nt.Triple{S: a.S, P: a.P, O: dict.StringLit("absent")})
+			}
+		}
+		if got := mustRows(t, s, plan.ModeRDFScan); got != len(live) {
+			t.Fatalf("batch %d: %d rows, want %d", batch, got, len(live))
+		}
+		if got := mustRows(t, s, plan.ModeDefault); got != len(live) {
+			t.Fatalf("batch %d: Default plan %d rows, want %d", batch, got, len(live))
+		}
+		checkIndexCurrent(t, s, fmt.Sprintf("batch %d", batch))
+		if got := s.idx.Materialized(); !slices.Equal(got, want) {
+			t.Fatalf("batch %d: index set holds %v, want the %v it started with", batch, got, want)
+		}
+	}
+	lines := strings.Count(logged.String(), "msg=refresh")
+	if lines == 0 || lines > 30 {
+		t.Fatalf("%d refresh log lines for 30 batches:\n%s", lines, logged.String())
+	}
+	for _, field := range []string{"epoch=", "added=", "deleted=", `merged="[SPO`, "duration="} {
+		if !strings.Contains(logged.String(), field) {
+			t.Errorf("refresh log lacks %s:\n%s", field, logged.String())
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"srdf/internal/nt"
 	"srdf/internal/plan"
 	"srdf/internal/storage"
+	"srdf/internal/triples"
 )
 
 // persistSource grows two clearly separated tables plus irregular
@@ -327,5 +329,36 @@ func TestUnorganizedSaveOpen(t *testing.T) {
 	}
 	if n := len(rowsOf(t, got, persistQueries[0], plan.ModeRDFScan)); n != 50 {
 		t.Fatalf("%d rows after organize-on-open", n)
+	}
+}
+
+// TestOpenSortsOnDemand checks what an opened store pays for its
+// indexes and when: nothing at Open, SPO alone at the first write (the
+// presence check under Store.mu reads no other order), and further
+// orders only as plans read them.
+func TestOpenSortsOnDemand(t *testing.T) {
+	st := persistStore(t, persistOpts(), 300)
+	path := filepath.Join(t.TempDir(), "s.srdf")
+	if err := st.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := OpenStore(path, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.idx != nil {
+		t.Fatal("Open indexed the table")
+	}
+	if err := got.Add(nt.Triple{S: dict.IRI("http://persist/new"), P: dict.IRI("http://persist/u"), O: dict.IntLit(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if m := got.idx.Materialized(); !slices.Equal(m, []triples.Perm{triples.SPO}) {
+		t.Fatalf("the first Add after Open sorted %v, want SPO only", m)
+	}
+	if rows := rowsOf(t, got, `SELECT ?s ?u WHERE { ?s <http://persist/u> ?u }`, plan.ModeDefault); len(rows) != 301 {
+		t.Fatalf("scan returned %d rows, want 301", len(rows))
+	}
+	if m := got.idx.Materialized(); len(m) < 2 || len(m) == len(triples.AllPerms) {
+		t.Fatalf("one Default-plan scan left %v sorted", m)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -129,9 +130,12 @@ type QueryOptions struct {
 }
 
 // snapshot is the immutable state one query executes against: once
-// published it is never mutated — writers build replacements (indexes
-// are rebuilt wholesale, the catalog is cloned copy-on-write), so
-// concurrent readers keep a consistent epoch.
+// published it is never mutated — writers build replacements (the next
+// index set is merged into fresh arrays, the catalog is cloned
+// copy-on-write), so concurrent readers keep a consistent epoch. The one
+// thing a reader may add to a published snapshot is a triple projection
+// nobody needed before: the index set sorts it on first use, from rows
+// it owns, under its own lock.
 type snapshot struct {
 	epoch           uint64
 	dict            *dict.Dictionary
@@ -185,7 +189,11 @@ type Store struct {
 	// after Organize.
 	literalsOrdered bool
 
-	idxDirty bool
+	// idxRows is how many leading rows of table the index set covers:
+	// rows past it were appended since the last refresh and are merged
+	// in by the next one. Deletions applied to the covered rows are in
+	// deadSet.
+	idxRows int
 	// touched collects subjects whose residence must be re-resolved by
 	// the next refresh (post-Organize adds and deletes).
 	touched map[dict.OID]struct{}
@@ -196,7 +204,9 @@ type Store struct {
 	delPending map[triples.Triple]struct{}
 	// deadSet tracks deletions already applied to the table but not yet
 	// reflected in the indexes (NumTriples applies deletes without the
-	// full refresh), so presence checks do not trust the stale index.
+	// full refresh), so presence checks do not trust the stale index
+	// and the next refresh knows which rows to merge out of it. A
+	// re-added triple stays in the set: its old index row must still go.
 	deadSet map[triples.Triple]struct{}
 
 	epoch uint64
@@ -263,6 +273,19 @@ type Store struct {
 
 	// born marks store creation, for uptime reporting.
 	born time.Time
+
+	// log receives one line per refresh that folded writes in (nil:
+	// none); see SetLogger.
+	log *slog.Logger
+}
+
+// SetLogger directs the store's operational log — one line per refresh
+// that published new state: epoch, batch size, which projections were
+// merged, duration — to l; nil (the default) turns it off.
+func (s *Store) SetLogger(l *slog.Logger) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.log = l
 }
 
 // NewStore creates an empty store. With Options.WALPath set, an existing
@@ -318,9 +341,10 @@ func newPool(opts Options) *colstore.BufferPool {
 // fallback otherwise), sealed segment payloads are checksummed but not
 // decoded (they fault in on first scan, visible in
 // PoolStats.SegmentsLazy/SegmentsDecoded, and under Options.PoolBytes
-// pressure are evicted back to the mapping), and the six projections
-// are not rebuilt until the first query or update needs the store's
-// indexes — Open itself never pays the sort. With
+// pressure are evicted back to the mapping), and the triple table is
+// not sorted until the first query or update needs the store's indexes
+// (SPO then, any other projection when a plan first reads it) — Open
+// itself never pays a sort. With
 // Options.WALPath set, the log's surviving records are replayed through
 // the ordinary delta path before the store is returned — crash recovery
 // is exactly "load latest snapshot, re-apply the logged tail".
@@ -664,7 +688,6 @@ func (s *Store) addLocked(t nt.Triple) bool {
 		if _, dead := s.deadSet[tr]; !dead && s.idxContainsLocked(tr) {
 			return false // present in the (non-stale part of the) index
 		}
-		delete(s.deadSet, tr)
 		s.deltaSet[tr] = struct{}{}
 		s.touched[so] = struct{}{}
 		if s.dict.NumLiterals() != nl {
@@ -678,7 +701,6 @@ func (s *Store) addLocked(t nt.Triple) bool {
 		s.applyPendingDeletesLocked()
 	}
 	s.table.Append(so, po, oo)
-	s.idxDirty = true
 	return true
 }
 
@@ -741,19 +763,25 @@ func (s *Store) deleteLocked(t nt.Triple) bool {
 }
 
 // idxContainsLocked reports whether the triple is present in the base
-// indexes (which reflect the table as of the last refresh; callers
-// additionally consult deltaSet/delPending for in-flight writes). A
-// snapshot-opened store defers the six-projection build to the first
+// index (which reflects the table as of the last refresh; callers
+// additionally consult deltaSet/delPending/deadSet for in-flight
+// writes). A snapshot-opened store defers indexing to the first
 // operation that needs it — that is what keeps Open at millisecond cost —
-// so a clean missing index is built here on demand.
+// so the first Add or Delete after Open sorts the table here, under
+// s.mu: into SPO only, the one order a presence check reads.
 func (s *Store) idxContainsLocked(tr triples.Triple) bool {
 	if s.idx == nil {
-		if s.idxDirty || s.table.Len() == 0 {
-			return false
-		}
-		s.idx = triples.BuildAll(s.table)
+		s.indexTableLocked()
 	}
 	return s.idx.Get(triples.SPO).Contains(tr)
+}
+
+// indexTableLocked creates the index set from the whole current table
+// (SPO sorted now, the other orders when a plan first reads them).
+func (s *Store) indexTableLocked() {
+	s.idx = triples.NewIndexSet(s.table)
+	s.idxRows = s.table.Len()
+	s.deadSet = make(map[triples.Triple]struct{}) // index is current
 }
 
 // applyPendingDeletesLocked filters the queued deletions out of the base
@@ -763,9 +791,17 @@ func (s *Store) applyPendingDeletesLocked() int {
 		return 0
 	}
 	w, n := 0, s.table.Len()
+	indexed := 0 // removed rows the index set covers
 	for i := 0; i < n; i++ {
 		tr := s.table.At(i)
 		if _, dead := s.delPending[tr]; dead {
+			// gone from the table but still in the index until the
+			// next refresh merges it out; until then a re-Add must not
+			// be mistaken for a duplicate
+			s.deadSet[tr] = struct{}{}
+			if i < s.idxRows {
+				indexed++
+			}
 			continue
 		}
 		s.table.S[w], s.table.P[w], s.table.O[w] = tr.S, tr.P, tr.O
@@ -775,19 +811,11 @@ func (s *Store) applyPendingDeletesLocked() int {
 	s.table.S = s.table.S[:w]
 	s.table.P = s.table.P[:w]
 	s.table.O = s.table.O[:w]
-	// The deleted triples are gone from the table but may linger in the
-	// stale index (rebuilt lazily) and in the pending-add set; record
-	// them dead so a re-Add is not mistaken for a duplicate.
+	s.idxRows -= indexed
 	for tr := range s.delPending {
 		delete(s.deltaSet, tr)
-		if s.organized {
-			s.deadSet[tr] = struct{}{}
-		}
 	}
 	s.delPending = make(map[triples.Triple]struct{})
-	if removed > 0 {
-		s.idxDirty = true
-	}
 	return removed
 }
 
@@ -856,8 +884,14 @@ func (r OrganizeReport) String() string {
 
 // Organize runs the self-organization pipeline: discover characteristic
 // sets, cluster subjects (renumbering the whole OID space), materialize
-// the relational catalog with zone maps, and rebuild the six
-// projections. It can be called again after live updates to fold the
+// the relational catalog with zone maps, and index the renumbered
+// table. The table is sorted twice in full, both times into SPO: once
+// before the renumbering (by Dedup, which leaves it in SPO order so the
+// projection discovery and clustering share costs one sortedness scan;
+// without Options.Dedup that projection is the sort) and once after it,
+// for the projection the catalog is filled from and the store's index
+// set adopts. The other five orders are sorted only if a plan ever
+// reads them. It can be called again after live updates to fold the
 // delta layer into a fresh clustering; because it renumbers the shared
 // dictionary it waits for all in-flight queries to finish (close every
 // Rows iterator first — calling Organize with a stream open on the same
@@ -869,15 +903,19 @@ func (s *Store) Organize() (OrganizeReport, error) {
 	defer s.mu.Unlock()
 	var rep OrganizeReport
 	s.applyPendingDeletesLocked()
+	// the table is about to be rewritten and renumbered: whatever
+	// happens below, the old index set no longer describes it
+	s.idx, s.idxRows = nil, 0
 	if s.opts.Dedup {
 		rep.DuplicatesDropped = s.table.Dedup()
 	}
 	rep.Triples = s.table.Len()
 
-	s.schema = cs.Discover(s.table, s.dict, s.opts.CS)
+	spo := triples.Build(s.table, triples.SPO)
+	s.schema = cs.DiscoverSPO(spo, s.dict, s.opts.CS)
 	clOpts := s.opts.Cluster
 	clOpts.SortKeys = s.workloadSortKeysLocked(clOpts.SortKeys)
-	inf, err := cluster.Reorganize(s.table, s.dict, s.schema, clOpts)
+	inf, err := cluster.ReorganizeSPO(spo, s.table, s.dict, s.schema, clOpts)
 	if err != nil {
 		return rep, fmt.Errorf("core: organize: %w", err)
 	}
@@ -887,14 +925,12 @@ func (s *Store) Organize() (OrganizeReport, error) {
 	// mapping releasers; the old blob stays open for the base table but
 	// its resident pages are dropped below.
 	s.pool = newPool(s.opts)
-	s.cat = relational.BuildCatalog(s.table, s.dict, s.schema, inf, s.pool)
-	s.idx = triples.BuildAll(s.table)
+	s.indexTableLocked()
+	s.cat = relational.BuildCatalogSPO(s.idx.Get(triples.SPO), s.schema, inf, s.pool)
 	s.organized = true
 	s.literalsOrdered = !s.opts.Cluster.KeepLiteralOrder
-	s.idxDirty = false
 	s.touched = make(map[dict.OID]struct{})
 	s.deltaSet = make(map[triples.Triple]struct{})
-	s.deadSet = make(map[triples.Triple]struct{})
 	s.epoch++
 	s.publishSnapshotLocked()
 	if s.blob != nil {
@@ -1039,10 +1075,7 @@ func (s *Store) publishSnapshotLocked() {
 		Pool:        s.pool,
 		Parallelism: s.opts.Parallelism,
 	}
-	ctx.TrackProjections(s.idx)
-	if s.cat != nil {
-		ctx.TrackProjections(s.cat.IrregularIdx)
-	}
+	ctx.TrackProjections()
 	s.snap = &snapshot{
 		epoch:           s.epoch,
 		dict:            s.dict,
@@ -1056,10 +1089,15 @@ func (s *Store) publishSnapshotLocked() {
 }
 
 // refreshLocked folds pending writes into a fresh snapshot: batch-apply
-// deletions, rebuild the six projections, incrementally re-assign every
-// touched subject through the delta layer, auto-compact past the
-// threshold, and publish the next epoch.
+// deletions, derive the next epoch's index set from the previous one
+// (the appended rows are sorted and merged, the deleted ones merged
+// out, in every projection the previous epoch had sorted — the existing
+// rows are never re-sorted, and the table is sorted from scratch only
+// when no index set exists yet), incrementally re-assign every touched
+// subject through the delta layer, auto-compact past the threshold,
+// and publish the next epoch.
 func (s *Store) refreshLocked() {
+	start := time.Now()
 	// Durability precedes visibility: the batch of trickle writes this
 	// refresh folds in is fsynced before any query can observe it.
 	// While latched read-only the refresh is skipped entirely — reads
@@ -1085,14 +1123,22 @@ func (s *Store) refreshLocked() {
 		// the sync just latched: keep the previous epoch visible
 		return
 	}
-	changed := false
-	if s.applyPendingDeletesLocked() > 0 {
+	changed := s.applyPendingDeletesLocked() > 0
+	added, deleted, subjects := s.table.Len()-s.idxRows, len(s.deadSet), len(s.touched)
+	var merged []triples.Perm
+	switch {
+	case s.idx == nil:
+		s.indexTableLocked()
 		changed = true
-	}
-	if s.idx == nil || s.idxDirty {
-		s.idx = triples.BuildAll(s.table)
-		s.idxDirty = false
+	case added > 0 || deleted > 0:
+		gone := triples.NewTable(deleted)
+		for tr := range s.deadSet {
+			gone.AppendTriple(tr)
+		}
+		s.idx = s.idx.Merge(s.table.Tail(s.idxRows), gone)
+		s.idxRows = s.table.Len()
 		s.deadSet = make(map[triples.Triple]struct{}) // index is current again
+		merged = s.idx.Materialized()
 		changed = true
 	}
 	if s.organized && len(s.touched) > 0 {
@@ -1120,6 +1166,10 @@ func (s *Store) refreshLocked() {
 	if changed || s.snap == nil {
 		s.epoch++
 		s.publishSnapshotLocked()
+	}
+	if changed && s.log != nil {
+		s.log.Info("refresh", "epoch", s.epoch, "added", added, "deleted", deleted,
+			"subjects", subjects, "merged", fmt.Sprint(merged), "duration", time.Since(start))
 	}
 }
 

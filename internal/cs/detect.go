@@ -13,8 +13,17 @@ import (
 // foreign-key discovery, fine-tuning, and naming — and returns the
 // emergent schema.
 func Discover(tb *triples.Table, d *dict.Dictionary, opts Options) *Schema {
-	b := &builder{tb: tb, d: d, opts: opts}
-	b.spo = triples.Build(tb, triples.SPO)
+	return DiscoverSPO(triples.Build(tb, triples.SPO), d, opts)
+}
+
+// DiscoverSPO is Discover for a caller that already holds the table's
+// SPO projection (Organize shares one between discovery and
+// clustering), sparing this stage its own sort.
+func DiscoverSPO(spo *triples.Projection, d *dict.Dictionary, opts Options) *Schema {
+	// the whole-table passes are order-agnostic, so they read the
+	// projection's own columns
+	tb := &triples.Table{S: spo.A, P: spo.B, O: spo.C}
+	b := &builder{tb: tb, spo: spo, d: d, opts: opts}
 	b.typePred, _ = d.Lookup(dict.IRI(dict.RDFType))
 
 	raw := b.extract()

@@ -45,7 +45,7 @@ func newFixture(t testing.TB, src string, minSupport int) *fixture {
 	f.cat = relational.BuildCatalog(f.tb, f.d, f.schema, inf, f.pool)
 	f.idx = triples.BuildAll(f.tb)
 	f.ctx = &Ctx{Dict: f.d, Idx: f.idx, Cat: f.cat, Pool: f.pool}
-	f.ctx.TrackProjections(f.idx)
+	f.ctx.TrackProjections()
 	return f
 }
 

@@ -16,6 +16,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"srdf/internal/colstore"
@@ -113,9 +114,11 @@ type Ctx struct {
 	Cat *relational.Catalog
 	// Pool is the buffer pool; operators account page touches here.
 	Pool *colstore.BufferPool
-	// ProjTracks maps each projection to trackers of its three columns,
-	// so index scans charge I/O like any other access path.
-	ProjTracks map[*triples.Projection][3]*colstore.TrackedSlice
+	// projTracks maps each projection an index scan has read to
+	// trackers of its three columns, so index scans charge I/O like any
+	// other access path (*triples.Projection → *[3]*colstore.TrackedSlice).
+	// The queries of one snapshot share it; nil disables the accounting.
+	projTracks *sync.Map
 	// Query is the cancellation signal of the running query (nil: never
 	// cancelled). Operators poll it at batch/morsel boundaries: when it
 	// fires, Next calls report exhaustion, workers stop claiming morsels,
@@ -230,37 +233,28 @@ func (c *Ctx) StopErr() error {
 	return c.CancelErr()
 }
 
-// TrackProjections registers every projection of an index set with the
-// pool. Call once after (re)building indexes.
-func (c *Ctx) TrackProjections(sets ...*triples.IndexSet) {
-	if c.ProjTracks == nil {
-		c.ProjTracks = make(map[*triples.Projection][3]*colstore.TrackedSlice)
-	}
-	for _, set := range sets {
-		if set == nil {
-			continue
-		}
-		for _, p := range triples.AllPerms {
-			pr := set.Get(p)
-			if pr == nil {
-				continue
-			}
-			c.ProjTracks[pr] = [3]*colstore.TrackedSlice{
-				colstore.Track(pr.A, c.Pool),
-				colstore.Track(pr.B, c.Pool),
-				colstore.Track(pr.C, c.Pool),
-			}
-		}
-	}
-}
+// TrackProjections turns on buffer-pool accounting of index scans. A
+// projection is registered with the pool the first time a scan touches
+// it — not when the snapshot is published, because an index set sorts
+// most of its orders on first use, after publication, and an order
+// registered too early to exist would be read for free.
+func (c *Ctx) TrackProjections() { c.projTracks = new(sync.Map) }
 
 // touchProj accounts a read of rows [lo,hi) of cols (bitmask: 1=A 2=B
 // 4=C) of a projection.
 func (c *Ctx) touchProj(pr *triples.Projection, lo, hi int, cols uint8) {
-	ts, ok := c.ProjTracks[pr]
-	if !ok {
+	if c.projTracks == nil {
 		return
 	}
+	v, ok := c.projTracks.Load(pr)
+	if !ok {
+		v, _ = c.projTracks.LoadOrStore(pr, &[3]*colstore.TrackedSlice{
+			colstore.Track(pr.A, c.Pool),
+			colstore.Track(pr.B, c.Pool),
+			colstore.Track(pr.C, c.Pool),
+		})
+	}
+	ts := v.(*[3]*colstore.TrackedSlice)
 	if cols&1 != 0 {
 		ts[0].Touch(lo, hi)
 	}

@@ -11,6 +11,7 @@ import (
 	"srdf/internal/dict"
 	"srdf/internal/nt"
 	"srdf/internal/plan"
+	"srdf/internal/triples"
 )
 
 // TestConcurrentReadWrite runs writers (Add/Delete/Compact, plus an
@@ -174,6 +175,194 @@ func TestConcurrentReadWrite(t *testing.T) {
 	for _, row := range res.Rows {
 		if row[1].Int != row[2].Int {
 			t.Fatalf("after quiesce: mismatched pair %v", row)
+		}
+	}
+}
+
+// TestConcurrentLazyProjections races first use of the triple
+// projections: one published snapshot is shared by readers whose plans
+// each need a different sort order (sorted on demand, at execution
+// time, outside every store lock), while a writer keeps adding,
+// deleting and refreshing — so the next index set is being merged from
+// the very set the readers are still extending — and an occasional
+// Organize starts over from SPO alone. Every reader has an invariant
+// the writer never breaks, and the quiesced store must answer every
+// shape exactly like a fresh store built from the final triples.
+func TestConcurrentLazyProjections(t *testing.T) {
+	const (
+		nSubjects = 48
+		writerOps = 120
+		readerIts = 60
+	)
+	pa, pb, pm := NS+"la", NS+"lb", NS+"mark"
+	subj := func(i int) dict.Term { return dict.IRI(fmt.Sprintf("%sl%d", NS, i)) }
+	pair := func(i, v int) (nt.Triple, nt.Triple) {
+		return nt.Triple{S: subj(i), P: dict.IRI(pa), O: dict.IntLit(int64(v))},
+			nt.Triple{S: subj(i), P: dict.IRI(pb), O: dict.IntLit(int64(v))}
+	}
+	mark := func(i int) nt.Triple { return nt.Triple{S: subj(i), P: dict.IRI(pm), O: dict.StringLit("m")} }
+
+	st := autoStore(1, 32)
+	versions := make([]int, nSubjects) // owned by the single writer
+	for i := 0; i < nSubjects; i++ {
+		a, b := pair(i, 0)
+		st.Add(a)
+		st.Add(b)
+		st.Add(mark(i))
+	}
+	if _, err := st.Organize(); err != nil {
+		t.Fatal(err)
+	}
+
+	def := core.QueryOptions{Mode: plan.ModeDefault}
+	type shape struct {
+		name, q string
+		qo      core.QueryOptions
+		// rows is the invariant row count (-1: any non-zero count)
+		rows int
+	}
+	shapes := []shape{
+		// ?p unbound, O bound: OSP
+		{"by object", `SELECT ?s ?p WHERE { ?s ?p "m" }`, coreQO(), nSubjects},
+		// S and O bound: SOP
+		{"by subject+object", fmt.Sprintf(`SELECT ?p WHERE { <%sl0> ?p "m" }`, NS), coreQO(), 1},
+		// nothing bound: the whole SPO order
+		{"everything", `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`, coreQO(), -1},
+		// Default star: PSO and POS; pairs must never tear
+		{"default star", fmt.Sprintf("SELECT ?s ?a ?b WHERE { ?s <%s> ?a . ?s <%s> ?b }", pa, pb), def, -1},
+		// RDFscan over the same star, touching the irregular residue's own set
+		{"rdfscan star", fmt.Sprintf("SELECT ?s ?a ?b WHERE { ?s <%s> ?a . ?s <%s> ?b }", pa, pb), coreQO(), -1},
+	}
+
+	lazy := []triples.Perm{triples.OSP, triples.SOP, triples.PSO}
+	var builds0, merges0 [6]uint64
+	for _, p := range lazy {
+		builds0[p], merges0[p] = triples.ProjectionCounts(p)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(shapes)+2)
+	fail := func(format string, args ...any) {
+		select {
+		case errs <- fmt.Errorf(format, args...):
+		default:
+		}
+	}
+
+	// the writer starts once every reader has answered once (so each
+	// order exists to be merged) and the readers keep going until it is
+	// done (so each Organize's fresh set is extended under its feet)
+	var warm sync.WaitGroup
+	warm.Add(len(shapes))
+	writerDone := make(chan struct{})
+	wg.Add(1)
+	go func() { // the writer
+		defer wg.Done()
+		defer close(writerDone)
+		warm.Wait()
+		for op := 0; op < writerOps; op++ {
+			i := (op * 7) % nSubjects
+			oa, ob := pair(i, versions[i])
+			versions[i]++
+			na, nb := pair(i, versions[i])
+			st.Delete(oa)
+			st.Delete(ob)
+			st.Add(na)
+			st.Add(nb)
+			if op%3 == 0 {
+				st.NumTriples() // applies the deletions ahead of the refresh
+			}
+			if op%40 == 39 {
+				// a fresh index set: every order but SPO is lazy again
+				if _, err := st.Organize(); err != nil {
+					fail("organize: %v", err)
+					return
+				}
+			}
+		}
+	}()
+
+	for r, sh := range shapes {
+		r, sh := r, sh
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			warmed := false
+			defer func() {
+				if !warmed {
+					warm.Done()
+				}
+			}()
+			for it := 0; ; it++ {
+				if it >= readerIts {
+					select {
+					case <-writerDone:
+						return
+					default:
+					}
+				}
+				res, err := st.Query(sh.q, sh.qo)
+				if !warmed {
+					warmed = true
+					warm.Done()
+				}
+				if err != nil {
+					fail("reader %d (%s): %v", r, sh.name, err)
+					return
+				}
+				if res.Len() == 0 || (sh.rows >= 0 && res.Len() != sh.rows) {
+					fail("reader %d (%s): %d rows, want %d", r, sh.name, res.Len(), sh.rows)
+					return
+				}
+				if len(res.Vars) == 3 && res.Vars[1] == "a" {
+					for _, row := range res.Rows {
+						if row[1].Int != row[2].Int {
+							fail("reader %d (%s): torn pair %s/%s", r, sh.name, row[1].Lexical(), row[2].Lexical())
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+
+	// the race above is only worth its name if the orders really were
+	// sorted by readers and then carried across refreshes by the writer
+	for _, p := range lazy {
+		b, m := triples.ProjectionCounts(p)
+		if b == builds0[p] || m == merges0[p] {
+			t.Errorf("%v: %d first-use sorts and %d merges during the run, want both", p, b-builds0[p], m-merges0[p])
+		}
+	}
+
+	fresh := newStore(1)
+	for i := 0; i < nSubjects; i++ {
+		a, b := pair(i, versions[i])
+		fresh.Add(a)
+		fresh.Add(b)
+		fresh.Add(mark(i))
+	}
+	if _, err := fresh.Organize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range shapes {
+		got, err := st.Query(sh.q, sh.qo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Query(sh.q, sh.qo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := sorted(renderResult(got)), sorted(renderResult(want)); !eqSeq(g, w) {
+			t.Errorf("%s: the concurrently updated store returns %d rows, a fresh store %d\n got: %v\nwant: %v",
+				sh.name, len(g), len(w), g, w)
 		}
 	}
 }

@@ -96,11 +96,25 @@ func (lc *LabeledCounter) With(value string) *Counter {
 	return c
 }
 
+// NewLabeledCounter creates a labeled counter outside any registry, for
+// process-wide totals a package counts itself (projection work) and
+// every registry that wants them exposes with RegisterLabeledCounter.
+func NewLabeledCounter(label string) *LabeledCounter {
+	return &LabeledCounter{label: label, vals: map[string]*Counter{}}
+}
+
 // LabeledCounter registers a counter family with one label dimension.
 // Series appear in first-use order; pre-touch values with With for a
 // stable exposition.
 func (r *Registry) LabeledCounter(name, help, label string) *LabeledCounter {
-	lc := &LabeledCounter{label: label, vals: map[string]*Counter{}}
+	lc := NewLabeledCounter(label)
+	r.RegisterLabeledCounter(name, help, lc)
+	return lc
+}
+
+// RegisterLabeledCounter exposes an existing labeled counter as a
+// family of this registry.
+func (r *Registry) RegisterLabeledCounter(name, help string, lc *LabeledCounter) {
 	r.add(&family{name: name, help: help, typ: "counter",
 		collect: func(emit func(string, float64)) {
 			lc.mu.Lock()
@@ -111,7 +125,6 @@ func (r *Registry) LabeledCounter(name, help, label string) *LabeledCounter {
 				emit(fmt.Sprintf("{%s=%q}", lc.label, v), float64(lc.With(v).Value()))
 			}
 		}})
-	return lc
 }
 
 // Gauge is a settable value series.
@@ -159,10 +172,24 @@ func (h *Histogram) Observe(v float64) {
 	h.total++
 }
 
+// NewHistogram creates a histogram over the given bucket upper bounds
+// (ascending; +Inf is implicit) outside any registry; see
+// NewLabeledCounter.
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
 // Histogram registers a histogram family over the given bucket upper
 // bounds (ascending; +Inf is implicit).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	h := NewHistogram(bounds)
+	r.RegisterHistogram(name, help, h)
+	return h
+}
+
+// RegisterHistogram exposes an existing histogram as a family of this
+// registry.
+func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	r.add(&family{name: name, help: help, typ: "histogram",
 		collect: func(emit func(string, float64)) {
 			h.mu.Lock()
@@ -177,7 +204,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 			emit("_sum", h.sum)
 			emit("_count", float64(h.total))
 		}})
-	return h
 }
 
 func formatBound(b float64) string {

@@ -43,7 +43,7 @@ func newFixture(t *testing.T, src string, minSupport int) *fixture {
 	cat := relational.BuildCatalog(tb, d, schema, inf, pool)
 	idx := triples.BuildAll(tb)
 	ctx := &exec.Ctx{Dict: d, Idx: idx, Cat: cat, Pool: pool}
-	ctx.TrackProjections(idx, cat.IrregularIdx)
+	ctx.TrackProjections()
 	return &fixture{
 		d: d,
 		sv: &StoreView{

@@ -19,8 +19,7 @@ type Config struct {
 	// Clustered selects the fully reorganized store (subject clustering
 	// with date sub-ordering, value-ordered literals); otherwise the
 	// "ParseOrder" store is used (CS tables exist but without
-	// sub-ordering or literal value order — see EXPERIMENTS.md for how
-	// this maps onto the paper's hand-modified prototype).
+	// sub-ordering or literal value order).
 	Clustered bool
 	Mode      plan.Mode
 	ZoneMaps  bool

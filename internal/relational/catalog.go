@@ -193,6 +193,13 @@ func (cat *Catalog) Visible() []*Table {
 // BuildCatalog materializes the schema over the clustered store. tb must
 // already be reorganized by cluster.Reorganize, with inf its outcome.
 func BuildCatalog(tb *triples.Table, d *dict.Dictionary, schema *cs.Schema, inf *cluster.Info, pool *colstore.BufferPool) *Catalog {
+	return BuildCatalogSPO(triples.Build(tb, triples.SPO), schema, inf, pool)
+}
+
+// BuildCatalogSPO is BuildCatalog for a caller that already holds the
+// reorganized table's SPO projection — the store's index set sorts it
+// anyway, and the catalog only reads it.
+func BuildCatalogSPO(spo *triples.Projection, schema *cs.Schema, inf *cluster.Info, pool *colstore.BufferPool) *Catalog {
 	cat := &Catalog{
 		Irregular: triples.NewTable(0),
 		byName:    make(map[string]*Table),
@@ -248,7 +255,6 @@ func BuildCatalog(tb *triples.Table, d *dict.Dictionary, schema *cs.Schema, inf 
 	}
 
 	// Fill: one pass over SPO in clustered subject order.
-	spo := triples.Build(tb, triples.SPO)
 	spo.Distinct1(func(s dict.OID, lo, hi int) {
 		csID, ok := schema.SubjectCS[s]
 		if !ok {
@@ -305,7 +311,7 @@ func BuildCatalog(tb *triples.Table, d *dict.Dictionary, schema *cs.Schema, inf 
 			c.Data.Seal()
 		}
 	}
-	cat.IrregularIdx = triples.BuildAll(cat.Irregular)
+	cat.IrregularIdx = triples.NewIndexSet(cat.Irregular)
 	return cat
 }
 

@@ -377,11 +377,15 @@ func (cat *Catalog) ReassignSubjects(subjects []dict.OID, spo *triples.Projectio
 	// Drop the touched subjects' irregular triples; re-routing appends
 	// their survivors below.
 	irr := triples.NewTable(cat.Irregular.Len())
+	dropped := triples.NewTable(0)
 	for i := 0; i < cat.Irregular.Len(); i++ {
-		if tr := cat.Irregular.At(i); !touched[tr.S] {
+		if tr := cat.Irregular.At(i); touched[tr.S] {
+			dropped.AppendTriple(tr)
+		} else {
 			irr.AppendTriple(tr)
 		}
 	}
+	kept := irr.Len()
 
 	// Re-route in caller order (sorted subjects → deterministic layout).
 	var preds []dict.OID
@@ -428,7 +432,9 @@ func (cat *Catalog) ReassignSubjects(subjects []dict.OID, spo *triples.Projectio
 		cat.deltaOf[s] = t
 	}
 	cat.Irregular = irr
-	cat.IrregularIdx = triples.BuildAll(irr)
+	// like the store's own index: the untouched residue is not re-sorted,
+	// the touched subjects' triples are merged out and back in
+	cat.IrregularIdx = cat.IrregularIdx.Merge(irr.Tail(kept), dropped)
 	return st
 }
 

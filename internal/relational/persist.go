@@ -104,6 +104,6 @@ func AssembleCatalog(tables []*Table, links []*LinkTable, irregular *triples.Tab
 			cat.extraOf[s] = t
 		}
 	}
-	cat.IrregularIdx = triples.BuildAll(irregular)
+	cat.IrregularIdx = triples.NewIndexSet(irregular)
 	return cat
 }

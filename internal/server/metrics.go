@@ -7,6 +7,7 @@ import (
 	"srdf/internal/core"
 	"srdf/internal/exec"
 	"srdf/internal/obs"
+	"srdf/internal/triples"
 )
 
 // latencyBuckets are the query-duration histogram bounds in seconds,
@@ -56,8 +57,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 
 // registerDerivedMetrics wires every series whose value is owned
 // elsewhere — admission, plan cache, buffer pool, store, executor,
-// query log — as scrape-time closures, so /metrics is one registry
-// walk instead of two files of fmt.Fprintf.
+// triple projections, query log — as scrape-time closures, so /metrics
+// is one registry walk instead of two files of fmt.Fprintf.
 func (s *Server) registerDerivedMetrics() {
 	reg, st := s.reg, s.store
 	reg.GaugeFunc("srdf_inflight_queries", "Queries holding an execution slot.",
@@ -119,6 +120,7 @@ func (s *Server) registerDerivedMetrics() {
 		func() float64 { return float64(exec.ScanRowsTotal()) })
 	reg.CounterFunc("srdf_exec_operator_seconds_total", "Cumulative query pipeline wall time, open to close.",
 		exec.PipelineSecondsTotal)
+	triples.RegisterMetrics(reg)
 	reg.CounterFunc("srdf_query_log_queries_total", "Completed queries recorded in the structured query log.",
 		func() float64 { q, _ := st.QueryLogCounts(); return float64(q) })
 	reg.CounterFunc("srdf_query_log_rows_total", "Result rows recorded in the structured query log.",

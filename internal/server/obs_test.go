@@ -110,6 +110,17 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if strings.Contains(body, "srdf_exec_scan_rows_total 0\n") {
 		t.Error("srdf_exec_scan_rows_total did not move under traffic")
 	}
+	// Projection work: every permutation has a series from the first
+	// scrape on, and the store behind this server sorted SPO at least.
+	for _, want := range []string{`srdf_projection_builds_total{perm="OPS"}`,
+		`srdf_projection_merges_total{perm="SPO"}`, "srdf_projection_build_seconds_count"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	if strings.Contains(body, `srdf_projection_builds_total{perm="SPO"} 0`+"\n") {
+		t.Error(`srdf_projection_builds_total{perm="SPO"} is 0 after serving queries`)
+	}
 }
 
 // TestDebugQueriesEndpoint checks /debug/queries returns the recent

@@ -78,10 +78,3 @@ func Uniq(a []dict.OID) []dict.OID {
 	}
 	return a[:w]
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

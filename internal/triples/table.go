@@ -3,6 +3,13 @@
 // MonetDB+HSP prototype — the paper's baseline — keeps for exhaustive
 // indexing. All downstream machinery (CS detection, subject clustering,
 // both query-plan families) operates on these structures.
+//
+// In the reorganized store the projections are only the fallback for
+// the irregular residue and for non-star access paths, so they are kept
+// cheap: every order is produced by one radix kernel (sort.go), an
+// IndexSet sorts SPO when it is created and each other order the first
+// time a reader asks for it, and a batch of updates is merged into the
+// orders that exist instead of re-sorting the table (index.go).
 package triples
 
 import (
@@ -67,6 +74,12 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
+// Tail returns rows [from, Len) as a view sharing the table's arrays —
+// the rows appended since an index set last covered the table.
+func (t *Table) Tail(from int) *Table {
+	return &Table{S: t.S[from:], P: t.P[from:], O: t.O[from:]}
+}
+
 // Dedup sorts the table in SPO order and removes exact duplicate triples,
 // returning the number removed. RDF graphs are sets; bulk loads of dirty
 // data commonly carry duplicates.
@@ -75,7 +88,7 @@ func (t *Table) Dedup() int {
 	if n == 0 {
 		return 0
 	}
-	idx := sortedIndex(t, SPO)
+	idx := sortRows(n, t.S, t.P, t.O)
 	outS := make([]dict.OID, 0, n)
 	outP := make([]dict.OID, 0, n)
 	outO := make([]dict.OID, 0, n)
@@ -130,23 +143,27 @@ func (p Perm) String() string {
 	}
 }
 
-// cols maps a permutation to the (first, second, third) component
-// extractor of a triple.
+// permOrder lists, per permutation, which of (S, P, O) = (0, 1, 2) is
+// its first, second and third component.
+var permOrder = [6][3]uint8{
+	SPO: {0, 1, 2},
+	SOP: {0, 2, 1},
+	PSO: {1, 0, 2},
+	POS: {1, 2, 0},
+	OSP: {2, 0, 1},
+	OPS: {2, 1, 0},
+}
+
+// key returns the components of a triple in the permutation's order.
 func (p Perm) key(t Triple) (dict.OID, dict.OID, dict.OID) {
-	switch p {
-	case SPO:
-		return t.S, t.P, t.O
-	case SOP:
-		return t.S, t.O, t.P
-	case PSO:
-		return t.P, t.S, t.O
-	case POS:
-		return t.P, t.O, t.S
-	case OSP:
-		return t.O, t.S, t.P
-	default: // OPS
-		return t.O, t.P, t.S
-	}
+	spo, o := [3]dict.OID{t.S, t.P, t.O}, permOrder[p]
+	return spo[o[0]], spo[o[1]], spo[o[2]]
+}
+
+// cols returns the columns of a table in the permutation's order.
+func (p Perm) cols(t *Table) (a, b, c []dict.OID) {
+	spo, o := [3][]dict.OID{t.S, t.P, t.O}, permOrder[p]
+	return spo[o[0]], spo[o[1]], spo[o[2]]
 }
 
 // Projection is a copy of the triple table sorted in one permutation
@@ -157,38 +174,23 @@ type Projection struct {
 	A, B, C []dict.OID
 }
 
-func sortedIndex(t *Table, p Perm) []int32 {
-	n := t.Len()
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		ax, bx, cx := p.key(t.At(int(idx[x])))
-		ay, by, cy := p.key(t.At(int(idx[y])))
-		if ax != ay {
-			return ax < ay
-		}
-		if bx != by {
-			return bx < by
-		}
-		return cx < cy
-	})
-	return idx
+// Build sorts the table into the given permutation order. The
+// projection owns its arrays: later changes to the table do not reach it.
+func Build(t *Table, p Perm) *Projection {
+	a, b, c := p.cols(t)
+	return gather(p, sortRows(t.Len(), a, b, c), a, b, c)
 }
 
-// Build sorts the table into the given permutation order.
-func Build(t *Table, p Perm) *Projection {
-	idx := sortedIndex(t, p)
+// gather copies the rows of three columns out in the given order.
+func gather(p Perm, order []uint32, a, b, c []dict.OID) *Projection {
 	pr := &Projection{
 		Order: p,
-		A:     make([]dict.OID, len(idx)),
-		B:     make([]dict.OID, len(idx)),
-		C:     make([]dict.OID, len(idx)),
+		A:     make([]dict.OID, len(order)),
+		B:     make([]dict.OID, len(order)),
+		C:     make([]dict.OID, len(order)),
 	}
-	for k, i := range idx {
-		a, b, c := p.key(t.At(int(i)))
-		pr.A[k], pr.B[k], pr.C[k] = a, b, c
+	for k, i := range order {
+		pr.A[k], pr.B[k], pr.C[k] = a[i], b[i], c[i]
 	}
 	return pr
 }
@@ -258,26 +260,6 @@ func (pr *Projection) Contains(t Triple) bool {
 	lo, hi := pr.Range3(a, b, c)
 	return hi > lo
 }
-
-// IndexSet bundles all six projections, the "exhaustive indexing"
-// approach of RDF-3X and MonetDB+HSP that the paper critiques for its
-// lack of locality — and that the reorganized store still needs for the
-// irregular residue and for non-star access paths.
-type IndexSet struct {
-	ByPerm [6]*Projection
-}
-
-// BuildAll sorts the table into all six permutations.
-func BuildAll(t *Table) *IndexSet {
-	var s IndexSet
-	for _, p := range AllPerms {
-		s.ByPerm[p] = Build(t, p)
-	}
-	return &s
-}
-
-// Get returns the projection for a permutation.
-func (s *IndexSet) Get(p Perm) *Projection { return s.ByPerm[p] }
 
 // Distinct1 iterates the distinct values of the first component of pr,
 // calling fn with each value and its row range.

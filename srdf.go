@@ -25,6 +25,7 @@ package srdf
 import (
 	"context"
 	"io"
+	"log/slog"
 	"strings"
 	"time"
 
@@ -393,6 +394,11 @@ func (s *Store) Epoch() uint64 { return s.inner.Epoch() }
 
 // Uptime reports the time since the store was created or opened.
 func (s *Store) Uptime() time.Duration { return s.inner.Uptime() }
+
+// SetLogger directs the store's operational log — one line per refresh
+// that folded writes in: epoch, batch size, which triple projections
+// were merged, duration — to l; nil (the default) turns it off.
+func (s *Store) SetLogger(l *slog.Logger) { s.inner.SetLogger(l) }
 
 // Organized reports whether the store has a materialized schema, from
 // Organize or from an opened snapshot.
