@@ -12,8 +12,9 @@ const BatchRows = 1024
 
 // Batch is one vector of bindings flowing between operators: a column of
 // OIDs per variable, at most BatchRows rows. Batches are owned by the
-// consumer and refilled on every Next call, so their backing arrays are
-// reused across the whole pull.
+// consumer and refilled on every Next call, so their backing arrays —
+// grown by append to what producers write, never past BatchRows — are
+// reused across the whole pull (see blocks.go for the sizing contract).
 //
 // A producer fills a batch in one of two ways:
 //
@@ -41,14 +42,12 @@ type Batch struct {
 	borrowed bool
 }
 
-// NewBatch allocates an empty batch with capacity BatchRows per column.
+// NewBatch returns an empty batch with no backing storage: columns grow
+// on first append, and a batch that only ever receives views never
+// allocates any.
 func NewBatch(vars []string) *Batch {
-	b := &Batch{Vars: vars, Cols: make([][]dict.OID, len(vars)), own: make([][]dict.OID, len(vars))}
-	for i := range b.Cols {
-		b.Cols[i] = make([]dict.OID, 0, BatchRows)
-		b.own[i] = b.Cols[i]
-	}
-	return b
+	cols := make([][]dict.OID, 2*len(vars))
+	return &Batch{Vars: vars, Cols: cols[:len(vars):len(vars)], own: cols[len(vars):]}
 }
 
 // Len returns the logical row count.

@@ -401,12 +401,13 @@ func applyBinary(op sparql.Op, l, r dict.Value) dict.Value {
 func distinct(res *Result) *Result {
 	seen := map[string]bool{}
 	out := &Result{Vars: res.Vars}
+	var kb []byte
 	for _, row := range res.Rows {
-		k := distinctKey(row)
-		if seen[k] {
+		kb = appendDistinctKey(kb[:0], row)
+		if seen[string(kb)] {
 			continue
 		}
-		seen[k] = true
+		seen[string(kb)] = true
 		out.Rows = append(out.Rows, row)
 	}
 	return out

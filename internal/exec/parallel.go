@@ -62,6 +62,7 @@ func startMorselScan(ctx *Ctx, s *ScanOp, workers int) *morselScan {
 			defer m.wg.Done()
 			var sc scanScratch // per-worker selection + decode scratch
 			sc.init(&s.Star)
+			defer sc.release() // results are copies: nothing lent outlives the worker
 			for {
 				idx := int(m.claim.Add(1)) - 1
 				if idx >= m.morsels {

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"fmt"
+	"encoding/binary"
 	"time"
 
 	"srdf/internal/dict"
@@ -183,7 +183,7 @@ func (it *RowIter) next() bool {
 		}
 		it.opened = true
 		it.started = time.Now()
-		it.batch = NewVBatch(it.vop.Vars())
+		it.batch = newBlockVBatch(it.vop.Vars())
 		it.idx = 0
 	}
 	for {
@@ -249,6 +249,11 @@ func (it *RowIter) Close() {
 		}
 		it.vop = nil
 	}
+	if it.batch != nil {
+		// Row returned copies, so nothing reads the vectors any more
+		it.batch.release()
+		it.batch = nil
+	}
 	if !it.started.IsZero() {
 		pipelineNS.Add(time.Since(it.started).Nanoseconds())
 		it.started = time.Time{}
@@ -276,10 +281,16 @@ func HeadStream(ctx *Ctx, op Operator, q *sparql.Query) (*Result, error) {
 	return it.Collect(), nil
 }
 
-func distinctKey(row []dict.Value) string {
-	var b []byte
+// appendDistinctKey appends the DISTINCT identity of row to dst: per cell
+// its kind, the length of its lexical form and the lexical form. The
+// length prefix keeps the encoding unambiguous whatever bytes the
+// lexical forms contain.
+func appendDistinctKey(dst []byte, row []dict.Value) []byte {
 	for _, v := range row {
-		b = append(b, fmt.Sprintf("%d|%s|", v.Kind, v.Lexical())...)
+		lex := v.Lexical()
+		dst = append(dst, byte(v.Kind))
+		dst = binary.AppendUvarint(dst, uint64(len(lex)))
+		dst = append(dst, lex...)
 	}
-	return string(b)
+	return dst
 }

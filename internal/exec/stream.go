@@ -57,7 +57,9 @@ type ScanOp struct {
 
 // scanScratch is the per-scanner (or per-morsel-worker) reusable state:
 // selection buffers, the subject view, and one decode buffer per output
-// column. Nothing here is shared between workers.
+// column. Nothing here is shared between workers. The block-sized
+// buffers come from the package free lists: init takes them and release
+// returns them, once, when the owner closes (see blocks.go).
 type scanScratch struct {
 	sel, tmp []int32
 	subj     []dict.OID
@@ -73,15 +75,28 @@ func (sc *scanScratch) init(star *Star) {
 			outCols++
 		}
 	}
-	sc.sel = make([]int32, 0, colstore.BlockRows)
-	sc.tmp = make([]int32, 0, colstore.BlockRows)
-	sc.subj = make([]dict.OID, colstore.BlockRows)
+	sc.sel = selBlocks.get()[:0]
+	sc.tmp = selBlocks.get()[:0]
+	sc.subj = oidBlocks.get()
 	sc.objBufs = make([][]dict.OID, outCols)
 	for i := range sc.objBufs {
-		sc.objBufs[i] = make([]dict.OID, colstore.BlockRows)
+		sc.objBufs[i] = oidBlocks.get()
 	}
 	sc.views = make([][]dict.OID, 0, outCols+1)
 	sc.touched = make([]bool, len(star.Props))
+}
+
+// release returns the scratch blocks to their free lists and forgets
+// them; a second release is a no-op. Nothing the scratch lent may be read
+// afterwards.
+func (sc *scanScratch) release() {
+	selBlocks.put(sc.sel)
+	selBlocks.put(sc.tmp)
+	oidBlocks.put(sc.subj)
+	for _, b := range sc.objBufs {
+		oidBlocks.put(b)
+	}
+	*sc = scanScratch{}
 }
 
 // NewScanOp builds a streaming scan of star over one CS table.
@@ -541,6 +556,8 @@ func (s *ScanOp) Close() {
 		s.par.stop()
 		s.par = nil
 	}
+	// the consumer stopped pulling, so no lent view is read again
+	s.sc.release()
 }
 
 // DefaultStarOp is the streaming Default-family star: the seed index
@@ -793,7 +810,7 @@ type FilterOp struct {
 
 	ctx     *Ctx
 	inBatch *Batch
-	sel     []int32
+	sel     []int32 // grows to the largest surviving selection
 	physRel *Rel
 	env     *evalEnv
 }
@@ -808,7 +825,6 @@ func (f *FilterOp) Vars() []string { return f.in.Vars() }
 func (f *FilterOp) Open(ctx *Ctx) error {
 	f.ctx = ctx
 	f.inBatch = NewBatch(f.in.Vars())
-	f.sel = make([]int32, 0, BatchRows)
 	return f.in.Open(ctx)
 }
 

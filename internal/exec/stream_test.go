@@ -263,3 +263,69 @@ func TestStreamLimitStopsScanEarly(t *testing.T) {
 		t.Fatalf("early-terminated scan touched %d pages, full scan %d", limited, full)
 	}
 }
+
+// TestScanOpReopenAfterEarlyClose checks the scan's one-owner, one-release
+// contract: a scan closed before exhaustion returns its block scratch;
+// another scan then reuses (and overwrites) those blocks; the first,
+// re-opened, still streams exactly the rows of an uninterrupted drain.
+// Closing twice must not hand a block to the free list twice.
+func TestScanOpReopenAfterEarlyClose(t *testing.T) {
+	f := newFixture(t, bigSrc(9000), 3)
+	tab := bigTable(t, f)
+	aPred, bPred := f.pred("http://b/a"), f.pred("http://b/b")
+	lo, _ := f.d.Lookup(dict.IntLit(100))
+	hi, _ := f.d.Lookup(dict.IntLit(300))
+	stars := map[string]Star{
+		"dense": {SubjVar: "s", Props: []StarProp{{Pred: aPred, ObjVar: "va"}, {Pred: bPred, ObjVar: "vb"}}},
+		"selective": {SubjVar: "s", Props: []StarProp{
+			{Pred: aPred, ObjVar: "va", HasRange: true, Lo: lo, Hi: hi}, {Pred: bPred, ObjVar: "vb"}}},
+	}
+	for name, star := range stars {
+		for _, par := range []int{1, 2} {
+			ctx := *f.ctx
+			ctx.Parallelism = par
+			want := Drain(&ctx, NewScanOp(tab, star, true, 0, -1))
+			if want.Len() == 0 {
+				t.Fatalf("%s: empty scan", name)
+			}
+
+			op := NewScanOp(tab, star, true, 0, -1)
+			if err := op.Open(&ctx); err != nil {
+				t.Fatal(err)
+			}
+			b := NewBatch(op.Vars())
+			if !op.Next(b) || b.Len() == 0 {
+				t.Fatalf("%s par=%d: no first batch", name, par)
+			}
+			first := b.CopyRel()
+			op.Close()
+			op.Close()
+			// the double Close returned each block once: the free list
+			// never hands one block to two takers
+			seen := map[*int32]bool{}
+			var taken [][]int32
+			for i := 0; i < 4; i++ {
+				blk := selBlocks.get()
+				if seen[&blk[0]] {
+					t.Fatalf("%s par=%d: a selection block was handed out twice", name, par)
+				}
+				seen[&blk[0]] = true
+				taken = append(taken, blk)
+			}
+			for _, blk := range taken {
+				selBlocks.put(blk)
+			}
+			// another owner takes the released blocks and writes them
+			other := Star{SubjVar: "s", Props: []StarProp{{Pred: bPred, ObjVar: "vb"}, {Pred: aPred, ObjVar: "va"}}}
+			Drain(&ctx, NewScanOp(tab, other, false, 0, -1))
+
+			got := Drain(&ctx, op) // re-opens
+			relEqualOrdered(t, got, want, fmt.Sprintf("%s par=%d re-opened", name, par))
+			prefix := &Rel{Vars: want.Vars, Cols: make([][]dict.OID, len(want.Cols))}
+			for i := range prefix.Cols {
+				prefix.Cols[i] = want.Cols[i][:first.Len()]
+			}
+			relEqualOrdered(t, first, prefix, fmt.Sprintf("%s par=%d first batch", name, par))
+		}
+	}
+}

@@ -16,13 +16,28 @@ type VBatch struct {
 	Cols [][]dict.Value
 }
 
-// NewVBatch allocates an empty value batch with capacity BatchRows.
+// NewVBatch returns an empty value batch; its columns grow on append.
 func NewVBatch(vars []string) *VBatch {
-	b := &VBatch{Vars: vars, Cols: make([][]dict.Value, len(vars))}
-	for i := range b.Cols {
-		b.Cols[i] = make([]dict.Value, 0, BatchRows)
+	return &VBatch{Vars: vars, Cols: make([][]dict.Value, len(vars))}
+}
+
+// newBlockVBatch returns an empty value batch whose columns are
+// free-list blocks, for an owner that returns them with release.
+func newBlockVBatch(vars []string) *VBatch {
+	b := NewVBatch(vars)
+	for c := range b.Cols {
+		b.Cols[c] = valBlocks.get()[:0]
 	}
 	return b
+}
+
+// release returns the columns of a newBlockVBatch batch to the free list;
+// the batch must not be used afterwards.
+func (b *VBatch) release() {
+	for _, c := range b.Cols {
+		valBlocks.put(c)
+	}
+	b.Cols = nil
 }
 
 // Len returns the row count.
@@ -192,6 +207,7 @@ type DistinctOp struct {
 	seen map[string]bool
 	inb  *VBatch
 	row  []dict.Value
+	kb   []byte
 }
 
 // NewDistinctOp builds a streaming duplicate filter over in.
@@ -214,16 +230,16 @@ func (d *DistinctOp) Next(b *VBatch) bool {
 		}
 		for i := 0; i < d.inb.Len(); i++ {
 			d.row = d.inb.Row(i, d.row)
-			k := distinctKey(d.row)
-			if d.seen[k] {
+			d.kb = appendDistinctKey(d.kb[:0], d.row)
+			if d.seen[string(d.kb)] {
 				continue
 			}
 			// the key set is the operator's only retained state
-			if err := d.ctx.Mem.Grow(int64(len(k)) + 48); err != nil {
+			if err := d.ctx.Mem.Grow(int64(len(d.kb)) + 48); err != nil {
 				d.ctx.Fail(err)
 				return false
 			}
-			d.seen[k] = true
+			d.seen[string(d.kb)] = true
 			b.AppendRow(d.row...)
 		}
 		if b.Len() > 0 {

@@ -838,13 +838,25 @@ func (b *builder) genericNode(tp sparql.TriplePattern) (Node, error) {
 	if n.O, err = resolve(tp.O); err != nil {
 		return nil, err
 	}
-	bound := 0
-	for _, o := range []dict.OID{n.S, n.Pr, n.O} {
-		if o != dict.Nil {
-			bound++
+	if n.S != dict.Nil {
+		// A bound subject is a point lookup: SPO is always materialized,
+		// so the exact (subject[, predicate]) range size is free and no
+		// other order gets sorted at plan time.
+		spo := b.sv.Idx.Get(triples.SPO)
+		lo, hi := spo.Range1(n.S)
+		if n.Pr != dict.Nil {
+			lo, hi = spo.Range2(n.S, n.Pr)
 		}
+		n.est = float64(hi - lo)
+	} else {
+		bound := 0
+		for _, o := range []dict.OID{n.Pr, n.O} {
+			if o != dict.Nil {
+				bound++
+			}
+		}
+		n.est /= float64(uint(1) << (4 * uint(bound)))
 	}
-	n.est /= float64(uint(1) << (4 * uint(bound)))
 	n.cost = n.est * cost.ScanRow
 	return n, nil
 }

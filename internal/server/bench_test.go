@@ -68,3 +68,37 @@ func BenchmarkServe_ConcurrentLoad(b *testing.B) {
 		b.ReportMetric(float64(ps.Hits)/float64(total), "cache-hit-ratio")
 	}
 }
+
+// BenchmarkServe_PointLookup drives one-row lookups through the handler,
+// each a text the plan cache has not seen recently (it cycles through far
+// more texts than the cache holds): parse, plan, execute and JSON
+// serialization per request, the path whose allocations per op track
+// executor memory.
+func BenchmarkServe_PointLookup(b *testing.B) {
+	const people = 5000
+	st := testStore(b, people, srdf.Defaults())
+	h := New(st, Config{MaxConcurrent: 8}).Handler()
+	targets := make([]string, 0, 2*people)
+	for i := 0; i < people; i++ {
+		p := fmt.Sprintf("<http://ex/p%d>", i)
+		targets = append(targets,
+			"/sparql?query="+url.QueryEscape(`SELECT ?n ?a WHERE { `+p+` <http://ex/name> ?n . `+p+` <http://ex/age> ?a }`),
+			"/sparql?query="+url.QueryEscape(fmt.Sprintf(`SELECT ?s ?a WHERE { ?s <http://ex/name> "person %d" . ?s <http://ex/age> ?a }`, i)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodGet, targets[(i*7919)%len(targets)], nil)
+		req.Header.Set("Accept", MimeJSON)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK || w.Body.Len() == 0 {
+			b.Fatalf("%s: %d: %s", req.URL, w.Code, w.Body)
+		}
+	}
+	b.StopTimer()
+	ps := st.PlanCacheStats()
+	if total := ps.Hits + ps.Misses; total > 0 {
+		b.ReportMetric(float64(ps.Hits)/float64(total), "cache-hit-ratio")
+	}
+}
