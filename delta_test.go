@@ -29,11 +29,12 @@ func deltaStore(t *testing.T) *srdf.Store {
 
 // TestGoldenExplainDeltaLifecycle pins the textual plan output across
 // the live-update lifecycle: a sealed store shows per-column segment
-// encodings and zone selectivity; a store with pending deltas shows the
-// delta row count and tombstones on its RDFscan line (and loses range
-// pushdown, since the trickled literals broke literal ordering); a
-// compacted store shows freshly chosen segment encodings with the delta
-// annotations gone. Any regression in how delta-tail scans surface in
+// encodings and zone selectivity, and no Filter node, since the scan
+// enforces the pushed ?y range on every row; a store with pending deltas
+// shows the delta row count and tombstones on its RDFscan line (and
+// loses range pushdown, since the trickled literals broke literal
+// ordering, so the Filter is back); a compacted store shows freshly
+// chosen segment encodings with the delta annotations gone. Any regression in how delta-tail scans surface in
 // EXPLAIN fails these exact-match comparisons.
 func TestGoldenExplainDeltaLifecycle(t *testing.T) {
 	s := deltaStore(t)
@@ -42,10 +43,9 @@ func TestGoldenExplainDeltaLifecycle(t *testing.T) {
 
 	const sealedWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=0
 Project ?b ?y
-  Filter (?y >= "1992"^^<http://www.w3.org/2001/XMLSchema#integer>)
-    RDFscan ?b over author_isbn [2 props, 0 self-joins] +zonemaps est_rows=1 cost=8
-      col p=R7 ?a enc=rle×1
-      col p=R8 ?y in[L6,L10] enc=for×1 zsel=1.00
+  RDFscan ?b over author_isbn [2 props, 0 self-joins] +zonemaps est_rows=1 cost=8
+    col p=R7 ?a enc=rle×1
+    col p=R8 ?y in[L6,L10] enc=for×1 zsel=1.00
 `
 	ex, err := s.Explain(q, qo)
 	if err != nil {

@@ -1298,9 +1298,11 @@ func queryCtx(snap *snapshot, ctx context.Context, qopts QueryOptions) *exec.Ctx
 }
 
 // QueryReference executes a query through the materializing reference
-// path: the BGP tree is drained operator-at-a-time and topped with the
-// PR-1 materializing head. It exists for differential testing — the
-// streaming pipeline must stay row-identical to it.
+// path: the BGP tree (without the plan's compiled FILTER nodes) is
+// drained operator-at-a-time and topped with the PR-1 materializing
+// head, which evaluates every FILTER with the tree-walking interpreter.
+// It exists for differential testing — the streaming pipeline must stay
+// row-identical to it.
 func (s *Store) QueryReference(src string, qopts QueryOptions) (res *exec.Result, err error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
@@ -1321,7 +1323,7 @@ func (s *Store) QueryReference(src string, qopts QueryOptions) (res *exec.Result
 			res, err = nil, exec.NewPanicError("reference evaluation", r)
 		}
 	}()
-	rel := plan.Exec(p.Root, ectx)
+	rel := plan.Exec(p.BGP(), ectx)
 	res, err = exec.Head(ectx, rel, q)
 	if err == nil {
 		if eerr := ectx.ExecErr(); eerr != nil {

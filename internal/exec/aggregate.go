@@ -1,8 +1,7 @@
 package exec
 
 import (
-	"sort"
-	"sync"
+	"fmt"
 
 	"srdf/internal/dict"
 	"srdf/internal/sparql"
@@ -10,38 +9,141 @@ import (
 
 // AggregateOp is the vectorized hash GROUP BY/aggregate operator: it
 // consumes OID batches from the BGP pipeline and folds them into
-// columnar per-group aggregate states (COUNT/SUM/AVG/MIN/MAX, with
-// DISTINCT arguments), never materializing the input — memory is
-// bounded by the number of groups, not the number of input rows.
+// per-group aggregate states (COUNT/SUM/AVG/MIN/MAX, with DISTINCT
+// arguments), never materializing the input — memory is bounded by the
+// number of groups, not the number of input rows.
 //
-// With ctx.Parallelism > 1 input batches are dealt round-robin to a
-// worker pool; each worker folds its share into a private partial table
-// and the partials are merged at the head in worker order
-// (order-insensitive states merge directly, AVG via sum+count, DISTINCT
-// by replaying the value set). Group output order is the global
-// first-appearance order of each group key, tracked per group, so the
-// parallel merge emits groups in exactly the sequential order. Values
-// are identical to sequential execution except float SUM/AVG, whose
-// re-associated partial sums can differ in the last few bits (integer
-// aggregates, COUNT, MIN, MAX and AVG over integers are exact).
+// Per batch it runs the compiled aggregate arguments once, assigns every
+// row a dense group id from an open-addressing table keyed on the packed
+// group-OID tuple, and folds each aggregate's argument vector into that
+// aggregate's typed states by group id: COUNT, SUM and AVG only count
+// and add, MIN and MAX only compare. Groups are emitted in the order
+// their first input row arrived.
 type AggregateOp struct {
 	in      Operator
-	items   []sparql.SelectItem
 	groupBy []string
 	vars    []string
-	leaves  []*sparql.ExAgg
 
-	ctx *Ctx
-	ran bool
-	out vrowsCursor
+	args     program // aggregate arguments over the input batches
+	leaves   []aggLeaf
+	groupCol []int // input column of each GROUP BY variable (-1: unbound)
+	// fin computes the select items per group from the group's first
+	// input row and the aggregates' results.
+	fin      program
+	finItems []finItem
+	// per-group state strides: each group owns nSum sumStates, nExt
+	// extStates and nSeen DISTINCT sets, stored group-major.
+	nSum, nExt, nSeen int
+
+	ctx    *Ctx
+	groups groupTable
+	sums   []sumState
+	exts   []extState
+	seen   []map[string]struct{}
+	repr   []dict.OID // each group's first input row, row-major
+	key    []dict.OID
+	gids   []int32
+	ran    bool
+	out    vrowsCursor
+}
+
+// aggLeaf is one aggregate of the select list.
+type aggLeaf struct {
+	x   *sparql.ExAgg
+	arg int // argument's instruction in AggregateOp.args; -1 for COUNT(*)
+	// col is the input column of a bare-variable argument (else -1):
+	// MIN and MAX then return the winning cell's exact term.
+	col int
+	// slot indexes the leaf's state within a group's sumStates (COUNT,
+	// SUM, AVG) or extStates (MIN, MAX); seen its DISTINCT set.
+	slot, seen int
+	ext        bool
+}
+
+// sumState folds COUNT, SUM and AVG: it never compares values.
+type sumState struct {
+	count  int64
+	sumInt int64
+	sum    float64
+	allInt bool // every counted value was an integer: SUM stays an int
+}
+
+// extState folds MIN or MAX.
+type extState struct {
+	started bool
+	n       num
+	s       string
+	val     dict.Value // the winning value, with its term when it is a variable's
+}
+
+// finItem says how one select item resolves per group.
+type finItem struct {
+	kind byte // 'v' grouped variable, 'a' bare aggregate, 'l' literal, 'e' compiled
+	idx  int  // input column, leaf, or fin instruction
+	lit  dict.Value
 }
 
 // NewAggregateOp builds a streaming grouped-aggregation of items over in.
 func NewAggregateOp(in Operator, items []sparql.SelectItem, groupBy []string) *AggregateOp {
-	a := &AggregateOp{in: in, items: items, groupBy: groupBy}
+	a := &AggregateOp{in: in, groupBy: groupBy}
+	inVars := in.Vars()
+	var aggs []*sparql.ExAgg
+	finSize := 0
+	a.vars = make([]string, len(items))
 	for i := range items {
-		a.vars = append(a.vars, items[i].As)
-		a.leaves = collectAggs(items[i].Expr, a.leaves)
+		a.vars[i] = items[i].As
+		aggs = collectAggs(items[i].Expr, aggs)
+		finSize += exprSize(items[i].Expr)
+	}
+	argSize := 0
+	for _, x := range aggs {
+		argSize += exprSize(x.Arg)
+	}
+	a.args.reserve(argSize)
+	a.leaves = make([]aggLeaf, len(aggs))
+	for j, x := range aggs {
+		l := aggLeaf{x: x, arg: -1, col: -1, seen: -1}
+		if x.Arg != nil {
+			l.arg = a.args.compile(x.Arg, inVars, nil)
+		}
+		if v, ok := x.Arg.(*sparql.ExVar); ok {
+			l.col = varIndex(inVars, v.Name)
+		}
+		if x.Func == sparql.AggMin || x.Func == sparql.AggMax {
+			l.ext, l.slot = true, a.nExt
+			a.nExt++
+		} else {
+			l.slot = a.nSum
+			a.nSum++
+		}
+		if x.Distinct {
+			l.seen = a.nSeen
+			a.nSeen++
+		}
+		a.leaves[j] = l
+	}
+	a.groupCol = make([]int, len(groupBy))
+	for i, g := range groupBy {
+		a.groupCol[i] = varIndex(inVars, g)
+	}
+	a.finItems = make([]finItem, len(items))
+	for i := range items {
+		switch x := items[i].Expr.(type) {
+		case *sparql.ExVar:
+			a.finItems[i] = finItem{kind: 'v', idx: varIndex(inVars, x.Name)}
+		case *sparql.ExAgg:
+			for j := range aggs {
+				if aggs[j] == x {
+					a.finItems[i] = finItem{kind: 'a', idx: j}
+					break
+				}
+			}
+		case *sparql.ExLit:
+			a.finItems[i] = finItem{kind: 'l', lit: x.Val}
+		default:
+			a.fin.reserve(finSize)
+			a.finItems[i] = finItem{kind: 'e', idx: a.fin.compile(x, inVars, aggs)}
+		}
 	}
 	return a
 }
@@ -69,243 +171,315 @@ func (a *AggregateOp) Close() { a.in.Close() }
 // run drains the input into group states and materializes the (small)
 // one-row-per-group output.
 func (a *AggregateOp) run() {
-	workers := a.ctx.Parallelism
-	var tbl *aggTable
-	if workers > 1 {
-		tbl = a.runParallel(workers)
-	} else {
-		tbl = a.runSequential()
-	}
-	if a.ctx.ExecErr() != nil {
-		// the aggregation failed (worker panic, memory budget): emit
-		// nothing and let the iterator report the recorded cause
-		a.out = vrowsCursor{}
-		return
-	}
-	a.out = vrowsCursor{rows: tbl.finish(a.ctx, a.items, a.groupBy)}
-}
-
-func (a *AggregateOp) runSequential() *aggTable {
-	tbl := newAggTable(a.ctx, a.in.Vars(), a.groupBy, a.leaves)
+	a.groups.width = len(a.groupCol)
+	a.key = make([]dict.OID, len(a.groupCol))
 	b := NewBatch(a.in.Vars())
-	for seq := 0; !a.ctx.Cancelled() && a.in.Next(b); seq++ {
-		if err := tbl.addRel(b.asRel(), seq); err != nil {
+	for !a.ctx.Cancelled() && a.in.Next(b) {
+		if err := a.fold(b); err != nil {
 			a.ctx.Fail(err)
 			break
 		}
 		b.Reset()
 	}
-	return tbl
+	a.args.release()
+	if a.ctx.ExecErr() != nil {
+		// the aggregation failed (memory budget): emit nothing and let
+		// the iterator report the recorded cause
+		a.out = vrowsCursor{}
+		return
+	}
+	a.out = vrowsCursor{rows: a.finish()}
+	a.fin.release()
 }
 
-// runParallel deals batches round-robin to workers computing partial
-// aggregates, then merges the partials in worker order. The round-robin
-// deal (rather than a shared queue) keeps the merge deterministic
-// across runs.
-func (a *AggregateOp) runParallel(workers int) *aggTable {
-	inVars := a.in.Vars()
-	tables := make([]*aggTable, workers)
-	chans := make([]chan batchJob, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		tables[w] = newAggTable(a.ctx, inVars, a.groupBy, a.leaves)
-		chans[w] = make(chan batchJob, 2)
-		wg.Add(1)
-		go func(tbl *aggTable, ch chan batchJob) {
-			defer wg.Done()
-			failed := false
-			for j := range ch {
-				if failed {
-					continue // keep draining so the feeder never blocks
-				}
-				err := func() (err error) {
-					defer func() {
-						if r := recover(); r != nil {
-							err = NewPanicError("aggregate worker", r)
-						}
-					}()
-					return tbl.addRel(j.rel, j.seq)
-				}()
-				if err != nil {
-					if !a.ctx.Fail(err) {
-						panic(err) // no per-query failure slot: fail loud
-					}
-					failed = true
-				}
-			}
-		}(tables[w], chans[w])
+// fold folds one input batch into the group states. It fails with
+// ErrMemBudget when a new group would exceed the query's memory budget
+// (group state is what makes aggregation memory grow; folds into
+// existing groups are free).
+func (a *AggregateOp) fold(b *Batch) error {
+	n := b.Len()
+	if n == 0 {
+		return nil
 	}
-	b := NewBatch(inVars)
-	for seq := 0; !a.ctx.Cancelled() && a.in.Next(b); seq++ {
-		// the batch's arrays are reused by the next pull; hand the worker
-		// a gathered copy
-		chans[seq%workers] <- batchJob{rel: b.CopyRel(), seq: seq}
-		b.Reset()
+	a.args.run(a.ctx, b.Cols, b.Sel, n, nil)
+	if cap(a.gids) < n {
+		a.gids = make([]int32, n, BatchRows)
 	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	tbl := tables[0]
-	for _, other := range tables[1:] {
-		tbl.merge(other)
-	}
-	tbl.sortByFirstSeen()
-	return tbl
-}
-
-type batchJob struct {
-	rel *Rel
-	seq int
-}
-
-// aggGroup is the columnar aggregate state of one group.
-type aggGroup struct {
-	key string
-	// first is the global position (batch sequence, row) of the group's
-	// first input row; output order sorts by it so parallel partials
-	// reproduce the sequential first-appearance order.
-	first uint64
-	// repr is the group's first input row, for resolving grouped
-	// variables in the select list.
-	repr   []dict.OID
-	states []aggState
-}
-
-// aggTable is one hash aggregation table: complete for the sequential
-// path, a mergeable partial for the morsel workers.
-type aggTable struct {
-	inVars   []string
-	groupIdx []int
-	leaves   []*sparql.ExAgg
-	groups   map[string]*aggGroup
-	order    []*aggGroup
-	env      *evalEnv
-	kb       []byte
-	mem      *MemAccountant
-}
-
-func newAggTable(ctx *Ctx, inVars []string, groupBy []string, leaves []*sparql.ExAgg) *aggTable {
-	t := &aggTable{
-		inVars: inVars,
-		leaves: leaves,
-		groups: make(map[string]*aggGroup),
-		env:    newEvalEnv(ctx, &Rel{Vars: inVars}),
-		mem:    ctx.Mem,
-	}
-	for _, g := range groupBy {
-		t.groupIdx = append(t.groupIdx, (&Rel{Vars: inVars}).ColIdx(g))
-	}
-	return t
-}
-
-// addRel folds one batch (as a Rel header) into the table. seq is the
-// batch's global sequence number, used only to stamp first-appearance
-// order. It fails with ErrMemBudget when a new group would exceed the
-// query's memory budget (group state is what makes aggregation memory
-// grow; per-row folds into existing groups are free).
-func (t *aggTable) addRel(rel *Rel, seq int) error {
-	t.env.rel = rel
-	for i := 0; i < rel.Len(); i++ {
-		t.kb = t.kb[:0]
-		for _, gi := range t.groupIdx {
-			var v dict.OID
-			if gi >= 0 {
-				v = rel.Cols[gi][i]
-			}
-			t.kb = appendOIDKey(t.kb, v)
+	gids := a.gids[:n]
+	for k := range gids {
+		phys := k
+		if b.Sel != nil {
+			phys = int(b.Sel[k])
 		}
-		g, ok := t.groups[string(t.kb)]
-		if !ok {
-			if err := t.mem.Grow(int64(len(t.kb)) + int64(len(rel.Cols))*8 + int64(len(t.leaves))*48 + 64); err != nil {
+		for j, c := range a.groupCol {
+			a.key[j] = dict.Nil
+			if c >= 0 {
+				a.key[j] = b.Cols[c][phys]
+			}
+		}
+		gid, isNew := a.groups.find(a.key)
+		if isNew {
+			if err := a.ctx.Mem.Grow(int64(len(a.key))*8 + int64(len(b.Cols))*8 + int64(len(a.leaves))*48 + 64); err != nil {
 				return err
 			}
-			g = &aggGroup{
-				key:    string(t.kb),
-				first:  uint64(seq)<<32 | uint64(i),
-				repr:   make([]dict.OID, 0, len(rel.Cols)),
-				states: make([]aggState, len(t.leaves)),
+			for c := range b.Cols {
+				a.repr = append(a.repr, b.Cols[c][phys])
 			}
-			for ci := range rel.Cols {
-				g.repr = append(g.repr, rel.Cols[ci][i])
-			}
-			for j := range g.states {
-				g.states[j].allInt = true
-			}
-			t.groups[g.key] = g
-			t.order = append(t.order, g)
+			a.addGroup()
 		}
-		t.env.row = i
-		for j, leaf := range t.leaves {
-			if leaf.Arg == nil { // COUNT(*)
-				g.states[j].count++
-				continue
+		gids[k] = gid
+	}
+	for j := range a.leaves {
+		l := &a.leaves[j]
+		switch {
+		case l.arg < 0: // COUNT(*)
+			for _, g := range gids {
+				a.sums[int(g)*a.nSum+l.slot].count++
 			}
-			g.states[j].add(t.env.evalValue(leaf.Arg), leaf.Distinct)
+		case l.seen >= 0:
+			a.foldDistinct(l, b, gids)
+		case l.ext:
+			x := a.args.result(l.arg)
+			for k, g := range gids {
+				if x.v[k].k != dict.VInvalid {
+					a.foldExt(l, b, int(g), x, k)
+				}
+			}
+		default:
+			x := a.args.result(l.arg)
+			for k, g := range gids {
+				a.sums[int(g)*a.nSum+l.slot].add(x.v[k])
+			}
 		}
 	}
 	return nil
 }
 
-// merge folds another partial table into t.
-func (t *aggTable) merge(o *aggTable) {
-	for _, og := range o.order {
-		g, ok := t.groups[og.key]
-		if !ok {
-			t.groups[og.key] = og
-			t.order = append(t.order, og)
+// addGroup appends one group's zero states.
+func (a *AggregateOp) addGroup() {
+	for i := 0; i < a.nSum; i++ {
+		a.sums = append(a.sums, sumState{allInt: true})
+	}
+	for i := 0; i < a.nExt; i++ {
+		a.exts = append(a.exts, extState{})
+	}
+	for i := 0; i < a.nSeen; i++ {
+		a.seen = append(a.seen, nil)
+	}
+}
+
+// add counts one value: invalid values are skipped, and any non-integer
+// turns SUM's result into a float.
+func (s *sumState) add(v num) {
+	switch v.k {
+	case dict.VInvalid:
+		return
+	case dict.VInt:
+		s.sumInt += v.i
+		s.sum += float64(v.i)
+	case dict.VFloat:
+		s.sum += v.f
+		s.allInt = false
+	default:
+		s.allInt = false
+	}
+	s.count++
+}
+
+// foldDistinct folds the values of a DISTINCT aggregate that each group
+// has not seen yet.
+func (a *AggregateOp) foldDistinct(l *aggLeaf, b *Batch, gids []int32) {
+	x := a.args.result(l.arg)
+	for k, g := range gids {
+		if x.v[k].k == dict.VInvalid {
 			continue
 		}
-		if og.first < g.first {
-			g.first, g.repr = og.first, og.repr
+		v := x.value(k)
+		key := fmt.Sprintf("%d|%s", v.Kind, v.Lexical())
+		set := &a.seen[int(g)*a.nSeen+l.seen]
+		if _, dup := (*set)[key]; dup {
+			continue
 		}
-		for j := range g.states {
-			if t.leaves[j].Arg != nil && t.leaves[j].Distinct {
-				g.states[j].mergeDistinct(&og.states[j])
-			} else {
-				g.states[j].merge(&og.states[j])
-			}
+		if *set == nil {
+			*set = map[string]struct{}{}
+		}
+		(*set)[key] = struct{}{}
+		if l.ext {
+			a.foldExt(l, b, int(g), x, k)
+		} else {
+			a.sums[int(g)*a.nSum+l.slot].add(x.v[k])
 		}
 	}
 }
 
-// sortByFirstSeen restores the global first-appearance group order after
-// a merge of partials.
-func (t *aggTable) sortByFirstSeen() {
-	sort.Slice(t.order, func(i, j int) bool { return t.order[i].first < t.order[j].first })
+// foldExt folds row k of x into a MIN/MAX state of group g; the first
+// of equal values wins.
+func (a *AggregateOp) foldExt(l *aggLeaf, b *Batch, g int, x *vec, k int) {
+	e := &a.exts[g*a.nExt+l.slot]
+	v, s := x.v[k], x.text(k)
+	if e.started {
+		c := compareNum(v, s, e.n, e.s)
+		if (l.x.Func == sparql.AggMin && c >= 0) || (l.x.Func == sparql.AggMax && c <= 0) {
+			return
+		}
+	}
+	e.started, e.n, e.s = true, v, s
+	if l.col >= 0 {
+		e.val = a.ctx.valueOf(b.At(l.col, k))
+	} else {
+		e.val = x.value(k)
+	}
 }
 
-// finish resolves the select items per group into output rows.
-func (t *aggTable) finish(ctx *Ctx, items []sparql.SelectItem, groupBy []string) [][]dict.Value {
-	order := t.order
+// result is leaf l's value for group g.
+func (a *AggregateOp) result(l *aggLeaf, g int) dict.Value {
+	if l.ext {
+		e := &a.exts[g*a.nExt+l.slot]
+		if !e.started {
+			return dict.Value{}
+		}
+		return e.val
+	}
+	s := &a.sums[g*a.nSum+l.slot]
+	switch l.x.Func {
+	case sparql.AggCount:
+		return dict.Value{Kind: dict.VInt, Int: s.count}
+	case sparql.AggSum:
+		if s.allInt {
+			return dict.Value{Kind: dict.VInt, Int: s.sumInt}
+		}
+		return dict.Value{Kind: dict.VFloat, Float: s.sum}
+	default: // AVG
+		if s.count == 0 {
+			return dict.Value{}
+		}
+		return dict.Value{Kind: dict.VFloat, Float: s.sum / float64(s.count)}
+	}
+}
+
+// finish resolves the select items per group into output rows, a batch
+// of groups at a time.
+func (a *AggregateOp) finish() [][]dict.Value {
+	width := len(a.in.Vars())
+	ng := a.groups.n
 	// An aggregate query with no GROUP BY over an empty input still
-	// yields one row (SUM=0 via empty states).
-	if len(order) == 0 && len(groupBy) == 0 {
-		g := &aggGroup{states: make([]aggState, len(t.leaves))}
-		for j := range g.states {
-			g.states[j].allInt = true
-		}
-		order = []*aggGroup{g}
+	// yields one row (SUM=0 via empty states) whose variables are unbound.
+	if ng == 0 && len(a.groupBy) == 0 {
+		a.repr = append(a.repr, make([]dict.OID, width)...)
+		a.addGroup()
+		ng = 1
 	}
-	rows := make([][]dict.Value, 0, len(order))
-	reprRel := &Rel{Vars: t.inVars, Cols: make([][]dict.OID, len(t.inVars))}
-	for _, g := range order {
-		leafVals := make(map[*sparql.ExAgg]dict.Value, len(t.leaves))
-		for j, leaf := range t.leaves {
-			leafVals[leaf] = g.states[j].result(leaf.Func)
-		}
-		row := make([]dict.Value, len(items))
-		reprRow := -1
-		if g.repr != nil {
-			for ci := range reprRel.Cols {
-				reprRel.Cols[ci] = g.repr[ci : ci+1]
+	rows := make([][]dict.Value, ng)
+	cells := make([]dict.Value, ng*len(a.finItems))
+	chunk := min(ng, BatchRows)
+	leafOut := make([][]dict.Value, len(a.leaves))
+	leafBuf := make([]dict.Value, len(a.leaves)*chunk)
+	cols := make([][]dict.OID, width)
+	colBuf := make([]dict.OID, width*chunk)
+	for g0 := 0; g0 < ng; g0 += chunk {
+		n := min(chunk, ng-g0)
+		for j := range a.leaves {
+			out := leafBuf[j*chunk : j*chunk+n]
+			for k := range out {
+				out[k] = a.result(&a.leaves[j], g0+k)
 			}
-			reprRow = 0
+			leafOut[j] = out
 		}
-		for c := range items {
-			row[c] = evalWithAggs(ctx, reprRel, reprRow, items[c].Expr, leafVals)
+		for c := range cols {
+			col := colBuf[c*chunk : c*chunk+n]
+			for k := range col {
+				col[k] = a.repr[(g0+k)*width+c]
+			}
+			cols[c] = col
 		}
-		rows = append(rows, row)
+		if len(a.fin.code) > 0 {
+			a.fin.run(a.ctx, cols, nil, n, leafOut)
+		}
+		for k := 0; k < n; k++ {
+			row := cells[(g0+k)*len(a.finItems) : (g0+k+1)*len(a.finItems)]
+			for i, it := range a.finItems {
+				switch it.kind {
+				case 'v':
+					if it.idx >= 0 {
+						row[i] = a.ctx.valueOf(cols[it.idx][k])
+					}
+				case 'a':
+					row[i] = leafOut[it.idx][k]
+				case 'l':
+					row[i] = it.lit
+				default:
+					row[i] = a.fin.result(it.idx).value(k)
+				}
+			}
+			rows[g0+k] = row
+		}
 	}
 	return rows
+}
+
+// groupTable assigns dense group ids, in first-appearance order, to
+// tuples of width group-key OIDs: open addressing with linear probing
+// over a power-of-two slot array kept at most half full.
+type groupTable struct {
+	width int
+	n     int
+	keys  []dict.OID // group g's key is keys[g*width : (g+1)*width]
+	slots []int32    // group id + 1; 0 = empty
+}
+
+// find returns key's group id, adding a group when the key is new.
+func (t *groupTable) find(key []dict.OID) (int32, bool) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.rehash()
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := hashKey(key) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			t.slots[i] = int32(t.n + 1)
+			t.keys = append(t.keys, key...)
+			t.n++
+			return int32(t.n - 1), true
+		}
+		if g := int(s - 1); keyEq(t.keys[g*t.width:(g+1)*t.width], key) {
+			return int32(g), false
+		}
+	}
+}
+
+// rehash sizes the slot array for twice the current groups and
+// reinserts them.
+func (t *groupTable) rehash() {
+	size := 16
+	for size < 4*(t.n+1) {
+		size *= 2
+	}
+	t.slots = make([]int32, size)
+	mask := uint64(size - 1)
+	for g := 0; g < t.n; g++ {
+		i := hashKey(t.keys[g*t.width:(g+1)*t.width]) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(g + 1)
+	}
+}
+
+func hashKey(key []dict.OID) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, o := range key {
+		h ^= uint64(o)
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	return h
+}
+
+func keyEq(a, b []dict.OID) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

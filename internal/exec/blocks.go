@@ -22,6 +22,10 @@ import (
 //     Close; a morsel worker takes its own and returns them when it exits.
 //   - RowIter takes its VBatch columns when the pipeline opens and
 //     returns them in RowIter.Close.
+//   - A compiled expression program (Filter, Project, HashAggregate)
+//     takes one value vector per instruction on its first batch and
+//     returns them when its operator closes (HashAggregate: as soon as
+//     its input is drained, and again after the per-group results).
 //
 // The invariant is one owner, one release point. A block returns only in
 // the Close of the operator that took it, and releasing clears the
@@ -34,6 +38,7 @@ var (
 	oidBlocks blockPool[dict.OID]
 	selBlocks blockPool[int32]
 	valBlocks blockPool[dict.Value]
+	numBlocks blockPool[num]
 )
 
 // A block is one colstore block of rows, which is also one batch.

@@ -74,23 +74,7 @@ func (env *evalEnv) evalValue(e sparql.Expr) dict.Value {
 func (env *evalEnv) evalBin(x *sparql.ExBin) dict.Value {
 	switch x.Op {
 	case sparql.OpAnd, sparql.OpOr:
-		lb, lok := truth(env.evalValue(x.L))
-		rb, rok := truth(env.evalValue(x.R))
-		if !lok || !rok {
-			// SPARQL three-valued logic shortcut: false&&err=false,
-			// true||err=true.
-			if x.Op == sparql.OpAnd && ((lok && !lb) || (rok && !rb)) {
-				return boolVal(false)
-			}
-			if x.Op == sparql.OpOr && ((lok && lb) || (rok && rb)) {
-				return boolVal(true)
-			}
-			return dict.Value{}
-		}
-		if x.Op == sparql.OpAnd {
-			return boolVal(lb && rb)
-		}
-		return boolVal(lb || rb)
+		return logic(x.Op, env.evalValue(x.L), env.evalValue(x.R))
 	}
 	l := env.evalValue(x.L)
 	r := env.evalValue(x.R)
@@ -120,6 +104,26 @@ func (env *evalEnv) evalBin(x *sparql.ExBin) dict.Value {
 	return dict.Value{}
 }
 
+// logic is SPARQL's three-valued && / ||: an error operand is absorbed
+// by a false (&&) or true (||) other side, else the result is an error.
+func logic(op sparql.Op, l, r dict.Value) dict.Value {
+	lb, lok := truth(l)
+	rb, rok := truth(r)
+	if !lok || !rok {
+		if op == sparql.OpAnd && ((lok && !lb) || (rok && !rb)) {
+			return boolVal(false)
+		}
+		if op == sparql.OpOr && ((lok && lb) || (rok && rb)) {
+			return boolVal(true)
+		}
+		return dict.Value{}
+	}
+	if op == sparql.OpAnd {
+		return boolVal(lb && rb)
+	}
+	return boolVal(lb || rb)
+}
+
 func arith(op sparql.Op, l, r dict.Value) dict.Value {
 	if !l.Numeric() || !r.Numeric() {
 		return dict.Value{}
@@ -144,7 +148,7 @@ func arith(op sparql.Op, l, r dict.Value) dict.Value {
 	case sparql.OpSub:
 		f = lf - rf
 	case sparql.OpMul:
-		f = lf * rf
+		f = float64(lf * rf) // explicit rounding: never fused into an FMA
 	default:
 		if rf == 0 {
 			return dict.Value{}

@@ -106,10 +106,9 @@ func project(ctx *Ctx, rel *Rel, q *sparql.Query) *Result {
 	return res
 }
 
-// aggState accumulates one aggregate expression over a group. It is a
-// mergeable partial: two states built over disjoint input slices combine
-// with merge/mergeDistinct, which is what lets morsel workers aggregate
-// independently and the head fold their partials together.
+// aggState accumulates one aggregate expression over a group for the
+// materializing reference head (the streaming AggregateOp keeps typed
+// per-function states instead).
 type aggState struct {
 	count   int
 	sum     float64
@@ -118,9 +117,7 @@ type aggState struct {
 	started bool
 	min     dict.Value
 	max     dict.Value
-	// seen holds the DISTINCT values themselves (not just presence) so a
-	// partial state can be replayed into another without double counting.
-	seen map[string]dict.Value
+	seen    map[string]bool // DISTINCT values already folded
 }
 
 func newAggState() *aggState { return &aggState{allInt: true} }
@@ -131,13 +128,13 @@ func (a *aggState) add(v dict.Value, distinct bool) {
 	}
 	if distinct {
 		if a.seen == nil {
-			a.seen = map[string]dict.Value{}
+			a.seen = map[string]bool{}
 		}
 		k := fmt.Sprintf("%d|%s", v.Kind, v.Lexical())
-		if _, dup := a.seen[k]; dup {
+		if a.seen[k] {
 			return
 		}
-		a.seen[k] = v
+		a.seen[k] = true
 	}
 	a.count++
 	if v.Numeric() {
@@ -159,45 +156,6 @@ func (a *aggState) add(v dict.Value, distinct bool) {
 		if dict.Compare(v, a.max) > 0 {
 			a.max = v
 		}
-	}
-}
-
-// merge folds another partial state into a. COUNT, MIN, MAX and the
-// integer sums are order-insensitive and merge exactly; AVG merges via
-// sum+count. Float sums merge with the partials' rounding, which can
-// differ from the sequential fold in the last ulp.
-func (a *aggState) merge(o *aggState) {
-	a.count += o.count
-	a.sum += o.sum
-	a.sumInt += o.sumInt
-	if !o.allInt {
-		a.allInt = false
-	}
-	if o.started {
-		if !a.started {
-			a.min, a.max, a.started = o.min, o.max, true
-		} else {
-			if dict.Compare(o.min, a.min) < 0 {
-				a.min = o.min
-			}
-			if dict.Compare(o.max, a.max) > 0 {
-				a.max = o.max
-			}
-		}
-	}
-}
-
-// mergeDistinct folds a partial DISTINCT state by replaying its value
-// set: values both partials saw count once, never twice. Replay order is
-// the sorted key order, so the merge is deterministic.
-func (a *aggState) mergeDistinct(o *aggState) {
-	keys := make([]string, 0, len(o.seen))
-	for k := range o.seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		a.add(o.seen[k], true)
 	}
 }
 
@@ -360,20 +318,8 @@ func applyUnary(op sparql.Op, v dict.Value) dict.Value {
 
 func applyBinary(op sparql.Op, l, r dict.Value) dict.Value {
 	switch op {
-	case sparql.OpAnd:
-		lb, lok := truth(l)
-		rb, rok := truth(r)
-		if lok && rok {
-			return boolVal(lb && rb)
-		}
-		return dict.Value{}
-	case sparql.OpOr:
-		lb, lok := truth(l)
-		rb, rok := truth(r)
-		if lok && rok {
-			return boolVal(lb || rb)
-		}
-		return dict.Value{}
+	case sparql.OpAnd, sparql.OpOr:
+		return logic(op, l, r)
 	case sparql.OpEq, sparql.OpNe, sparql.OpLt, sparql.OpLe, sparql.OpGt, sparql.OpGe:
 		if l.Kind == dict.VInvalid || r.Kind == dict.VInvalid {
 			return dict.Value{}

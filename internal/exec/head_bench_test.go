@@ -1,8 +1,12 @@
 package exec
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"srdf/internal/colstore"
+	"srdf/internal/relational"
 	"srdf/internal/sparql"
 )
 
@@ -14,8 +18,7 @@ func benchHeadFixture(b *testing.B, n int) (*fixture, Star) {
 
 // BenchmarkStream_AggregateHead contrasts the PR-1 materializing head
 // (drain the whole pipeline, then aggregate the relation) with the
-// streaming batch aggregate over the same scan, and the parallel
-// partial-aggregation path on top.
+// streaming batch aggregate over the same scan.
 func BenchmarkStream_AggregateHead(b *testing.B) {
 	f, star := benchHeadFixture(b, 40000)
 	tab := bigTable(b, f)
@@ -36,15 +39,6 @@ WHERE { ?s e:a ?va . ?s e:b ?vb . } GROUP BY ?vb`)
 	b.Run("Streaming", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := HeadStream(f.ctx, NewScanOp(tab, star, false, 0, -1), q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Parallel4", func(b *testing.B) {
-		pctx := *f.ctx
-		pctx.Parallelism = 4
-		for i := 0; i < b.N; i++ {
-			if _, err := HeadStream(&pctx, NewScanOp(tab, star, false, 0, -1), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -104,4 +98,67 @@ SELECT DISTINCT ?vb WHERE { ?s e:a ?va . ?s e:b ?vb . }`)
 			}
 		}
 	})
+}
+
+// q1Src is a lineitem-shaped table: two low-cardinality flag columns,
+// an integer quantity, three decimals and a ship date.
+func q1Src(n int) string {
+	var b strings.Builder
+	b.WriteString("@prefix l: <http://l/> .\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "l:li%06d l:rf %q ; l:ls %q ; l:q %d ; l:ep %d.%02d ; l:disc 0.%02d ; l:tax 0.%02d ; "+
+			"l:sd \"%04d-%02d-%02d\"^^<http://www.w3.org/2001/XMLSchema#date> .\n",
+			i, string("ANR"[i%3]), string("OF"[i/7%2]), 1+i%50, 900+i%9000, i%100, i%11, i%9,
+			1992+i%7, 1+i%12, 1+i%28)
+	}
+	return b.String()
+}
+
+// BenchmarkStream_Q1Aggregate runs RDF-H Q1's shape — a seven-property
+// star, a date FILTER, eight SUM/AVG/COUNT aggregates over arithmetic
+// expressions, grouped by two flag columns — through the streaming head
+// over a multi-block table.
+func BenchmarkStream_Q1Aggregate(b *testing.B) {
+	f := newFixture(b, q1Src(30000), 3)
+	star := Star{SubjVar: "li"}
+	for _, p := range []string{"rf", "ls", "q", "ep", "disc", "tax", "sd"} {
+		star.Props = append(star.Props, StarProp{Pred: f.pred("http://l/" + p), ObjVar: p})
+	}
+	var tab *relational.Table
+	for _, t := range f.cat.Visible() {
+		if t.Col(f.pred("http://l/sd")) != nil {
+			tab = t
+		}
+	}
+	if tab == nil || tab.Count < 8*colstore.BlockRows {
+		b.Fatal("no multi-block lineitem table")
+	}
+	q, err := sparql.Parse(`PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+SELECT ?rf ?ls (SUM(?q) AS ?sum_qty) (SUM(?ep) AS ?sum_base)
+       (SUM(?ep * (1 - ?disc)) AS ?sum_disc)
+       (SUM(?ep * (1 - ?disc) * (1 + ?tax)) AS ?sum_charge)
+       (AVG(?q) AS ?avg_qty) (AVG(?ep) AS ?avg_price)
+       (AVG(?disc) AS ?avg_disc) (COUNT(*) AS ?n)
+WHERE {
+  ?li <http://l/rf> ?rf . ?li <http://l/ls> ?ls . ?li <http://l/q> ?q .
+  ?li <http://l/ep> ?ep . ?li <http://l/disc> ?disc . ?li <http://l/tax> ?tax .
+  ?li <http://l/sd> ?sd .
+  FILTER (?sd <= "1998-09-02"^^xsd:date)
+}
+GROUP BY ?rf ?ls ORDER BY ?rf ?ls`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := f.ctx.WithQueryContext(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := HeadStream(ctx, NewScanOp(tab, star, false, 0, -1), q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 6 {
+			b.Fatalf("%d groups, want 6", len(res.Rows))
+		}
+	}
 }

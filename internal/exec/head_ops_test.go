@@ -67,35 +67,6 @@ func TestStreamHeadMatchesMaterializedHead(t *testing.T) {
 	}
 }
 
-// TestParallelAggregateMatchesSequential asserts the parallel
-// partial-aggregation path is row-identical (values and group order) to
-// the sequential fold.
-func TestParallelAggregateMatchesSequential(t *testing.T) {
-	f := newFixture(t, bigSrc(9000), 3)
-	star := bigStar(f)
-	tab := bigTable(t, f)
-	pctx := *f.ctx
-	pctx.Parallelism = 4
-	for qi, src := range headQueries {
-		q, err := sparql.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := HeadStream(f.ctx, NewScanOp(tab, star, false, 0, -1), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := HeadStream(&pctx, NewScanOp(tab, star, false, 0, -1), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resultText(got) != resultText(want) {
-			t.Errorf("q%d: parallel aggregation diverged from sequential\nquery: %s\ngot:\n%s\nwant:\n%s",
-				qi, src, resultText(got), resultText(want))
-		}
-	}
-}
-
 // TestSortOpTopKBound proves ORDER BY + LIMIT holds at most
 // LIMIT+OFFSET rows of sort state while returning exactly the stable
 // full-sort prefix.

@@ -149,6 +149,11 @@ type Ctx struct {
 	// Allocated per query by WithQueryContext; nil on the shared
 	// snapshot Ctx.
 	fail *atomic.Pointer[failSlot]
+	// lits is the literal value table bound once per query by
+	// WithQueryContext (indexed by payload-1), so decoding a literal cell
+	// is an index, not a dictionary lock. Literals minted after the bind
+	// lie past its end and take the locked lookup.
+	lits []dict.Value
 }
 
 // failSlot boxes the error so it fits an atomic pointer.
@@ -167,6 +172,9 @@ func (c *Ctx) WithQueryContext(qctx context.Context) *Ctx {
 	}
 	cp.fail = new(atomic.Pointer[failSlot])
 	cp.Stats = nil // per-query; the caller attaches a fresh tree
+	if c.Dict != nil {
+		cp.lits = c.Dict.LiteralValues()
+	}
 	return &cp
 }
 
@@ -274,7 +282,12 @@ func (c *Ctx) valueOf(o dict.OID) dict.Value {
 		return dict.Value{}
 	}
 	if o.IsLiteral() {
-		v := c.Dict.Value(o)
+		var v dict.Value
+		if p := o.Payload() - 1; p < uint64(len(c.lits)) {
+			v = c.lits[p]
+		} else {
+			v = c.Dict.Value(o)
+		}
 		v.OID = o
 		return v
 	}

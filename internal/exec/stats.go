@@ -13,24 +13,29 @@ import (
 // 1024-row batch, wall time sampled one batch in four, no allocation on
 // the pull path.
 
-// timeSampleMask selects which Next calls are timed: batches where
-// seq&mask == 1, i.e. the first call and every fourth after it. The
-// first call is always sampled so short queries still get a reading.
+// timeSampleMask selects which later Next calls are timed: batches where
+// seq&mask == 2, i.e. the second call and every fourth after it. The
+// first call is always timed exactly, and apart from the rest: a
+// blocking operator (aggregate, sort) does all its work there, and
+// extrapolating it over the cheap calls that follow would multiply it.
 const timeSampleMask = 3
 
-// OpStats accumulates one operator's runtime counters. All fields are
-// atomics: morsel-parallel scans funnel through their consumer, but the
-// parallel aggregate pulls its input from worker goroutines.
+// OpStats accumulates one operator's runtime counters. The fields are
+// atomics so a reader (EXPLAIN ANALYZE, metrics) never races the
+// goroutine driving the pipeline.
 type OpStats struct {
 	// Rows counts rows emitted (after selection vectors).
 	Rows atomic.Int64
 	// Batches counts Next calls, the final exhausted one included.
 	Batches atomic.Int64
 	// OpenNS is wall time spent in Open — where materializing
-	// operators (hash build, sort) do their heavy lifting.
+	// operators (hash build, merge-join outer side) do their heavy
+	// lifting.
 	OpenNS atomic.Int64
-	// SampledNS/Sampled are the timed subset of Next calls; Time
-	// extrapolates them over all batches.
+	// FirstNS is the wall time of the first Next call.
+	FirstNS atomic.Int64
+	// SampledNS/Sampled are the timed subset of the later Next calls;
+	// Time extrapolates them over all later batches.
 	SampledNS atomic.Int64
 	Sampled   atomic.Int64
 }
@@ -39,13 +44,31 @@ type OpStats struct {
 func (s *OpStats) RowsOut() int64 { return s.Rows.Load() }
 
 // Time estimates the operator's inclusive wall time (children counted):
-// full Open time plus sampled Next time scaled to the batch count.
+// full Open time, the first Next call, and the sampled later calls
+// scaled to their count.
 func (s *OpStats) Time() time.Duration {
-	ns := s.OpenNS.Load()
+	ns := s.OpenNS.Load() + s.FirstNS.Load()
 	if n := s.Sampled.Load(); n > 0 {
-		ns += s.SampledNS.Load() * s.Batches.Load() / n
+		ns += s.SampledNS.Load() * (s.Batches.Load() - 1) / n
 	}
 	return time.Duration(ns)
+}
+
+// timed reports whether Next call seq (1-based) is timed, and whether it
+// is the first.
+func timed(seq int64) (bool, bool) {
+	return seq == 1 || seq&timeSampleMask == 2, seq == 1
+}
+
+// record books the wall time of a timed Next call.
+func (s *OpStats) record(first bool, start time.Time) {
+	d := time.Since(start).Nanoseconds()
+	if first {
+		s.FirstNS.Add(d)
+		return
+	}
+	s.SampledNS.Add(d)
+	s.Sampled.Add(1)
 }
 
 // QueryStats is the per-query stats tree: one OpStats per plan node,
@@ -117,11 +140,10 @@ func (s *StatsOp) Open(ctx *Ctx) error {
 
 func (s *StatsOp) Next(b *Batch) bool {
 	st := s.st
-	if st.Batches.Add(1)&timeSampleMask == 1 {
+	if t, first := timed(st.Batches.Add(1)); t {
 		start := time.Now()
 		ok := s.in.Next(b)
-		st.SampledNS.Add(time.Since(start).Nanoseconds())
-		st.Sampled.Add(1)
+		st.record(first, start)
 		if ok {
 			st.Rows.Add(int64(b.Len()))
 		}
@@ -173,11 +195,10 @@ func (s *StatsValOp) Open(ctx *Ctx) error {
 
 func (s *StatsValOp) Next(b *VBatch) bool {
 	st := s.st
-	if st.Batches.Add(1)&timeSampleMask == 1 {
+	if t, first := timed(st.Batches.Add(1)); t {
 		start := time.Now()
 		ok := s.in.Next(b)
-		st.SampledNS.Add(time.Since(start).Nanoseconds())
-		st.Sampled.Add(1)
+		st.record(first, start)
 		if ok {
 			st.Rows.Add(int64(b.Len()))
 		}

@@ -799,25 +799,27 @@ func (d *DefaultStarOp) Next(b *Batch) bool {
 func (d *DefaultStarOp) Close() {}
 
 // FilterOp streams FILTER evaluation as selection-vector refinement: it
-// evaluates the expression over each input batch's logical rows and
+// runs the compiled expression over each input batch's logical rows and
 // forwards the batch's column views with a shrunken selection instead of
 // copying the survivors — rejected rows cost no data movement, and a
 // filter over a scan composes two selections without materializing
 // either.
 type FilterOp struct {
 	in   Operator
-	expr sparql.Expr
+	prog program
+	root int
 
 	ctx     *Ctx
 	inBatch *Batch
 	sel     []int32 // grows to the largest surviving selection
-	physRel *Rel
-	env     *evalEnv
 }
 
 // NewFilterOp streams Filter over each input batch.
 func NewFilterOp(in Operator, expr sparql.Expr) Operator {
-	return &FilterOp{in: in, expr: expr}
+	f := &FilterOp{in: in}
+	f.prog.reserve(exprSize(expr))
+	f.root = f.prog.compile(expr, in.Vars(), nil)
+	return f
 }
 
 func (f *FilterOp) Vars() []string { return f.in.Vars() }
@@ -834,20 +836,16 @@ func (f *FilterOp) Next(b *Batch) bool {
 		if !f.in.Next(f.inBatch) {
 			return false
 		}
-		if f.physRel == nil {
-			f.physRel = &Rel{Vars: f.inBatch.Vars}
-			f.env = newEvalEnv(f.ctx, f.physRel)
-		}
-		f.physRel.Cols = f.inBatch.Cols // physical rows; Sel indexes them
-		sel := f.sel[:0]
 		n := f.inBatch.Len()
+		f.prog.run(f.ctx, f.inBatch.Cols, f.inBatch.Sel, n, nil)
+		res := f.prog.result(f.root)
+		sel := f.sel[:0]
 		for r := 0; r < n; r++ {
-			phys := r
-			if f.inBatch.Sel != nil {
-				phys = int(f.inBatch.Sel[r])
-			}
-			f.env.row = phys
-			if pass, ok := truth(f.env.evalValue(f.expr)); ok && pass {
+			if pass, ok := res.truth(r); ok && pass {
+				phys := r
+				if f.inBatch.Sel != nil {
+					phys = int(f.inBatch.Sel[r])
+				}
 				sel = append(sel, int32(phys))
 			}
 		}
@@ -864,7 +862,10 @@ func (f *FilterOp) Next(b *Batch) bool {
 	}
 }
 
-func (f *FilterOp) Close() { f.in.Close() }
+func (f *FilterOp) Close() {
+	f.in.Close()
+	f.prog.release()
+}
 
 // NewRDFJoinOp streams RDFJoin: candidate subjects arrive batch by
 // batch and each batch is extended positionally from the CS table.

@@ -110,11 +110,18 @@ func (c *vrowsCursor) fill(b *VBatch) bool {
 
 // ProjectOp evaluates the query's select expressions over each input
 // batch, turning OID batches into decoded value batches — the streaming
-// projection at the boundary between the BGP pipeline and the head.
+// projection at the boundary between the BGP pipeline and the head. A
+// bare-variable item decodes its column directly; any other expression
+// runs compiled.
 type ProjectOp struct {
-	in    Operator
-	items []sparql.SelectItem
-	vars  []string
+	in   Operator
+	vars []string
+	// cols is each item's input column when it is a bare variable, -1
+	// for an unbound one, and -2 for a compiled expression (root in
+	// roots).
+	cols  []int
+	roots []int
+	prog  program
 	// budget caps the rows ever evaluated (-1 = unlimited). When the
 	// head is a bare projection under a LIMIT, only LIMIT+OFFSET rows
 	// are needed, so decoding the rest of a pulled batch is pure waste.
@@ -122,16 +129,32 @@ type ProjectOp struct {
 
 	ctx     *Ctx
 	inBatch *Batch
-	env     *evalEnv
 }
 
 // NewProjectOp builds a streaming projection of items over in.
 func NewProjectOp(in Operator, items []sparql.SelectItem) *ProjectOp {
-	vars := make([]string, len(items))
+	p := &ProjectOp{in: in, budget: -1}
+	p.vars = make([]string, len(items))
+	p.cols = make([]int, len(items))
+	inVars := in.Vars()
 	for i := range items {
-		vars[i] = items[i].As
+		p.vars[i] = items[i].As
+		if v, ok := items[i].Expr.(*sparql.ExVar); ok {
+			p.cols[i] = varIndex(inVars, v.Name)
+			continue
+		}
+		if p.roots == nil {
+			p.roots = make([]int, len(items))
+			n := 0
+			for _, it := range items[i:] {
+				n += exprSize(it.Expr)
+			}
+			p.prog.reserve(n)
+		}
+		p.cols[i] = -2
+		p.roots[i] = p.prog.compile(items[i].Expr, inVars, nil)
 	}
-	return &ProjectOp{in: in, items: items, vars: vars, budget: -1}
+	return p
 }
 
 // SetRowBound caps the total rows the projection evaluates; only valid
@@ -170,31 +193,48 @@ func (p *ProjectOp) Next(b *VBatch) bool {
 	// Evaluate over the batch's physical columns through its selection
 	// vector — filtered-out rows are never decoded, and view batches are
 	// never gathered.
-	if p.env == nil {
-		p.env = newEvalEnv(p.ctx, &Rel{Vars: p.inBatch.Vars})
-	}
-	p.env.rel.Cols = p.inBatch.Cols
-	n := p.inBatch.Len()
+	in := p.inBatch
+	n := in.Len()
 	if p.budget >= 0 && n > p.budget {
 		n = p.budget
 	}
 	if p.budget > 0 {
 		p.budget -= n
 	}
-	for i := 0; i < n; i++ {
-		if p.inBatch.Sel != nil {
-			p.env.row = int(p.inBatch.Sel[i])
-		} else {
-			p.env.row = i
+	if p.roots != nil {
+		p.prog.run(p.ctx, in.Cols, in.Sel, n, nil)
+	}
+	for c, ci := range p.cols {
+		out := b.Cols[c]
+		switch {
+		case ci >= 0:
+			col := in.Cols[ci]
+			for k := 0; k < n; k++ {
+				phys := k
+				if in.Sel != nil {
+					phys = int(in.Sel[k])
+				}
+				out = append(out, p.ctx.valueOf(col[phys]))
+			}
+		case ci == -1:
+			for k := 0; k < n; k++ {
+				out = append(out, dict.Value{})
+			}
+		default:
+			res := p.prog.result(p.roots[c])
+			for k := 0; k < n; k++ {
+				out = append(out, res.value(k))
+			}
 		}
-		for c := range p.items {
-			b.Cols[c] = append(b.Cols[c], p.env.evalValue(p.items[c].Expr))
-		}
+		b.Cols[c] = out
 	}
 	return true
 }
 
-func (p *ProjectOp) Close() { p.in.Close() }
+func (p *ProjectOp) Close() {
+	p.in.Close()
+	p.prog.release()
+}
 
 // DistinctOp streams DISTINCT: a hash set of row keys filters each batch
 // as it flows past. Only the key set is retained — never the rows — so

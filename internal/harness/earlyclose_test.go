@@ -18,8 +18,8 @@ import (
 // readers share published snapshots and stop their pipelines at every
 // point a query can stop early — LIMIT, the consumer closing a stream
 // mid-way, context cancellation mid-stream, EXPLAIN ANALYZE, a memory
-// budget overrun — beside full scans, DISTINCT and parallel partial
-// aggregation, while a writer keeps adding, deleting, refreshing and
+// budget overrun — beside full scans, DISTINCT and aggregation over
+// morsel-parallel scans, while a writer keeps adding, deleting, refreshing and
 // compacting a disjoint class. The static class spans enough blocks for
 // morsel-parallel scans. A block returned to the free list while a view
 // of it was still lent would surface as a wrong row (or a race report):

@@ -37,7 +37,13 @@ const (
 	kindInt predKind = iota
 	kindStr
 	kindRef
+	// kindMixed objects are ints, decimals, dates, strings and IRIs on
+	// one predicate: the cross-kind corners of FILTER and aggregates.
+	kindMixed
 )
+
+// mixedPred is the IRI of the generated mixed-kind predicate.
+const mixedPred = NS + "pm"
 
 // pred is one predicate of the generated universe.
 type pred struct {
@@ -129,6 +135,16 @@ func GenScript(seed int64, nSubj, nOps int) *Script {
 		sc.Initial = append(sc.Initial, nt.Triple{S: iri(subjIRI(rnd.Intn(nSubj))), P: iri(p.iri), O: value(p)})
 	}
 
+	// The mixed-kind predicate draws from its own stream, so the rest of
+	// a seed's graph, script and queries stay what they were before it
+	// existed.
+	mix := rand.New(rand.NewSource(seed ^ 0x6d6978))
+	for i := 0; i < nSubj; i++ {
+		if mix.Float64() < 0.8 {
+			sc.Initial = append(sc.Initial, nt.Triple{S: iri(subjIRI(i)), P: iri(mixedPred), O: mixedValue(mix, nSubj)})
+		}
+	}
+
 	// Update script. live tracks the current set so deletes hit real
 	// triples and duplicate re-adds are generated on purpose.
 	live := append([]nt.Triple(nil), dedup(sc.Initial)...)
@@ -170,8 +186,41 @@ func GenScript(seed int64, nSubj, nOps int) *Script {
 		}
 	}
 
+	// Mixed-kind updates ride at the end of a non-empty script: new
+	// values (fresh literals break the literal order, so the delta state
+	// runs unpushed filters) and deletions of existing ones.
+	if nOps > 0 {
+		for i := 0; i < 1+nOps/8; i++ {
+			s := iri(subjIRI(mix.Intn(nSubj)))
+			if mix.Intn(3) == 0 {
+				sc.Ops = append(sc.Ops, Op{Del: true, T: nt.Triple{S: s, P: iri(mixedPred), O: mixedValue(mix, nSubj)}})
+				continue
+			}
+			sc.Ops = append(sc.Ops, Op{T: nt.Triple{S: s, P: iri(mixedPred), O: mixedValue(mix, nSubj)}})
+		}
+	}
+
 	sc.genQueries(rnd, classProps)
+	sc.genMixedQueries(mix)
 	return sc
+}
+
+// mixedValue draws one object of the mixed-kind predicate. Decimals are
+// multiples of 1/4, so float sums are exact in any row order and
+// aggregates compare across stores whose physical orders differ.
+func mixedValue(rnd *rand.Rand, nSubj int) dict.Term {
+	switch rnd.Intn(5) {
+	case 0:
+		return dict.IntLit(int64(rnd.Intn(40)))
+	case 1:
+		return dict.TypedLit(fmt.Sprintf("%d.%02d", rnd.Intn(40), 25*rnd.Intn(4)), dict.XSDDec)
+	case 2:
+		return dict.DateLit(fmt.Sprintf("199%d-0%d-1%d", rnd.Intn(10), 1+rnd.Intn(9), rnd.Intn(10)))
+	case 3:
+		return dict.StringLit(fmt.Sprintf("m%d", rnd.Intn(20)))
+	default:
+		return iri(subjIRI(rnd.Intn(nSubj)))
+	}
 }
 
 func dedup(ts []nt.Triple) []nt.Triple {
@@ -237,6 +286,40 @@ func (sc *Script) genQueries(rnd *rand.Rand, classProps [][]int) {
 	// LIMIT picks an arbitrary subset: deterministic within one store
 	// and across Parallelism, but not across stores — CrossStore=false.
 	add(false, "SELECT ?s ?a WHERE { ?s <%s> ?a } LIMIT 5", p1.iri)
+}
+
+// genMixedQueries adds the queries over the mixed-kind predicate: one-
+// and two-sided range FILTERs on it and on an int predicate (pushed into
+// scans as OID ranges, and not re-checked where the scan enforces
+// them), and SUM/AVG/MIN/MAX over arithmetic on it, with and without
+// GROUP BY.
+func (sc *Script) genMixedQueries(rnd *rand.Rand) {
+	add := func(format string, args ...any) {
+		sc.Queries = append(sc.Queries, Query{Text: fmt.Sprintf(format, args...), CrossStore: true})
+	}
+	const date = "<http://www.w3.org/2001/XMLSchema#date>"
+	lo := rnd.Intn(20)
+	add("SELECT ?s ?m WHERE { ?s <%s> ?m . FILTER (?m >= %d) }", mixedPred, lo)
+	add("SELECT ?s ?m WHERE { ?s <%s> ?m . FILTER (?m < \"1995-01-01\"^^%s) }", mixedPred, date)
+	add("SELECT ?s ?m WHERE { ?s <%s> ?m . FILTER (?m > \"m%d\") }", mixedPred, rnd.Intn(20))
+	add("SELECT ?s ?m WHERE { ?s <%s> ?m . FILTER (?m >= %d && ?m <= %d.5) }", mixedPred, lo, lo+5+rnd.Intn(20))
+	add("SELECT ?s ?m WHERE { ?s <%s> ?m . FILTER (\"1993-01-01\"^^%s <= ?m && ?m < \"1997-06-01\"^^%s) }",
+		mixedPred, date, date)
+	for _, p := range sc.preds {
+		if p.kind == kindInt {
+			add("SELECT ?s ?v WHERE { ?s <%s> ?v . FILTER (?v < %d) }", p.iri, 5+rnd.Intn(30))
+			add("SELECT ?s ?v ?m WHERE { ?s <%s> ?v . ?s <%s> ?m . FILTER (?v > %d && ?v <= %d && ?m >= 0) }",
+				p.iri, mixedPred, rnd.Intn(10), 20+rnd.Intn(20))
+			break
+		}
+	}
+	aggs := "(SUM(?m * 2) AS ?s2) (AVG(?m + 1) AS ?a1) (MIN(?m * 2) AS ?lo) (MAX(?m + 1) AS ?hi) " +
+		"(MIN(?m) AS ?min) (MAX(?m) AS ?max) (COUNT(?m) AS ?n) (SUM(?m) AS ?sum)"
+	add("SELECT %s WHERE { ?s <%s> ?m }", aggs, mixedPred)
+	g := sc.preds[rnd.Intn(len(sc.preds))]
+	add("SELECT ?g %s WHERE { ?s <%s> ?m . ?s <%s> ?g } GROUP BY ?g ORDER BY ?g", aggs, mixedPred, g.iri)
+	add("SELECT ?g (SUM(?m + 1) AS ?x) (COUNT(*) AS ?n) WHERE { ?s <%s> ?m . ?s <%s> ?g . FILTER (?m >= %d && ?m < 40) } GROUP BY ?g",
+		mixedPred, g.iri, rnd.Intn(10))
 }
 
 // Final returns the triple set after applying the script's operations to
@@ -387,11 +470,16 @@ func EvalQuery(st *core.Store, q string) (map[Config][]string, error) {
 // tables, auto-compaction off so the pre-Compact delta state is what
 // gets tested.
 func newStore(parallelism int) *core.Store {
+	return core.NewStore(storeOptions(parallelism))
+}
+
+// storeOptions are newStore's options, for opening saved harness stores.
+func storeOptions(parallelism int) core.Options {
 	opts := core.DefaultOptions()
 	opts.CS.MinSupport = 3
 	opts.Parallelism = parallelism
 	opts.CompactThreshold = -1
-	return core.NewStore(opts)
+	return opts
 }
 
 // autoStore is newStore with auto-compaction enabled at a threshold.

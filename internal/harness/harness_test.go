@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"path/filepath"
 	"testing"
+
+	"srdf/internal/core"
 )
 
 // TestDifferentialSeeds is the deterministic slice of the property: a
@@ -108,5 +111,33 @@ func TestAutoCompactEquivalence(t *testing.T) {
 	}
 	if st.Stats().DeltaRows > 8+16 {
 		t.Fatalf("auto-compaction did not bound the delta: %d rows", st.Stats().DeltaRows)
+	}
+}
+
+// TestDifferentialReopened adds the reopened storage state: a mutated
+// store (deltas and tombstones pending) is saved and opened again at
+// Parallelism 1 and 4, and must stay equivalent to the fresh store —
+// the mixed-kind range filters and aggregates included.
+func TestDifferentialReopened(t *testing.T) {
+	for _, seed := range []int64{2, 11} {
+		sc := GenScript(seed, 50, 40)
+		mut1, _, fresh, err := BuildStores(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "store.srdf")
+		if err := mut1.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		var re [2]*core.Store
+		for i, par := range []int{1, 4} {
+			if re[i], err = core.OpenStore(path, storeOptions(par)); err != nil {
+				t.Fatal(err)
+			}
+			defer re[i].Close()
+		}
+		if err := CheckEquivalence(re[0], re[1], fresh, sc.Queries); err != nil {
+			t.Fatalf("seed=%d reopened: %v", seed, err)
+		}
 	}
 }

@@ -58,9 +58,8 @@ func (n *ProjectNode) Explain(b *strings.Builder, indent int, an *Analyze) {
 	n.Input.Explain(b, indent+1, an)
 }
 
-// AggregateNode is the vectorized hash GROUP BY/aggregate: group states
-// fold batch by batch, with parallel partial aggregation merged at the
-// head when the store runs morsel-parallel.
+// AggregateNode is the vectorized hash GROUP BY/aggregate: compiled
+// argument vectors fold batch by batch into typed per-group states.
 type AggregateNode struct {
 	Input   Node
 	Items   []sparql.SelectItem

@@ -98,6 +98,20 @@ func (p *Plan) Explain() string {
 	return b.String()
 }
 
+// BGP returns the plan's operator tree below its residual FILTER nodes:
+// the pattern matching alone, for a reference evaluator that applies
+// the query's filters itself.
+func (p *Plan) BGP() Node {
+	n := p.Root
+	for {
+		f, ok := n.(*FilterNode)
+		if !ok {
+			return n
+		}
+		n = f.Input
+	}
+}
+
 // Execute runs the plan to a decoded result. The plan is driven as a
 // batch-streaming pipeline: scans produce as the head pulls, and a
 // satisfied LIMIT stops the pull early.
@@ -130,10 +144,13 @@ func Build(q *sparql.Query, sv *StoreView, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Residual filters become explicit plan nodes (pushdown only narrows
-	// access paths; the full predicates are re-checked here).
+	// Residual filters become explicit plan nodes: every conjunct except
+	// the ranges the operators below already enforce row by row.
+	bgp := root
 	for _, f := range q.Filters {
-		root = &FilterNode{Input: root, Expr: f}
+		if rest := b.residualFilter(f, bgp); rest != nil {
+			root = &FilterNode{Input: root, Expr: rest}
+		}
 	}
 	// Runtime join filters attach to the final tree only (candidate
 	// trees the enumerator discarded must not leave handles behind).
@@ -158,6 +175,8 @@ type builder struct {
 	// renames maps temp vars introduced for duplicate variables to
 	// their originals; EqSelect nodes resolve them.
 	tmpSeq int
+	// pushed marks the variables pushFilters attached a FILTER range to.
+	pushed map[string]bool
 }
 
 // star groups the patterns sharing one subject variable.

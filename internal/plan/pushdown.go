@@ -29,9 +29,11 @@ func (r *valRange) addHi(v dict.Value, strict bool) {
 
 // pushFilters derives per-variable value ranges from the query's FILTER
 // conjuncts and attaches them as OID ranges to the owning star
-// properties. Filters stay in the query and are re-checked after the
-// joins, so pushdown is purely an access-path optimization and can never
-// change results.
+// properties, recording each variable that got one in b.pushed. Literal
+// OIDs are value-ordered by the same dict.Compare the filter evaluates
+// with, so a pushed range admits exactly the literals that satisfy every
+// conjunct it came from; residualFilter drops those conjuncts where the
+// plan provably enforces the range on every row.
 func (b *builder) pushFilters(stars []*star) {
 	if !b.sv.LiteralsOrdered {
 		return // literal OIDs are not value-ordered
@@ -65,6 +67,23 @@ func (b *builder) pushFilters(stars []*star) {
 	}
 	if len(ranges) == 0 {
 		return
+	}
+	// A resource evaluates as its IRI text, a string, and strings order
+	// above every other kind: a range without an upper bound below the
+	// strings also holds for some resources, which a literal OID range
+	// cannot express. Such a variable is pushed only when none of its
+	// predicates has a resource object.
+	for v, r := range ranges {
+		if r.hasHi && r.hi.Kind != dict.VString {
+			continue
+		}
+		for _, st := range stars {
+			for i := range st.props {
+				if p := &st.props[i]; p.ObjVar == v && b.sv.Idx.HasResourceObject(p.Pred) {
+					delete(ranges, v)
+				}
+			}
+		}
 	}
 	for _, st := range stars {
 		for i := range st.props {
@@ -101,6 +120,101 @@ func (b *builder) pushFilters(stars []*star) {
 			p.HasRange, p.Lo, p.Hi = true, lo, hi
 		}
 	}
+	for v := range ranges {
+		for _, st := range stars {
+			for i := range st.props {
+				if st.props[i].ObjVar == v && st.props[i].HasRange {
+					if b.pushed == nil {
+						b.pushed = map[string]bool{}
+					}
+					b.pushed[v] = true
+				}
+			}
+		}
+	}
+}
+
+// residualFilter returns what of FILTER f the plan rooted at root must
+// still evaluate: f without the `?v op literal` conjuncts whose variable
+// carries a pushed range that every binding of ?v in the tree applies
+// row by row, or nil when no conjunct remains.
+func (b *builder) residualFilter(f sparql.Expr, root Node) sparql.Expr {
+	var keep []sparql.Expr
+	conjs := conjuncts(f)
+	for _, c := range conjs {
+		if v, _, _, ok := varCmpLit(c); ok && b.pushed[v] {
+			if bound, enforced := rangeEnforced(root, v); bound && enforced {
+				continue
+			}
+		}
+		keep = append(keep, c)
+	}
+	if len(keep) == len(conjs) {
+		return f
+	}
+	var out sparql.Expr
+	for _, c := range keep {
+		if out == nil {
+			out = c
+		} else {
+			out = &sparql.ExBin{Op: sparql.OpAnd, L: out, R: c}
+		}
+	}
+	return out
+}
+
+// rangeEnforced reports whether the tree binds ?v (bound) and whether
+// every binding is a star property with ?v as its object and a range —
+// star operators apply their properties' ranges to each row on every
+// path (sealed kernels, delta tails, index scans, residual and
+// positional lookups). A subject binding, a generic triple pattern, or
+// an unknown operator keeps the filter.
+func rangeEnforced(n Node, v string) (bound, enforced bool) {
+	star := func(st *exec.Star, subjFromInput bool) (bool, bool) {
+		if st.SubjVar == v && !subjFromInput {
+			return true, false
+		}
+		b, e := false, true
+		for i := range st.Props {
+			if p := &st.Props[i]; p.ObjVar == v {
+				b, e = true, e && p.HasRange
+			}
+		}
+		return b, e
+	}
+	both := func(b1, e1, b2, e2 bool) (bool, bool) { return b1 || b2, e1 && e2 }
+	switch x := n.(type) {
+	case *EmptyNode:
+		return false, true
+	case *RDFScanNode:
+		return star(&x.Star, false)
+	case *DefaultStarNode:
+		return star(&x.Star, false)
+	case *RDFJoinNode:
+		b1, e1 := rangeEnforced(x.Input, v)
+		b2, e2 := star(&x.Star, true)
+		return both(b1, e1, b2, e2)
+	case *MergeJoinNode:
+		b1, e1 := rangeEnforced(x.Left, v)
+		b2, e2 := star(&x.Star, true)
+		return both(b1, e1, b2, e2)
+	case *HashJoinNode:
+		b1, e1 := rangeEnforced(x.L, v)
+		b2, e2 := rangeEnforced(x.R, v)
+		return both(b1, e1, b2, e2)
+	case *FilterNode:
+		return rangeEnforced(x.Input, v)
+	case *EqSelectNode:
+		return rangeEnforced(x.Input, v)
+	case *GenericScanNode:
+		for _, w := range x.Vars() {
+			if w == v {
+				return true, false
+			}
+		}
+		return false, true
+	}
+	return true, false
 }
 
 // WorkloadRangePreds inspects a query and returns the predicate IRIs

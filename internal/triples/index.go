@@ -28,6 +28,10 @@ type IndexSet struct {
 	// build serializes the first Get of one order; Get of a
 	// materialized order never takes it.
 	build [6]sync.Mutex
+	// resPreds is the set of predicates with a resource object,
+	// computed on the first HasResourceObject.
+	resOnce  sync.Once
+	resPreds map[dict.OID]struct{}
 }
 
 // NewIndexSet indexes the table: SPO now, the other orders on demand.
@@ -64,6 +68,23 @@ func (s *IndexSet) Get(p Perm) *Projection {
 	observe(buildsTotal, p, start)
 	s.perms[p].Store(pr)
 	return pr
+}
+
+// HasResourceObject reports whether some triple with predicate p has a
+// resource (IRI or blank node) object. The predicates that do are
+// collected by one pass over SPO on first use, once per index set.
+func (s *IndexSet) HasResourceObject(p dict.OID) bool {
+	s.resOnce.Do(func() {
+		spo := s.perms[SPO].Load()
+		s.resPreds = map[dict.OID]struct{}{}
+		for k, o := range spo.C {
+			if o.IsResource() {
+				s.resPreds[spo.B[k]] = struct{}{}
+			}
+		}
+	})
+	_, ok := s.resPreds[p]
+	return ok
 }
 
 // Materialized lists the orders sorted so far.

@@ -76,15 +76,9 @@ type Options struct {
 	// PoolStats.Evictions and PoolStats.ResidentBytes.
 	PoolBytes int64
 	// Parallelism sets the morsel-driven worker count for RDFscan
-	// table scans and for partial aggregation in the query head; <=1
-	// runs sequentially. Scans merge in morsel order and are
-	// row-identical to sequential execution. Aggregate workers' partial
-	// states merge deterministically with group output in global
-	// first-appearance order; COUNT, MIN, MAX, integer sums and AVG
-	// over integers are exactly identical to sequential execution,
-	// while SUM/AVG over floats re-associate the addition across
-	// partials and can differ from the sequential fold in the last few
-	// bits.
+	// table scans; <=1 runs sequentially. Scans merge in morsel order
+	// and are row-identical to sequential execution. The query head
+	// (aggregation included) folds the merged stream sequentially.
 	Parallelism int
 	// CompactThreshold is the delta-layer size (delta rows plus
 	// tombstones) past which the store automatically compacts deltas

@@ -237,9 +237,10 @@ func TestParallelScanParity(t *testing.T) {
 	}
 }
 
-// TestParallelAggregateParity asserts parallel partial aggregation
-// (worker partials merged at the head) returns rows identical to the
-// sequential fold — values and group order — through the public API.
+// TestParallelAggregateParity asserts aggregation over morsel-parallel
+// scans (merged in order, folded sequentially) returns rows identical to
+// a fully sequential store — values and group order — through the
+// public API.
 func TestParallelAggregateParity(t *testing.T) {
 	seq := multiBlockStore(t, 12000, 0)
 	par := multiBlockStore(t, 12000, 4)
