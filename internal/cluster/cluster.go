@@ -158,7 +158,7 @@ func ReorganizeSPO(spo *triples.Projection, tb *triples.Table, d *dict.Dictionar
 	}
 
 	// --- Apply. ---
-	d.Remap(resMap, litMap)
+	d.Remap(resMap, litMap, !opts.KeepLiteralOrder)
 	remap := func(o dict.OID) dict.OID {
 		p := o.Payload()
 		if p == 0 {

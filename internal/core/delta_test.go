@@ -315,3 +315,79 @@ func TestRefreshMergesIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestLiteralWatermark follows the literal-order watermark through the
+// store lifecycle: Organize orders every literal, writes mint overflow
+// literals past it (reusing a literal mints nothing), Compact keeps
+// them overflow, the next Organize folds them into the ordered prefix,
+// and a parse-order Organize claims no order at all.
+func TestLiteralWatermark(t *testing.T) {
+	s := newDeltaStore(t, 40, -1)
+	st := s.Stats()
+	if st.OrderedLiterals != st.Literals || st.OverflowLiterals != 0 {
+		t.Fatalf("organized: %d ordered, %d overflow of %d literals", st.OrderedLiterals, st.OverflowLiterals, st.Literals)
+	}
+	a, b := deltaTriple(100) // "n100" and 100 are new literals
+	s.Add(a)
+	s.Add(b)
+	c, _ := deltaTriple(5) // "n5" exists
+	c.S = dict.IRI("http://g/s101")
+	s.Add(c)
+	if st := s.Stats(); st.OverflowLiterals != 2 {
+		t.Fatalf("after minting 2 literals: overflow %d", st.OverflowLiterals)
+	}
+	const q = `SELECT ?s ?v WHERE { ?s <http://g/val> ?v . FILTER (?v >= 38 && ?v < 1000) }`
+	for _, compact := range []bool{false, true} {
+		if compact {
+			if _, err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, mode := range []plan.Mode{plan.ModeDefault, plan.ModeRDFScan} {
+			res, err := s.Query(q, QueryOptions{Mode: mode, ZoneMaps: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Len() != 3 { // 38, 39, 100
+				t.Fatalf("compact=%v %v: %d rows, want 3", compact, mode, res.Len())
+			}
+		}
+		ex, err := s.Explain(q, QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(ex, "+ovf1") || strings.Contains(ex, "Filter") {
+			t.Fatalf("compact=%v: want the range pushed with one overflow member and no Filter:\n%s", compact, ex)
+		}
+	}
+	if st := s.Stats(); st.OverflowLiterals != 2 {
+		t.Fatalf("Compact changed the overflow count: %d", st.OverflowLiterals)
+	}
+	if err := s.Dict().CheckOrder(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Organize(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.OverflowLiterals != 0 || st.OrderedLiterals != st.Literals {
+		t.Fatalf("re-organized: %d ordered, %d overflow of %d", st.OrderedLiterals, st.OverflowLiterals, st.Literals)
+	}
+
+	opts := DefaultOptions()
+	opts.CS.MinSupport = 3
+	opts.Cluster.KeepLiteralOrder = true
+	p := NewStore(opts)
+	if _, err := p.LoadTurtle(strings.NewReader(deltaGraph(10))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Organize(); err != nil {
+		t.Fatal(err)
+	}
+	p.Add(a)
+	if st := p.Stats(); st.OrderedLiterals != 0 || st.OverflowLiterals != 0 {
+		t.Fatalf("parse order: %d ordered, %d overflow; want no order claimed", st.OrderedLiterals, st.OverflowLiterals)
+	}
+	if ex, _ := p.Explain(q, QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true}); strings.Contains(ex, "in[") {
+		t.Fatalf("parse order pushed a range:\n%s", ex)
+	}
+}

@@ -99,6 +99,9 @@ func TestSaveOpenRowIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := got.Dict().CheckOrder(); err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range persistQueries {
 		for _, mode := range []plan.Mode{plan.ModeDefault, plan.ModeRDFScan} {
 			want := rowsOf(t, st, q, mode)
@@ -141,6 +144,9 @@ func TestOpenIsLazy(t *testing.T) {
 	}
 	got, err := OpenStore(path, persistOpts())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Dict().CheckOrder(); err != nil {
 		t.Fatal(err)
 	}
 	if tb := got.Catalog().Visible(); len(tb) < 2 {
@@ -189,6 +195,9 @@ func TestWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := st.Dict().CheckOrder(); err != nil {
+		t.Fatal(err)
+	}
 	st.Add(nt.Triple{S: dict.IRI("http://persist/a7777"), P: dict.IRI("http://persist/x"), O: dict.IntLit(42)})
 	st.Add(nt.Triple{S: dict.IRI("http://persist/a7777"), P: dict.IRI("http://persist/y"), O: dict.IntLit(2)})
 	st.Delete(nt.Triple{S: dict.IRI("http://persist/a0001"), P: dict.IRI("http://persist/y"), O: dict.IntLit(1)})
@@ -205,6 +214,9 @@ func TestWALRecovery(t *testing.T) {
 
 	rec, err := OpenStore(snap, opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Dict().CheckOrder(); err != nil {
 		t.Fatal(err)
 	}
 	have := rowsOf(t, rec, persistQueries[0], plan.ModeRDFScan)
@@ -279,6 +291,9 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := rec.Dict().CheckOrder(); err != nil {
+		t.Fatal(err)
+	}
 	q := `SELECT ?s ?x WHERE { ?s <http://persist/x> ?x . FILTER (?x >= 0) }`
 	if a, b := rowsOf(t, st, q, plan.ModeRDFScan), rowsOf(t, rec, q, plan.ModeRDFScan); len(a) != len(b) {
 		t.Fatalf("reopened store has %d rows, want %d", len(b), len(a))
@@ -318,6 +333,9 @@ func TestUnorganizedSaveOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := got.Dict().CheckOrder(); err != nil {
+		t.Fatal(err)
+	}
 	if got.Stats().Organized {
 		t.Fatal("unorganized snapshot opened organized")
 	}
@@ -344,6 +362,9 @@ func TestOpenSortsOnDemand(t *testing.T) {
 	}
 	got, err := OpenStore(path, persistOpts())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Dict().CheckOrder(); err != nil {
 		t.Fatal(err)
 	}
 	if got.idx != nil {

@@ -137,24 +137,27 @@ type QueryOptions struct {
 // nobody needed before: the index set sorts it on first use, from rows
 // it owns, under its own lock.
 type snapshot struct {
-	epoch           uint64
-	dict            *dict.Dictionary
-	idx             *triples.IndexSet
-	schema          *cs.Schema
-	cat             *relational.Catalog
-	organized       bool
-	literalsOrdered bool
-	ctx             *exec.Ctx
+	epoch     uint64
+	dict      *dict.Dictionary
+	idx       *triples.IndexSet
+	schema    *cs.Schema
+	cat       *relational.Catalog
+	organized bool
+	// lits is the literal order as of this epoch: the watermark and an
+	// immutable overflow index, which plans read instead of the live
+	// dictionary the writers keep minting into.
+	lits *dict.LiteralOrder
+	ctx  *exec.Ctx
 }
 
 func (sn *snapshot) view() *plan.StoreView {
 	return &plan.StoreView{
-		Dict:            sn.dict,
-		Idx:             sn.idx,
-		Schema:          sn.schema,
-		Cat:             sn.cat,
-		Organized:       sn.organized,
-		LiteralsOrdered: sn.literalsOrdered,
+		Dict:      sn.dict,
+		Idx:       sn.idx,
+		Schema:    sn.schema,
+		Cat:       sn.cat,
+		Organized: sn.organized,
+		Lits:      sn.lits,
 	}
 }
 
@@ -185,9 +188,6 @@ type Store struct {
 	clusterIn *cluster.Info
 	cat       *relational.Catalog
 	organized bool
-	// literalsOrdered goes false when trickle inserts mint new literals
-	// after Organize.
-	literalsOrdered bool
 
 	// idxRows is how many leading rows of table the index set covers:
 	// rows past it were appended since the last refresh and are merged
@@ -360,7 +360,6 @@ func OpenStore(path string, opts Options) (*Store, error) {
 	s.schema = snap.Schema
 	s.cat = snap.Catalog
 	s.organized = snap.Organized
-	s.literalsOrdered = snap.LiteralsOrdered
 	s.snapshotPath = path
 	if opts.WALPath != "" {
 		s.attachWALLocked(opts.WALPath)
@@ -459,12 +458,11 @@ func (s *Store) checkpointLocked() error {
 	// Serialize under mu: the byte slice is an immutable copy of this
 	// instant's state, so the file write needs no lock at all.
 	data, err := storage.Marshal(&storage.Snapshot{
-		Organized:       s.organized,
-		LiteralsOrdered: s.literalsOrdered,
-		Dict:            s.dict,
-		Triples:         s.table,
-		Schema:          s.schema,
-		Catalog:         s.cat,
+		Organized: s.organized,
+		Dict:      s.dict,
+		Triples:   s.table,
+		Schema:    s.schema,
+		Catalog:   s.cat,
 	})
 	if err != nil {
 		return err
@@ -633,6 +631,15 @@ func (s *Store) Epoch() uint64 {
 	return s.epoch
 }
 
+// OverflowLiterals returns the number of literals minted since the last
+// Organize, which sit past the value-ordered prefix of literal OIDs.
+func (s *Store) OverflowLiterals() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, n := s.dict.LiteralOrderCounts()
+	return n
+}
+
 // NumTriples returns the store size including trickle inserts and
 // pending deletions.
 func (s *Store) NumTriples() int {
@@ -670,7 +677,6 @@ func (s *Store) Add(t nt.Triple) error {
 // addLocked applies one insertion and reports whether it changed state
 // (false for set-semantics no-ops) — the signal for WAL logging.
 func (s *Store) addLocked(t nt.Triple) bool {
-	nl := s.dict.NumLiterals()
 	so := s.dict.Intern(t.S)
 	po := s.dict.Intern(t.P)
 	oo := s.dict.Intern(t.O)
@@ -690,9 +696,6 @@ func (s *Store) addLocked(t nt.Triple) bool {
 		}
 		s.deltaSet[tr] = struct{}{}
 		s.touched[so] = struct{}{}
-		if s.dict.NumLiterals() != nl {
-			s.literalsOrdered = false
-		}
 	} else if _, pending := s.delPending[tr]; pending {
 		// pre-Organize delete-then-re-add: flush the committed deletions
 		// now (removing the earlier copies of tr), then fall through to
@@ -928,7 +931,6 @@ func (s *Store) Organize() (OrganizeReport, error) {
 	s.indexTableLocked()
 	s.cat = relational.BuildCatalogSPO(s.idx.Get(triples.SPO), s.schema, inf, s.pool)
 	s.organized = true
-	s.literalsOrdered = !s.opts.Cluster.KeepLiteralOrder
 	s.touched = make(map[dict.OID]struct{})
 	s.deltaSet = make(map[triples.Triple]struct{})
 	s.epoch++
@@ -1077,14 +1079,14 @@ func (s *Store) publishSnapshotLocked() {
 	}
 	ctx.TrackProjections()
 	s.snap = &snapshot{
-		epoch:           s.epoch,
-		dict:            s.dict,
-		idx:             s.idx,
-		schema:          s.schema,
-		cat:             s.cat,
-		organized:       s.organized,
-		literalsOrdered: s.literalsOrdered,
-		ctx:             ctx,
+		epoch:     s.epoch,
+		dict:      s.dict,
+		idx:       s.idx,
+		schema:    s.schema,
+		cat:       s.cat,
+		organized: s.organized,
+		lits:      s.dict.LiteralOrder(),
+		ctx:       ctx,
 	}
 }
 
@@ -1512,6 +1514,13 @@ type Stats struct {
 	// WALRecords counts operations in the attached write-ahead log since
 	// the last checkpoint (0 when no WAL is attached).
 	WALRecords int
+	// OrderedLiterals is the literal-order watermark: literal payloads
+	// 1..OrderedLiterals are in value order (0 before Organize, or when
+	// it keeps parse order). OverflowLiterals counts the literals minted
+	// since, which range pushdown matches through a value index instead
+	// of the OID interval.
+	OrderedLiterals  int
+	OverflowLiterals int
 }
 
 // Stats returns store-level counters, folding pending writes in first.
@@ -1527,6 +1536,7 @@ func (s *Store) Stats() Stats {
 		Pool:      s.pool.Stats(),
 		Epoch:     s.epoch,
 	}
+	st.OrderedLiterals, st.OverflowLiterals = s.dict.LiteralOrderCounts()
 	if s.wal != nil {
 		st.WALRecords = s.wal.Records()
 	}

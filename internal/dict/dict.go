@@ -22,6 +22,14 @@ type Dictionary struct {
 	litIDs  map[litKey]uint64
 	litLex  []litKey
 	litVals []Value
+
+	// Literal order (see order.go): payloads 1..litN are value-ordered;
+	// while litN > 0 every later payload is an overflow literal, listed
+	// in over sorted by (value, payload), or in overNew (unsorted) when
+	// minted since the last LiteralOrder view.
+	litN    int
+	over    []uint64
+	overNew []uint64
 }
 
 type litKey struct {
@@ -93,6 +101,9 @@ func (d *Dictionary) InternLiteral(lex, datatype, lang string) OID {
 	d.litVals = append(d.litVals, ParseLiteral(lex, datatype, lang))
 	id = uint64(len(d.litLex))
 	d.litIDs[k] = id
+	if d.litN > 0 {
+		d.overNew = append(d.overNew, id)
+	}
 	return LiteralOID(id)
 }
 
@@ -186,7 +197,13 @@ func (d *Dictionary) NumLiterals() int {
 // may be nil to leave that population untouched. Both maps must be
 // bijections onto 1..n; Remap panics otherwise, since a non-bijective
 // remap would silently corrupt the store.
-func (d *Dictionary) Remap(resMap, litMap []uint64) {
+//
+// litOrdered declares that litMap puts the literals in value order
+// (non-decreasing under Compare): the watermark then covers every
+// literal, and literals minted afterwards become overflow. Without it
+// the watermark is 0 and no literal order is claimed. Both are ignored
+// when litMap is nil.
+func (d *Dictionary) Remap(resMap, litMap []uint64, litOrdered bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if resMap != nil {
@@ -224,53 +241,11 @@ func (d *Dictionary) Remap(resMap, litMap []uint64) {
 		for i, k := range newLex {
 			d.litIDs[k] = uint64(i + 1)
 		}
-	}
-}
-
-// LiteralCeil returns the smallest literal OID whose value is >= v
-// (or > v when strict). Valid only after reorganization has put literal
-// payloads in value order. ok is false when no literal qualifies.
-func (d *Dictionary) LiteralCeil(v Value, strict bool) (OID, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := len(d.litVals)
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		c := Compare(d.litVals[mid], v)
-		if c < 0 || (strict && c == 0) {
-			lo = mid + 1
-		} else {
-			hi = mid
+		d.litN, d.over, d.overNew = 0, nil, nil
+		if litOrdered {
+			d.litN = len(newLex)
 		}
 	}
-	if lo >= n {
-		return Nil, false
-	}
-	return LiteralOID(uint64(lo + 1)), true
-}
-
-// LiteralFloor returns the largest literal OID whose value is <= v
-// (or < v when strict). Valid only after reorganization. ok is false
-// when no literal qualifies.
-func (d *Dictionary) LiteralFloor(v Value, strict bool) (OID, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := len(d.litVals)
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		c := Compare(d.litVals[mid], v)
-		if c < 0 || (!strict && c == 0) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return Nil, false
-	}
-	return LiteralOID(uint64(lo)), true
 }
 
 // LiteralValues exposes the typed-value table indexed by payload-1.

@@ -304,7 +304,7 @@ func TestRemapBijection(t *testing.T) {
 		resMap[i] = uint64(10 - i)
 		litMap[i] = uint64(10 - i)
 	}
-	d.Remap(resMap, litMap)
+	d.Remap(resMap, litMap, false)
 	for old, tm := range terms {
 		var nw OID
 		if old.IsLiteral() {
@@ -333,7 +333,7 @@ func TestRemapRejectsNonBijection(t *testing.T) {
 			t.Error("non-bijective remap must panic")
 		}
 	}()
-	d.Remap([]uint64{1, 1}, nil)
+	d.Remap([]uint64{1, 1}, nil, false)
 }
 
 func TestRemapQuickRandomPermutation(t *testing.T) {
@@ -349,7 +349,7 @@ func TestRemapQuickRandomPermutation(t *testing.T) {
 		for i, p := range perm {
 			m[i] = uint64(p + 1)
 		}
-		d.Remap(nil, m)
+		d.Remap(nil, m, false)
 		for i := 0; i < n; i++ {
 			tm, ok := d.Term(LiteralOID(m[i]))
 			if !ok || tm.Value != fmt.Sprintf("v%d", i) {

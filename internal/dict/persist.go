@@ -32,8 +32,10 @@ func (d *Dictionary) ExportLiterals() []LiteralRec {
 
 // RestoreDictionary rebuilds a dictionary from exported state. Typed
 // literal values are re-derived from the lexical forms, exactly as
-// interning would have produced them.
-func RestoreDictionary(res []string, lits []LiteralRec) *Dictionary {
+// interning would have produced them. ordered is the exported watermark
+// (see LiteralOrderCounts): the overflow index over the later payloads is
+// rebuilt, not persisted. It is not re-verified here; CheckOrder does.
+func RestoreDictionary(res []string, lits []LiteralRec, ordered int) *Dictionary {
 	d := New()
 	d.resKeys = append(d.resKeys, res...)
 	for i, k := range res {
@@ -47,5 +49,6 @@ func RestoreDictionary(res []string, lits []LiteralRec) *Dictionary {
 		d.litVals[i] = ParseLiteral(l.Lex, l.Datatype, l.Lang)
 		d.litIDs[k] = uint64(i + 1)
 	}
+	d.setWatermarkLocked(ordered)
 	return d
 }

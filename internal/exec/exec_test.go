@@ -126,8 +126,9 @@ func TestRDFScanRangePushdown(t *testing.T) {
 	f := newFixture(t, shopSrc, 3)
 	pricePred := f.pred("http://s/price")
 	// literal OIDs are value ordered; find bounds for price in [20,40]
-	lo, _ := f.d.LiteralCeil(dict.Value{Kind: dict.VInt, Int: 20}, false)
-	hi, _ := f.d.LiteralFloor(dict.Value{Kind: dict.VInt, Int: 40}, false)
+	lo, hi, _ := f.d.LiteralOrder().Range(
+		dict.Bound{V: dict.Value{Kind: dict.VInt, Int: 20}, Set: true},
+		dict.Bound{V: dict.Value{Kind: dict.VInt, Int: 40}, Set: true})
 	star := Star{SubjVar: "s", Props: []StarProp{
 		{Pred: pricePred, ObjVar: "p", Lo: lo, Hi: hi, HasRange: true},
 	}}

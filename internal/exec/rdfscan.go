@@ -36,7 +36,10 @@ func blockMayMatch(cols []*relational.Col, props []StarProp, b int) bool {
 				return false
 			}
 		case p.HasRange:
-			if !zm.MayMatch(b, p.Lo, p.Hi) {
+			// prune only when the prefix part misses the block and no
+			// overflow member lies within its bounds
+			if !zm.MayMatch(b, p.Lo, p.Hi) && (len(p.Over) == 0 || zm.Zones[b].AllNull ||
+				!p.overIn(zm.Zones[b].Min, zm.Zones[b].Max)) {
 				return false
 			}
 		}

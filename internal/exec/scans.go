@@ -15,10 +15,16 @@ type StarProp struct {
 	ObjVar string
 	// ObjConst is the bound object (Nil when the object is a variable).
 	ObjConst dict.OID
-	// Lo/Hi is an inclusive OID range pushed down from FILTERs. Valid
-	// only when HasRange; requires value-ordered literal OIDs.
+	// Lo/Hi is an inclusive OID range pushed down from FILTERs, valid
+	// only when HasRange. For a value range it covers the value-ordered
+	// literal prefix, whose last OID is the watermark N; Over lists, in
+	// ascending order, the literals past N (minted since Organize) that
+	// the range also admits. Every Over member is larger than N, so
+	// values at or below N are decided by Lo/Hi alone.
 	Lo, Hi   dict.OID
 	HasRange bool
+	N        dict.OID
+	Over     []dict.OID
 }
 
 // matches checks a concrete object value against the prop's constraints.
@@ -26,10 +32,25 @@ func (p *StarProp) matches(o dict.OID) bool {
 	if p.ObjConst != dict.Nil && o != p.ObjConst {
 		return false
 	}
-	if p.HasRange && (o < p.Lo || o > p.Hi) {
+	if p.HasRange && (o < p.Lo || o > p.Hi) && !p.inOver(o) {
 		return false
 	}
 	return true
+}
+
+// inOver reports that o is one of the range's overflow members.
+func (p *StarProp) inOver(o dict.OID) bool {
+	if len(p.Over) == 0 || o <= p.N {
+		return false
+	}
+	i := sort.Search(len(p.Over), func(k int) bool { return p.Over[k] >= o })
+	return i < len(p.Over) && p.Over[i] == o
+}
+
+// overIn reports that some overflow member lies in [lo,hi].
+func (p *StarProp) overIn(lo, hi dict.OID) bool {
+	i := sort.Search(len(p.Over), func(k int) bool { return p.Over[k] >= lo })
+	return i < len(p.Over) && p.Over[i] <= hi
 }
 
 // Star is a star pattern: several properties of one subject variable.
@@ -92,6 +113,10 @@ func chooseSeed(star *Star, pso, pos *triples.Projection) (seed, cost int) {
 		case p.HasRange:
 			lo, hi := pos.Range2Between(p.Pred, p.Lo, p.Hi)
 			c = hi - lo
+			for _, o := range p.Over {
+				lo, hi := pos.Range2(p.Pred, o)
+				c += hi - lo
+			}
 		default:
 			lo, hi := pso.Range1(p.Pred)
 			c = hi - lo
@@ -114,12 +139,21 @@ func seedScan(ctx *Ctx, p *StarProp, subjVar string, pso, pos *triples.Projectio
 		rel.Cols[0] = append(rel.Cols[0], pos.C[lo:hi]...) // sorted by S
 		return rel
 	case p.HasRange:
-		lo, hi := pos.Range2Between(p.Pred, p.Lo, p.Hi)
-		ctx.touchProj(pos, lo, hi, 2|4)
+		// the prefix interval is one POS run; each overflow member
+		// (usually none) is a run of its own
 		type so struct{ s, o dict.OID }
-		rows := make([]so, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			rows = append(rows, so{pos.C[i], pos.B[i]})
+		var rows []so
+		add := func(lo, hi int) {
+			ctx.touchProj(pos, lo, hi, 2|4)
+			for i := lo; i < hi; i++ {
+				rows = append(rows, so{pos.C[i], pos.B[i]})
+			}
+		}
+		lo, hi := pos.Range2Between(p.Pred, p.Lo, p.Hi)
+		rows = make([]so, 0, max(hi-lo, 0))
+		add(lo, hi)
+		for _, o := range p.Over {
+			add(pos.Range2(p.Pred, o))
 		}
 		sort.Slice(rows, func(x, y int) bool {
 			if rows[x].s != rows[y].s {

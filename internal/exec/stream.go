@@ -66,6 +66,9 @@ type scanScratch struct {
 	objBufs  [][]dict.OID // one per output property
 	views    [][]dict.OID
 	touched  []bool
+	// ovf decodes blocks that may hold overflow literals; taken on
+	// first use, so scans of blocks sealed at Organize never hold one.
+	ovf []dict.OID
 }
 
 func (sc *scanScratch) init(star *Star) {
@@ -95,6 +98,9 @@ func (sc *scanScratch) release() {
 	oidBlocks.put(sc.subj)
 	for _, b := range sc.objBufs {
 		oidBlocks.put(b)
+	}
+	if sc.ovf != nil {
+		oidBlocks.put(sc.ovf)
 	}
 	*sc = scanScratch{}
 }
@@ -199,11 +205,15 @@ func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, w
 		var tmp []int32
 		switch {
 		case p.ObjConst != dict.Nil:
-			if p.HasRange && (p.ObjConst < p.Lo || p.ObjConst > p.Hi) {
+			if !p.matches(p.ObjConst) {
 				return nil, false, wlo, whi // contradictory constraints
 			}
 			tmp = col.SelectEqBlock(blk, rlo, rhi, p.ObjConst, 0, sc.tmp[:0])
 		case p.HasRange:
+			if len(p.Over) > 0 && overflowBlock(col, blk, p) {
+				tmp = selectOverflow(col, blk, rlo, rhi, p, sc)
+				break
+			}
 			tmp = col.SelectRangeBlock(blk, rlo, rhi, p.Lo, p.Hi, 0, sc.tmp[:0])
 		default:
 			// presence-only property: the kernel is skippable when the
@@ -295,6 +305,31 @@ func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, w
 		return nil, true, wlo, whi // every row survived: emit dense
 	}
 	return sc.sel, false, wlo, whi
+}
+
+// overflowBlock reports that block blk of col may hold literals minted
+// since Organize: its zone max lies past the watermark, which only
+// blocks sealed by Compact do. Blocks sealed at Organize never get here.
+func overflowBlock(col *colstore.Column, blk int, p *StarProp) bool {
+	zm := col.Zones()
+	return blk >= zm.NumBlocks() || zm.Zones[blk].Max > p.N
+}
+
+// selectOverflow is the range kernel of a block that may hold overflow
+// literals: rows whose value lies in [Lo,Hi] or is one of the range's
+// overflow members.
+func selectOverflow(col *colstore.Column, blk, rlo, rhi int, p *StarProp, sc *scanScratch) []int32 {
+	if sc.ovf == nil {
+		sc.ovf = oidBlocks.get()
+	}
+	vals := col.BlockValues(blk, sc.ovf)
+	sel := sc.tmp[:0]
+	for i := rlo; i < rhi; i++ {
+		if v := vals[i]; v != dict.Nil && ((v >= p.Lo && v <= p.Hi) || p.inOver(v)) {
+			sel = append(sel, int32(i))
+		}
+	}
+	return sel
 }
 
 // scanBloom is one resolved bloom probe: the published filter plus the

@@ -20,13 +20,18 @@ import (
 // properties whose values the writers keep equal, updating them
 // delete-both-then-add-both — so at every refresh point a subject
 // either exposes a matched (v,v) pair or no complete pair at all. A row
-// with a ≠ b means a reader's snapshot tore across epochs.
+// with a ≠ b means a reader's snapshot tore across epochs. Each new
+// version is an integer literal minted after Organize, so the range
+// readers plan their FILTERs against the overflow index while writers
+// keep growing it; a row outside the range means a plan read an index
+// newer or older than its epoch.
 func TestConcurrentReadWrite(t *testing.T) {
 	const (
-		nSubjects = 64
-		nWriters  = 2
-		nReaders  = 4
-		writerOps = 150
+		nSubjects     = 64
+		nWriters      = 2
+		nReaders      = 4
+		nRangeReaders = 2
+		writerOps     = 150
 	)
 	pa, pb := NS+"pa", NS+"pb"
 	subj := func(i int) dict.Term { return dict.IRI(fmt.Sprintf("%sc%d", NS, i)) }
@@ -55,7 +60,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 	qo := core.QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, nWriters+nReaders)
+	errs := make(chan error, nWriters+nReaders+nRangeReaders)
 	fail := func(format string, args ...any) {
 		select {
 		case errs <- fmt.Errorf(format, args...):
@@ -157,11 +162,46 @@ func TestConcurrentReadWrite(t *testing.T) {
 		}()
 	}
 
+	for r := 0; r < nRangeReaders; r++ {
+		r := r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 40; it++ {
+				lo := it % 4
+				hi := lo + 2 + it%3
+				q := fmt.Sprintf("SELECT ?s ?a ?b WHERE { ?s <%s> ?a . ?s <%s> ?b . FILTER (?a >= %d && ?b < %d) }",
+					pa, pb, lo, hi)
+				mode := qo
+				if it%3 == 2 {
+					mode = core.QueryOptions{Mode: plan.ModeDefault}
+				}
+				rows, err := st.QueryStream(q, mode)
+				if err != nil {
+					fail("range reader %d: %v", r, err)
+					return
+				}
+				for rows.Next() {
+					row := rows.Row()
+					a, b := row[1], row[2]
+					if a.Kind != dict.VInt || a.Int != b.Int || a.Int < int64(lo) || b.Int >= int64(hi) {
+						fail("range reader %d: row a=%s b=%s outside [%d,%d) or torn", r, a.Lexical(), b.Lexical(), lo, hi)
+						rows.Close()
+						return
+					}
+				}
+			}
+		}()
+	}
+
 	wg.Wait()
 	select {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+	if err := st.Dict().CheckOrder(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Quiesced store must agree with the versions the writers left.

@@ -66,6 +66,7 @@ type Script struct {
 
 	preds []pred
 	nSubj int
+	mint  mintBounds // GenMintScript's FILTER constants
 }
 
 // Query is one generated query; CrossStore marks queries whose result
@@ -187,8 +188,8 @@ func GenScript(seed int64, nSubj, nOps int) *Script {
 	}
 
 	// Mixed-kind updates ride at the end of a non-empty script: new
-	// values (fresh literals break the literal order, so the delta state
-	// runs unpushed filters) and deletions of existing ones.
+	// values (fresh literals past the ordered prefix, which pushed ranges
+	// match as overflow members) and deletions of existing ones.
 	if nOps > 0 {
 		for i := 0; i < 1+nOps/8; i++ {
 			s := iri(subjIRI(mix.Intn(nSubj)))
@@ -578,6 +579,9 @@ func RunDifferential(seed int64, nSubj, nOps int) error {
 	if err != nil {
 		return err
 	}
+	if err := checkLiteralOrder("pre-compact", mut1, mut4, fresh); err != nil {
+		return err
+	}
 	if err := CheckEquivalence(mut1, mut4, fresh, sc.Queries); err != nil {
 		return fmt.Errorf("pre-compact: %w", err)
 	}
@@ -585,6 +589,9 @@ func RunDifferential(seed int64, nSubj, nOps int) error {
 		return err
 	}
 	if _, err := mut4.Compact(); err != nil {
+		return err
+	}
+	if err := checkLiteralOrder("post-compact", mut1, mut4); err != nil {
 		return err
 	}
 	if err := CheckEquivalence(mut1, mut4, fresh, sc.Queries); err != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"srdf/internal/core"
@@ -90,6 +91,9 @@ func TestAutoCompactEquivalence(t *testing.T) {
 	if _, err := fresh.Organize(); err != nil {
 		t.Fatal(err)
 	}
+	if err := checkLiteralOrder("auto-compacted", st); err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range sc.Queries {
 		if !q.CrossStore {
 			continue
@@ -136,8 +140,67 @@ func TestDifferentialReopened(t *testing.T) {
 			}
 			defer re[i].Close()
 		}
+		if err := checkLiteralOrder("reopened", re[0], re[1]); err != nil {
+			t.Fatal(err)
+		}
 		if err := CheckEquivalence(re[0], re[1], fresh, sc.Queries); err != nil {
 			t.Fatalf("seed=%d reopened: %v", seed, err)
 		}
+	}
+}
+
+// TestMintingSeeds runs the minting leg: update scripts whose new
+// literals land inside, outside and on the bounds of the queries' range
+// FILTERs, checked in the delta, compacted and WAL-replayed states. The
+// large case spans several zone-map blocks per table, so compacted
+// blocks holding overflow literals sit beside blocks sealed at Organize.
+func TestMintingSeeds(t *testing.T) {
+	cases := []struct {
+		seed  int64
+		nSubj int
+		nOps  int
+	}{
+		{seed: 1, nSubj: 40, nOps: 60},
+		{seed: 4, nSubj: 90, nOps: 120},
+		{seed: 8, nSubj: 3000, nOps: 400},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run("", func(t *testing.T) {
+			t.Parallel()
+			if err := RunMinting(c.seed, c.nSubj, c.nOps, t.TempDir()); err != nil {
+				t.Fatalf("seed=%d nSubj=%d nOps=%d: %v", c.seed, c.nSubj, c.nOps, err)
+			}
+		})
+	}
+}
+
+// TestMintingOverflowBlocks compacts enough fresh subjects to fill whole
+// zone-map blocks with overflow literals only, so zone pruning and the
+// range kernels of compacted blocks must honour the overflow members.
+func TestMintingOverflowBlocks(t *testing.T) {
+	sc := GenMintScript(6, 300, 40)
+	sc.AppendFreshSubjects(6, 2200)
+	mut1, mut4, fresh, err := BuildStores(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*core.Store{mut1, mut4} {
+		if _, err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkLiteralOrder("compacted", mut1, mut4); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := mut1.Explain(sc.Queries[0].Text, coreQO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ex, "+ovf") {
+		t.Fatalf("range over minted literals shows no overflow members:\n%s", ex)
+	}
+	if err := CheckEquivalence(mut1, mut4, fresh, sc.Queries); err != nil {
+		t.Fatal(err)
 	}
 }

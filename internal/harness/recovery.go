@@ -74,6 +74,9 @@ func RunPersistRoundTrip(seed int64, nSubj, nOps int, dir string) error {
 	if err != nil {
 		return err
 	}
+	if err := checkLiteralOrder("opened", mut, got); err != nil {
+		return err
+	}
 	for _, q := range sc.Queries {
 		m, err := EvalQuery(mut, q.Text)
 		if err != nil {
@@ -144,6 +147,9 @@ func RunCrashRecovery(seed int64, nSubj, nOps int, cut float64, dir string) erro
 		return err
 	}
 	defer rec.Close()
+	if err := checkLiteralOrder("recovered", rec); err != nil {
+		return err
+	}
 
 	// The surviving prefix is what the recovered store itself replayed.
 	// The WAL records only effective operations (set-semantics no-ops are
@@ -185,6 +191,9 @@ func RunCrashRecovery(seed int64, nSubj, nOps int, cut float64, dir string) erro
 		}
 	}
 	if _, err := rec.Compact(); err != nil {
+		return err
+	}
+	if err := checkLiteralOrder("recovered+resumed", rec); err != nil {
 		return err
 	}
 	fresh := newStore(1)

@@ -117,6 +117,10 @@ func propDesc(p *exec.StarProp) string {
 	}
 	if p.HasRange {
 		s += fmt.Sprintf(" in[%v,%v]", p.Lo, p.Hi)
+		if len(p.Over) > 0 {
+			// overflow literals (minted since Organize) the range admits
+			s += fmt.Sprintf("+ovf%d", len(p.Over))
+		}
 	}
 	return s
 }

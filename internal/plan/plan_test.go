@@ -48,7 +48,7 @@ func newFixture(t *testing.T, src string, minSupport int) *fixture {
 		d: d,
 		sv: &StoreView{
 			Dict: d, Idx: idx, Schema: schema, Cat: cat,
-			Organized: true, LiteralsOrdered: true,
+			Organized: true, Lits: d.LiteralOrder(),
 		},
 		ctx: ctx,
 	}

@@ -64,10 +64,10 @@ type StoreView struct {
 	// Organized reports that subject clustering ran and the catalog is
 	// populated.
 	Organized bool
-	// LiteralsOrdered reports that literal OIDs are currently in value
-	// order (false again once trickle inserts mint new literals); range
-	// pushdown to OID comparisons requires it.
-	LiteralsOrdered bool
+	// Lits is the literal order of the planned epoch: range pushdown to
+	// OID comparisons requires an ordered prefix (Lits.Ordered), and
+	// matches literals minted since through its overflow index.
+	Lits *dict.LiteralOrder
 }
 
 // Plan is an executable query plan: the OID-level BGP tree (Root,

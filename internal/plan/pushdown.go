@@ -10,33 +10,34 @@ import (
 
 // valRange accumulates a value interval for one variable.
 type valRange struct {
-	lo, hi             dict.Value
-	hasLo, hasHi       bool
-	loStrict, hiStrict bool
+	lo, hi dict.Bound
 }
 
 func (r *valRange) addLo(v dict.Value, strict bool) {
-	if !r.hasLo || dict.Compare(v, r.lo) > 0 || (dict.Compare(v, r.lo) == 0 && strict) {
-		r.lo, r.loStrict, r.hasLo = v, strict, true
+	if c := dict.Compare(v, r.lo.V); !r.lo.Set || c > 0 || (c == 0 && strict) {
+		r.lo = dict.Bound{V: v, Strict: strict, Set: true}
 	}
 }
 
 func (r *valRange) addHi(v dict.Value, strict bool) {
-	if !r.hasHi || dict.Compare(v, r.hi) < 0 || (dict.Compare(v, r.hi) == 0 && strict) {
-		r.hi, r.hiStrict, r.hasHi = v, strict, true
+	if c := dict.Compare(v, r.hi.V); !r.hi.Set || c < 0 || (c == 0 && strict) {
+		r.hi = dict.Bound{V: v, Strict: strict, Set: true}
 	}
 }
 
 // pushFilters derives per-variable value ranges from the query's FILTER
 // conjuncts and attaches them as OID ranges to the owning star
-// properties, recording each variable that got one in b.pushed. Literal
-// OIDs are value-ordered by the same dict.Compare the filter evaluates
-// with, so a pushed range admits exactly the literals that satisfy every
-// conjunct it came from; residualFilter drops those conjuncts where the
-// plan provably enforces the range on every row.
+// properties, recording each variable that got one in b.pushed. A range
+// is the OID interval over the value-ordered literal prefix plus the
+// overflow literals (minted since Organize) whose values lie in it, both
+// found with the same dict.Compare the filter evaluates with, so a
+// pushed range admits exactly the literals that satisfy every conjunct
+// it came from; residualFilter drops those conjuncts where the plan
+// provably enforces the range on every row. Equality is the degenerate
+// range, so every literal equal in value to the constant matches.
 func (b *builder) pushFilters(stars []*star) {
-	if !b.sv.LiteralsOrdered {
-		return // literal OIDs are not value-ordered
+	if !b.sv.Organized || !b.sv.Lits.Ordered() {
+		return // literal OIDs carry no value order
 	}
 	ranges := map[string]*valRange{}
 	for _, f := range b.q.Filters {
@@ -74,7 +75,7 @@ func (b *builder) pushFilters(stars []*star) {
 	// cannot express. Such a variable is pushed only when none of its
 	// predicates has a resource object.
 	for v, r := range ranges {
-		if r.hasHi && r.hi.Kind != dict.VString {
+		if r.hi.Set && r.hi.V.Kind != dict.VString {
 			continue
 		}
 		for _, st := range stars {
@@ -85,6 +86,7 @@ func (b *builder) pushFilters(stars []*star) {
 			}
 		}
 	}
+	watermark := dict.LiteralOID(b.sv.Lits.N)
 	for _, st := range stars {
 		for i := range st.props {
 			p := &st.props[i]
@@ -95,41 +97,12 @@ func (b *builder) pushFilters(stars []*star) {
 			if !ok {
 				continue
 			}
-			lo := dict.LiteralOID(1)
-			hi := dict.LiteralOID(uint64(b.sv.Dict.NumLiterals()))
-			if b.sv.Dict.NumLiterals() == 0 {
-				continue
+			p.Lo, p.Hi, p.Over = b.sv.Lits.Range(r.lo, r.hi)
+			p.HasRange, p.N = true, watermark
+			if b.pushed == nil {
+				b.pushed = map[string]bool{}
 			}
-			if r.hasLo {
-				c, ok := b.sv.Dict.LiteralCeil(r.lo, r.loStrict)
-				if !ok {
-					// nothing qualifies: impossible range
-					p.HasRange, p.Lo, p.Hi = true, 1, 0
-					continue
-				}
-				lo = c
-			}
-			if r.hasHi {
-				f, ok := b.sv.Dict.LiteralFloor(r.hi, r.hiStrict)
-				if !ok {
-					p.HasRange, p.Lo, p.Hi = true, 1, 0
-					continue
-				}
-				hi = f
-			}
-			p.HasRange, p.Lo, p.Hi = true, lo, hi
-		}
-	}
-	for v := range ranges {
-		for _, st := range stars {
-			for i := range st.props {
-				if st.props[i].ObjVar == v && st.props[i].HasRange {
-					if b.pushed == nil {
-						b.pushed = map[string]bool{}
-					}
-					b.pushed[v] = true
-				}
-			}
+			b.pushed[p.ObjVar] = true
 		}
 	}
 }
@@ -308,8 +281,12 @@ func flipOp(op sparql.Op) sparql.Op {
 // The window is only a complete description of B's matches when star B
 // is covered by exactly one table and none of its predicates occur in
 // the irregular residue — checked here, so the rewrite is always exact.
+// The window searches the sort-key column for the ordered-prefix part
+// of B's range only: subjectWindow also requires B undisturbed and
+// delta-free, so every value in that column was sealed at Organize and
+// predates the watermark — no overflow literal can occur in it.
 func (b *builder) crossTablePushdown(stars []*star) {
-	if !b.opts.ZoneMaps || !b.sv.Organized || !b.sv.LiteralsOrdered || b.sv.Cat == nil {
+	if !b.opts.ZoneMaps || !b.sv.Organized || !b.sv.Lits.Ordered() || b.sv.Cat == nil {
 		return
 	}
 	bysubj := map[string]*star{}
@@ -335,7 +312,13 @@ func (b *builder) crossTablePushdown(stars []*star) {
 				continue
 			}
 			// intersect with any existing range on the FK column
+			var over []dict.OID
 			if pA.HasRange {
+				for _, o := range pA.Over {
+					if o >= lo && o <= hi {
+						over = append(over, o)
+					}
+				}
 				if lo < pA.Lo {
 					lo = pA.Lo
 				}
@@ -343,7 +326,7 @@ func (b *builder) crossTablePushdown(stars []*star) {
 					hi = pA.Hi
 				}
 			}
-			pA.HasRange, pA.Lo, pA.Hi = true, lo, hi
+			pA.HasRange, pA.Lo, pA.Hi, pA.Over = true, lo, hi, over
 		}
 	}
 }

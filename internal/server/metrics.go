@@ -106,6 +106,8 @@ func (s *Server) registerDerivedMetrics() {
 
 	reg.GaugeFunc("srdf_triples", "Stored triples.",
 		func() float64 { return float64(st.NumTriples()) })
+	reg.GaugeFunc("srdf_literals_overflow", "Literals minted since the last Organize, past the value-ordered OID prefix; range filters match them through a value index.",
+		func() float64 { return float64(st.OverflowLiterals()) })
 	reg.GaugeFunc("srdf_store_readonly", "1 while the store is latched read-only after a durability failure.",
 		func() float64 {
 			if st.Health().State != core.StateHealthy {

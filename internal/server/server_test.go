@@ -341,6 +341,28 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsOverflowLiterals: the gauge counts literals minted after
+// Organize, and a write that reuses an existing literal adds nothing.
+func TestMetricsOverflowLiterals(t *testing.T) {
+	st := testStore(t, 5, srdf.Defaults())
+	h := New(st, Config{}).Handler()
+	if body := get(t, h, "/metrics", "").Body.String(); !strings.Contains(body, "srdf_literals_overflow 0") {
+		t.Fatalf("fresh store: overflow gauge not 0\n%s", body)
+	}
+	for _, src := range []string{
+		`<http://ex/new1> <http://ex/name> "minted-a" .`,
+		`<http://ex/new2> <http://ex/name> "minted-b" .`,
+		`<http://ex/new3> <http://ex/name> "minted-a" .`,
+	} {
+		if err := st.Internal().Add(testTriple(t, src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if body := get(t, h, "/metrics", "").Body.String(); !strings.Contains(body, "srdf_literals_overflow 2") {
+		t.Fatalf("after minting two literals: gauge not 2\n%s", body)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	srv := testServer(t, 5, Config{})
 	if w := get(t, srv.Handler(), "/healthz", ""); w.Code != http.StatusOK {

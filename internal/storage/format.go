@@ -9,7 +9,7 @@
 // Go's binary.Uvarint; OIDs use the rotated form of colstore.AppendOID):
 //
 //	magic "SRDFSNP1" (8 bytes)
-//	version u16 · flags u16 (bit0 organized, bit1 literalsOrdered) · reserved u32
+//	version u16 · flags u16 (bit0 organized) · reserved u32
 //	sections, each:  id u8 · length u64 · crc32(payload) u32 · payload
 //
 // Sections appear in id order: dict(1), triples(2), schema(3, organized
@@ -37,8 +37,11 @@ import (
 const Magic = "SRDFSNP1"
 
 // Version is the current snapshot format version. v2 added the
-// per-property DistinctObj statistic to serialized PropStats.
-const Version = 2
+// per-property DistinctObj statistic to serialized PropStats; v3 ends
+// the dict section with the literal-order watermark (the count of
+// value-ordered literal payloads) in place of the header's
+// literals-ordered flag bit.
+const Version = 3
 
 const headerLen = 8 + 2 + 2 + 4
 
@@ -70,8 +73,7 @@ func secName(id uint8) string {
 
 // Header flags.
 const (
-	flagOrganized       = 1 << 0
-	flagLiteralsOrdered = 1 << 1
+	flagOrganized = 1 << 0
 )
 
 // ErrNotSnapshot reports that the input does not start with the snapshot

@@ -19,7 +19,11 @@ import (
 
 var update = flag.Bool("update", false, "regenerate the golden snapshot fixture")
 
-const goldenPath = "testdata/golden_v2.srdf"
+const goldenPath = "testdata/golden_v3.srdf"
+
+// v2Path is a fixture of the previous format version, kept to pin that
+// an old file is refused with the typed version error.
+const v2Path = "testdata/golden_v2.srdf"
 
 // goldenSource is a fixed graph exercising most of the format surface:
 // two characteristic sets, a foreign key, a multi-valued property (link
@@ -141,6 +145,15 @@ func TestGoldenFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open fixture: %v", err)
 	}
+	// The fixture's delta traffic minted literals past the watermark: the
+	// reopened dictionary must rebuild the overflow index over exactly
+	// those.
+	if err := opened.Dict().CheckOrder(); err != nil {
+		t.Fatal(err)
+	}
+	if ord, ovf := opened.Dict().LiteralOrderCounts(); ord == 0 || ovf == 0 {
+		t.Fatalf("fixture literal order: %d ordered, %d overflow; want both > 0", ord, ovf)
+	}
 	rebuilt := buildGoldenStore(t)
 	for _, q := range goldenQueries {
 		got := queryRows(t, opened, q)
@@ -175,6 +188,19 @@ func TestGoldenFixture(t *testing.T) {
 	}
 	if !bytes.Equal(got2, want) {
 		t.Fatalf("rebuilt store serializes differently: %d bytes vs %d", len(got2), len(want))
+	}
+}
+
+// TestGoldenPreviousVersion: a snapshot of format v2 (literal order as a
+// header flag bit, no watermark) yields the typed VersionError.
+func TestGoldenPreviousVersion(t *testing.T) {
+	data, err := os.ReadFile(v2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ve *storage.VersionError
+	if _, err := storage.Read(data, colstore.NewPool(0)); !errors.As(err, &ve) || ve.Got != 2 || ve.Want != storage.Version {
+		t.Fatalf("v2 fixture: %v, want VersionError{Got: 2, Want: %d}", err, storage.Version)
 	}
 }
 

@@ -22,12 +22,12 @@ const maxCount = 1<<31 - 1
 // built plus the live-update delta layer. Schema and Catalog are nil for
 // un-organized stores (dictionary and base triples only).
 type Snapshot struct {
-	Organized       bool
-	LiteralsOrdered bool
-	Dict            *dict.Dictionary
-	Triples         *triples.Table
-	Schema          *cs.Schema
-	Catalog         *relational.Catalog
+	Organized bool
+	// Dict carries its literal-order watermark in the dict section.
+	Dict    *dict.Dictionary
+	Triples *triples.Table
+	Schema  *cs.Schema
+	Catalog *relational.Catalog
 }
 
 // Marshal serializes the snapshot into a byte buffer. The encoding is
@@ -42,9 +42,6 @@ func Marshal(s *Snapshot) ([]byte, error) {
 	var flags uint16
 	if s.Organized {
 		flags |= flagOrganized
-	}
-	if s.LiteralsOrdered {
-		flags |= flagLiteralsOrdered
 	}
 	out = binary.LittleEndian.AppendUint16(out, flags)
 	out = binary.LittleEndian.AppendUint32(out, 0)
@@ -163,10 +160,7 @@ func readSnap(data []byte, pool *colstore.BufferPool, release func([]byte)) (*Sn
 		return nil, &VersionError{Got: v, Want: Version}
 	}
 	flags := binary.LittleEndian.Uint16(data[10:])
-	s := &Snapshot{
-		Organized:       flags&flagOrganized != 0,
-		LiteralsOrdered: flags&flagLiteralsOrdered != 0,
-	}
+	s := &Snapshot{Organized: flags&flagOrganized != 0}
 
 	// Walk the section table, checksumming every payload.
 	secs := make(map[uint8][]byte)
@@ -251,7 +245,8 @@ func writeDict(d *dict.Dictionary) []byte {
 		b = appendStr(b, l.Datatype)
 		b = appendStr(b, l.Lang)
 	}
-	return b
+	ordered, _ := d.LiteralOrderCounts()
+	return binary.AppendUvarint(b, uint64(ordered))
 }
 
 func readDict(payload []byte) (*dict.Dictionary, error) {
@@ -264,10 +259,11 @@ func readDict(payload []byte) (*dict.Dictionary, error) {
 	for i := range lits {
 		lits[i] = dict.LiteralRec{Lex: r.str(), Datatype: r.str(), Lang: r.str()}
 	}
+	ordered := r.idx(len(lits) + 1)
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
-	return dict.RestoreDictionary(res, lits), nil
+	return dict.RestoreDictionary(res, lits, ordered), nil
 }
 
 // --- triples ----------------------------------------------------------

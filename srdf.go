@@ -386,6 +386,11 @@ func (s *Store) QueryLogCounts() (queries, rows uint64) { return s.inner.QueryLo
 // visible change (trickle refresh, Organize, Compact).
 func (s *Store) Epoch() uint64 { return s.inner.Epoch() }
 
+// OverflowLiterals returns the number of literals minted since the last
+// Organize: they sit past the value-ordered literal OIDs, and range
+// filters match them through a value index (EXPLAIN's "+ovfN").
+func (s *Store) OverflowLiterals() int { return s.inner.OverflowLiterals() }
+
 // Uptime reports the time since the store was created or opened.
 func (s *Store) Uptime() time.Duration { return s.inner.Uptime() }
 
