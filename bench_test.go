@@ -392,7 +392,7 @@ func BenchmarkStream_MaterializedVsStreaming(b *testing.B) {
 // multi-block table: the streaming head stops pulling once satisfied, so
 // pages/op stays flat no matter how large the table is.
 func BenchmarkStream_LimitEarlyTermination(b *testing.B) {
-	st := parallelStore(b, 20000, 0)
+	st := wideStore(b, 20000)
 	for _, q := range []struct{ name, text string }{
 		{"full", `PREFIX e: <http://par/> SELECT ?s ?x WHERE { ?s e:a ?x . ?s e:b ?y . }`},
 		{"limit10", `PREFIX e: <http://par/> SELECT ?s ?x WHERE { ?s e:a ?x . ?s e:b ?y . } LIMIT 10`},
@@ -411,17 +411,15 @@ func BenchmarkStream_LimitEarlyTermination(b *testing.B) {
 	}
 }
 
-// parallelStore builds a core store whose main CS spans many zone-map
-// blocks, with the given morsel-scan worker count.
-func parallelStore(b *testing.B, n, workers int) *core.Store {
+// wideStore builds a core store whose main CS spans many zone-map
+// blocks.
+func wideStore(b *testing.B, n int) *core.Store {
 	var src strings.Builder
 	src.WriteString("@prefix e: <http://par/> .\n")
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&src, "e:s%06d e:a %d ; e:b %d ; e:c %d .\n", i, i%9973, i%89, i%7)
 	}
-	opts := core.DefaultOptions()
-	opts.Parallelism = workers
-	st := core.NewStore(opts)
+	st := core.NewStore(core.DefaultOptions())
 	if _, err := st.LoadTurtle(strings.NewReader(src.String())); err != nil {
 		b.Fatal(err)
 	}
@@ -429,24 +427,6 @@ func parallelStore(b *testing.B, n, workers int) *core.Store {
 		b.Fatal(err)
 	}
 	return st
-}
-
-// BenchmarkStream_ParallelismSweep sweeps the morsel-scan worker count
-// over a wide-table star scan, the knob the Parallelism option exposes.
-func BenchmarkStream_ParallelismSweep(b *testing.B) {
-	q := `PREFIX e: <http://par/>
-SELECT (COUNT(*) AS ?n) WHERE { ?s e:a ?x . ?s e:b ?y . ?s e:c ?z . FILTER (?x >= 2) }`
-	for _, workers := range []int{1, 2, 4} {
-		st := parallelStore(b, 40000, workers)
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			qo := core.QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true}
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Query(q, qo); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- query optimizer: join algorithm, join order, bloom filters ---

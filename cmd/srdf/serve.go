@@ -28,7 +28,6 @@ func cmdServe(args []string) error {
 	queue := fs.Int("queue", 0, "max queries waiting for a slot before 503 (0: 2x max-concurrent, -1: none)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-query wall-clock limit, queue wait included (0: none)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain limit for open result streams")
-	parallelism := fs.Int("parallelism", 0, "morsel-scan worker count per query (<=1: sequential)")
 	minSupport := fs.Int("minsupport", 0, "minimum CS support (non-snapshot inputs)")
 	maxQueryMem := fs.String("max-query-mem", "", "per-query memory budget for materializing operators, e.g. 64M or 1G (empty: unlimited)")
 	poolBytes := fs.String("pool-bytes", "", "buffer pool budget for decoded sealed segments, e.g. 256M (empty: unlimited); past it cold segments evict back to the snapshot")
@@ -83,7 +82,6 @@ Flags:`)
 	}
 
 	st, organized, err := loadStoreOpts(fs.Arg(0), *minSupport, func(o *srdf.Options) {
-		o.Parallelism = *parallelism
 		o.PoolBytes = poolBudget
 	})
 	if err != nil {

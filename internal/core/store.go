@@ -62,9 +62,6 @@ type Options struct {
 	PoolBytes int64
 	// Dedup removes duplicate triples on Organize (RDF graphs are sets).
 	Dedup bool
-	// Parallelism is the morsel-scan worker count for RDFscan; <=1
-	// scans sequentially.
-	Parallelism int
 	// CompactThreshold is the delta size (delta rows + tombstones) that
 	// auto-triggers Compact during a refresh; 0 means
 	// DefaultCompactThreshold, negative disables auto-compaction.
@@ -1071,11 +1068,10 @@ func (s *Store) recordWorkloadLocked(q *sparql.Query) {
 // snapshot queries execute against.
 func (s *Store) publishSnapshotLocked() {
 	ctx := &exec.Ctx{
-		Dict:        s.dict,
-		Idx:         s.idx,
-		Cat:         s.cat,
-		Pool:        s.pool,
-		Parallelism: s.opts.Parallelism,
+		Dict: s.dict,
+		Idx:  s.idx,
+		Cat:  s.cat,
+		Pool: s.pool,
 	}
 	ctx.TrackProjections()
 	s.snap = &snapshot{
@@ -1299,42 +1295,6 @@ func queryCtx(snap *snapshot, ctx context.Context, qopts QueryOptions) *exec.Ctx
 	return ectx
 }
 
-// QueryReference executes a query through the materializing reference
-// path: the BGP tree (without the plan's compiled FILTER nodes) is
-// drained operator-at-a-time and topped with the PR-1 materializing
-// head, which evaluates every FILTER with the tree-walking interpreter.
-// It exists for differential testing — the streaming pipeline must stay
-// row-identical to it.
-func (s *Store) QueryReference(src string, qopts QueryOptions) (res *exec.Result, err error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	p, snap, err := s.planLocked(q, qopts, false)
-	if err != nil {
-		return nil, err
-	}
-	ectx := queryCtx(snap, nil, qopts)
-	// The reference path materializes on the caller's goroutine, outside
-	// the streaming iterator's recovery — catch panics here so a broken
-	// operator fails the query, not the process.
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, exec.NewPanicError("reference evaluation", r)
-		}
-	}()
-	rel := plan.Exec(p.BGP(), ectx)
-	res, err = exec.Head(ectx, rel, q)
-	if err == nil {
-		if eerr := ectx.ExecErr(); eerr != nil {
-			return nil, eerr
-		}
-	}
-	return res, err
-}
-
 // Rows is a streaming query result: rows are produced by the vectorized
 // pipeline as the consumer pulls, so LIMIT queries stop scanning early
 // and large results never materialize. The iterator reads an immutable
@@ -1412,9 +1372,9 @@ func (s *Store) QueryStream(src string, qopts QueryOptions) (*Rows, error) {
 }
 
 // QueryStreamCtx is QueryStream bound to a context: when ctx fires —
-// per-query timeout, client disconnect — the pipeline's scans, joins
-// and morsel workers stop at the next batch boundary, Next returns
-// false, and Rows.Err reports the cause. Planning resolves through the
+// per-query timeout, client disconnect — the pipeline's scans and joins
+// stop at the next batch boundary, Next returns false, and Rows.Err
+// reports the cause. Planning resolves through the
 // prepared-plan cache; parse/plan failures are BadQueryError.
 func (s *Store) QueryStreamCtx(ctx context.Context, src string, qopts QueryOptions) (*Rows, error) {
 	s.gate.RLock()

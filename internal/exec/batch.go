@@ -163,7 +163,7 @@ func (b *Batch) asRel() *Rel {
 }
 
 // Operator is a pull-based vectorized plan operator. The contract:
-// Open prepares state (and may start workers); Next fills the batch with
+// Open prepares state; Next fills the batch with
 // the next rows and reports whether it produced any — false means the
 // stream is exhausted; Close releases resources and may be called before
 // exhaustion (early termination, e.g. LIMIT). Open/Close are called at
@@ -268,9 +268,9 @@ func (s *LazyOp) Next(b *Batch) bool {
 }
 func (s *LazyOp) Close() {}
 
-// MapOp applies a chunkwise Rel transformation to every input batch: the
-// vectorized form of the materialized operators (Filter, RDFJoin,
-// EqSelect) that map one relation to another row-locally. One input batch
+// MapOp applies a chunkwise Rel transformation to every input batch (the
+// RDFJoin and EqSelect steps) that maps one relation to another
+// row-locally. One input batch
 // may expand to more than one output batch (joins) or shrink to zero
 // (filters); MapOp buffers the expansion and keeps pulling on shrink.
 type MapOp struct {

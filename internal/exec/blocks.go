@@ -19,7 +19,7 @@ import (
 // free list per element type and go back when their owner closes:
 //
 //   - ScanOp takes its scanScratch blocks in Open and returns them in
-//     Close; a morsel worker takes its own and returns them when it exits.
+//     Close.
 //   - RowIter takes its VBatch columns when the pipeline opens and
 //     returns them in RowIter.Close.
 //   - A compiled expression program (Filter, Project, HashAggregate)

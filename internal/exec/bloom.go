@@ -9,8 +9,9 @@ import (
 // BloomFilter is a split bloom filter over OIDs: two probe positions
 // derived from one 64-bit mix of the OID, in a power-of-two bit array
 // sized at ~10 bits per key (<1% false positives). It is filled once on
-// a hash join's build side and then read concurrently by scan workers,
-// so it must not be mutated after publication.
+// a hash join's build side and then read by the probe-side scans (of
+// every query sharing the plan), so it must not be mutated after
+// publication.
 type BloomFilter struct {
 	bits []uint64
 	mask uint64 // bit-index mask; len(bits)*64 - 1

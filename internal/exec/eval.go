@@ -7,11 +7,6 @@ import (
 	"srdf/internal/sparql"
 )
 
-// EvalError reports a typing problem during expression evaluation.
-type EvalError struct{ Msg string }
-
-func (e *EvalError) Error() string { return "exec: " + e.Msg }
-
 // evalEnv resolves variables for one row.
 type evalEnv struct {
 	ctx  *Ctx
@@ -181,27 +176,6 @@ func truth(v dict.Value) (bool, bool) {
 	default:
 		return false, false
 	}
-}
-
-// Filter returns the rows of rel satisfying expr.
-func Filter(ctx *Ctx, rel *Rel, expr sparql.Expr) *Rel {
-	env := newEvalEnv(ctx, rel)
-	var keep []int32
-	for i := 0; i < rel.Len(); i++ {
-		env.row = i
-		if b, ok := truth(env.evalValue(expr)); ok && b {
-			keep = append(keep, int32(i))
-		}
-	}
-	return rel.Select(keep)
-}
-
-// EvalRow evaluates an expression over row i of rel (exported for the
-// head operators in head.go and for tests).
-func EvalRow(ctx *Ctx, rel *Rel, i int, expr sparql.Expr) dict.Value {
-	env := newEvalEnv(ctx, rel)
-	env.row = i
-	return env.evalValue(expr)
 }
 
 func (r *Rel) String() string {

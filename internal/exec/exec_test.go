@@ -68,6 +68,30 @@ e:c1 e:label "tools" .
 e:c2 e:label "toys" .
 `
 
+// defaultStar drains the Default-family star operator.
+func defaultStar(f *fixture, star Star) *Rel {
+	return Drain(f.ctx, NewDefaultStarOp(star, f.idx))
+}
+
+// scanTable drains an RDFscan of star over the whole of tab.
+func scanTable(f *fixture, tab *relational.Table, star Star, zones bool) *Rel {
+	return Drain(f.ctx, NewScanOp(tab, star, zones, 0, -1))
+}
+
+// union drains the union of relations with the schema vars.
+func union(f *fixture, vars []string, rels ...*Rel) *Rel {
+	ops := make([]Operator, len(rels))
+	for i, r := range rels {
+		ops[i] = NewRelSource(r)
+	}
+	return Drain(f.ctx, NewUnionOp(vars, ops...))
+}
+
+// head runs a query's FILTERs and solution modifiers over rel.
+func head(f *fixture, rel *Rel, q *sparql.Query) (*Result, error) {
+	return HeadStream(f.ctx, NewRelSource(rel), q)
+}
+
 func shopStar(f *fixture) Star {
 	return Star{SubjVar: "s", Props: []StarProp{
 		{Pred: f.pred("http://s/name"), ObjVar: "n"},
@@ -79,7 +103,7 @@ func shopStar(f *fixture) Star {
 func TestDefaultStarMatchesRDFScan(t *testing.T) {
 	f := newFixture(t, shopSrc, 3)
 	star := shopStar(f)
-	def := DefaultStar(f.ctx, star, f.idx)
+	def := defaultStar(f, star)
 	tab := f.cat.Visible()[0]
 	if tab.Count != 5 {
 		for _, tt := range f.cat.Visible() {
@@ -88,7 +112,7 @@ func TestDefaultStarMatchesRDFScan(t *testing.T) {
 			}
 		}
 	}
-	rdf := RDFScan(f.ctx, tab, star, false, 0, -1)
+	rdf := scanTable(f, tab, star, false)
 	if def.Len() != 5 || rdf.Len() != 5 {
 		t.Fatalf("default=%d rdfscan=%d rows, want 5", def.Len(), rdf.Len())
 	}
@@ -113,7 +137,7 @@ func TestDefaultStarWithConstSeed(t *testing.T) {
 		{Pred: f.pred("http://s/cat"), ObjConst: c1},
 		{Pred: f.pred("http://s/name"), ObjVar: "n"},
 	}}
-	rel := DefaultStar(f.ctx, star, f.idx)
+	rel := defaultStar(f, star)
 	if rel.Len() != 3 {
 		t.Fatalf("rows = %d, want 3 (c1 products)", rel.Len())
 	}
@@ -138,7 +162,7 @@ func TestRDFScanRangePushdown(t *testing.T) {
 			tab = tt
 		}
 	}
-	rel := RDFScan(f.ctx, tab, star, true, 0, -1)
+	rel := scanTable(f, tab, star, true)
 	if rel.Len() != 3 {
 		t.Fatalf("range scan rows = %d, want 3 (20,30,40)", rel.Len())
 	}
@@ -154,10 +178,10 @@ func TestRDFScanNullsAreRejected(t *testing.T) {
 			tab = tt
 		}
 	}
-	rel := RDFScan(f.ctx, tab, star, false, 0, -1)
+	rel := scanTable(f, tab, star, false)
 	for i := 0; i < rel.Len(); i++ {
 		if rel.Cols[rel.ColIdx("p")][i] == dict.Nil {
-			t.Fatal("NULL price leaked through RDFScan")
+			t.Fatal("NULL price leaked through the scan")
 		}
 	}
 }
@@ -177,7 +201,7 @@ func TestRDFJoinPositional(t *testing.T) {
 			catTab = tt
 		}
 	}
-	in := RDFScan(f.ctx, prodTab, prodStar, false, 0, -1)
+	in := scanTable(f, prodTab, prodStar, false)
 	catStar := Star{SubjVar: "c", Props: []StarProp{
 		{Pred: f.pred("http://s/label"), ObjVar: "l"},
 	}}
@@ -214,8 +238,8 @@ func TestRDFJoinFallbackForForeignSubjects(t *testing.T) {
 		}
 	}
 	prodStar := Star{SubjVar: "s", Props: []StarProp{{Pred: f.pred("http://s/cat"), ObjVar: "c"}}}
-	in := RDFScan(f.ctx, prodTab, prodStar, false, 0, -1)
-	in = Union(in, ResidualStar(f.ctx, prodStar, []*relational.Table{prodTab}))
+	in := union(f, prodStar.Vars(), scanTable(f, prodTab, prodStar, false),
+		ResidualStar(f.ctx, prodStar, []*relational.Table{prodTab}))
 	catStar := Star{SubjVar: "c", Props: []StarProp{{Pred: f.pred("http://s/label"), ObjVar: "l"}}}
 	out := RDFJoin(f.ctx, in, "c", catTab, catStar, f.idx)
 	// all 6 products must find a label, incl. the one pointing at the
@@ -235,7 +259,7 @@ func TestResidualStarFindsIrregularMatches(t *testing.T) {
 	var rels []*Rel
 	for _, tt := range covering {
 		if tt.Col(star.Props[0].Pred) != nil {
-			rels = append(rels, RDFScan(f.ctx, tt, star, false, 0, -1))
+			rels = append(rels, scanTable(f, tt, star, false))
 		}
 	}
 	var coverTabs []*relational.Table
@@ -245,7 +269,7 @@ func TestResidualStarFindsIrregularMatches(t *testing.T) {
 		}
 	}
 	rels = append(rels, ResidualStar(f.ctx, star, coverTabs))
-	all := Union(rels...)
+	all := union(f, star.Vars(), rels...)
 	if all.Len() != 6 {
 		t.Fatalf("name matches = %d, want 6 (5 products + zed)", all.Len())
 	}
@@ -261,7 +285,7 @@ func TestHashJoin(t *testing.T) {
 	r.AppendRow(dict.ResourceOID(10), dict.ResourceOID(100))
 	r.AppendRow(dict.ResourceOID(10), dict.ResourceOID(101))
 	r.AppendRow(dict.ResourceOID(30), dict.ResourceOID(300))
-	out := HashJoin(f.ctx, l, r)
+	out := Drain(f.ctx, NewHashJoinOp(NewRelSource(l), NewRelSource(r), false))
 	if out.Len() != 3 {
 		t.Fatalf("join rows = %d, want 3", out.Len())
 	}
@@ -272,7 +296,7 @@ func TestHashJoin(t *testing.T) {
 	x := NewRel("z")
 	x.AppendRow(dict.ResourceOID(7))
 	x.AppendRow(dict.ResourceOID(8))
-	cp := HashJoin(f.ctx, l, x)
+	cp := Drain(f.ctx, NewHashJoinOp(NewRelSource(l), NewRelSource(x), false))
 	if cp.Len() != 6 {
 		t.Errorf("cross product rows = %d, want 6", cp.Len())
 	}
@@ -281,12 +305,12 @@ func TestHashJoin(t *testing.T) {
 func TestFilterAndTruthSemantics(t *testing.T) {
 	f := newFixture(t, shopSrc, 3)
 	star := shopStar(f)
-	rel := DefaultStar(f.ctx, star, f.idx)
+	rel := defaultStar(f, star)
 	q, err := sparql.Parse(`PREFIX e: <http://s/> SELECT ?s WHERE { ?s e:price ?p . FILTER (?p > 25 && ?p != 40) }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Filter(f.ctx, rel, q.Filters[0])
+	out := Drain(f.ctx, NewFilterOp(NewRelSource(rel), q.Filters[0]))
 	if out.Len() != 2 { // 30, 50
 		t.Fatalf("filter rows = %d, want 2", out.Len())
 	}
@@ -295,14 +319,14 @@ func TestFilterAndTruthSemantics(t *testing.T) {
 func TestHeadAggregates(t *testing.T) {
 	f := newFixture(t, shopSrc, 3)
 	star := shopStar(f)
-	rel := DefaultStar(f.ctx, star, f.idx)
+	rel := defaultStar(f, star)
 	q, err := sparql.Parse(`PREFIX e: <http://s/>
 SELECT ?c (SUM(?p) AS ?tot) (COUNT(*) AS ?n) (MIN(?p) AS ?lo) (MAX(?p) AS ?hi) (AVG(?p) AS ?avg)
 WHERE { ?s e:cat ?c . ?s e:price ?p . ?s e:name ?n2 . } GROUP BY ?c ORDER BY DESC(?tot)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Head(f.ctx, rel, q)
+	res, err := head(f, rel, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +352,7 @@ func TestHeadEmptyAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Head(f.ctx, rel, q)
+	res, err := head(f, rel, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +364,12 @@ func TestHeadEmptyAggregate(t *testing.T) {
 func TestHeadDistinctOrderLimit(t *testing.T) {
 	f := newFixture(t, shopSrc, 3)
 	star := Star{SubjVar: "s", Props: []StarProp{{Pred: f.pred("http://s/cat"), ObjVar: "c"}}}
-	rel := DefaultStar(f.ctx, star, f.idx)
+	rel := defaultStar(f, star)
 	q, err := sparql.Parse(`PREFIX e: <http://s/> SELECT DISTINCT ?c WHERE { ?s e:cat ?c . } ORDER BY ?c LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Head(f.ctx, rel, q)
+	res, err := head(f, rel, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,26 +378,15 @@ func TestHeadDistinctOrderLimit(t *testing.T) {
 	}
 }
 
-func TestSemiJoinRange(t *testing.T) {
-	rel := NewRel("k")
-	for i := 1; i <= 10; i++ {
-		rel.AppendRow(dict.ResourceOID(uint64(i)))
-	}
-	out := SemiJoinRange(rel, "k", dict.ResourceOID(3), dict.ResourceOID(6))
-	if out.Len() != 4 {
-		t.Fatalf("semijoin rows = %d, want 4", out.Len())
-	}
-}
-
 func TestPageAccountingDiffersAcrossOperators(t *testing.T) {
 	f := newFixture(t, shopSrc, 3)
 	f.pool.ResetStats()
 	f.pool.ResetCold()
 	star := shopStar(f)
-	_ = DefaultStar(f.ctx, star, f.idx)
+	_ = defaultStar(f, star)
 	defStats := f.pool.Stats()
 	if defStats.Misses == 0 {
-		t.Fatal("DefaultStar should touch pages")
+		t.Fatal("the Default star should touch pages")
 	}
 	f.pool.ResetStats()
 	f.pool.ResetCold()
@@ -383,10 +396,10 @@ func TestPageAccountingDiffersAcrossOperators(t *testing.T) {
 			tab = tt
 		}
 	}
-	_ = RDFScan(f.ctx, tab, star, false, 0, -1)
+	_ = scanTable(f, tab, star, false)
 	rdfStats := f.pool.Stats()
 	if rdfStats.Misses == 0 {
-		t.Fatal("RDFScan should touch pages")
+		t.Fatal("RDFscan should touch pages")
 	}
 	// At this toy scale both plans fit in a handful of pages; the page
 	// *reduction* of RDFscan is asserted at scale by the RDF-H benches.
@@ -404,20 +417,5 @@ func TestLookupStarSubject(t *testing.T) {
 	tm, _ := f.d.Term(rel.Cols[ni][0])
 	if tm.Value != "cow" {
 		t.Errorf("name = %q", tm.Value)
-	}
-}
-
-func TestUnionAlignsColumnsByName(t *testing.T) {
-	a := NewRel("x", "y")
-	a.AppendRow(dict.ResourceOID(1), dict.ResourceOID(2))
-	b := NewRel("y", "x")
-	b.AppendRow(dict.ResourceOID(20), dict.ResourceOID(10))
-	u := Union(a, b)
-	if u.Len() != 2 {
-		t.Fatalf("union rows = %d", u.Len())
-	}
-	xi, yi := u.ColIdx("x"), u.ColIdx("y")
-	if u.Cols[xi][1] != dict.ResourceOID(10) || u.Cols[yi][1] != dict.ResourceOID(20) {
-		t.Errorf("column alignment: %v %v", u.Cols[xi][1], u.Cols[yi][1])
 	}
 }

@@ -16,9 +16,8 @@ func benchHeadFixture(b *testing.B, n int) (*fixture, Star) {
 	return f, bigStar(f)
 }
 
-// BenchmarkStream_AggregateHead contrasts the PR-1 materializing head
-// (drain the whole pipeline, then aggregate the relation) with the
-// streaming batch aggregate over the same scan.
+// BenchmarkStream_AggregateHead measures the streaming hash aggregate
+// over a multi-block star scan.
 func BenchmarkStream_AggregateHead(b *testing.B) {
 	f, star := benchHeadFixture(b, 40000)
 	tab := bigTable(b, f)
@@ -28,14 +27,6 @@ WHERE { ?s e:a ?va . ?s e:b ?vb . } GROUP BY ?vb`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("Materialized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rel := Drain(f.ctx, NewScanOp(tab, star, false, 0, -1))
-			if _, err := MaterializedHead(f.ctx, rel, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("Streaming", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := HeadStream(f.ctx, NewScanOp(tab, star, false, 0, -1), q); err != nil {
@@ -45,9 +36,8 @@ WHERE { ?s e:a ?va . ?s e:b ?vb . } GROUP BY ?vb`)
 	})
 }
 
-// BenchmarkStream_TopKOrderBy contrasts the materializing full sort with
-// the bounded top-K heap the streaming head switches to under ORDER BY +
-// LIMIT.
+// BenchmarkStream_TopKOrderBy measures the bounded top-K heap the
+// streaming head switches to under ORDER BY + LIMIT.
 func BenchmarkStream_TopKOrderBy(b *testing.B) {
 	f, star := benchHeadFixture(b, 40000)
 	tab := bigTable(b, f)
@@ -56,14 +46,6 @@ SELECT ?s ?va WHERE { ?s e:a ?va . ?s e:b ?vb . } ORDER BY DESC(?va) ?s LIMIT 10
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("Materialized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rel := Drain(f.ctx, NewScanOp(tab, star, false, 0, -1))
-			if _, err := MaterializedHead(f.ctx, rel, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("Streaming", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := HeadStream(f.ctx, NewScanOp(tab, star, false, 0, -1), q); err != nil {
@@ -73,8 +55,7 @@ SELECT ?s ?va WHERE { ?s e:a ?va . ?s e:b ?vb . } ORDER BY DESC(?va) ?s LIMIT 10
 	})
 }
 
-// BenchmarkStream_DistinctHead measures the streaming DISTINCT against
-// the materializing one.
+// BenchmarkStream_DistinctHead measures the streaming DISTINCT.
 func BenchmarkStream_DistinctHead(b *testing.B) {
 	f, star := benchHeadFixture(b, 40000)
 	tab := bigTable(b, f)
@@ -83,14 +64,6 @@ SELECT DISTINCT ?vb WHERE { ?s e:a ?va . ?s e:b ?vb . }`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("Materialized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rel := Drain(f.ctx, NewScanOp(tab, star, false, 0, -1))
-			if _, err := MaterializedHead(f.ctx, rel, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("Streaming", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := HeadStream(f.ctx, NewScanOp(tab, star, false, 0, -1), q); err != nil {

@@ -8,21 +8,8 @@ import (
 	"srdf/internal/triples"
 )
 
-// RDFScan is the paper's new scan operator (§II-C): it "delivers a tuple
-// stream for multiple properties in one go" by walking the aligned
-// columns of one CS table. All star self-joins disappear — row i of
-// every column belongs to the same subject. Zone maps prune blocks when
-// useZones is set; rowLo/rowHi (rowHi -1 = open) restrict the scan to a
-// row window, which the planner derives from range predicates on the
-// table's sort key.
-//
-// This is the materializing adapter over the streaming ScanOp: the same
-// compressed-segment predicate kernels and selection vectors run
-// underneath, and the result is gathered with bulk column copies.
-func RDFScan(ctx *Ctx, t *relational.Table, star Star, useZones bool, rowLo, rowHi int) *Rel {
-	return Drain(ctx, NewScanOp(t, star, useZones, rowLo, rowHi))
-}
-
+// blockMayMatch reports whether zone maps leave block b of the scanned
+// columns able to hold a row satisfying every property.
 func blockMayMatch(cols []*relational.Col, props []StarProp, b int) bool {
 	for i := range cols {
 		p := &props[i]
@@ -148,7 +135,7 @@ func anyNegIdx(idx []int) bool {
 // properties, overflow values, subjects of dropped CSs) or in link
 // tables (split-off multi-valued properties of other CSs, which no
 // RDFscan reads). Rows entirely answerable by a covering table are
-// suppressed to avoid duplicating RDFScan output.
+// suppressed to avoid duplicating ScanOp output.
 func ResidualStar(ctx *Ctx, star Star, covering []*relational.Table) *Rel {
 	rel := NewRel(star.Vars()...)
 	cat := ctx.Cat
@@ -267,7 +254,7 @@ func ResidualStar(ctx *Ctx, star Star, covering []*relational.Table) *Rel {
 			continue
 		}
 		// cross product; skip the all-table combination when a covering
-		// table already emits it via RDFScan.
+		// table already emits it via ScanOp.
 		row := make([]dict.OID, 0, len(rel.Vars))
 		row = append(row, s)
 		var rec func(pi int, allTable bool)

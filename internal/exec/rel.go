@@ -91,9 +91,7 @@ func (r *Rel) Select(keep []int32) *Rel {
 }
 
 // appendOIDKey appends v's fixed-width little-endian encoding to kb —
-// the one key encoding shared by hash joins, grouping and the parallel
-// aggregate merge (identical encodings are what make merged group keys
-// line up across workers).
+// the hash join's key encoding.
 func appendOIDKey(kb []byte, v dict.OID) []byte {
 	for sh := 0; sh < 64; sh += 8 {
 		kb = append(kb, byte(v>>sh))
@@ -104,9 +102,6 @@ func appendOIDKey(kb []byte, v dict.OID) []byte {
 // Ctx carries the store state an executor needs.
 type Ctx struct {
 	Dict *dict.Dictionary
-	// Parallelism is the morsel-scan worker count; <=1 scans
-	// sequentially.
-	Parallelism int
 	// Idx are the six projections over the full triple table (the
 	// exhaustive-indexing access paths of the Default plans).
 	Idx *triples.IndexSet
@@ -120,12 +115,11 @@ type Ctx struct {
 	// The queries of one snapshot share it; nil disables the accounting.
 	projTracks *sync.Map
 	// Query is the cancellation signal of the running query (nil: never
-	// cancelled). Operators poll it at batch/morsel boundaries: when it
-	// fires, Next calls report exhaustion, workers stop claiming morsels,
-	// and the drain loops of materializing operators (hash build,
-	// aggregation, sort) bail mid-input — so a per-query timeout or a
-	// disconnected client stops scans and joins promptly instead of
-	// running the pipeline dry.
+	// cancelled). Operators poll it at batch boundaries: when it fires,
+	// Next calls report exhaustion and the drain loops of materializing
+	// operators (hash build, aggregation, sort) bail mid-input — so a
+	// per-query timeout or a disconnected client stops scans and joins
+	// promptly instead of running the pipeline dry.
 	Query context.Context
 	// done caches Query.Done() so the per-batch poll is one channel read.
 	done <-chan struct{}
@@ -143,7 +137,7 @@ type Ctx struct {
 	// the access log.
 	ReqID string
 	// fail is the query's failure slot: the first executor-side error —
-	// a recovered worker panic, an exhausted memory budget — is parked
+	// a recovered panic, an exhausted memory budget — is parked
 	// here and treated like a cancellation by every batch-boundary poll,
 	// so the whole pipeline unwinds and the iterator reports the cause.
 	// Allocated per query by WithQueryContext; nil on the shared
@@ -178,18 +172,12 @@ func (c *Ctx) WithQueryContext(qctx context.Context) *Ctx {
 	return &cp
 }
 
-// Fail parks err as the query's failure (first error wins) and reports
-// whether the Ctx had a failure slot to record it in. Worker goroutines
-// without a slot (a Ctx never forked by WithQueryContext) get false back
-// and should re-panic rather than swallow the error.
-func (c *Ctx) Fail(err error) bool {
-	if c.fail == nil {
-		return false
-	}
-	if err != nil {
+// Fail parks err as the query's failure (first error wins). A Ctx never
+// forked by WithQueryContext has no failure slot and drops it.
+func (c *Ctx) Fail(err error) {
+	if c.fail != nil && err != nil {
 		c.fail.CompareAndSwap(nil, &failSlot{err: err})
 	}
-	return true
 }
 
 // ExecErr returns the query's recorded executor failure (recovered
@@ -206,7 +194,7 @@ func (c *Ctx) ExecErr() error {
 
 // Cancelled reports whether the query should stop: its context fired or
 // an executor failure was recorded. It is cheap enough to poll once per
-// batch or morsel.
+// batch.
 func (c *Ctx) Cancelled() bool {
 	if c.fail != nil && c.fail.Load() != nil {
 		return true

@@ -87,7 +87,7 @@ func HeadShapeOf(q *sparql.Query, vars []string) (HeadShape, error) {
 
 // Ops builds the head's value pipeline over an operator tree:
 // aggregation or projection, then DISTINCT, then ORDER BY (top-K when
-// bounded) — the modifier order of the materializing reference head.
+// bounded) — SPARQL's solution-modifier order.
 func (hs HeadShape) Ops(op Operator) ValOperator {
 	var vop ValOperator
 	if hs.Aggregate {
@@ -196,7 +196,7 @@ func (it *RowIter) next() bool {
 			it.batch.Reset()
 			if !it.vop.Next(it.batch) {
 				// a false Next is exhaustion unless the query context
-				// fired or an executor failure (worker panic, memory
+				// fired or an executor failure (recovered panic, memory
 				// budget) was recorded, in which case the pipeline
 				// bailed early
 				if serr := it.ctx.StopErr(); serr != nil {
@@ -270,8 +270,8 @@ func (it *RowIter) Collect() *Result {
 	return res
 }
 
-// HeadStream evaluates a full query over a streaming pipeline: Head's
-// semantics driven batch-at-a-time, with LIMIT terminating the pull
+// HeadStream evaluates a full query (FILTERs and solution modifiers)
+// over an operator tree and collects the rows; LIMIT terminates the pull
 // early.
 func HeadStream(ctx *Ctx, op Operator, q *sparql.Query) (*Result, error) {
 	it, err := Stream(ctx, op, q)

@@ -71,36 +71,9 @@ func (s *Star) Vars() []string {
 	return out
 }
 
-// DefaultStar evaluates a star with the Default plan family: a seed
-// index scan on the most selective pattern, then one self-join per
-// remaining property (index lookups into PSO, or a merge join when the
-// candidate set is large). This reproduces the access pattern the paper
-// critiques: without clustering, the lookups hit the PSO index "all over
-// the place".
-func DefaultStar(ctx *Ctx, star Star, idx *triples.IndexSet) *Rel {
-	if len(star.Props) == 0 {
-		return NewRel(star.SubjVar)
-	}
-	pso := idx.Get(triples.PSO)
-	pos := idx.Get(triples.POS)
-	seed, _ := chooseSeed(&star, pso, pos)
-	rel := seedScan(ctx, &star.Props[seed], star.SubjVar, pso, pos)
-	for i := range star.Props {
-		if i == seed {
-			continue
-		}
-		rel = extendStar(ctx, rel, star.SubjVar, &star.Props[i], pso)
-		if rel.Len() == 0 {
-			break
-		}
-	}
-	return rel
-}
-
 // chooseSeed picks the star property to evaluate first — bound-object
 // patterns, then range patterns, then the smallest property run — and
-// returns its index and scan cost. Both the materialized and streaming
-// Default-family operators use it, so they always agree on access paths.
+// returns its index and scan cost.
 func chooseSeed(star *Star, pso, pos *triples.Projection) (seed, cost int) {
 	seed, cost = -1, -1
 	for i := range star.Props {
@@ -186,73 +159,6 @@ func seedScan(ctx *Ctx, p *StarProp, subjVar string, pso, pos *triples.Projectio
 		rel.Cols[0] = append(rel.Cols[0], pso.B[lo:hi]...)
 		return rel
 	}
-}
-
-// extendStar joins one more property onto the current binding relation:
-// an index-lookup self-join when the relation is small relative to the
-// property run, otherwise a merge self-join over the full run. The input
-// relation must be sorted by the subject column (seedScan and extendStar
-// maintain this).
-func extendStar(ctx *Ctx, rel *Rel, subjVar string, p *StarProp, pso *triples.Projection) *Rel {
-	si := rel.ColIdx(subjVar)
-	runLo, runHi := pso.Range1(p.Pred)
-	runLen := runHi - runLo
-
-	outVars := rel.Vars
-	if p.ObjVar != "" {
-		outVars = append(append([]string{}, rel.Vars...), p.ObjVar)
-	}
-	out := NewRel(outVars...)
-	buf := make([]dict.OID, 0, len(rel.Vars)+1)
-
-	if rel.Len()*4 < runLen {
-		// Index nested-loop: one lookup per candidate subject. Page
-		// touches land wherever the subject's rows happen to be — dense
-		// after clustering, scattered in parse order.
-		for i := 0; i < rel.Len(); i++ {
-			s := rel.Cols[si][i]
-			lo, hi := pso.Range2(p.Pred, s)
-			if hi == lo {
-				continue
-			}
-			ctx.touchProj(pso, lo, hi, 4)
-			for k := lo; k < hi; k++ {
-				o := pso.C[k]
-				if !p.matches(o) {
-					continue
-				}
-				buf = rel.Row(i, buf)
-				if p.ObjVar != "" {
-					buf = append(buf, o)
-				}
-				out.AppendRow(buf...)
-			}
-		}
-		return out
-	}
-
-	// Merge self-join over the whole property run.
-	ctx.touchProj(pso, runLo, runHi, 2|4)
-	k := runLo
-	for i := 0; i < rel.Len(); i++ {
-		s := rel.Cols[si][i]
-		// rows are sorted by subject; catch k up
-		for k < runHi && pso.B[k] < s {
-			k++
-		}
-		for j := k; j < runHi && pso.B[j] == s; j++ {
-			o := pso.C[j]
-			if !p.matches(o) {
-				continue
-			}
-			buf = rel.Row(i, buf)
-			if p.ObjVar != "" {
-				buf = append(buf, o)
-			}
-			out.AppendRow(buf...)
-		}
-	}
-	return out
 }
 
 // LookupStarSubject evaluates a star for one concrete subject via SPO

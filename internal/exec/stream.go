@@ -3,25 +3,25 @@ package exec
 import (
 	"srdf/internal/colstore"
 	"srdf/internal/dict"
+	"srdf/internal/fault"
 	"srdf/internal/relational"
 	"srdf/internal/sparql"
 	"srdf/internal/triples"
 )
 
-// ScanOp is the streaming RDFScan: it walks one CS table block by block
-// (the zone-map granularity), pruning blocks and touching pages only as
-// the consumer pulls — so a satisfied LIMIT stops the scan before the
-// tail blocks are ever faulted in.
+// ScanOp is the paper's RDFscan operator (§II-C): it "delivers a tuple
+// stream for multiple properties in one go" from the aligned columns of
+// one CS table, so the star needs no self-joins. It walks the table
+// block by block (the zone-map granularity), pruning blocks and touching
+// pages only as the consumer pulls — so a satisfied LIMIT stops the scan
+// before the tail blocks are ever faulted in.
 //
 // Predicates are evaluated by the column predicate kernels directly on
 // the compressed segments (RLE answers equality in O(runs), FOR blocks
 // prune on min/max before touching packed words); the surviving rows
 // are emitted as a selection vector over zero-copy decoded block views,
 // so rejected rows are never copied — consumers gather through Batch.Sel
-// only at materialization points. With ctx.Parallelism > 1 the block
-// range is split into morsels and dispatched to a worker pool (see
-// parallel.go); the ordered merge keeps row order identical to the
-// sequential scan.
+// only at materialization points.
 type ScanOp struct {
 	Table    *relational.Table
 	Star     Star
@@ -41,13 +41,12 @@ type ScanOp struct {
 	last   int // last block (inclusive)
 	lo     int // effective row window
 	hi     int
-	// pinned is the block whose columns the sequential path holds
-	// buffer-pool pins on (-1 = none): the views lent by emitBlock stay
-	// backed until the consumer's next pull, so eviction never races a
-	// live selection-vector view.
+	// pinned is the block whose columns the scan holds buffer-pool pins
+	// on (-1 = none): the views lent by emitBlock stay backed until the
+	// consumer's next pull, so eviction never races a live
+	// selection-vector view.
 	pinned int
 	sc     scanScratch
-	par    *morselScan
 	// delta-tail cursor: after the sealed blocks the scan walks the
 	// table's unsealed delta rows (dOn false when the star is
 	// unanswerable and the whole scan is empty).
@@ -55,11 +54,11 @@ type ScanOp struct {
 	dCur int
 }
 
-// scanScratch is the per-scanner (or per-morsel-worker) reusable state:
-// selection buffers, the subject view, and one decode buffer per output
-// column. Nothing here is shared between workers. The block-sized
-// buffers come from the package free lists: init takes them and release
-// returns them, once, when the owner closes (see blocks.go).
+// scanScratch is the per-scanner reusable state: selection buffers, the
+// subject view, and one decode buffer per output column. Nothing here is
+// shared between scans. The block-sized buffers come from the package
+// free lists: init takes them and release returns them, once, when the
+// owner closes (see blocks.go).
 type scanScratch struct {
 	sel, tmp []int32
 	subj     []dict.OID
@@ -167,15 +166,6 @@ func (s *ScanOp) Open(ctx *Ctx) error {
 	s.block = s.lo / colstore.BlockRows
 	s.last = (s.hi - 1) / colstore.BlockRows
 	s.sc.init(&s.Star)
-	if ctx.Parallelism > 1 && s.last-s.block+1 >= 2*morselBlocks {
-		// pre-build zone maps (a no-op for sealed columns, which carry
-		// them from Seal): lazily building them from concurrent workers
-		// would race
-		for _, c := range s.cols {
-			c.Data.Zones()
-		}
-		s.par = startMorselScan(ctx, s, ctx.Parallelism)
-	}
 	return nil
 }
 
@@ -431,45 +421,6 @@ func (s *ScanOp) unpinBlock(blk int) {
 	}
 }
 
-// appendBlock materializes block blk's surviving rows onto dst with bulk
-// column copies — the morsel-worker path, where results cross a channel
-// and cannot lend scratch-backed views. The pin is scoped to the call:
-// the copies land in dst before it returns.
-func (s *ScanOp) appendBlock(blk int, dst *Rel, sc *scanScratch) {
-	s.pinBlock(blk)
-	defer s.unpinBlock(blk)
-	sel, all, wlo, whi := s.selectBlock(blk, sc)
-	if !all && len(sel) == 0 {
-		return
-	}
-	bs := blk * colstore.BlockRows
-	subj := dst.Cols[0]
-	if all {
-		for r := wlo; r < whi; r++ {
-			subj = append(subj, s.Table.SubjectOID(r))
-		}
-	} else {
-		for _, k := range sel {
-			subj = append(subj, s.Table.SubjectOID(bs+int(k)))
-		}
-	}
-	dst.Cols[0] = subj
-	oc, dc := 0, 1
-	for i := range s.cols {
-		if s.Star.Props[i].ObjVar == "" {
-			continue
-		}
-		view := s.blockView(sc, blk, i, oc, wlo, whi, sel)
-		if all {
-			dst.Cols[dc] = append(dst.Cols[dc], view[wlo-bs:whi-bs]...)
-		} else {
-			dst.Cols[dc] = gatherSel(dst.Cols[dc], view, sel)
-		}
-		oc++
-		dc++
-	}
-}
-
 func (s *ScanOp) Next(b *Batch) bool {
 	// the views lent by the previous emitBlock are dead once the
 	// consumer pulls again; release their pins
@@ -480,21 +431,16 @@ func (s *ScanOp) Next(b *Batch) bool {
 	if s.ctx.Cancelled() {
 		return false
 	}
-	if s.par != nil {
-		if s.par.next(b) {
-			return true
-		}
-		// sealed blocks exhausted (the workers covered the whole block
-		// range); the delta tail streams sequentially
-		s.par.stop()
-		s.par = nil
-		s.block = s.last + 1
-	}
 	for s.block <= s.last {
 		// a selective scan can skip many blocks between emitted batches;
 		// re-poll so cancellation latency stays bounded by one block
 		if s.ctx.Cancelled() {
 			return false
+		}
+		// the chaos tests' panic-isolation point: a panicking scan
+		// fails its query, not the process
+		if err := fault.Point("exec.scan"); err != nil {
+			panic(err)
 		}
 		blk := s.block
 		s.block++
@@ -587,18 +533,17 @@ func (s *ScanOp) Close() {
 		s.unpinBlock(s.pinned)
 		s.pinned = -1
 	}
-	if s.par != nil {
-		s.par.stop()
-		s.par = nil
-	}
 	// the consumer stopped pulling, so no lent view is read again
 	s.sc.release()
 }
 
-// DefaultStarOp is the streaming Default-family star: the seed index
-// scan is pulled chunk by chunk and every remaining property is joined
-// onto each chunk, with merge cursors persisting across chunks so the
-// access pattern matches the materialized DefaultStar.
+// DefaultStarOp evaluates a star with the paper's Default plan family: a
+// seed index scan on the most selective pattern, pulled chunk by chunk,
+// then one self-join per remaining property (PSO index lookups, or a
+// merge join when the seed is large). Without clustering the lookups hit
+// the index "all over the place" — the access pattern the paper
+// critiques. Merge cursors persist across chunks, so each property run
+// is read once, in subject order.
 type DefaultStarOp struct {
 	star Star
 	idx  *triples.IndexSet
@@ -673,12 +618,10 @@ func (d *DefaultStarOp) Open(ctx *Ctx) error {
 		p := &d.star.Props[i]
 		runLo, runHi := d.pso.Range1(p.Pred)
 		st := extendState{prop: p, k: runLo, runLo: runLo, runHi: runHi}
-		// The materialized executor decides per extension from the live
-		// relation size; streaming fixes the choice from the seed
-		// cardinality, which is known upfront.
+		// the seed cardinality, known upfront, fixes the choice
 		st.lookup = d.seedLen*4 < runHi-runLo
 		if !st.lookup {
-			// merge self-join reads the whole run, like extendStar
+			// the merge self-join reads the whole run
 			ctx.touchProj(d.pso, runLo, runHi, 2|4)
 		}
 		d.ext = append(d.ext, st)
@@ -972,7 +915,7 @@ func (h *HashJoinOp) Open(ctx *Ctx) error {
 	}
 	h.build = Drain(ctx, buildSide)
 	if err := ctx.StopErr(); err != nil {
-		// the build-side drain bailed (cancel, budget, worker panic):
+		// the build-side drain bailed (cancel, budget, panic):
 		// fail Open instead of probing against a partial build
 		return err
 	}

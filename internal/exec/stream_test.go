@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"srdf/internal/dict"
@@ -60,39 +62,24 @@ func bigTable(t testing.TB, f *fixture) *relational.Table {
 	return nil
 }
 
-func TestScanOpMatchesRDFScan(t *testing.T) {
-	f := newFixture(t, bigSrc(3000), 3)
-	star := Star{SubjVar: "s", Props: []StarProp{
-		{Pred: f.pred("http://b/a"), ObjVar: "va"},
-		{Pred: f.pred("http://b/b"), ObjVar: "vb"},
-	}}
-	tab := bigTable(t, f)
-	want := RDFScan(f.ctx, tab, star, false, 0, -1)
-	got := Drain(f.ctx, NewScanOp(tab, star, false, 0, -1))
-	relEqualOrdered(t, got, want, "full scan")
-
-	// row window + zones
-	want = RDFScan(f.ctx, tab, star, true, 100, 2500)
-	got = Drain(f.ctx, NewScanOp(tab, star, true, 100, 2500))
-	relEqualOrdered(t, got, want, "windowed scan")
-}
-
 func TestScanOpMissingColumnIsEmpty(t *testing.T) {
 	f := newFixture(t, bigSrc(2000), 3)
 	tab := bigTable(t, f)
 	// a predicate with no column in the table (a subject OID is never a
-	// column predicate): must stream empty, like RDFScan, not panic
+	// column predicate): must stream empty, not panic
 	star := Star{SubjVar: "s", Props: []StarProp{
 		{Pred: f.pred("http://b/a"), ObjVar: "va"},
 		{Pred: tab.SubjectOID(0), ObjVar: "vx"},
 	}}
-	want := RDFScan(f.ctx, tab, star, true, 0, -1)
-	got := Drain(f.ctx, NewScanOp(tab, star, true, 0, -1))
-	if want.Len() != 0 || got.Len() != 0 {
-		t.Fatalf("rows = %d streamed, %d materialized; want 0", got.Len(), want.Len())
+	if got := Drain(f.ctx, NewScanOp(tab, star, true, 0, -1)); got.Len() != 0 {
+		t.Fatalf("rows = %d, want 0", got.Len())
 	}
 }
 
+// TestScanOpParallelMatchesSequential runs scans of one table from
+// several goroutines at once, as concurrent queries do: they share the
+// table's pinned blocks and the scratch free lists, and each must stream
+// exactly the rows, in order, of a scan run alone.
 func TestScanOpParallelMatchesSequential(t *testing.T) {
 	f := newFixture(t, bigSrc(9000), 3)
 	star := Star{SubjVar: "s", Props: []StarProp{
@@ -101,32 +88,70 @@ func TestScanOpParallelMatchesSequential(t *testing.T) {
 	}}
 	tab := bigTable(t, f)
 	want := Drain(f.ctx, NewScanOp(tab, star, false, 0, -1))
-
-	pctx := *f.ctx
-	pctx.Parallelism = 4
-	got := Drain(&pctx, NewScanOp(tab, star, false, 0, -1))
-	relEqualOrdered(t, got, want, "parallel scan")
+	got := make([]*Rel, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = Drain(f.ctx, NewScanOp(tab, star, i%2 == 0, 0, -1))
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		relEqualOrdered(t, g, want, fmt.Sprintf("concurrent scan %d", i))
+	}
 }
 
+// TestScanOpParallelEarlyClose closes scans after their first batch
+// while other scans of the same table drain it: an early Close must
+// release its pins and scratch without disturbing the others.
 func TestScanOpParallelEarlyClose(t *testing.T) {
 	f := newFixture(t, bigSrc(9000), 3)
 	star := Star{SubjVar: "s", Props: []StarProp{{Pred: f.pred("http://b/a"), ObjVar: "va"}}}
 	tab := bigTable(t, f)
-	pctx := *f.ctx
-	pctx.Parallelism = 4
-	op := NewScanOp(tab, star, false, 0, -1)
-	if err := op.Open(&pctx); err != nil {
-		t.Fatal(err)
+	want := Drain(f.ctx, NewScanOp(tab, star, false, 0, -1))
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for it := 0; it < 20; it++ {
+				op := NewScanOp(tab, star, false, 0, -1)
+				if i%2 == 1 {
+					if got := Drain(f.ctx, op); got.Len() != want.Len() {
+						errs <- fmt.Errorf("drain %d: %d rows, want %d", i, got.Len(), want.Len())
+						return
+					}
+					continue
+				}
+				if err := op.Open(f.ctx); err != nil {
+					errs <- err
+					return
+				}
+				b := NewBatch(op.Vars())
+				if !op.Next(b) || b.Len() == 0 || b.At(0, 0) != want.Cols[0][0] {
+					errs <- fmt.Errorf("scan %d: wrong first batch", i)
+					return
+				}
+				op.Close()
+			}
+		}(i)
 	}
-	b := NewBatch(op.Vars())
-	if !op.Next(b) || b.Len() == 0 {
-		t.Fatal("no first batch")
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
-	op.Close() // must not deadlock or leak workers
 }
 
+// TestDefaultStarOpMatchesDefaultStar checks the two plan families
+// against each other: the Default family's self-joins over the index
+// projections and the RDFscan of the star's CS table bind the same rows.
 func TestDefaultStarOpMatchesDefaultStar(t *testing.T) {
 	f := newFixture(t, bigSrc(3000), 3)
+	tab := bigTable(t, f)
 	aPred := f.pred("http://b/a")
 	c13, ok := f.d.Lookup(dict.IntLit(13))
 	if !ok {
@@ -146,43 +171,56 @@ func TestDefaultStarOpMatchesDefaultStar(t *testing.T) {
 			{Pred: f.pred("http://b/b"), ObjVar: "vb"},
 		}},
 	} {
-		want := DefaultStar(f.ctx, star, f.idx)
 		got := Drain(f.ctx, NewDefaultStarOp(star, f.idx))
-		// DefaultStar's column order follows the seed choice; compare in
-		// the op's declared order.
-		aligned := NewRel(star.Vars()...)
-		for i, v := range aligned.Vars {
-			aligned.Cols[i] = want.Cols[want.ColIdx(v)]
+		want := Drain(f.ctx, NewScanOp(tab, star, true, 0, -1))
+		if want.Len() == 0 {
+			t.Fatalf("%s: empty scan", name)
 		}
-		relEqualOrdered(t, got, aligned, name)
+		if strings.Join(got.Vars, ",") != strings.Join(want.Vars, ",") {
+			t.Fatalf("%s: vars %v, scan %v", name, got.Vars, want.Vars)
+		}
+		g, w := relRows(got), relRows(want)
+		sort.Strings(g)
+		sort.Strings(w)
+		if strings.Join(g, "\n") != strings.Join(w, "\n") {
+			t.Fatalf("%s: Default family %d rows, RDFscan %d rows, or different rows", name, len(g), len(w))
+		}
 	}
 }
 
+// TestHashJoinOpMatchesHashJoin checks the hash join, built on either
+// side, against a nested-loop join of the same inputs.
 func TestHashJoinOpMatchesHashJoin(t *testing.T) {
 	f := newFixture(t, shopSrc, 3)
 	l := NewRel("a", "b")
 	l.AppendRow(dict.ResourceOID(1), dict.ResourceOID(10))
 	l.AppendRow(dict.ResourceOID(2), dict.ResourceOID(20))
 	l.AppendRow(dict.ResourceOID(3), dict.ResourceOID(30))
+	l.AppendRow(dict.ResourceOID(4), dict.ResourceOID(10))
 	r := NewRel("b", "c")
 	r.AppendRow(dict.ResourceOID(10), dict.ResourceOID(100))
 	r.AppendRow(dict.ResourceOID(10), dict.ResourceOID(101))
 	r.AppendRow(dict.ResourceOID(30), dict.ResourceOID(300))
-	for _, buildLeft := range []bool{true, false} {
-		op := NewHashJoinOp(NewRelSource(l), NewRelSource(r), buildLeft)
-		got := Drain(f.ctx, op)
-		if got.Len() != 3 {
-			t.Fatalf("buildLeft=%v: rows = %d, want 3", buildLeft, got.Len())
+	r.AppendRow(dict.ResourceOID(40), dict.ResourceOID(400))
+	want := NewRel("a", "b", "c")
+	for i := 0; i < l.Len(); i++ {
+		for j := 0; j < r.Len(); j++ {
+			if l.Cols[1][i] == r.Cols[0][j] {
+				want.AppendRow(l.Cols[0][i], l.Cols[1][i], r.Cols[1][j])
+			}
 		}
+	}
+	w := relRows(want)
+	sort.Strings(w)
+	for _, buildLeft := range []bool{true, false} {
+		got := Drain(f.ctx, NewHashJoinOp(NewRelSource(l), NewRelSource(r), buildLeft))
 		if strings.Join(got.Vars, ",") != "a,b,c" {
 			t.Fatalf("buildLeft=%v: vars %v", buildLeft, got.Vars)
 		}
-		// every output row must be a valid combination
-		for i := 0; i < got.Len(); i++ {
-			b, c := got.Cols[1][i], got.Cols[2][i]
-			if (b == dict.ResourceOID(10)) != (c == dict.ResourceOID(100) || c == dict.ResourceOID(101)) {
-				t.Fatalf("buildLeft=%v: bad row b=%v c=%v", buildLeft, b, c)
-			}
+		g := relRows(got)
+		sort.Strings(g)
+		if strings.Join(g, "\n") != strings.Join(w, "\n") {
+			t.Fatalf("buildLeft=%v: rows %q, want %q", buildLeft, g, w)
 		}
 	}
 	// cross product when no shared vars
@@ -190,8 +228,8 @@ func TestHashJoinOpMatchesHashJoin(t *testing.T) {
 	x.AppendRow(dict.ResourceOID(7))
 	x.AppendRow(dict.ResourceOID(8))
 	cp := Drain(f.ctx, NewHashJoinOp(NewRelSource(l), NewRelSource(x), false))
-	if cp.Len() != 6 {
-		t.Errorf("cross product rows = %d, want 6", cp.Len())
+	if cp.Len() != 8 {
+		t.Errorf("cross product rows = %d, want 8", cp.Len())
 	}
 }
 
@@ -281,51 +319,47 @@ func TestScanOpReopenAfterEarlyClose(t *testing.T) {
 			{Pred: aPred, ObjVar: "va", HasRange: true, Lo: lo, Hi: hi}, {Pred: bPred, ObjVar: "vb"}}},
 	}
 	for name, star := range stars {
-		for _, par := range []int{1, 2} {
-			ctx := *f.ctx
-			ctx.Parallelism = par
-			want := Drain(&ctx, NewScanOp(tab, star, true, 0, -1))
-			if want.Len() == 0 {
-				t.Fatalf("%s: empty scan", name)
-			}
-
-			op := NewScanOp(tab, star, true, 0, -1)
-			if err := op.Open(&ctx); err != nil {
-				t.Fatal(err)
-			}
-			b := NewBatch(op.Vars())
-			if !op.Next(b) || b.Len() == 0 {
-				t.Fatalf("%s par=%d: no first batch", name, par)
-			}
-			first := b.CopyRel()
-			op.Close()
-			op.Close()
-			// the double Close returned each block once: the free list
-			// never hands one block to two takers
-			seen := map[*int32]bool{}
-			var taken [][]int32
-			for i := 0; i < 4; i++ {
-				blk := selBlocks.get()
-				if seen[&blk[0]] {
-					t.Fatalf("%s par=%d: a selection block was handed out twice", name, par)
-				}
-				seen[&blk[0]] = true
-				taken = append(taken, blk)
-			}
-			for _, blk := range taken {
-				selBlocks.put(blk)
-			}
-			// another owner takes the released blocks and writes them
-			other := Star{SubjVar: "s", Props: []StarProp{{Pred: bPred, ObjVar: "vb"}, {Pred: aPred, ObjVar: "va"}}}
-			Drain(&ctx, NewScanOp(tab, other, false, 0, -1))
-
-			got := Drain(&ctx, op) // re-opens
-			relEqualOrdered(t, got, want, fmt.Sprintf("%s par=%d re-opened", name, par))
-			prefix := &Rel{Vars: want.Vars, Cols: make([][]dict.OID, len(want.Cols))}
-			for i := range prefix.Cols {
-				prefix.Cols[i] = want.Cols[i][:first.Len()]
-			}
-			relEqualOrdered(t, first, prefix, fmt.Sprintf("%s par=%d first batch", name, par))
+		want := Drain(f.ctx, NewScanOp(tab, star, true, 0, -1))
+		if want.Len() == 0 {
+			t.Fatalf("%s: empty scan", name)
 		}
+
+		op := NewScanOp(tab, star, true, 0, -1)
+		if err := op.Open(f.ctx); err != nil {
+			t.Fatal(err)
+		}
+		b := NewBatch(op.Vars())
+		if !op.Next(b) || b.Len() == 0 {
+			t.Fatalf("%s: no first batch", name)
+		}
+		first := b.CopyRel()
+		op.Close()
+		op.Close()
+		// the double Close returned each block once: the free list
+		// never hands one block to two takers
+		seen := map[*int32]bool{}
+		var taken [][]int32
+		for i := 0; i < 4; i++ {
+			blk := selBlocks.get()
+			if seen[&blk[0]] {
+				t.Fatalf("%s: a selection block was handed out twice", name)
+			}
+			seen[&blk[0]] = true
+			taken = append(taken, blk)
+		}
+		for _, blk := range taken {
+			selBlocks.put(blk)
+		}
+		// another owner takes the released blocks and writes them
+		other := Star{SubjVar: "s", Props: []StarProp{{Pred: bPred, ObjVar: "vb"}, {Pred: aPred, ObjVar: "va"}}}
+		Drain(f.ctx, NewScanOp(tab, other, false, 0, -1))
+
+		got := Drain(f.ctx, op) // re-opens
+		relEqualOrdered(t, got, want, fmt.Sprintf("%s re-opened", name))
+		prefix := &Rel{Vars: want.Vars, Cols: make([][]dict.OID, len(want.Cols))}
+		for i := range prefix.Cols {
+			prefix.Cols[i] = want.Cols[i][:first.Len()]
+		}
+		relEqualOrdered(t, first, prefix, fmt.Sprintf("%s first batch", name))
 	}
 }

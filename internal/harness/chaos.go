@@ -96,7 +96,7 @@ func RunChaosOpen(points []string, seed int64) (err error) {
 		if err != nil {
 			return fmt.Errorf("clean open query: %w", err)
 		}
-		want[q.Text] = sorted(renderResult(res))
+		want[q.Text] = sorted(renderRows(res.Rows))
 	}
 	ref.Close()
 
@@ -129,7 +129,7 @@ func RunChaosOpen(points []string, seed int64) (err error) {
 		if err != nil {
 			return fmt.Errorf("fallback-opened store: %w\nquery: %s", err, q.Text)
 		}
-		if got := sorted(renderResult(res)); !eqSeq(got, want[q.Text]) {
+		if got := sorted(renderRows(res.Rows)); !eqSeq(got, want[q.Text]) {
 			return fmt.Errorf("fallback-opened store diverged\nquery: %s\ngot:  %v\nwant: %v",
 				q.Text, got, want[q.Text])
 		}
@@ -180,7 +180,7 @@ func newChaosEnv(seed int64) (*chaosEnv, error) {
 		return nil, err
 	}
 
-	e.ref = newStore(1)
+	e.ref = newStore()
 	loadAll(e.ref, e.sc.Initial)
 	if _, err := e.ref.Organize(); err != nil {
 		e.close()
@@ -283,9 +283,9 @@ func (e *chaosEnv) verify() error {
 		if err != nil {
 			return fmt.Errorf("recovered store: %w\nquery: %s", err, q.Text)
 		}
-		if !eqSeq(sorted(renderResult(got)), sorted(renderResult(want))) {
+		if !eqSeq(sorted(renderRows(got.Rows)), sorted(renderRows(want.Rows))) {
 			return fmt.Errorf("recovered store diverged from reference\nquery: %s\ngot:  %v\nwant: %v",
-				q.Text, sorted(renderResult(got)), sorted(renderResult(want)))
+				q.Text, sorted(renderRows(got.Rows)), sorted(renderRows(want.Rows)))
 		}
 	}
 
@@ -313,7 +313,7 @@ func (e *chaosEnv) verify() error {
 		if err != nil {
 			return fmt.Errorf("reopened store: %w\nquery: %s", err, q.Text)
 		}
-		if !eqSeq(sorted(renderResult(got)), sorted(renderResult(want))) {
+		if !eqSeq(sorted(renderRows(got.Rows)), sorted(renderRows(want.Rows))) {
 			return fmt.Errorf("reopened store diverged from reference\nquery: %s", q.Text)
 		}
 	}

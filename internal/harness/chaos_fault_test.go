@@ -18,19 +18,18 @@ import (
 )
 
 // TestChaosExecPanic (faultinject builds only) injects panics into the
-// morsel-scan workers of a live server: the process must survive, each
-// failed query must come back as a clean 500, and once the failpoint
-// stops firing the same query must return its exact pre-fault rows —
-// no worker deadlock, no poisoned state.
+// table scans of a live server: the process must survive, each failed
+// query must come back as a clean 500, and once the failpoint stops
+// firing the same query must return its exact pre-fault rows — no
+// leaked pins or scratch, no poisoned state.
 func TestChaosExecPanic(t *testing.T) {
 	fault.Reset()
 	t.Cleanup(fault.Reset)
 
-	// One wide CS table, big enough (≥ 8 zone-map blocks) that the scan
-	// actually dispatches to the morsel worker pool.
+	// One CS table of several zone-map blocks: the point fires once per
+	// sealed block the scan visits.
 	opts := core.DefaultOptions()
 	opts.CS.MinSupport = 3
-	opts.Parallelism = 4
 	st := core.NewStore(opts)
 	for i := 0; i < 9000; i++ {
 		st.Add(nt.Triple{
@@ -62,9 +61,9 @@ func TestChaosExecPanic(t *testing.T) {
 		t.Fatalf("pre-fault query: %d %s", before.Code, before.Body.String())
 	}
 
-	// The first five morsel-worker entries panic, then the point goes
-	// quiet on its own.
-	fault.Enable("exec.morsel", fault.Spec{Panic: "chaos: injected worker panic", Count: 5})
+	// The first five scanned blocks panic, then the point goes quiet on
+	// its own.
+	fault.Enable("exec.scan", fault.Spec{Panic: "chaos: injected scan panic", Count: 5})
 	fives, oks := 0, 0
 	for i := 0; i < 20; i++ {
 		switch w := get(); w.Code {
@@ -82,7 +81,7 @@ func TestChaosExecPanic(t *testing.T) {
 	if oks == 0 {
 		t.Fatal("no query succeeded after the failpoint's firing budget drained")
 	}
-	fault.Disable("exec.morsel")
+	fault.Disable("exec.scan")
 
 	after := get()
 	if after.Code != http.StatusOK || after.Body.String() != before.Body.String() {

@@ -242,7 +242,7 @@ func TestConcurrentLazyProjections(t *testing.T) {
 	}
 	mark := func(i int) nt.Triple { return nt.Triple{S: subj(i), P: dict.IRI(pm), O: dict.StringLit("m")} }
 
-	st := autoStore(1, 32)
+	st := autoStore(32)
 	versions := make([]int, nSubjects) // owned by the single writer
 	for i := 0; i < nSubjects; i++ {
 		a, b := pair(i, 0)
@@ -381,7 +381,7 @@ func TestConcurrentLazyProjections(t *testing.T) {
 		}
 	}
 
-	fresh := newStore(1)
+	fresh := newStore()
 	for i := 0; i < nSubjects; i++ {
 		a, b := pair(i, versions[i])
 		fresh.Add(a)
@@ -400,7 +400,7 @@ func TestConcurrentLazyProjections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g, w := sorted(renderResult(got)), sorted(renderResult(want)); !eqSeq(g, w) {
+		if g, w := sorted(renderRows(got.Rows)), sorted(renderRows(want.Rows)); !eqSeq(g, w) {
 			t.Errorf("%s: the concurrently updated store returns %d rows, a fresh store %d\n got: %v\nwant: %v",
 				sh.name, len(g), len(w), g, w)
 		}

@@ -19,14 +19,13 @@ import (
 // point a query can stop early — LIMIT, the consumer closing a stream
 // mid-way, context cancellation mid-stream, EXPLAIN ANALYZE, a memory
 // budget overrun — beside full scans, DISTINCT and aggregation over
-// morsel-parallel scans, while a writer keeps adding, deleting, refreshing and
-// compacting a disjoint class. The static class spans enough blocks for
-// morsel-parallel scans. A block returned to the free list while a view
-// of it was still lent would surface as a wrong row (or a race report):
-// every answer must be row-identical to a fresh store's.
+// multi-block scans, while a writer keeps adding, deleting, refreshing
+// and compacting a disjoint class. A block returned to the free list
+// while a view of it was still lent would surface as a wrong row (or a
+// race report): every answer must be row-identical to a fresh store's.
 func TestConcurrentEarlyClose(t *testing.T) {
 	const (
-		nStatic   = 9000 // > 8 blocks: morsel scans engage at Parallelism 2
+		nStatic   = 9000 // 9 zone-map blocks per column
 		nChurn    = 64
 		nReaders  = 4
 		readerIts = 12
@@ -60,8 +59,8 @@ func TestConcurrentEarlyClose(t *testing.T) {
 	}
 	// The writer deletes and re-adds the churn class, so the fresh store
 	// describes every snapshot the readers can see.
-	fresh := build(newStore(1))
-	st := build(autoStore(2, 32))
+	fresh := build(newStore())
+	st := build(autoStore(32))
 
 	star := fmt.Sprintf("?s <%s> ?a . ?s <%s> ?b . ?s <%s> ?c", ra, rb, rc)
 	full := fmt.Sprintf("SELECT ?s ?a ?c WHERE { %s . FILTER(?a < 40) }", star)
@@ -80,7 +79,7 @@ func TestConcurrentEarlyClose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want[name] = renderResult(res)
+		want[name] = renderRows(res.Rows)
 		if len(want[name]) == 0 {
 			t.Fatalf("%s: the fresh store answers nothing", name)
 		}
@@ -160,7 +159,7 @@ func TestConcurrentEarlyClose(t *testing.T) {
 						fail("reader %d: %s: %v", r, name, err)
 						return
 					}
-					if got := renderResult(res); !eqSeq(got, want[name]) {
+					if got := renderRows(res.Rows); !eqSeq(got, want[name]) {
 						fail("reader %d: %s: %d rows differ from the fresh store's %d", r, name, len(got), len(want[name]))
 						return
 					}
@@ -220,7 +219,7 @@ func TestConcurrentEarlyClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := renderResult(res); !eqSeq(got, want[name]) {
+		if got := renderRows(res.Rows); !eqSeq(got, want[name]) {
 			t.Errorf("%s after quiesce: %d rows, the fresh store %d", name, len(got), len(want[name]))
 		}
 	}

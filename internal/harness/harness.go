@@ -1,14 +1,14 @@
 // Package harness is the differential fuzz/property harness for the
 // live-update store: it generates random structured triple sets, random
 // update scripts (adds, deletes, duplicate re-adds), and random queries,
-// then asserts that
+// then asserts that, for every plan configuration,
 //
-//   - within one store, Query ≡ QueryStream ≡ the materializing
-//     reference head (QueryReference) for every plan configuration,
-//   - a store mutated through the delta layer (and optionally
-//     Compact()ed) is row-identical to a fresh store fully Organized on
-//     the same final triples, and
-//   - Parallelism 1 and 4 produce identical row sequences.
+//   - within one store, Query and QueryStream return identical row
+//     sequences, and
+//   - every store — mutated through the delta layer, Compact()ed,
+//     reopened, recovered, or freshly Organized on the final triples —
+//     answers as the oracle (oracle.go) does: a naive evaluator over the
+//     script's final triples that shares no code with the engine.
 //
 // The generators are deterministic in their seeds, so every fuzz finding
 // replays exactly.
@@ -16,6 +16,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -70,8 +71,8 @@ type Script struct {
 }
 
 // Query is one generated query; CrossStore marks queries whose result
-// set is deterministic (no LIMIT), so it may be compared across stores
-// and plan configurations.
+// set is deterministic (no LIMIT), so two stores' row sets may be
+// compared with each other directly. The oracle checks every query.
 type Query struct {
 	Text       string
 	CrossStore bool
@@ -284,8 +285,8 @@ func (sc *Script) genQueries(rnd *rand.Rand, classProps [][]int) {
 	add(true, "SELECT DISTINCT ?a WHERE { ?s <%s> ?a }", p1.iri)
 	add(true, "SELECT (COUNT(*) AS ?n) WHERE { ?s <%s> ?a }", p2.iri)
 	add(true, "SELECT ?a (COUNT(*) AS ?n) WHERE { ?s <%s> ?a } GROUP BY ?a ORDER BY ?a", p1.iri)
-	// LIMIT picks an arbitrary subset: deterministic within one store
-	// and across Parallelism, but not across stores — CrossStore=false.
+	// LIMIT picks an arbitrary subset: deterministic within one store,
+	// but not across stores — CrossStore=false.
 	add(false, "SELECT ?s ?a WHERE { ?s <%s> ?a } LIMIT 5", p1.iri)
 }
 
@@ -321,11 +322,22 @@ func (sc *Script) genMixedQueries(rnd *rand.Rand) {
 	add("SELECT ?g %s WHERE { ?s <%s> ?m . ?s <%s> ?g } GROUP BY ?g ORDER BY ?g", aggs, mixedPred, g.iri)
 	add("SELECT ?g (SUM(?m + 1) AS ?x) (COUNT(*) AS ?n) WHERE { ?s <%s> ?m . ?s <%s> ?g . FILTER (?m >= %d && ?m < 40) } GROUP BY ?g",
 		mixedPred, g.iri, rnd.Intn(10))
+	// comparisons no scan enforces, so the compiled expressions decide
+	// them: a disjunction, variable against variable, and comparisons
+	// projected as values
+	c := rnd.Intn(40)
+	add("SELECT ?s ?m WHERE { ?s <%s> ?m . FILTER (?m <= %d || ?m > \"m%d\") }", mixedPred, c, rnd.Intn(20))
+	add("SELECT ?s ?m ?g WHERE { ?s <%s> ?m . ?s <%s> ?g . FILTER (?m <= ?g) }", mixedPred, g.iri)
+	add("SELECT ?s (?m < %d AS ?lt) (?m <= %d AS ?le) (?m > %d AS ?gt) (?m >= %d AS ?ge) (?m = %d AS ?eq) (?m != %d AS ?ne) WHERE { ?s <%s> ?m }",
+		c, c, c, c, c, c, mixedPred)
 }
 
 // Final returns the triple set after applying the script's operations to
 // the initial graph with set semantics.
-func (sc *Script) Final() []nt.Triple {
+func (sc *Script) Final() []nt.Triple { return sc.after(len(sc.Ops)) }
+
+// after returns the triple set after the first n operations.
+func (sc *Script) after(n int) []nt.Triple {
 	set := make(map[nt.Triple]bool)
 	var order []nt.Triple
 	for _, t := range sc.Initial {
@@ -334,7 +346,7 @@ func (sc *Script) Final() []nt.Triple {
 			order = append(order, t)
 		}
 	}
-	for _, op := range sc.Ops {
+	for _, op := range sc.Ops[:n] {
 		if op.Del {
 			set[op.T] = false
 			continue
@@ -344,10 +356,12 @@ func (sc *Script) Final() []nt.Triple {
 			order = append(order, op.T)
 		}
 	}
+	// a triple deleted and re-added sits in order twice: emit it once
 	var out []nt.Triple
 	for _, t := range order {
 		if set[t] {
 			out = append(out, t)
+			set[t] = false
 		}
 	}
 	return out
@@ -401,10 +415,10 @@ func renderRow(row []dict.Value) string {
 	return b.String()
 }
 
-func renderResult(r *exec.Result) []string {
-	out := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		out = append(out, renderRow(row))
+func renderRows(rows [][]dict.Value) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = renderRow(r)
 	}
 	return out
 }
@@ -428,10 +442,10 @@ func eqSeq(a, b []string) bool {
 }
 
 // EvalQuery runs one query on one store under every plan configuration,
-// asserting Query ≡ QueryStream (row-identical) and ≡ the materialized
-// reference head (same multiset). It returns the per-config row
+// asserting Query ≡ QueryStream (row-identical) and agreement with the
+// oracle's answer want (see checkAnswer). It returns the per-config row
 // sequences.
-func EvalQuery(st *core.Store, q string) (map[Config][]string, error) {
+func EvalQuery(st *core.Store, q string, want *Answer) (map[Config][]string, error) {
 	out := make(map[Config][]string, len(Configs))
 	for _, cfg := range Configs {
 		qo := core.QueryOptions{Mode: cfg.Mode, ZoneMaps: cfg.Zones, ForceAlgo: cfg.Algo, NoBloom: cfg.NoBloom}
@@ -439,7 +453,7 @@ func EvalQuery(st *core.Store, q string) (map[Config][]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%v Query: %w\nquery: %s", cfg, err, q)
 		}
-		rows := renderResult(res)
+		rows := renderRows(res.Rows)
 
 		it, err := st.QueryStream(q, qo)
 		if err != nil {
@@ -453,41 +467,149 @@ func EvalQuery(st *core.Store, q string) (map[Config][]string, error) {
 			return nil, fmt.Errorf("%v: Query and QueryStream disagree (%d vs %d rows)\nquery: %s\nquery result: %v\nstream result: %v",
 				cfg, len(rows), len(srows), q, rows, srows)
 		}
-
-		ref, err := st.QueryReference(q, qo)
-		if err != nil {
-			return nil, fmt.Errorf("%v QueryReference: %w\nquery: %s", cfg, err, q)
-		}
-		if rrows := renderResult(ref); !eqSeq(sorted(rows), sorted(rrows)) {
-			return nil, fmt.Errorf("%v: streaming head and materialized reference disagree (%d vs %d rows)\nquery: %s\nstream: %v\nreference: %v",
-				cfg, len(rows), len(rrows), q, rows, rrows)
+		if err := checkAnswer(want, res); err != nil {
+			return nil, fmt.Errorf("%v: engine and oracle disagree: %w\nquery: %s", cfg, err, q)
 		}
 		out[cfg] = rows
 	}
 	return out, nil
 }
 
+// checkAnswer compares an engine result with the oracle's answer.
+//
+//   - Without LIMIT/OFFSET the rows must be the same multiset.
+//   - With them, the engine may return any window of the right size: it
+//     must return min(LIMIT, rows after OFFSET) rows, each one of the
+//     oracle's unlimited answer.
+//   - Under ORDER BY the engine's rows must be in order by the oracle's
+//     comparator on the sort keys (ties in any order); with OFFSET/LIMIT
+//     too, row i must tie with the oracle's row OFFSET+i.
+//
+// Float cells compare within 1e-9 relative, because the engine and the
+// oracle fold in different orders; every other cell compares exactly.
+func checkAnswer(want *Answer, res *exec.Result) error {
+	if len(res.Vars) != len(want.Vars) {
+		return fmt.Errorf("columns %v, oracle %v", res.Vars, want.Vars)
+	}
+	// match columns by name: SELECT * orders them by the plan
+	perm := make([]int, len(want.Vars))
+	for i, v := range want.Vars {
+		perm[i] = -1
+		for j, rv := range res.Vars {
+			if rv == v {
+				perm[i] = j
+			}
+		}
+		if perm[i] < 0 {
+			return fmt.Errorf("columns %v, oracle %v", res.Vars, want.Vars)
+		}
+	}
+	got := make([][]dict.Value, len(res.Rows))
+	for r, row := range res.Rows {
+		got[r] = make([]dict.Value, len(perm))
+		for i, j := range perm {
+			got[r][i] = row[j]
+		}
+	}
+	q := want.Q
+	if q.Limit >= 0 || q.Offset > 0 {
+		n := max(len(want.Rows)-max(q.Offset, 0), 0)
+		if q.Limit >= 0 {
+			n = min(n, q.Limit)
+		}
+		if len(got) != n {
+			return fmt.Errorf("%d rows, want %d of the oracle's %d", len(got), n, len(want.Rows))
+		}
+		used := make([]bool, len(want.Rows))
+	next:
+		for i, g := range got {
+			if len(q.OrderBy) > 0 && want.Before(g, want.Rows[max(q.Offset, 0)+i]) != 0 {
+				return fmt.Errorf("row %d %s does not sort where the oracle's row %d does", i, renderRow(g), max(q.Offset, 0)+i)
+			}
+			for i, w := range want.Rows {
+				if !used[i] && sameRow(g, w) {
+					used[i] = true
+					continue next
+				}
+			}
+			return fmt.Errorf("row %s is not in the oracle's answer", renderRow(g))
+		}
+	} else {
+		if len(got) != len(want.Rows) {
+			return fmt.Errorf("%d rows, oracle %d\ngot:    %v\noracle: %v", len(got), len(want.Rows), renderRows(got), renderRows(want.Rows))
+		}
+		a, b := sortRows(got), sortRows(want.Rows)
+		for i := range a {
+			if !sameRow(a[i], b[i]) {
+				return fmt.Errorf("rows differ\ngot:    %v\noracle: %v", renderRows(a), renderRows(b))
+			}
+		}
+	}
+	for i := 1; i < len(got); i++ {
+		if want.Before(got[i-1], got[i]) > 0 {
+			return fmt.Errorf("rows %d and %d break ORDER BY: %s before %s", i-1, i, renderRow(got[i-1]), renderRow(got[i]))
+		}
+	}
+	return nil
+}
+
+// sameRow compares two rows cell by cell, floats within 1e-9 relative.
+func sameRow(a, b []dict.Value) bool {
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Kind != y.Kind {
+			return false
+		}
+		if x.Kind == dict.VFloat {
+			if x.Float != y.Float && math.Abs(x.Float-y.Float) > 1e-9*math.Max(math.Abs(x.Float), math.Abs(y.Float)) {
+				return false
+			}
+		} else if x.Lexical() != y.Lexical() {
+			return false
+		}
+	}
+	return true
+}
+
+// sortRows returns rows sorted cell by cell: by kind, floats by value,
+// everything else by lexical form.
+func sortRows(rows [][]dict.Value) [][]dict.Value {
+	out := append([][]dict.Value(nil), rows...)
+	sort.Slice(out, func(i, j int) bool {
+		for c := range out[i] {
+			x, y := out[i][c], out[j][c]
+			switch {
+			case x.Kind != y.Kind:
+				return x.Kind < y.Kind
+			case x.Kind == dict.VFloat && x.Float != y.Float:
+				return x.Float < y.Float
+			case x.Kind != dict.VFloat && x.Lexical() != y.Lexical():
+				return x.Lexical() < y.Lexical()
+			}
+		}
+		return false
+	})
+	return out
+}
+
 // newStore builds a harness store: low support so the small graphs grow
 // tables, auto-compaction off so the pre-Compact delta state is what
 // gets tested.
-func newStore(parallelism int) *core.Store {
-	return core.NewStore(storeOptions(parallelism))
+func newStore() *core.Store {
+	return core.NewStore(storeOptions())
 }
 
 // storeOptions are newStore's options, for opening saved harness stores.
-func storeOptions(parallelism int) core.Options {
+func storeOptions() core.Options {
 	opts := core.DefaultOptions()
 	opts.CS.MinSupport = 3
-	opts.Parallelism = parallelism
 	opts.CompactThreshold = -1
 	return opts
 }
 
 // autoStore is newStore with auto-compaction enabled at a threshold.
-func autoStore(parallelism, threshold int) *core.Store {
-	opts := core.DefaultOptions()
-	opts.CS.MinSupport = 3
-	opts.Parallelism = parallelism
+func autoStore(threshold int) *core.Store {
+	opts := storeOptions()
 	opts.CompactThreshold = threshold
 	return core.NewStore(opts)
 }
@@ -503,67 +625,42 @@ func loadAll(st *core.Store, ts []nt.Triple) {
 	}
 }
 
-// BuildStores materializes the script three ways: mutated through the
-// delta layer at Parallelism 1 and 4, and a fresh store fully Organized
-// on the final triples.
-func BuildStores(sc *Script) (mut1, mut4, fresh *core.Store, err error) {
-	mut1, mut4 = newStore(1), newStore(4)
-	for _, st := range []*core.Store{mut1, mut4} {
-		loadAll(st, sc.Initial)
-		if _, err := st.Organize(); err != nil {
-			return nil, nil, nil, err
-		}
-		for _, op := range sc.Ops {
-			if op.Del {
-				st.Delete(op.T)
-			} else {
-				st.Add(op.T)
-			}
+// BuildStores materializes the script two ways: mutated through the
+// delta layer, and a fresh store fully Organized on the final triples.
+func BuildStores(sc *Script) (mut, fresh *core.Store, err error) {
+	mut = newStore()
+	loadAll(mut, sc.Initial)
+	if _, err := mut.Organize(); err != nil {
+		return nil, nil, err
+	}
+	for _, op := range sc.Ops {
+		if op.Del {
+			mut.Delete(op.T)
+		} else {
+			mut.Add(op.T)
 		}
 	}
-	fresh = newStore(1)
+	fresh = newStore()
 	loadAll(fresh, sc.Final())
 	if _, err := fresh.Organize(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return mut1, mut4, fresh, nil
+	return mut, fresh, nil
 }
 
-// CheckEquivalence runs the full differential matrix over the script's
-// queries: API parity within each store, Parallelism 1 ≡ 4 row
-// sequences, and (for deterministic queries) identical row multisets
-// between the mutated stores and the fresh re-organized store across
-// every plan configuration.
-func CheckEquivalence(mut1, mut4, fresh *core.Store, queries []Query) error {
+// CheckEquivalence runs the full differential matrix: every query on
+// every store under every plan configuration must answer as the oracle
+// does over ts (EvalQuery). Errors name stores by argument position.
+func CheckEquivalence(ts []nt.Triple, queries []Query, stores ...*core.Store) error {
+	o := NewOracle(ts)
 	for _, q := range queries {
-		m1, err := EvalQuery(mut1, q.Text)
+		want, err := o.Eval(q.Text)
 		if err != nil {
-			return fmt.Errorf("mutated(par=1): %w", err)
+			return fmt.Errorf("oracle: %w\nquery: %s", err, q.Text)
 		}
-		m4, err := EvalQuery(mut4, q.Text)
-		if err != nil {
-			return fmt.Errorf("mutated(par=4): %w", err)
-		}
-		for _, cfg := range Configs {
-			if !eqSeq(m1[cfg], m4[cfg]) {
-				return fmt.Errorf("%v: parallelism 1 vs 4 disagree\nquery: %s\npar1: %v\npar4: %v", cfg, q.Text, m1[cfg], m4[cfg])
-			}
-		}
-		if !q.CrossStore {
-			continue
-		}
-		f, err := EvalQuery(fresh, q.Text)
-		if err != nil {
-			return fmt.Errorf("fresh: %w", err)
-		}
-		want := sorted(f[Configs[0]])
-		for _, cfg := range Configs {
-			if !eqSeq(sorted(f[cfg]), want) {
-				return fmt.Errorf("fresh store: %v disagrees with %v\nquery: %s", cfg, Configs[0], q.Text)
-			}
-			if !eqSeq(sorted(m1[cfg]), want) {
-				return fmt.Errorf("mutated store %v != fresh store\nquery: %s\nmutated: %v\nfresh: %v",
-					cfg, q.Text, sorted(m1[cfg]), want)
+		for i, st := range stores {
+			if _, err := EvalQuery(st, q.Text, want); err != nil {
+				return fmt.Errorf("store %d: %w", i, err)
 			}
 		}
 	}
@@ -571,30 +668,28 @@ func CheckEquivalence(mut1, mut4, fresh *core.Store, queries []Query) error {
 }
 
 // RunDifferential is the whole property: generate a workload from the
-// seeds, mutate stores through the delta layer, and require equivalence
-// with a fresh re-organized store — before Compact, and again after.
+// seeds, mutate a store through the delta layer, and require it and a
+// fresh re-organized store to answer as the oracle does — before
+// Compact, and again after.
 func RunDifferential(seed int64, nSubj, nOps int) error {
 	sc := GenScript(seed, nSubj, nOps)
-	mut1, mut4, fresh, err := BuildStores(sc)
+	mut, fresh, err := BuildStores(sc)
 	if err != nil {
 		return err
 	}
-	if err := checkLiteralOrder("pre-compact", mut1, mut4, fresh); err != nil {
+	if err := checkLiteralOrder("pre-compact", mut, fresh); err != nil {
 		return err
 	}
-	if err := CheckEquivalence(mut1, mut4, fresh, sc.Queries); err != nil {
+	if err := CheckEquivalence(sc.Final(), sc.Queries, mut, fresh); err != nil {
 		return fmt.Errorf("pre-compact: %w", err)
 	}
-	if _, err := mut1.Compact(); err != nil {
+	if _, err := mut.Compact(); err != nil {
 		return err
 	}
-	if _, err := mut4.Compact(); err != nil {
+	if err := checkLiteralOrder("post-compact", mut); err != nil {
 		return err
 	}
-	if err := checkLiteralOrder("post-compact", mut1, mut4); err != nil {
-		return err
-	}
-	if err := CheckEquivalence(mut1, mut4, fresh, sc.Queries); err != nil {
+	if err := CheckEquivalence(sc.Final(), sc.Queries, mut); err != nil {
 		return fmt.Errorf("post-compact: %w", err)
 	}
 	return nil

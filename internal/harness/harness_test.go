@@ -44,30 +44,27 @@ func TestDifferentialDeleteOnly(t *testing.T) {
 			sc.Ops = append(sc.Ops, Op{Del: true, T: tr})
 		}
 	}
-	mut1, mut4, fresh, err := BuildStores(sc)
+	mut, fresh, err := BuildStores(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckEquivalence(mut1, mut4, fresh, sc.Queries); err != nil {
+	if err := CheckEquivalence(sc.Final(), sc.Queries, mut, fresh); err != nil {
 		t.Fatalf("pre-compact: %v", err)
 	}
-	if _, err := mut1.Compact(); err != nil {
+	if _, err := mut.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mut4.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckEquivalence(mut1, mut4, fresh, sc.Queries); err != nil {
+	if err := CheckEquivalence(sc.Final(), sc.Queries, mut); err != nil {
 		t.Fatalf("post-compact: %v", err)
 	}
 }
 
 // TestAutoCompactEquivalence re-runs a script with a tiny
 // CompactThreshold so compaction triggers mid-script, interleaved with
-// the updates — results must still match the fresh store.
+// the updates — results must still match the oracle.
 func TestAutoCompactEquivalence(t *testing.T) {
 	sc := GenScript(9, 50, 60)
-	st := autoStore(1, 8)
+	st := autoStore(8)
 	loadAll(st, sc.Initial)
 	if _, err := st.Organize(); err != nil {
 		t.Fatal(err)
@@ -86,32 +83,11 @@ func TestAutoCompactEquivalence(t *testing.T) {
 			}
 		}
 	}
-	fresh := newStore(1)
-	loadAll(fresh, sc.Final())
-	if _, err := fresh.Organize(); err != nil {
-		t.Fatal(err)
-	}
 	if err := checkLiteralOrder("auto-compacted", st); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range sc.Queries {
-		if !q.CrossStore {
-			continue
-		}
-		a, err := EvalQuery(st, q.Text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := EvalQuery(fresh, q.Text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cfg := range Configs {
-			if !eqSeq(sorted(a[cfg]), sorted(b[cfg])) {
-				t.Fatalf("%v: auto-compacted store != fresh store\nquery: %s\ngot:  %v\nwant: %v",
-					cfg, q.Text, sorted(a[cfg]), sorted(b[cfg]))
-			}
-		}
+	if err := CheckEquivalence(sc.Final(), sc.Queries, st); err != nil {
+		t.Fatalf("auto-compacted store: %v", err)
 	}
 	if st.Stats().DeltaRows > 8+16 {
 		t.Fatalf("auto-compaction did not bound the delta: %d rows", st.Stats().DeltaRows)
@@ -119,31 +95,29 @@ func TestAutoCompactEquivalence(t *testing.T) {
 }
 
 // TestDifferentialReopened adds the reopened storage state: a mutated
-// store (deltas and tombstones pending) is saved and opened again at
-// Parallelism 1 and 4, and must stay equivalent to the fresh store —
-// the mixed-kind range filters and aggregates included.
+// store (deltas and tombstones pending) is saved and opened again, and
+// must still answer as the oracle does — the mixed-kind range filters
+// and aggregates included.
 func TestDifferentialReopened(t *testing.T) {
 	for _, seed := range []int64{2, 11} {
 		sc := GenScript(seed, 50, 40)
-		mut1, _, fresh, err := BuildStores(sc)
+		mut, _, err := BuildStores(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "store.srdf")
-		if err := mut1.Save(path); err != nil {
+		if err := mut.Save(path); err != nil {
 			t.Fatal(err)
 		}
-		var re [2]*core.Store
-		for i, par := range []int{1, 4} {
-			if re[i], err = core.OpenStore(path, storeOptions(par)); err != nil {
-				t.Fatal(err)
-			}
-			defer re[i].Close()
-		}
-		if err := checkLiteralOrder("reopened", re[0], re[1]); err != nil {
+		re, err := core.OpenStore(path, storeOptions())
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckEquivalence(re[0], re[1], fresh, sc.Queries); err != nil {
+		defer re.Close()
+		if err := checkLiteralOrder("reopened", re); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckEquivalence(sc.Final(), sc.Queries, re); err != nil {
 			t.Fatalf("seed=%d reopened: %v", seed, err)
 		}
 	}
@@ -181,26 +155,24 @@ func TestMintingSeeds(t *testing.T) {
 func TestMintingOverflowBlocks(t *testing.T) {
 	sc := GenMintScript(6, 300, 40)
 	sc.AppendFreshSubjects(6, 2200)
-	mut1, mut4, fresh, err := BuildStores(sc)
+	mut, fresh, err := BuildStores(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []*core.Store{mut1, mut4} {
-		if _, err := st.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := checkLiteralOrder("compacted", mut1, mut4); err != nil {
+	if _, err := mut.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := mut1.Explain(sc.Queries[0].Text, coreQO())
+	if err := checkLiteralOrder("compacted", mut); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := mut.Explain(sc.Queries[0].Text, coreQO())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(ex, "+ovf") {
 		t.Fatalf("range over minted literals shows no overflow members:\n%s", ex)
 	}
-	if err := CheckEquivalence(mut1, mut4, fresh, sc.Queries); err != nil {
+	if err := CheckEquivalence(sc.Final(), sc.Queries, mut, fresh); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -21,32 +21,6 @@ func persistOpts(walPath string) core.Options {
 	return opts
 }
 
-// checkStoresAgree runs the full per-store differential matrix on both
-// stores and requires identical row multisets for every deterministic
-// query under every plan configuration.
-func checkStoresAgree(got, want *core.Store, queries []Query, label string) error {
-	for _, q := range queries {
-		if !q.CrossStore {
-			continue
-		}
-		g, err := EvalQuery(got, q.Text)
-		if err != nil {
-			return fmt.Errorf("%s store: %w", label, err)
-		}
-		w, err := EvalQuery(want, q.Text)
-		if err != nil {
-			return fmt.Errorf("reference store: %w", err)
-		}
-		for _, cfg := range Configs {
-			if !eqSeq(sorted(g[cfg]), sorted(w[cfg])) {
-				return fmt.Errorf("%s: %v disagrees with reference\nquery: %s\ngot:  %v\nwant: %v",
-					label, cfg, q.Text, sorted(g[cfg]), sorted(w[cfg]))
-			}
-		}
-	}
-	return nil
-}
-
 // RunPersistRoundTrip is the clean-shutdown property: a store carrying
 // the script's whole update history in its un-compacted delta layer is
 // Saved and re-Opened, and must answer every query row-identically to
@@ -54,7 +28,7 @@ func checkStoresAgree(got, want *core.Store, queries []Query, label string) erro
 // restored exactly, so even LIMIT queries may not drift).
 func RunPersistRoundTrip(seed int64, nSubj, nOps int, dir string) error {
 	sc := GenScript(seed, nSubj, nOps)
-	mut := newStore(1)
+	mut := newStore()
 	loadAll(mut, sc.Initial)
 	if _, err := mut.Organize(); err != nil {
 		return err
@@ -77,12 +51,17 @@ func RunPersistRoundTrip(seed int64, nSubj, nOps int, dir string) error {
 	if err := checkLiteralOrder("opened", mut, got); err != nil {
 		return err
 	}
+	o := NewOracle(sc.Final())
 	for _, q := range sc.Queries {
-		m, err := EvalQuery(mut, q.Text)
+		want, err := o.Eval(q.Text)
+		if err != nil {
+			return fmt.Errorf("oracle: %w", err)
+		}
+		m, err := EvalQuery(mut, q.Text, want)
 		if err != nil {
 			return fmt.Errorf("original store: %w", err)
 		}
-		g, err := EvalQuery(got, q.Text)
+		g, err := EvalQuery(got, q.Text, want)
 		if err != nil {
 			return fmt.Errorf("opened store: %w", err)
 		}
@@ -100,10 +79,10 @@ func RunPersistRoundTrip(seed int64, nSubj, nOps int, dir string) error {
 // store checkpoints after Organize, then applies the update script with
 // every trickle write logged. The "crash" truncates the WAL at a byte
 // offset chosen by cut in [0,1); recovery opens the snapshot and replays
-// whatever complete records survived. The recovered store must be
-// equivalent — across plan modes — to a reference store that applied
-// exactly the surviving operation prefix, and must remain fully live
-// (it absorbs the rest of the script, compacts, and re-checks).
+// whatever complete records survived. The recovered store must answer —
+// across plan modes — as the oracle does over the initial graph plus
+// exactly the surviving operation prefix, and must remain fully live (it
+// absorbs the rest of the script, compacts, and re-checks).
 func RunCrashRecovery(seed int64, nSubj, nOps int, cut float64, dir string) error {
 	sc := GenScript(seed, nSubj, nOps)
 	snap := filepath.Join(dir, "crash.srdf")
@@ -162,27 +141,13 @@ func RunCrashRecovery(seed int64, nSubj, nOps int, cut float64, dir string) erro
 			cutOff, len(data), applied, effective)
 	}
 
-	// Reference: the same checkpoint state (Initial, organized) plus the
-	// surviving script prefix through the ordinary in-memory path.
-	ref := newStore(1)
-	loadAll(ref, sc.Initial)
-	if _, err := ref.Organize(); err != nil {
-		return err
-	}
-	for _, op := range sc.Ops[:idx] {
-		if op.Del {
-			ref.Delete(op.T)
-		} else {
-			ref.Add(op.T)
-		}
-	}
-	if err := checkStoresAgree(rec, ref, sc.Queries, fmt.Sprintf("recovered(cut=%d/%d)", cutOff, len(data))); err != nil {
-		return err
+	if err := CheckEquivalence(sc.after(idx), sc.Queries, rec); err != nil {
+		return fmt.Errorf("recovered(cut=%d/%d): %w", cutOff, len(data), err)
 	}
 
 	// Liveness after recovery: the store keeps absorbing the rest of the
-	// script and compacting; the final state must match a fresh store
-	// organized on the script's final triples.
+	// script and compacting; the final state must answer as the oracle
+	// does over the script's final triples.
 	for _, op := range sc.Ops[idx:] {
 		if op.Del {
 			rec.Delete(op.T)
@@ -196,12 +161,10 @@ func RunCrashRecovery(seed int64, nSubj, nOps int, cut float64, dir string) erro
 	if err := checkLiteralOrder("recovered+resumed", rec); err != nil {
 		return err
 	}
-	fresh := newStore(1)
-	loadAll(fresh, sc.Final())
-	if _, err := fresh.Organize(); err != nil {
-		return err
+	if err := CheckEquivalence(sc.Final(), sc.Queries, rec); err != nil {
+		return fmt.Errorf("recovered+resumed: %w", err)
 	}
-	return checkStoresAgree(rec, fresh, sc.Queries, "recovered+resumed")
+	return nil
 }
 
 // opIndexOfEffective simulates the script's set semantics and returns

@@ -19,8 +19,7 @@ import (
 )
 
 // Node is one plan operator. Nodes build pull-based vectorized operator
-// trees (Op); Exec is the thin materializing adapter over the same
-// pipeline, kept so operator-at-a-time callers and tests keep working.
+// trees (Op).
 type Node interface {
 	// Op builds the streaming operator subtree for this node, wrapped
 	// in its runtime-stats accounting.
@@ -38,12 +37,6 @@ type Node interface {
 	// Joins counts the join operators in the subtree — the quantity
 	// Fig. 4 is about.
 	Joins() int
-}
-
-// Exec runs a node's operator tree to a materialized relation — the
-// operator-at-a-time adapter over the vectorized pipeline.
-func Exec(n Node, ctx *exec.Ctx) *exec.Rel {
-	return exec.Drain(ctx, n.Op())
 }
 
 func pad(b *strings.Builder, indent int) {
@@ -155,9 +148,8 @@ func (n *RDFScanNode) Op() exec.Operator {
 	ops = append(ops, exec.NewLazyOp(star.Vars(), func(ctx *exec.Ctx) *exec.Rel {
 		return exec.ResidualStar(ctx, star, tables)
 	}))
-	// The stats wrapper sits above the union, so morsel workers'
-	// output — merged in order by the scan's consumer — lands in this
-	// node's counters.
+	// The stats wrapper sits above the union, so the rows of every
+	// covering table and of the residual land in this node's counters.
 	return exec.NewStatsOp(n.sid, true, exec.NewUnionOp(n.Star.Vars(), ops...))
 }
 

@@ -316,7 +316,7 @@ func TestExecAdapterMatchesExecute(t *testing.T) {
 	f := newFixture(t, ordersSrc, 3)
 	for _, opt := range []Options{{Mode: ModeDefault}, {Mode: ModeRDFScan, ZoneMaps: true}} {
 		p := buildPlan(t, f, starQ, opt)
-		rel := Exec(p.Root, f.ctx) // operator-at-a-time adapter
+		rel := exec.Drain(f.ctx, p.Root.Op()) // the root's operator tree, drained
 		res, err := p.Execute(f.ctx)
 		if err != nil {
 			t.Fatal(err)

@@ -98,20 +98,6 @@ func (p *Plan) Explain() string {
 	return b.String()
 }
 
-// BGP returns the plan's operator tree below its residual FILTER nodes:
-// the pattern matching alone, for a reference evaluator that applies
-// the query's filters itself.
-func (p *Plan) BGP() Node {
-	n := p.Root
-	for {
-		f, ok := n.(*FilterNode)
-		if !ok {
-			return n
-		}
-		n = f.Input
-	}
-}
-
 // Execute runs the plan to a decoded result. The plan is driven as a
 // batch-streaming pipeline: scans produce as the head pulls, and a
 // satisfied LIMIT stops the pull early.

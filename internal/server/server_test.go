@@ -202,12 +202,10 @@ func TestAdmissionQueueWaits(t *testing.T) {
 }
 
 // TestCancellationFreesSlotAndGoroutines cancels queries mid-stream and
-// checks the executor's morsel workers exit (goroutine probe — no
-// goleak dependency) and the admission slot comes back.
+// checks no goroutine outlives them (goroutine probe — no goleak
+// dependency) and the admission slot comes back.
 func TestCancellationFreesSlotAndGoroutines(t *testing.T) {
-	opts := srdf.Defaults()
-	opts.Parallelism = 4
-	st := testStore(t, 3000, opts)
+	st := testStore(t, 3000, srdf.Defaults())
 	srv := New(st, Config{MaxConcurrent: 1})
 
 	before := runtime.NumGoroutine()
@@ -240,7 +238,7 @@ func TestCancellationFreesSlotAndGoroutines(t *testing.T) {
 		t.Fatalf("admission slots leaked: %d in flight", n)
 	}
 
-	// Morsel workers poll the context and exit; give them a moment.
+	// Handler goroutines wind down after the response; give them a moment.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

@@ -75,11 +75,6 @@ type Options struct {
 	// memory stays queryable with bounded RSS. Watch
 	// PoolStats.Evictions and PoolStats.ResidentBytes.
 	PoolBytes int64
-	// Parallelism sets the morsel-driven worker count for RDFscan
-	// table scans; <=1 runs sequentially. Scans merge in morsel order
-	// and are row-identical to sequential execution. The query head
-	// (aggregation included) folds the merged stream sequentially.
-	Parallelism int
 	// CompactThreshold is the delta-layer size (delta rows plus
 	// tombstones) past which the store automatically compacts deltas
 	// into freshly sealed segments; 0 uses the built-in default,
@@ -181,7 +176,6 @@ func coreOptions(o Options) core.Options {
 	copts.Cluster.SortKeys = o.SortKeys
 	copts.PoolPages = o.PoolPages
 	copts.PoolBytes = o.PoolBytes
-	copts.Parallelism = o.Parallelism
 	copts.CompactThreshold = o.CompactThreshold
 	copts.WALPath = o.WALPath
 	return copts
@@ -332,9 +326,9 @@ func (s *Store) QueryStreamWith(q string, o QueryOptions) (*Rows, error) {
 }
 
 // QueryStreamCtx is QueryStream bound to a context: when ctx is
-// cancelled or its deadline passes, the pipeline's scans, joins and
-// morsel workers stop at the next batch boundary, Next returns false,
-// and Rows.Err reports the cause. Malformed or unplannable queries come
+// cancelled or its deadline passes, the pipeline's scans and joins stop
+// at the next batch boundary, Next returns false, and Rows.Err reports
+// the cause. Malformed or unplannable queries come
 // back as *core.BadQueryError.
 func (s *Store) QueryStreamCtx(ctx context.Context, q string, o QueryOptions) (*Rows, error) {
 	return s.inner.QueryStreamCtx(ctx, q, o.core())

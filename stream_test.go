@@ -3,6 +3,7 @@ package srdf_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"srdf"
@@ -148,16 +149,14 @@ func TestQueryStreamParityRDFHModifiers(t *testing.T) {
 
 // multiBlockStore builds a store whose main CS table spans several
 // zone-map blocks (n > colstore.BlockRows rows).
-func multiBlockStore(t testing.TB, n, parallelism int) *srdf.Store {
+func multiBlockStore(t testing.TB, n int) *srdf.Store {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString("@prefix e: <http://big/> .\n")
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "e:s%06d e:a %d ; e:b %d .\n", i, i%997, i%89)
 	}
-	opts := srdf.Defaults()
-	opts.Parallelism = parallelism
-	s := srdf.New(opts)
+	s := srdf.New(srdf.Defaults())
 	s.MustLoadTurtle(b.String())
 	if _, err := s.Organize(); err != nil {
 		t.Fatal(err)
@@ -169,7 +168,7 @@ func multiBlockStore(t testing.TB, n, parallelism int) *srdf.Store {
 // scan blocks once LIMIT is satisfied: the limited query must touch
 // fewer buffer-pool pages than the full scan.
 func TestLimitEarlyTermination(t *testing.T) {
-	s := multiBlockStore(t, 6000, 0)
+	s := multiBlockStore(t, 6000)
 	full := `PREFIX e: <http://big/> SELECT ?s ?x WHERE { ?s e:a ?x . ?s e:b ?y . }`
 	limited := full + " LIMIT 3"
 
@@ -213,60 +212,80 @@ func TestLimitEarlyTermination(t *testing.T) {
 	}
 }
 
-// TestParallelScanParity asserts the morsel-parallel scan returns
-// row-identical results (including order) to the sequential scan.
+// concurrentParity runs every query alone, then from four goroutines at
+// once (each running the whole list, alternating Query and QueryStream),
+// and requires every concurrent run to return the lone run's rows, order
+// included. Execution is single-threaded per query; concurrency comes
+// from concurrent queries, which share the snapshot's tables, buffer
+// pool, cached plans and block free lists.
+func concurrentParity(t *testing.T, s *srdf.Store, queries []string) {
+	t.Helper()
+	want := make([][]string, len(queries))
+	for qi, q := range queries {
+		res, err := s.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[qi] = resultLines(res)
+	}
+	const workers = 4
+	got := make([][][]string, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for qi, q := range queries {
+				if (w+qi)%2 == 0 {
+					res, err := s.Query(q)
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					got[w] = append(got[w], resultLines(res))
+					continue
+				}
+				rows, err := s.QueryStream(q)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w] = append(got[w], streamLines(rows))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		for qi := range queries {
+			linesEqual(t, got[w][qi], want[qi], fmt.Sprintf("worker %d q%d", w, qi))
+		}
+	}
+}
+
+// TestParallelScanParity asserts that scans running in concurrent
+// queries return the rows (order included) of the same scans run alone.
 func TestParallelScanParity(t *testing.T) {
-	seq := multiBlockStore(t, 9000, 0)
-	par := multiBlockStore(t, 9000, 4)
-	queries := []string{
+	concurrentParity(t, multiBlockStore(t, 9000), []string{
 		`PREFIX e: <http://big/> SELECT ?s ?x ?y WHERE { ?s e:a ?x . ?s e:b ?y . }`,
 		`PREFIX e: <http://big/> SELECT ?s WHERE { ?s e:a ?x . FILTER (?x = 13) }`,
 		`PREFIX e: <http://big/> SELECT (COUNT(*) AS ?n) WHERE { ?s e:a ?x . ?s e:b ?y . }`,
 		`PREFIX e: <http://big/> SELECT ?s ?x WHERE { ?s e:a ?x . ?s e:b ?y . } LIMIT 10`,
-	}
-	for qi, q := range queries {
-		a, err := seq.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		linesEqual(t, resultLines(b), resultLines(a), fmt.Sprintf("q%d", qi))
-	}
+	})
 }
 
-// TestParallelAggregateParity asserts aggregation over morsel-parallel
-// scans (merged in order, folded sequentially) returns rows identical to
-// a fully sequential store — values and group order — through the
-// public API.
+// TestParallelAggregateParity asserts that aggregation, DISTINCT and
+// top-K running in concurrent queries return the rows of the same
+// queries run alone — values and group order — through the public API.
 func TestParallelAggregateParity(t *testing.T) {
-	seq := multiBlockStore(t, 12000, 0)
-	par := multiBlockStore(t, 12000, 4)
-	queries := []string{
+	concurrentParity(t, multiBlockStore(t, 12000), []string{
 		`PREFIX e: <http://big/> SELECT ?y (COUNT(*) AS ?n) (SUM(?x) AS ?s) (MIN(?x) AS ?lo) (MAX(?x) AS ?hi) (AVG(?x) AS ?avg) WHERE { ?s e:a ?x . ?s e:b ?y . } GROUP BY ?y`,
 		`PREFIX e: <http://big/> SELECT ?y (COUNT(DISTINCT ?x) AS ?nd) WHERE { ?s e:a ?x . ?s e:b ?y . } GROUP BY ?y ORDER BY DESC(?nd) ?y`,
 		`PREFIX e: <http://big/> SELECT (SUM(?x) AS ?s) (COUNT(*) AS ?n) WHERE { ?s e:a ?x . ?s e:b ?y . }`,
 		`PREFIX e: <http://big/> SELECT ?y (SUM(?x) AS ?s) WHERE { ?s e:a ?x . ?s e:b ?y . } GROUP BY ?y ORDER BY DESC(?s) LIMIT 5`,
 		`PREFIX e: <http://big/> SELECT DISTINCT ?y WHERE { ?s e:a ?x . ?s e:b ?y . } ORDER BY ?y LIMIT 10`,
-	}
-	for qi, q := range queries {
-		want, err := seq.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := par.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		linesEqual(t, resultLines(got), resultLines(want), fmt.Sprintf("agg-q%d", qi))
-
-		// and the streaming API agrees with itself under parallelism
-		rows, err := par.QueryStream(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		linesEqual(t, streamLines(rows), resultLines(want), fmt.Sprintf("agg-q%d stream", qi))
-	}
+	})
 }
