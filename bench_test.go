@@ -19,6 +19,7 @@
 package srdf_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -375,7 +376,7 @@ func BenchmarkStream_MaterializedVsStreaming(b *testing.B) {
 	})
 	b.Run("QueryStream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rows, err := h.Clustered.QueryStream(q, qo)
+			rows, err := h.Clustered.QueryStream(context.Background(), q, qo)
 			if err != nil {
 				b.Fatal(err)
 			}

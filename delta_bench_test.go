@@ -1,6 +1,7 @@
 package srdf_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func BenchmarkStream_DeltaScan(b *testing.B) {
 		st.Stats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rows, err := st.QueryStream(deltaBenchQuery, qo)
+			rows, err := st.QueryStream(context.Background(), deltaBenchQuery, qo)
 			if err != nil {
 				b.Fatal(err)
 			}

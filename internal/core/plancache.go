@@ -15,8 +15,9 @@ import (
 // first lookup on the new epoch drops every stale entry: invalidation
 // needs no hooks in the writers.
 //
-// The cache is guarded by Store.mu (lookups happen inside planLocked,
-// which already holds it), so it carries no lock of its own. Cached
+// The cache is guarded by Store.mu (lookups happen inside
+// Store.prepare, which already holds it), so it carries no lock of its
+// own. Cached
 // plans are shared by concurrent executions; the only mutable plan
 // state, bloom handles, publishes atomically.
 type planCache struct {
@@ -46,9 +47,6 @@ type PlanCacheStats struct {
 }
 
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		return nil
-	}
 	return &planCache{
 		cap:   capacity,
 		byKey: make(map[string]*list.Element),
@@ -87,9 +85,6 @@ func planCacheKey(src string, qopts QueryOptions) string {
 // get returns the cached plan for key at epoch, dropping the whole
 // cache first if the epoch has advanced.
 func (c *planCache) get(epoch uint64, key string) (*plan.Plan, bool) {
-	if c == nil {
-		return nil, false
-	}
 	if epoch != c.epoch {
 		c.byKey = make(map[string]*list.Element)
 		c.lru.Init()
@@ -109,7 +104,7 @@ func (c *planCache) get(epoch uint64, key string) (*plan.Plan, bool) {
 // entry past capacity. get for the same epoch must precede it (get owns
 // the epoch rollover).
 func (c *planCache) put(epoch uint64, key string, p *plan.Plan) {
-	if c == nil || epoch != c.epoch {
+	if epoch != c.epoch {
 		return
 	}
 	if el, ok := c.byKey[key]; ok {
@@ -127,9 +122,6 @@ func (c *planCache) put(epoch uint64, key string, p *plan.Plan) {
 }
 
 func (c *planCache) stats() PlanCacheStats {
-	if c == nil {
-		return PlanCacheStats{}
-	}
 	return PlanCacheStats{
 		Hits:      c.hits,
 		Misses:    c.misses,

@@ -30,7 +30,8 @@ type QueryRecord struct {
 	CacheHit bool `json:"cache_hit"`
 	// Predicates/Tables/FilterColumns/Stars are the plan's workload
 	// fingerprint: predicate IRIs touched, CS tables scanned, columns
-	// carrying a range or equality constraint, and the star count.
+	// the query constrains by value (see plan.Profile), and the star
+	// count.
 	Predicates    []string `json:"predicates,omitempty"`
 	Tables        []string `json:"tables,omitempty"`
 	FilterColumns []string `json:"filter_columns,omitempty"`
@@ -44,9 +45,10 @@ type QueryRecord struct {
 }
 
 // WorkloadProfile aggregates the query log into the per-predicate
-// signals a self-organization policy reads: how often each predicate is
-// touched and how often each column is filtered. Counts are cumulative
-// over the store's lifetime, not windowed to the ring buffer.
+// signals the self-organization policy reads: how often each predicate
+// is touched and how often each column is filtered (the counts Organize
+// picks sort keys from). Counts are cumulative over the store's
+// lifetime, not windowed to the ring buffer.
 type WorkloadProfile struct {
 	Queries          uint64            `json:"queries"`
 	Rows             uint64            `json:"rows"`
@@ -186,8 +188,8 @@ func (s *Store) QueryLog() []QueryRecord { return s.qlog.recent() }
 
 // WorkloadProfile aggregates the query log into cumulative
 // per-predicate touch and per-column filter counts — the sensor the
-// self-organization policy reads. This PR ships the sensor, not the
-// policy.
+// self-organization policy reads: Organize makes each table's
+// most-filtered column its subject-clustering sort key.
 func (s *Store) WorkloadProfile() WorkloadProfile { return s.qlog.profile() }
 
 // QueryLogCounts returns the cumulative (queries, result rows) the log

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
+	"srdf/internal/exec"
 	"srdf/internal/plan"
 )
 
@@ -83,7 +85,7 @@ func TestQueryLogRecords(t *testing.T) {
 	}
 
 	// A streamed query records on Close.
-	rows, err := s.QueryStream(introQuery, qo)
+	rows, err := s.QueryStream(context.Background(), introQuery, qo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +109,79 @@ func TestQueryLogRecords(t *testing.T) {
 	if got := len(s.QueryLog()); got != 3 {
 		t.Fatalf("unplannable query was recorded: %d records", got)
 	}
+
+	// Every way of running a query is one lifecycle: each adds exactly
+	// one record carrying the same plan-time fingerprint.
+	ctx := context.Background()
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"Query", func() error { _, err := s.Query(introQuery, qo); return err }},
+		{"drained QueryStream", func() error {
+			rows, err := s.QueryStream(ctx, introQuery, qo)
+			if err != nil {
+				return err
+			}
+			for rows.Next() {
+			}
+			return rows.Err()
+		}},
+		{"QueryStream closed after one row", func() error {
+			rows, err := s.QueryStream(ctx, introQuery, qo)
+			if err != nil {
+				return err
+			}
+			rows.Next()
+			rows.Close()
+			return rows.Err()
+		}},
+		{"ExplainAnalyze", func() error { _, err := s.ExplainAnalyze(ctx, introQuery, qo); return err }},
+	}
+	for _, r := range runs {
+		before := len(s.QueryLog())
+		if err := r.run(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		recs := s.QueryLog()
+		if len(recs) != before+1 {
+			t.Fatalf("%s added %d records, want 1", r.name, len(recs)-before)
+		}
+		got := recs[0]
+		if !equalStrings(got.Predicates, rec.Predicates) || !equalStrings(got.FilterColumns, rec.FilterColumns) ||
+			got.Stars != rec.Stars {
+			t.Errorf("%s fingerprint = %v %v %d, want %v %v %d", r.name,
+				got.Predicates, got.FilterColumns, got.Stars, rec.Predicates, rec.FilterColumns, rec.Stars)
+		}
+	}
+	if recs := s.QueryLog(); recs[1].Rows != 1 {
+		t.Errorf("stream closed after one row recorded rows=%d, want 1", recs[1].Rows)
+	}
+
+	// Explain plans without running: no record, no plan-cache traffic.
+	before, pcs := len(s.QueryLog()), s.PlanCacheStats()
+	for i := 0; i < 3; i++ {
+		if _, err := s.Explain(introQuery, qo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(s.QueryLog()); got != before {
+		t.Errorf("Explain added %d records", got-before)
+	}
+	if got := s.PlanCacheStats(); got != pcs {
+		t.Errorf("Explain moved the plan cache: %+v -> %+v", pcs, got)
+	}
+
+	// A query that fails its memory budget reports the error instead of
+	// a short result.
+	memqo := qo
+	memqo.MemLimit = 1
+	memq := `SELECT DISTINCT ?a ?n WHERE {
+  ?b <http://lib.example.org/author> ?a . ?b <http://lib.example.org/isbn> ?n }`
+	res, err = s.Query(memq, memqo)
+	if !errors.Is(err, exec.ErrMemBudget) || res != nil {
+		t.Errorf("over-budget Query = (%v, %v), want (nil, ErrMemBudget)", res, err)
+	}
 }
 
 // TestQueryLogOutcomes checks the failure classifications.
@@ -116,7 +191,7 @@ func TestQueryLogOutcomes(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, err := s.QueryStreamCtx(ctx, introQuery, qo)
+	rows, err := s.QueryStream(ctx, introQuery, qo)
 	if err == nil {
 		for rows.Next() {
 		}

@@ -53,15 +53,11 @@ type Options struct {
 	CS cs.Options
 	// Cluster tunes subject clustering.
 	Cluster cluster.Options
-	// PoolPages caps the simulated buffer pool (<=0: unlimited).
-	PoolPages int
 	// PoolBytes caps the real memory the buffer pool lets decoded
 	// sealed segments occupy (<=0: unlimited). Past the budget, the
 	// least-recently-used unpinned segments are evicted back to their
 	// on-disk encoded form and fault in again on the next touch.
 	PoolBytes int64
-	// Dedup removes duplicate triples on Organize (RDF graphs are sets).
-	Dedup bool
 	// CompactThreshold is the delta size (delta rows + tombstones) that
 	// auto-triggers Compact during a refresh; 0 means
 	// DefaultCompactThreshold, negative disables auto-compaction.
@@ -73,9 +69,6 @@ type Options struct {
 	// ordinary update path when the store is created or opened. Bulk
 	// loads are not logged — checkpoint them with Save.
 	WALPath string
-	// PlanCache sizes the prepared-plan cache (entries). 0 uses
-	// DefaultPlanCacheSize; negative disables caching.
-	PlanCache int
 	// FS routes every durability syscall (WAL, snapshot) through an
 	// injectable filesystem — the fault-injection seam. Nil uses the
 	// real one.
@@ -90,8 +83,7 @@ type Options struct {
 	ProbeInterval time.Duration
 }
 
-// DefaultPlanCacheSize is the prepared-plan cache capacity when
-// Options.PlanCache is 0.
+// DefaultPlanCacheSize is the prepared-plan cache capacity (entries).
 const DefaultPlanCacheSize = 256
 
 // DefaultOptions returns the standard configuration.
@@ -99,23 +91,27 @@ func DefaultOptions() Options {
 	return Options{
 		CS:      cs.DefaultOptions(),
 		Cluster: cluster.DefaultOptions(),
-		Dedup:   true,
 	}
 }
 
 // QueryOptions selects the plan family per query, mirroring Table I's
 // configuration axes.
 type QueryOptions struct {
-	Mode     plan.Mode
+	// Mode selects the plan family: per-property index scans with
+	// self-joins (ModeDefault) or RDFscan/RDFjoin over the emergent
+	// tables (ModeRDFScan).
+	Mode plan.Mode
+	// ZoneMaps lets RDFscan skip blocks by their min/max summaries.
 	ZoneMaps bool
 	// ForceAlgo pins the physical join algorithm ("hash", "merge",
-	// "rdfjoin") wherever applicable — for testing and plan-quality
-	// comparison, not production use.
+	// "rdfjoin") wherever the optimizer could have applied it; joins the
+	// pinned algorithm cannot serve keep the cost-based choice. Meant
+	// for testing and plan comparison, not production use.
 	ForceAlgo string
-	// NoBloom disables runtime bloom filters on hash joins.
+	// NoBloom disables runtime bloom filters on hash-join probe sides.
 	NoBloom bool
 	// ForceOrder fixes the left-deep star join order by subject
-	// variable.
+	// variable name (without the leading '?').
 	ForceOrder []string
 	// MemLimit bounds the bytes the query's materializing operators
 	// (hash-join builds, aggregation state, sort rows, DISTINCT keys)
@@ -252,20 +248,16 @@ type Store struct {
 	ckptSeq     uint64
 	ckptWritten uint64
 
-	// workload counts, per predicate IRI, how often queries put a range
-	// or equality filter on that predicate's object — the signal the
-	// next Organize uses to choose subject-clustering sort keys
-	// (research question iii / the §II-D acknowledgment that sort-key
-	// choice needs workload analysis).
-	workload map[string]int
-
-	// plans is the prepared-plan cache (nil when disabled), guarded by
-	// mu like the rest of the planning state.
+	// plans is the prepared-plan cache, guarded by mu like the rest of
+	// the planning state.
 	plans *planCache
 
 	// qlog is the structured query log: a ring of completed
 	// QueryRecords plus cumulative workload counters, self-locked (one
-	// short hold per completed query).
+	// short hold per completed query). Its filter counts are the
+	// workload signal the next Organize chooses subject-clustering sort
+	// keys from (research question iii / the §II-D acknowledgment that
+	// sort-key choice needs workload analysis).
 	qlog *queryLog
 
 	// born marks store creation, for uptime reporting.
@@ -298,10 +290,6 @@ func NewStore(opts Options) *Store {
 }
 
 func newBareStore(opts Options) *Store {
-	cacheCap := opts.PlanCache
-	if cacheCap == 0 {
-		cacheCap = DefaultPlanCacheSize
-	}
 	fs := opts.FS
 	if fs == nil {
 		fs = fault.OS()
@@ -316,18 +304,16 @@ func newBareStore(opts Options) *Store {
 		deltaSet:   make(map[triples.Triple]struct{}),
 		delPending: make(map[triples.Triple]struct{}),
 		deadSet:    make(map[triples.Triple]struct{}),
-		workload:   make(map[string]int),
-		plans:      newPlanCache(cacheCap),
+		plans:      newPlanCache(DefaultPlanCacheSize),
 		qlog:       newQueryLog(DefaultQueryLogSize),
 		born:       time.Now(),
 	}
 }
 
-// newPool builds the store's buffer pool from the options: the page
-// simulation sized by PoolPages, the real decoded-byte budget by
-// PoolBytes.
+// newPool builds the store's buffer pool: an unbounded page simulation
+// and the real decoded-byte budget from Options.PoolBytes.
 func newPool(opts Options) *colstore.BufferPool {
-	p := colstore.NewPool(opts.PoolPages)
+	p := colstore.NewPool(0)
 	p.SetBudget(opts.PoolBytes)
 	return p
 }
@@ -885,10 +871,11 @@ func (r OrganizeReport) String() string {
 // Organize runs the self-organization pipeline: discover characteristic
 // sets, cluster subjects (renumbering the whole OID space), materialize
 // the relational catalog with zone maps, and index the renumbered
-// table. The table is sorted twice in full, both times into SPO: once
-// before the renumbering (by Dedup, which leaves it in SPO order so the
-// projection discovery and clustering share costs one sortedness scan;
-// without Options.Dedup that projection is the sort) and once after it,
+// table. Duplicate triples are dropped first (RDF graphs are sets). The
+// table is sorted twice in full, both times into SPO: once before the
+// renumbering (by the dedup, which leaves it in SPO order so the
+// projection discovery and clustering share costs one sortedness scan)
+// and once after it,
 // for the projection the catalog is filled from and the store's index
 // set adopts. The other five orders are sorted only if a plan ever
 // reads them. It can be called again after live updates to fold the
@@ -906,9 +893,7 @@ func (s *Store) Organize() (OrganizeReport, error) {
 	// the table is about to be rewritten and renumbered: whatever
 	// happens below, the old index set no longer describes it
 	s.idx, s.idxRows = nil, 0
-	if s.opts.Dedup {
-		rep.DuplicatesDropped = s.table.Dedup()
-	}
+	rep.DuplicatesDropped = s.table.Dedup()
 	rep.Triples = s.table.Len()
 
 	spo := triples.Build(s.table, triples.SPO)
@@ -1021,12 +1006,13 @@ func (s *Store) compactLocked() relational.CompactStats {
 	return st
 }
 
-// workloadSortKeysLocked derives per-table sort keys from the observed
-// workload: for each retained CS, the most-filtered predicate among its
-// properties wins. Explicit user keys take precedence; tables without a
-// workload signal fall back to AutoSortKey.
+// workloadSortKeysLocked derives per-table sort keys from the query
+// log's filter counts: for each retained CS, the most-filtered predicate
+// among its properties wins. Explicit user keys take precedence; tables
+// without a workload signal fall back to AutoSortKey.
 func (s *Store) workloadSortKeysLocked(explicit map[string]string) map[string]string {
-	if len(s.workload) == 0 {
+	filtered := s.qlog.profile().FilterColumns
+	if len(filtered) == 0 {
 		return explicit
 	}
 	out := make(map[string]string, len(explicit))
@@ -1040,13 +1026,13 @@ func (s *Store) workloadSortKeysLocked(explicit map[string]string) map[string]st
 		if _, ok := out[c.Name]; ok {
 			continue
 		}
-		best, bestN := "", 0
+		best, bestN := "", uint64(0)
 		for i := range c.Props {
 			tm, ok := s.dict.Term(c.Props[i].Pred)
 			if !ok {
 				continue
 			}
-			if n := s.workload[tm.Value]; n > bestN {
+			if n := filtered[tm.Value]; n > bestN {
 				best, bestN = tm.Value, n
 			}
 		}
@@ -1055,13 +1041,6 @@ func (s *Store) workloadSortKeysLocked(explicit map[string]string) map[string]st
 		}
 	}
 	return out
-}
-
-// recordWorkloadLocked folds one parsed query into the workload stats.
-func (s *Store) recordWorkloadLocked(q *sparql.Query) {
-	for _, iri := range plan.WorkloadRangePreds(q) {
-		s.workload[iri]++
-	}
 }
 
 // publishSnapshotLocked builds and publishes the immutable epoch
@@ -1171,35 +1150,6 @@ func (s *Store) refreshLocked() {
 	}
 }
 
-// planLocked refreshes, plans q against the current snapshot, and
-// returns both. Callers execute against the snapshot without any lock.
-func (s *Store) planLocked(q *sparql.Query, qopts QueryOptions, record bool) (*plan.Plan, *snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if record {
-		s.recordWorkloadLocked(q)
-	}
-	s.refreshLocked()
-	if s.snap == nil {
-		// Read-only latched before anything could be published (the
-		// very first refresh hit the durability failure): there is no
-		// durable epoch to serve, so the query reports the latch.
-		return nil, nil, s.roErrLocked()
-	}
-	snap := s.snap
-	p, err := plan.Build(q, snap.view(), plan.Options{
-		Mode:       qopts.Mode,
-		ZoneMaps:   qopts.ZoneMaps,
-		ForceAlgo:  qopts.ForceAlgo,
-		NoBloom:    qopts.NoBloom,
-		ForceOrder: qopts.ForceOrder,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, snap, nil
-}
-
 // BadQueryError marks a query the client got wrong — a parse failure or
 // an unplannable shape — as opposed to a store-side failure (WAL sync
 // loss). Protocol front ends map it to 400.
@@ -1208,33 +1158,32 @@ type BadQueryError struct{ Err error }
 func (e *BadQueryError) Error() string { return e.Err.Error() }
 func (e *BadQueryError) Unwrap() error { return e.Err }
 
-// planSourceLocked is the cached planning path: refresh, then resolve
-// (src, qopts) through the prepared-plan cache at the published epoch,
-// parsing and building only on a miss. Parse and build failures come
-// back wrapped in BadQueryError; WAL failures do not (they are the
+// prepare is the one planning path: refresh, then resolve (src, qopts)
+// at the published epoch — through the prepared-plan cache when cached
+// is set, parsing and building only on a miss. Parse and build failures
+// come back wrapped in BadQueryError; WAL failures do not (they are the
 // store's fault, not the query's).
-func (s *Store) planSourceLocked(src string, qopts QueryOptions, record bool) (_ *plan.Plan, _ *snapshot, cached bool, _ error) {
+func (s *Store) prepare(src string, qopts QueryOptions, cached bool) (_ *plan.Plan, _ *snapshot, hit bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.refreshLocked()
 	if s.snap == nil {
-		// see planLocked: latched before any epoch was published
+		// Read-only latched before anything could be published (the
+		// very first refresh hit the durability failure): there is no
+		// durable epoch to serve, so the query reports the latch.
 		return nil, nil, false, s.roErrLocked()
 	}
 	snap := s.snap
-	key := planCacheKey(src, qopts)
-	if p, ok := s.plans.get(snap.epoch, key); ok {
-		if record {
-			s.recordWorkloadLocked(p.Query)
+	var key string
+	if cached {
+		key = planCacheKey(src, qopts)
+		if p, ok := s.plans.get(snap.epoch, key); ok {
+			return p, snap, true, nil
 		}
-		return p, snap, true, nil
 	}
 	q, err := sparql.Parse(src)
 	if err != nil {
 		return nil, nil, false, &BadQueryError{Err: err}
-	}
-	if record {
-		s.recordWorkloadLocked(q)
 	}
 	p, err := plan.Build(q, snap.view(), plan.Options{
 		Mode:       qopts.Mode,
@@ -1246,53 +1195,66 @@ func (s *Store) planSourceLocked(src string, qopts QueryOptions, record bool) (_
 	if err != nil {
 		return nil, nil, false, &BadQueryError{Err: err}
 	}
-	s.plans.put(snap.epoch, key, p)
+	if cached {
+		s.plans.put(snap.epoch, key, p)
+	}
 	return p, snap, false, nil
 }
 
-// PlanCacheStats reports the prepared-plan cache counters (zero values
-// when the cache is disabled).
+// PlanCacheStats reports the prepared-plan cache counters.
 func (s *Store) PlanCacheStats() PlanCacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.plans.stats()
 }
 
-// Query parses, plans and executes a SPARQL query against the current
-// epoch snapshot. Concurrent Add/Delete/Compact calls do not affect a
-// query once planned.
-func (s *Store) Query(src string, qopts QueryOptions) (*exec.Result, error) {
+// run is the one query lifecycle: it takes the reader gate, plans
+// through the cache, forks the snapshot's shared Ctx for this query, and
+// starts the pipeline. The returned Rows holds the gate and records the
+// query in the log when it closes. With analyze set the execution
+// carries a per-operator stats tree.
+//
+// The fork gives the query its own cancellation signal, failure slot,
+// and memory budget — the failure slot is what lets a worker panic or
+// budget overrun fail one query instead of the process.
+func (s *Store) run(ctx context.Context, src string, qopts QueryOptions, analyze bool) (*Rows, error) {
 	s.gate.RLock()
-	defer s.gate.RUnlock()
-	p, snap, cached, err := s.planSourceLocked(src, qopts, true)
+	p, snap, hit, err := s.prepare(src, qopts, true)
 	if err != nil {
+		s.gate.RUnlock()
 		return nil, err
 	}
-	rec := newQueryRecord(src, p, cached)
-	start := time.Now()
-	res, err := p.Execute(queryCtx(snap, nil, qopts))
-	rec.DurationNS = time.Since(start).Nanoseconds()
-	if res != nil {
-		rec.Rows = int64(len(res.Rows))
-	}
-	rec.Outcome = outcomeOf(err)
-	s.qlog.record(rec)
-	return res, err
-}
-
-// queryCtx forks the snapshot's shared Ctx for one query: its own
-// cancellation signal (nil: uncancellable), failure slot, and memory
-// budget. Every execution path forks — the failure slot is what lets a
-// worker panic or budget overrun fail one query instead of the process.
-func queryCtx(snap *snapshot, ctx context.Context, qopts QueryOptions) *exec.Ctx {
 	ectx := snap.ctx.WithQueryContext(ctx)
+	ectx.ReqID = RequestIDFrom(ctx)
 	if qopts.MemLimit > 0 {
 		ectx.Mem = exec.NewMemAccountant(qopts.MemLimit)
 	}
-	if ctx != nil {
-		ectx.ReqID = RequestIDFrom(ctx)
+	if analyze {
+		ectx.Stats = exec.NewQueryStats(p.NumStatNodes())
 	}
-	return ectx
+	r := &Rows{s: s, p: p, stats: ectx.Stats, rec: newQueryRecord(src, p, hit), start: time.Now()}
+	r.it = p.Stream(ectx)
+	return r, nil
+}
+
+// Query parses, plans and executes a SPARQL query against the current
+// epoch snapshot. Concurrent Add/Delete/Compact calls do not affect a
+// query once planned. A stream that ends on a failure (recovered panic,
+// memory budget) returns the error, never a silently short result.
+func (s *Store) Query(src string, qopts QueryOptions) (*exec.Result, error) {
+	r, err := s.run(context.Background(), src, qopts, false)
+	if err != nil {
+		return nil, err
+	}
+	res := r.it.Collect()
+	if r.Err() == nil {
+		r.n = int64(len(res.Rows)) // a failed query delivers no rows
+	}
+	r.Close()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Rows is a streaming query result: rows are produced by the vectorized
@@ -1303,8 +1265,12 @@ func queryCtx(snap *snapshot, ctx context.Context, qopts QueryOptions) *exec.Ctx
 // for open iterators — close (or drain) them before calling it.
 type Rows struct {
 	s    *Store
+	p    *plan.Plan
 	it   *exec.RowIter
 	done bool
+	// stats is the per-operator stats tree of an analyzed execution
+	// (nil otherwise).
+	stats *exec.QueryStats
 	// rec is the query-log record prototype; Close fills the runtime
 	// half (duration, rows, outcome) and records it.
 	rec   QueryRecord
@@ -1366,38 +1332,20 @@ func (r *Rows) Close() {
 
 // QueryStream parses, plans and starts a SPARQL query, returning a
 // streaming row iterator over the current epoch snapshot instead of a
-// materialized result.
-func (s *Store) QueryStream(src string, qopts QueryOptions) (*Rows, error) {
-	return s.QueryStreamCtx(context.Background(), src, qopts)
+// materialized result. When ctx fires — per-query timeout, client
+// disconnect — the pipeline's scans and joins stop at the next batch
+// boundary, Next returns false, and Rows.Err reports the cause.
+// Planning resolves through the prepared-plan cache; parse/plan
+// failures are BadQueryError.
+func (s *Store) QueryStream(ctx context.Context, src string, qopts QueryOptions) (*Rows, error) {
+	return s.run(ctx, src, qopts, false)
 }
 
-// QueryStreamCtx is QueryStream bound to a context: when ctx fires —
-// per-query timeout, client disconnect — the pipeline's scans and joins
-// stop at the next batch boundary, Next returns false, and Rows.Err
-// reports the cause. Planning resolves through the
-// prepared-plan cache; parse/plan failures are BadQueryError.
-func (s *Store) QueryStreamCtx(ctx context.Context, src string, qopts QueryOptions) (*Rows, error) {
-	s.gate.RLock()
-	p, snap, cached, err := s.planSourceLocked(src, qopts, true)
-	if err != nil {
-		s.gate.RUnlock()
-		return nil, err
-	}
-	it, err := p.Stream(queryCtx(snap, ctx, qopts))
-	if err != nil {
-		s.gate.RUnlock()
-		return nil, err
-	}
-	return &Rows{s: s, it: it, rec: newQueryRecord(src, p, cached), start: time.Now()}, nil
-}
-
-// Explain returns the plan tree for a query without executing it.
+// Explain returns the plan tree for a query without executing it. It
+// plans afresh — bypassing the plan cache — and is not recorded in the
+// query log, so it neither counts as workload nor moves cache counters.
 func (s *Store) Explain(src string, qopts QueryOptions) (string, error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	p, _, err := s.planLocked(q, qopts, false)
+	p, _, _, err := s.prepare(src, qopts, false)
 	if err != nil {
 		return "", err
 	}
@@ -1411,34 +1359,18 @@ func (s *Store) Explain(src string, qopts QueryOptions) (string, error) {
 // The execution is a real query: it goes through the plan cache, counts
 // in the query log, and honors ctx cancellation and the memory budget.
 func (s *Store) ExplainAnalyze(ctx context.Context, src string, qopts QueryOptions) (string, error) {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	p, snap, cached, err := s.planSourceLocked(src, qopts, true)
+	r, err := s.run(ctx, src, qopts, true)
 	if err != nil {
 		return "", err
 	}
-	ectx := queryCtx(snap, ctx, qopts)
-	stats := exec.NewQueryStats(p.NumStatNodes())
-	ectx.Stats = stats
-	rec := newQueryRecord(src, p, cached)
-	start := time.Now()
-	it, err := p.Stream(ectx)
-	if err != nil {
+	defer r.Close() // after rendering: the gate keeps Organize off the plan's OIDs
+	for r.it.Next() {
+		r.n++
+	}
+	if err := r.Err(); err != nil {
 		return "", err
 	}
-	var rows int64
-	for it.Next() {
-		rows++
-	}
-	dur := time.Since(start)
-	rec.DurationNS = dur.Nanoseconds()
-	rec.Rows = rows
-	rec.Outcome = outcomeOf(it.Err())
-	s.qlog.record(rec)
-	if err := it.Err(); err != nil {
-		return "", err
-	}
-	return p.ExplainAnalyze(stats, rows, dur), nil
+	return r.p.ExplainAnalyze(r.stats, r.n, time.Since(r.start)), nil
 }
 
 // Uptime reports the time since the store was created or opened.

@@ -446,28 +446,124 @@ func sample(rows []string) []string {
 	return rows
 }
 
+// workloadSrc is one table whose auto sort key is the date column
+// e:made; e:size (integer) and e:kind (IRI) are the columns a workload
+// could make the key instead.
+func workloadSrc() string {
+	var b strings.Builder
+	b.WriteString("@prefix e: <http://w/> .\n@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n")
+	for i := 0; i < 40; i++ {
+		kind := "Small"
+		if i%3 == 0 {
+			kind = "Big"
+		}
+		fmt.Fprintf(&b, "e:x%d e:made \"19%02d-01-01\"^^xsd:date ; e:size %d ; e:kind e:%s .\n",
+			i, 90+(i%9), (i*37)%100, kind)
+	}
+	return b.String()
+}
+
+// sortKeyOf returns the local name of the predicate the last Organize
+// sub-ordered pred's table by ("" for load order).
+func sortKeyOf(t *testing.T, s *Store, pred string) string {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range s.clusterIn.Ranges {
+		c := s.schema.CSs[r.CSID]
+		for i := range c.Props {
+			if tm, _ := s.dict.Term(c.Props[i].Pred); tm.Value != "http://w/"+pred {
+				continue
+			}
+			if r.SortPred == dict.Nil {
+				return ""
+			}
+			tm, _ := s.dict.Term(r.SortPred)
+			return strings.TrimPrefix(tm.Value, "http://w/")
+		}
+	}
+	t.Fatalf("no clustered table holds %s", pred)
+	return ""
+}
+
 func TestWorkloadDrivenSortKey(t *testing.T) {
 	// A table whose auto sort key would be the date column; the observed
 	// workload filters on the integer "size" column instead, so after
 	// re-Organize the store should sub-order by size.
-	var b strings.Builder
-	b.WriteString("@prefix e: <http://w/> .\n@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n")
-	for i := 0; i < 40; i++ {
-		fmt.Fprintf(&b, "e:x%d e:made \"19%02d-01-01\"^^xsd:date ; e:size %d .\n", i, 90+(i%9), (i*37)%100)
-	}
-	s := newTestStore(t, b.String(), 3)
+	const q = `PREFIX e: <http://w/> SELECT ?s WHERE { ?s e:size ?z . ?s e:made ?m . FILTER (?z >= 40 && ?z < 60) }`
+	qo := QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true}
+
+	t.Run("before first Organize", func(t *testing.T) {
+		// the workload seen before any Organize already steers the first one
+		s := newTestStore(t, workloadSrc(), 3)
+		for i := 0; i < 5; i++ {
+			if _, err := s.Query(q, QueryOptions{Mode: plan.ModeDefault}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Organize(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sortKeyOf(t, s, "size"); got != "size" {
+			t.Errorf("sort key = %q, want size", got)
+		}
+	})
+	t.Run("IRI constant object", func(t *testing.T) {
+		// an IRI-valued object is a type-like selector, not a filtered
+		// column: however often it repeats, it never becomes the key
+		s := newTestStore(t, workloadSrc(), 3)
+		if _, err := s.Organize(); err != nil {
+			t.Fatal(err)
+		}
+		kq := `PREFIX e: <http://w/> SELECT ?s ?z WHERE { ?s e:kind e:Big . ?s e:size ?z }`
+		for i := 0; i < 20; i++ {
+			if _, err := s.Query(kq, qo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Organize(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sortKeyOf(t, s, "kind"); got != "made" {
+			t.Errorf("sort key = %q, want the automatic made", got)
+		}
+	})
+	t.Run("Explain does not count", func(t *testing.T) {
+		s := newTestStore(t, workloadSrc(), 3)
+		if _, err := s.Organize(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			if _, err := s.Explain(q, qo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Organize(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sortKeyOf(t, s, "size"); got != "made" {
+			t.Errorf("sort key = %q, want the automatic made", got)
+		}
+	})
+
+	s := newTestStore(t, workloadSrc(), 3)
 	if _, err := s.Organize(); err != nil {
 		t.Fatal(err)
 	}
+	if got := sortKeyOf(t, s, "size"); got != "made" {
+		t.Fatalf("initial sort key = %q, want the automatic made", got)
+	}
 	// run the size-filtered query a few times (the workload)
-	q := `PREFIX e: <http://w/> SELECT ?s WHERE { ?s e:size ?z . ?s e:made ?m . FILTER (?z >= 40 && ?z < 60) }`
 	for i := 0; i < 5; i++ {
-		if _, err := s.Query(q, QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true}); err != nil {
+		if _, err := s.Query(q, qo); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := s.Organize(); err != nil {
 		t.Fatal(err)
+	}
+	if got := sortKeyOf(t, s, "size"); got != "size" {
+		t.Errorf("sort key = %q, want size", got)
 	}
 	// the table's size column must now be physically ascending
 	var sizeAscending bool
@@ -490,7 +586,7 @@ func TestWorkloadDrivenSortKey(t *testing.T) {
 		t.Error("workload-driven sort key not applied: size column not ascending")
 	}
 	// and the query still returns the right rows
-	res, err := s.Query(q, QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true})
+	res, err := s.Query(q, qo)
 	if err != nil {
 		t.Fatal(err)
 	}

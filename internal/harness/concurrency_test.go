@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,7 +119,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < 40; it++ {
-				rows, err := st.QueryStream(q, qo)
+				rows, err := st.QueryStream(context.Background(), q, qo)
 				if err != nil {
 					fail("reader %d: %v", r, err)
 					return
@@ -176,7 +178,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 				if it%3 == 2 {
 					mode = core.QueryOptions{Mode: plan.ModeDefault}
 				}
-				rows, err := st.QueryStream(q, mode)
+				rows, err := st.QueryStream(context.Background(), q, mode)
 				if err != nil {
 					fail("range reader %d: %v", r, err)
 					return
@@ -282,10 +284,30 @@ func TestConcurrentLazyProjections(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, len(shapes)+2)
+	var stop atomic.Bool
 	fail := func(format string, args ...any) {
+		stop.Store(true)
 		select {
 		case errs <- fmt.Errorf(format, args...):
 		default:
+		}
+	}
+
+	// answered counts each reader's completed queries. awaitReaders
+	// blocks the writer until each reader has answered twice more, so at
+	// least one of those queries began after the last write: however the
+	// scheduler favours the writer, the readers sort their orders on the
+	// fresh set of every Organize and merge the next write into them.
+	answered := make([]atomic.Int64, len(shapes))
+	awaitReaders := func() {
+		base := make([]int64, len(answered))
+		for r := range answered {
+			base[r] = answered[r].Load()
+		}
+		for r := range answered {
+			for answered[r].Load() < base[r]+2 && !stop.Load() {
+				runtime.Gosched()
+			}
 		}
 	}
 
@@ -318,6 +340,9 @@ func TestConcurrentLazyProjections(t *testing.T) {
 					fail("organize: %v", err)
 					return
 				}
+			}
+			if op%40 == 0 || op%40 == 39 {
+				awaitReaders()
 			}
 		}
 	}()
@@ -362,6 +387,7 @@ func TestConcurrentLazyProjections(t *testing.T) {
 						}
 					}
 				}
+				answered[r].Add(1)
 			}
 		}()
 	}

@@ -96,7 +96,7 @@ func TestConcurrentEarlyClose(t *testing.T) {
 	// stream reads up to max rows (max < 0: all) of a streaming query,
 	// cancelling ctx after cancelAt rows when cancel is set.
 	stream := func(ctx context.Context, cancel context.CancelFunc, q string, max, cancelAt int) ([]string, error) {
-		rows, err := st.QueryStreamCtx(ctx, q, qo)
+		rows, err := st.QueryStream(ctx, q, qo)
 		if err != nil {
 			return nil, err
 		}

@@ -15,6 +15,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -455,7 +456,7 @@ func EvalQuery(st *core.Store, q string, want *Answer) (map[Config][]string, err
 		}
 		rows := renderRows(res.Rows)
 
-		it, err := st.QueryStream(q, qo)
+		it, err := st.QueryStream(context.Background(), q, qo)
 		if err != nil {
 			return nil, fmt.Errorf("%v QueryStream: %w\nquery: %s", cfg, err, q)
 		}

@@ -9,13 +9,14 @@ import (
 	"srdf/internal/dict"
 	"srdf/internal/exec"
 	"srdf/internal/relational"
+	"srdf/internal/sparql"
 )
 
 // Profile is the plan-time workload fingerprint of one query: which
 // predicates and CS tables it touches, which columns it constrains, and
 // how many stars it joins. Computed once per built plan (cache hits
 // reuse it), it is the raw material of the store's workload profile —
-// the sensor the future self-organization policy reads.
+// the sensor Organize reads to choose subject-clustering sort keys.
 type Profile struct {
 	// Predicates are the distinct predicate IRIs the query touches,
 	// sorted.
@@ -23,9 +24,13 @@ type Profile struct {
 	// Tables are the distinct CS table names the plan scans, sorted
 	// (empty before Organize).
 	Tables []string
-	// FilterColumns are the predicate IRIs carrying a range or
-	// constant-equality constraint — the columns a sort-key or
-	// clustering policy would care about.
+	// FilterColumns are the predicate IRIs whose object the query
+	// constrains by value, sorted: the object is a literal constant, or
+	// a variable compared with a literal in a top-level FILTER conjunct.
+	// They are read off the query, not the plan, so they are the same
+	// before and after Organize and in either plan mode. IRI-constant
+	// objects (?s a :T) select a class, not a value range, and do not
+	// count. These are the columns a sort-key policy cares about.
 	FilterColumns []string
 	// Stars counts the star patterns (scan or star-fetch nodes) in the
 	// plan.
@@ -38,19 +43,43 @@ type Profile struct {
 // routes their (never-executed) wrappers to throwaway slots.
 func (p *Plan) finish(d *dict.Dictionary) {
 	f := &finisher{
-		d:       d,
-		preds:   map[string]bool{},
-		tables:  map[string]bool{},
-		filters: map[string]bool{},
+		d:      d,
+		preds:  map[string]bool{},
+		tables: map[string]bool{},
 	}
 	f.head(p.Head)
 	p.nStats = f.n
 	p.Prof = Profile{
 		Predicates:    sortedKeys(f.preds),
 		Tables:        sortedKeys(f.tables),
-		FilterColumns: sortedKeys(f.filters),
+		FilterColumns: filterColumns(p.Query),
 		Stars:         f.stars,
 	}
+}
+
+// filterColumns applies the Profile.FilterColumns rule to a query. It
+// is the workload analysis the paper calls for: "a self-organizing RDF
+// system would need workload analysis in order to derive the usefulness
+// of such subject-clustering on dates".
+func filterColumns(q *sparql.Query) []string {
+	cmpVars := map[string]bool{}
+	for _, f := range q.Filters {
+		for _, conj := range conjuncts(f) {
+			if v, _, _, ok := varCmpLit(conj); ok {
+				cmpVars[v] = true
+			}
+		}
+	}
+	cols := map[string]bool{}
+	for _, tp := range q.Patterns {
+		if tp.P.IsVar() {
+			continue
+		}
+		if tp.O.IsVar() && cmpVars[tp.O.Var] || !tp.O.IsVar() && tp.O.Term.IsLiteral() {
+			cols[tp.P.Term.Value] = true
+		}
+	}
+	return sortedKeys(cols)
 }
 
 // NumStatNodes is the node count of the stats tree an analyzed
@@ -70,12 +99,11 @@ func sortedKeys(m map[string]bool) []string {
 }
 
 type finisher struct {
-	d       *dict.Dictionary
-	n       int
-	preds   map[string]bool
-	tables  map[string]bool
-	filters map[string]bool
-	stars   int
+	d      *dict.Dictionary
+	n      int
+	preds  map[string]bool
+	tables map[string]bool
+	stars  int
 }
 
 func (f *finisher) next() int {
@@ -139,12 +167,7 @@ func (f *finisher) node(n Node) {
 func (f *finisher) star(st *exec.Star, tables []*relational.Table) {
 	f.stars++
 	for i := range st.Props {
-		p := &st.Props[i]
-		iri := f.iri(p.Pred)
-		f.preds[iri] = true
-		if p.HasRange || p.ObjConst != dict.Nil {
-			f.filters[iri] = true
-		}
+		f.preds[f.iri(st.Props[i].Pred)] = true
 	}
 	for _, t := range tables {
 		if t != nil {

@@ -118,7 +118,7 @@ func TestFig4bRDFJoinPlan(t *testing.T) {
 	if !strings.Contains(exp, "RDFjoin") {
 		t.Errorf("chain plan should use RDFjoin:\n%s", exp)
 	}
-	res, err := p.Execute(f.ctx)
+	res, err := execute(p, f.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestResultsAgreeAcrossModes(t *testing.T) {
 			{Mode: ModeRDFScan},
 			{Mode: ModeRDFScan, ZoneMaps: true},
 		} {
-			res, err := buildPlan(t, f, q, opt).Execute(f.ctx)
+			res, err := execute(buildPlan(t, f, q, opt), f.ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +176,7 @@ FILTER (?d >= "1996-02-01"^^xsd:date && ?d <= "1996-03-31"^^xsd:date) }`
 	if !strings.Contains(p.Explain(), "in[") {
 		t.Errorf("plan should show pushed range:\n%s", p.Explain())
 	}
-	res, err := p.Execute(f.ctx)
+	res, err := execute(p, f.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ SELECT ?l ?od WHERE {
 	if !strings.Contains(exp, "?o in[") && !strings.Contains(exp, " in[") {
 		t.Errorf("no FK range pushed:\n%s", exp)
 	}
-	res, err := p.Execute(f.ctx)
+	res, err := execute(p, f.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ SELECT ?l ?od WHERE {
 		t.Fatalf("rows = %d, want 3:\n%s", res.Len(), res)
 	}
 	// and the same result without zone maps
-	res2, err := buildPlan(t, f, q, Options{Mode: ModeRDFScan}).Execute(f.ctx)
+	res2, err := execute(buildPlan(t, f, q, Options{Mode: ModeRDFScan}), f.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestImpossibleRangeShortCircuits(t *testing.T) {
 	q := `PREFIX e: <http://o/>
 PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
 SELECT ?s WHERE { ?s e:odate ?d . FILTER (?d > "2050-01-01"^^xsd:date) }`
-	res, err := buildPlan(t, f, q, Options{Mode: ModeRDFScan, ZoneMaps: true}).Execute(f.ctx)
+	res, err := execute(buildPlan(t, f, q, Options{Mode: ModeRDFScan, ZoneMaps: true}), f.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestUnknownConstantGivesEmptyPlan(t *testing.T) {
 	if !strings.Contains(p.Explain(), "Empty") {
 		t.Errorf("expected empty plan:\n%s", p.Explain())
 	}
-	res, err := p.Execute(f.ctx)
+	res, err := execute(p, f.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestVariablePredicateGoesGeneric(t *testing.T) {
 	if !strings.Contains(p.Explain(), "TripleScan") {
 		t.Errorf("expected TripleScan:\n%s", p.Explain())
 	}
-	res, err := p.Execute(f.ctx)
+	res, err := execute(p, f.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestDuplicateVarInStar(t *testing.T) {
 	// ?s linked to itself: needs the EqSelect machinery
 	q := `PREFIX e: <http://o/> SELECT ?s WHERE { ?s e:lord ?s . }`
 	for _, opt := range []Options{{Mode: ModeDefault}, {Mode: ModeRDFScan}} {
-		res, err := buildPlan(t, f, q, opt).Execute(f.ctx)
+		res, err := execute(buildPlan(t, f, q, opt), f.ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestUnorganizedStoreFallsBack(t *testing.T) {
 	if !strings.Contains(p.Explain(), "StarSelfJoin") {
 		t.Errorf("unorganized store should use Default operators:\n%s", p.Explain())
 	}
-	res, err := p.Execute(ctx)
+	res, err := execute(p, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +312,20 @@ func TestUnorganizedStoreFallsBack(t *testing.T) {
 	}
 }
 
+// execute drains the plan's stream into a Result, reporting the error a
+// failed stream ended on.
+func execute(p *Plan, ctx *exec.Ctx) (*exec.Result, error) {
+	it := p.Stream(ctx)
+	res := it.Collect()
+	return res, it.Err()
+}
+
 func TestExecAdapterMatchesExecute(t *testing.T) {
 	f := newFixture(t, ordersSrc, 3)
 	for _, opt := range []Options{{Mode: ModeDefault}, {Mode: ModeRDFScan, ZoneMaps: true}} {
 		p := buildPlan(t, f, starQ, opt)
 		rel := exec.Drain(f.ctx, p.Root.Op()) // the root's operator tree, drained
-		res, err := p.Execute(f.ctx)
+		res, err := execute(p, f.ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,29 +98,14 @@ func (p *Plan) Explain() string {
 	return b.String()
 }
 
-// Execute runs the plan to a decoded result. The plan is driven as a
-// batch-streaming pipeline: scans produce as the head pulls, and a
-// satisfied LIMIT stops the pull early.
-func (p *Plan) Execute(ctx *exec.Ctx) (*exec.Result, error) {
-	it, err := p.Stream(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res := it.Collect()
-	if err := it.Err(); err != nil {
-		// the stream ended on a failure (cancellation, recovered panic,
-		// memory budget): report it instead of a silently truncated result
-		return nil, err
-	}
-	return res, nil
-}
-
 // Stream runs the plan to a pull-based row iterator; the caller must
-// Close it (exhaustion closes it automatically). Aggregation, DISTINCT
-// and ORDER BY run as batch operators inside the pipeline, so streaming
-// works for every query shape — no silent materialization fallback.
-func (p *Plan) Stream(ctx *exec.Ctx) (*exec.RowIter, error) {
-	return exec.StreamVal(ctx, p.Head.ValOp(), p.Query.Limit, p.Query.Offset), nil
+// Close it (exhaustion closes it automatically). The plan is driven as a
+// batch-streaming pipeline: scans produce as the head pulls, and a
+// satisfied LIMIT stops the pull early. Aggregation, DISTINCT and ORDER
+// BY run as batch operators inside the pipeline, so streaming works for
+// every query shape — no silent materialization fallback.
+func (p *Plan) Stream(ctx *exec.Ctx) *exec.RowIter {
+	return exec.StreamVal(ctx, p.Head.ValOp(), p.Query.Limit, p.Query.Offset)
 }
 
 // Build plans a parsed query against a store view.

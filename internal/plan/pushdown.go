@@ -190,39 +190,6 @@ func rangeEnforced(n Node, v string) (bound, enforced bool) {
 	return true, false
 }
 
-// WorkloadRangePreds inspects a query and returns the predicate IRIs
-// whose object variables carry range or equality FILTERs — the signal a
-// self-organizing store needs to pick subject-clustering sort keys from
-// the workload (the paper: "a self-organizing RDF system would need
-// workload analysis in order to derive the usefulness of such
-// subject-clustering on dates").
-func WorkloadRangePreds(q *sparql.Query) []string {
-	filtered := map[string]bool{}
-	for _, f := range q.Filters {
-		for _, conj := range conjuncts(f) {
-			if v, _, _, ok := varCmpLit(conj); ok {
-				filtered[v] = true
-			}
-		}
-	}
-	if len(filtered) == 0 {
-		return nil
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, tp := range q.Patterns {
-		if tp.P.IsVar() || !tp.O.IsVar() || !filtered[tp.O.Var] {
-			continue
-		}
-		iri := tp.P.Term.Value
-		if !seen[iri] {
-			seen[iri] = true
-			out = append(out, iri)
-		}
-	}
-	return out
-}
-
 // conjuncts flattens the top-level && chain of an expression.
 func conjuncts(e sparql.Expr) []sparql.Expr {
 	if b, ok := e.(*sparql.ExBin); ok && b.Op == sparql.OpAnd {

@@ -413,23 +413,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 
 	rows, err := s.store.QueryStreamCtx(ctx, query, s.cfg.Query)
 	if err != nil {
-		var bad *core.BadQueryError
-		switch {
-		case errors.As(err, &bad):
-			outcome = "bad_query"
-			s.met.queriesBad.Inc()
-			http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
-		case errors.Is(err, context.DeadlineExceeded):
-			outcome = "timeout"
-			s.met.queriesTimeout.Inc()
-			http.Error(w, "query timed out", http.StatusRequestTimeout)
-		case errors.Is(err, context.Canceled):
-			outcome = "canceled"
-			s.met.queriesCanceled.Inc()
-		default:
-			s.met.queriesErr.Inc()
-			http.Error(w, "query failed: "+err.Error(), http.StatusInternalServerError)
-		}
+		outcome = s.failQuery(w, err)
 		return
 	}
 	defer rows.Close()
@@ -440,25 +424,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	src := &peekSource{rows: rows, hook: s.rowHook}
 	src.prime()
 	if err := rows.Err(); err != nil && !src.has {
-		switch {
-		case errors.Is(err, exec.ErrMemBudget):
-			outcome = "mem_budget"
-			s.met.queriesMem.Inc()
-			http.Error(w, "query memory budget exceeded: "+err.Error(),
-				http.StatusRequestEntityTooLarge)
-		case errors.Is(err, context.DeadlineExceeded):
-			outcome = "timeout"
-			s.met.queriesTimeout.Inc()
-			http.Error(w, "query timed out", http.StatusRequestTimeout)
-		case errors.Is(err, context.Canceled):
-			outcome = "canceled"
-			s.met.queriesCanceled.Inc()
-		default:
-			// includes recovered pipeline panics (exec.PanicError): the
-			// query failed, the process is fine
-			s.met.queriesErr.Inc()
-			http.Error(w, "query failed: "+err.Error(), http.StatusInternalServerError)
-		}
+		outcome = s.failQuery(w, err)
 		return
 	}
 
@@ -472,19 +438,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		// The response is already streaming: a 200 status is out, so
 		// count the outcome and abort the connection — a truncated
 		// transfer is the one signal left that the result is incomplete.
-		switch {
-		case errors.Is(werr, exec.ErrMemBudget):
-			outcome = "mem_budget"
-			s.met.queriesMem.Inc()
-		case errors.Is(werr, context.DeadlineExceeded):
-			outcome = "timeout"
-			s.met.queriesTimeout.Inc()
-		case errors.Is(werr, context.Canceled):
-			outcome = "canceled"
-			s.met.queriesCanceled.Inc()
-		default:
-			s.met.queriesErr.Inc()
-		}
+		outcome = s.failQuery(nil, werr)
 		panic(http.ErrAbortHandler)
 	}
 	if capped.capped {
@@ -498,6 +452,45 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	s.met.queriesOK.Inc()
 }
 
+// failQuery classifies a failed query once for every path: it counts
+// the failure in its srdf_queries_total series, answers with the
+// matching status — 400 bad query, 413 memory budget, 408 timeout, 500
+// anything else (recovered pipeline panics included: the query failed,
+// the process is fine), nothing for a client that went away — and
+// returns the outcome label for the access log. A nil w means the 200
+// is already out mid-stream: the failure is only counted, and the
+// caller aborts the transfer.
+func (s *Server) failQuery(w http.ResponseWriter, err error) string {
+	var (
+		bad     *core.BadQueryError
+		outcome string
+		c       *obs.Counter
+		status  int
+		msg     string
+	)
+	switch {
+	case errors.As(err, &bad):
+		outcome, c = "bad_query", s.met.queriesBad
+		status, msg = http.StatusBadRequest, "bad query: "+err.Error()
+	case errors.Is(err, exec.ErrMemBudget):
+		outcome, c = "mem_budget", s.met.queriesMem
+		status, msg = http.StatusRequestEntityTooLarge, "query memory budget exceeded: "+err.Error()
+	case errors.Is(err, context.DeadlineExceeded):
+		outcome, c = "timeout", s.met.queriesTimeout
+		status, msg = http.StatusRequestTimeout, "query timed out"
+	case errors.Is(err, context.Canceled):
+		outcome, c = "canceled", s.met.queriesCanceled
+	default:
+		outcome, c = "error", s.met.queriesErr
+		status, msg = http.StatusInternalServerError, "query failed: "+err.Error()
+	}
+	c.Inc()
+	if w != nil && status != 0 {
+		http.Error(w, msg, status)
+	}
+	return outcome
+}
+
 // serveExplainAnalyze executes the query under EXPLAIN ANALYZE and
 // writes the annotated plan as text/plain, mapping failures to the same
 // status codes the streaming path uses. It returns the outcome label
@@ -505,29 +498,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveExplainAnalyze(ctx context.Context, w http.ResponseWriter, query string, started time.Time) string {
 	text, err := s.store.ExplainAnalyze(ctx, query, s.cfg.Query)
 	if err != nil {
-		var bad *core.BadQueryError
-		switch {
-		case errors.As(err, &bad):
-			s.met.queriesBad.Inc()
-			http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
-			return "bad_query"
-		case errors.Is(err, exec.ErrMemBudget):
-			s.met.queriesMem.Inc()
-			http.Error(w, "query memory budget exceeded: "+err.Error(),
-				http.StatusRequestEntityTooLarge)
-			return "mem_budget"
-		case errors.Is(err, context.DeadlineExceeded):
-			s.met.queriesTimeout.Inc()
-			http.Error(w, "query timed out", http.StatusRequestTimeout)
-			return "timeout"
-		case errors.Is(err, context.Canceled):
-			s.met.queriesCanceled.Inc()
-			return "canceled"
-		default:
-			s.met.queriesErr.Inc()
-			http.Error(w, "query failed: "+err.Error(), http.StatusInternalServerError)
-			return "error"
-		}
+		return s.failQuery(w, err)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, text)

@@ -65,8 +65,6 @@ type Options struct {
 	// SortKeys maps emergent table names to predicate IRIs used for
 	// subject sub-ordering (empty: automatic date/int selection).
 	SortKeys map[string]string
-	// PoolPages caps the simulated buffer pool (<=0: unlimited).
-	PoolPages int
 	// PoolBytes caps the real memory decoded sealed segments may
 	// occupy (<=0: unlimited). When an opened store's scans decode past
 	// the budget, the least-recently-used unpinned segments are evicted
@@ -103,36 +101,9 @@ func Defaults() Options {
 	}
 }
 
-// QueryOptions selects the plan family and zone-map usage per query.
-type QueryOptions struct {
-	Mode     Mode
-	ZoneMaps bool
-	// ForceAlgo pins the physical join algorithm ("hash", "merge",
-	// "rdfjoin") wherever the optimizer could have applied it; joins the
-	// pinned algorithm cannot serve keep the cost-based choice. Meant
-	// for testing and plan comparison.
-	ForceAlgo string
-	// NoBloom disables runtime bloom filters on hash-join probe sides.
-	NoBloom bool
-	// ForceOrder fixes the left-deep star join order by subject
-	// variable name (without the leading '?').
-	ForceOrder []string
-	// MemLimit bounds the bytes the query's materializing operators may
-	// retain; 0 is unlimited. An exceeded budget fails the one query
-	// with ErrMemBudget without affecting concurrent queries.
-	MemLimit int64
-}
-
-func (o QueryOptions) core() core.QueryOptions {
-	return core.QueryOptions{
-		Mode:       o.Mode,
-		ZoneMaps:   o.ZoneMaps,
-		ForceAlgo:  o.ForceAlgo,
-		NoBloom:    o.NoBloom,
-		ForceOrder: o.ForceOrder,
-		MemLimit:   o.MemLimit,
-	}
-}
+// QueryOptions selects the plan family, zone-map usage and memory
+// budget per query; see core.QueryOptions for the fields.
+type QueryOptions = core.QueryOptions
 
 // ErrMemBudget marks a query that exceeded its MemLimit.
 var ErrMemBudget = exec.ErrMemBudget
@@ -174,7 +145,6 @@ func coreOptions(o Options) core.Options {
 	}
 	copts.CS.TypeSplit = o.TypeSplit
 	copts.Cluster.SortKeys = o.SortKeys
-	copts.PoolPages = o.PoolPages
 	copts.PoolBytes = o.PoolBytes
 	copts.CompactThreshold = o.CompactThreshold
 	copts.WALPath = o.WALPath
@@ -294,12 +264,12 @@ func (s *Store) Compact() (CompactReport, error) { return s.inner.Compact() }
 // Query runs a SPARQL SELECT query with the default configuration
 // (RDFscan plans with zone maps — the paper's fastest).
 func (s *Store) Query(q string) (*Result, error) {
-	return s.inner.Query(q, core.QueryOptions{Mode: RDFScan, ZoneMaps: true})
+	return s.inner.Query(q, QueryOptions{Mode: RDFScan, ZoneMaps: true})
 }
 
 // QueryWith runs a SPARQL SELECT query under an explicit configuration.
 func (s *Store) QueryWith(q string, o QueryOptions) (*Result, error) {
-	return s.inner.Query(q, o.core())
+	return s.inner.Query(q, o)
 }
 
 // Rows is a streaming query result; see QueryStream.
@@ -317,12 +287,12 @@ type Rows = core.Rows
 // Organize blocks until every open iterator is closed (exhaustion
 // closes automatically).
 func (s *Store) QueryStream(q string) (*Rows, error) {
-	return s.inner.QueryStream(q, core.QueryOptions{Mode: RDFScan, ZoneMaps: true})
+	return s.inner.QueryStream(context.Background(), q, QueryOptions{Mode: RDFScan, ZoneMaps: true})
 }
 
 // QueryStreamWith is QueryStream under an explicit configuration.
 func (s *Store) QueryStreamWith(q string, o QueryOptions) (*Rows, error) {
-	return s.inner.QueryStream(q, o.core())
+	return s.inner.QueryStream(context.Background(), q, o)
 }
 
 // QueryStreamCtx is QueryStream bound to a context: when ctx is
@@ -331,7 +301,7 @@ func (s *Store) QueryStreamWith(q string, o QueryOptions) (*Rows, error) {
 // the cause. Malformed or unplannable queries come
 // back as *core.BadQueryError.
 func (s *Store) QueryStreamCtx(ctx context.Context, q string, o QueryOptions) (*Rows, error) {
-	return s.inner.QueryStreamCtx(ctx, q, o.core())
+	return s.inner.QueryStream(ctx, q, o)
 }
 
 // PlanCacheStats exposes the prepared-plan cache counters: plans are
@@ -345,7 +315,7 @@ func (s *Store) PlanCacheStats() PlanCacheStats { return s.inner.PlanCacheStats(
 
 // Explain returns the plan tree that QueryWith would execute.
 func (s *Store) Explain(q string, o QueryOptions) (string, error) {
-	return s.inner.Explain(q, o.core())
+	return s.inner.Explain(q, o)
 }
 
 // ExplainAnalyze executes q and returns the plan tree annotated with
@@ -354,15 +324,15 @@ func (s *Store) Explain(q string, o QueryOptions) (string, error) {
 // estimation error. The query runs to completion under ctx — EXPLAIN
 // ANALYZE costs what the query costs.
 func (s *Store) ExplainAnalyze(ctx context.Context, q string, o QueryOptions) (string, error) {
-	return s.inner.ExplainAnalyze(ctx, q, o.core())
+	return s.inner.ExplainAnalyze(ctx, q, o)
 }
 
 // QueryRecord is one completed query in the structured query log.
 type QueryRecord = core.QueryRecord
 
 // WorkloadProfile aggregates the query log into per-predicate touch
-// counts and per-column filter counts — the sensor a self-organization
-// policy would read.
+// counts and per-column filter counts — the sensor Organize reads to
+// choose subject-clustering sort keys.
 type WorkloadProfile = core.WorkloadProfile
 
 // QueryLog returns the most recent completed queries, newest first.

@@ -1,6 +1,7 @@
 package srdf_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -101,7 +102,7 @@ func TestQueryStreamParityRDFH(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := h.Clustered.QueryStream(q, qo)
+			rows, err := h.Clustered.QueryStream(context.Background(), q, qo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +139,7 @@ func TestQueryStreamParityRDFHModifiers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := h.Clustered.QueryStream(q, qo)
+			rows, err := h.Clustered.QueryStream(context.Background(), q, qo)
 			if err != nil {
 				t.Fatal(err)
 			}
