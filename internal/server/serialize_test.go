@@ -35,7 +35,12 @@ func (f *fakeRows) Term(v dict.Value) (dict.Term, bool) {
 
 // fixtureRows covers every term shape the serializers distinguish: IRI,
 // language-tagged literal, typed literal, blank node, unbound cell,
-// plain literal, and a computed value with no source OID.
+// plain literal, and computed values with no source OID. The escaping
+// rows pin each format's quoting rules: JSON's HTML-safe and control
+// escapes, U+2028/2029 and invalid UTF-8; CSV's quoting triggers
+// (leading space, "\.", CR, LF) and CRLF normalization; the N-Triples
+// escapes of TSV; and an explicit xsd:string, which every format writes
+// as a plain literal.
 func fixtureRows() *fakeRows {
 	return &fakeRows{
 		vars: []string{"x", "y"},
@@ -45,6 +50,10 @@ func fixtureRows() *fakeRows {
 			3: dict.IntLit(42),
 			4: dict.Blank("b0"),
 			5: dict.StringLit("say \"hi\",\nok"),
+			6: dict.StringLit("a<b>&c\u2028d\u2029e\x01f\x7fg\xffh"),
+			7: dict.StringLit(" lead\rcr\ttab\xfe"),
+			8: dict.StringLit(`\.`),
+			9: dict.TypedLit("s", dict.XSDString),
 		},
 		rows: [][]dict.Value{
 			{
@@ -61,6 +70,26 @@ func fixtureRows() *fakeRows {
 			},
 			{
 				{Kind: dict.VFloat, Float: 2.5}, // computed: no OID
+				{},
+			},
+			{
+				{Kind: dict.VString, Str: "a<b>&c\u2028d\u2029e\x01f\x7fg\xffh", OID: 6},
+				{Kind: dict.VString, Str: " lead\rcr\ttab\xfe", OID: 7},
+			},
+			{
+				{Kind: dict.VString, Str: `\.`, OID: 8},
+				{Kind: dict.VString, Str: "s", OID: 9},
+			},
+			{
+				{Kind: dict.VBool, Int: 1},
+				{Kind: dict.VInt, Int: -7},
+			},
+			{
+				{Kind: dict.VDate, Int: 19000},
+				{Kind: dict.VDateTime, Int: 1700000000},
+			},
+			{
+				{Kind: dict.VString, Str: "text, \"q\""},
 				{},
 			},
 		},
@@ -86,7 +115,15 @@ func TestJSONSerializerGolden(t *testing.T) {
 		`{"x":{"type":"uri","value":"http://ex/a"},"y":{"type":"literal","value":"chat","xml:lang":"fr"}},` +
 		`{"x":{"type":"literal","value":"42","datatype":"http://www.w3.org/2001/XMLSchema#integer"},"y":{"type":"bnode","value":"b0"}},` +
 		`{"y":{"type":"literal","value":"say \"hi\",\nok"}},` +
-		`{"x":{"type":"literal","value":"2.5","datatype":"http://www.w3.org/2001/XMLSchema#double"}}` +
+		`{"x":{"type":"literal","value":"2.5","datatype":"http://www.w3.org/2001/XMLSchema#double"}},` +
+		`{"x":{"type":"literal","value":"a\u003cb\u003e\u0026c\u2028d\u2029e\u0001f` + "\x7f" + `g\ufffdh"},` +
+		`"y":{"type":"literal","value":" lead\rcr\ttab\ufffd"}},` +
+		`{"x":{"type":"literal","value":"\\."},"y":{"type":"literal","value":"s"}},` +
+		`{"x":{"type":"literal","value":"true","datatype":"http://www.w3.org/2001/XMLSchema#boolean"},` +
+		`"y":{"type":"literal","value":"-7","datatype":"http://www.w3.org/2001/XMLSchema#integer"}},` +
+		`{"x":{"type":"literal","value":"2022-01-08","datatype":"http://www.w3.org/2001/XMLSchema#date"},` +
+		`"y":{"type":"literal","value":"2023-11-14T22:13:20Z","datatype":"http://www.w3.org/2001/XMLSchema#dateTime"}},` +
+		`{"x":{"type":"literal","value":"text, \"q\""}}` +
 		`]}}` + "\n"
 	if got != want {
 		t.Fatalf("json:\n got %q\nwant %q", got, want)
@@ -95,12 +132,18 @@ func TestJSONSerializerGolden(t *testing.T) {
 
 func TestCSVSerializerGolden(t *testing.T) {
 	got := serialize(t, MimeCSV, fixtureRows())
-	// encoding/csv in CRLF mode also normalizes the embedded newline
+	// encoding/csv in CRLF mode also normalizes the embedded newline and
+	// drops the bare CR; a leading space and the field \. force quotes
 	want := "x,y\r\n" +
 		"http://ex/a,chat\r\n" +
 		"42,_:b0\r\n" +
 		",\"say \"\"hi\"\",\r\nok\"\r\n" +
-		"2.5,\r\n"
+		"2.5,\r\n" +
+		"a<b>&c\u2028d\u2029e\x01f\x7fg\xffh,\" leadcr\ttab\xfe\"\r\n" +
+		"\"\\.\",s\r\n" +
+		"true,-7\r\n" +
+		"2022-01-08,2023-11-14T22:13:20Z\r\n" +
+		"\"text, \"\"q\"\"\",\r\n"
 	if got != want {
 		t.Fatalf("csv:\n got %q\nwant %q", got, want)
 	}
@@ -112,7 +155,14 @@ func TestTSVSerializerGolden(t *testing.T) {
 		"<http://ex/a>\t\"chat\"@fr\n" +
 		"\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>\t_:b0\n" +
 		"\t\"say \\\"hi\\\",\\nok\"\n" +
-		"\"2.5\"^^<http://www.w3.org/2001/XMLSchema#double>\t\n"
+		"\"2.5\"^^<http://www.w3.org/2001/XMLSchema#double>\t\n" +
+		// only a literal that needs an escape is re-encoded rune by rune,
+		// which turns its invalid UTF-8 into U+FFFD
+		"\"a<b>&c\u2028d\u2029e\x01f\x7fg\xffh\"\t\" lead\\rcr\\ttab\ufffd\"\n" +
+		"\"\\\\.\"\t\"s\"\n" +
+		"\"true\"^^<http://www.w3.org/2001/XMLSchema#boolean>\t\"-7\"^^<http://www.w3.org/2001/XMLSchema#integer>\n" +
+		"\"2022-01-08\"^^<http://www.w3.org/2001/XMLSchema#date>\t\"2023-11-14T22:13:20Z\"^^<http://www.w3.org/2001/XMLSchema#dateTime>\n" +
+		"\"text, \\\"q\\\"\"\t\n"
 	if got != want {
 		t.Fatalf("tsv:\n got %q\nwant %q", got, want)
 	}
