@@ -1295,9 +1295,16 @@ func (r *Rows) Next() bool {
 	return false
 }
 
-// Row returns the current row. The slice is reused by the next call to
-// Next; copy values to retain them.
+// Row returns the current row decoded to typed values. The slice is
+// reused by the next call to Next; copy values to retain them.
 func (r *Rows) Row() []dict.Value { return r.it.Row() }
+
+// Cells returns the current row undecoded, for result serializers: a
+// cell with an OID names a dictionary term (resolve it with Term or, a
+// batch at a time, Terms) and its typed fields may be unset; a cell
+// without one is a computed value; the zero Value is unbound. The slice
+// is reused by the next call to Next.
+func (r *Rows) Cells() []dict.Value { return r.it.Cells() }
 
 // Err reports why the stream ended early: the query context's error
 // after a cancellation or timeout, or nil for plain exhaustion. Valid
@@ -1314,6 +1321,12 @@ func (r *Rows) Term(v dict.Value) (dict.Term, bool) {
 		return dict.Term{}, false
 	}
 	return r.it.Dict().Term(v.OID)
+}
+
+// Terms resolves a batch of result OIDs to their RDF terms under one
+// dictionary read lock; see dict.Dictionary.Terms.
+func (r *Rows) Terms(oids []dict.OID, fn func(i int, t dict.Term, ok bool)) {
+	r.it.Dict().Terms(oids, fn)
 }
 
 // Close stops the pipeline and releases the reader gate; idempotent.

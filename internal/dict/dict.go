@@ -132,6 +132,19 @@ func (d *Dictionary) Term(o OID) (Term, bool) {
 	return d.termLocked(o)
 }
 
+// Terms decodes a batch of OIDs under one read lock, calling fn with
+// each index and its term; ok is false for an OID the dictionary does not
+// know. fn runs under the lock, so it must be short and must not call
+// back into the dictionary.
+func (d *Dictionary) Terms(oids []OID, fn func(i int, t Term, ok bool)) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for i, o := range oids {
+		t, ok := d.termLocked(o)
+		fn(i, t, ok)
+	}
+}
+
 func (d *Dictionary) termLocked(o OID) (Term, bool) {
 	p := o.Payload()
 	if p == 0 {

@@ -3,6 +3,7 @@ package dict
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind classifies an RDF term.
@@ -104,50 +105,58 @@ func (t Term) IsResource() bool { return t.Kind != KindLiteral }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
-	switch t.Kind {
-	case KindIRI:
-		return "<" + t.Value + ">"
-	case KindBlank:
-		return "_:" + t.Value
-	default:
-		var b strings.Builder
-		b.WriteByte('"')
-		b.WriteString(escapeLiteral(t.Value))
-		b.WriteByte('"')
-		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
-		} else if t.Datatype != "" && t.Datatype != XSDString {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
-		}
-		return b.String()
-	}
+	return string(t.Append(make([]byte, 0, len(t.Value)+len(t.Datatype)+len(t.Lang)+8)))
 }
 
-func escapeLiteral(s string) string {
-	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
+// Append appends the term's N-Triples syntax (String) to dst.
+func (t Term) Append(dst []byte) []byte {
+	switch t.Kind {
+	case KindIRI:
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
+	case KindBlank:
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	}
-	var b strings.Builder
+	dst = append(dst, '"')
+	dst = appendEscapedLiteral(dst, t.Value)
+	dst = append(dst, '"')
+	if t.Lang != "" {
+		dst = append(dst, '@')
+		dst = append(dst, t.Lang...)
+	} else if t.Datatype != "" && t.Datatype != XSDString {
+		dst = append(dst, "^^<"...)
+		dst = append(dst, t.Datatype...)
+		dst = append(dst, '>')
+	}
+	return dst
+}
+
+// appendEscapedLiteral appends s with N-Triples' string escapes. A value
+// that needs none is copied byte for byte; one that does is re-encoded
+// rune by rune, which also turns invalid UTF-8 into U+FFFD.
+func appendEscapedLiteral(dst []byte, s string) []byte {
+	if !strings.ContainsAny(s, "\"\\\n\r\t") {
+		return append(dst, s...)
+	}
 	for _, r := range s {
 		switch r {
 		case '"':
-			b.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\\':
-			b.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '\n':
-			b.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			b.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		case '\t':
-			b.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // LocalName extracts the human-readable suffix of an IRI: the part after

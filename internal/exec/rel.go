@@ -262,6 +262,18 @@ func (c *Ctx) touchProj(pr *triples.Projection, lo, hi int, cols uint8) {
 	}
 }
 
+// decodeRow decodes, in place, the cells of a head row that ProjectOp
+// handed on as bare OIDs (see VBatch); computed, unbound and already
+// decoded cells stay as they are. It is the one place a head consumer
+// turns a cell into its typed value.
+func (c *Ctx) decodeRow(row []dict.Value) {
+	for i, v := range row {
+		if v.Kind == dict.VInvalid && v.OID != dict.Nil {
+			row[i] = c.valueOf(v.OID)
+		}
+	}
+}
+
 // valueOf decodes an OID for expression evaluation: literals get their
 // typed value; resources compare as their IRI/blank string; Nil is
 // invalid (filters reject it).

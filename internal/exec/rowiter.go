@@ -8,12 +8,13 @@ import (
 	"srdf/internal/sparql"
 )
 
-// RowIter is a pull-based, decoded query result: rows stream out of the
-// operator pipeline as the consumer asks for them, and a satisfied LIMIT
-// closes the pipeline without running it to exhaustion. Every solution
-// modifier — projection, aggregation, DISTINCT, ORDER BY — runs as a
-// batch operator inside the pipeline; the iterator itself only applies
-// OFFSET/LIMIT row accounting.
+// RowIter is a pull-based query result: rows stream out of the operator
+// pipeline as the consumer asks for them, and a satisfied LIMIT closes
+// the pipeline without running it to exhaustion. Every solution modifier
+// — projection, aggregation, DISTINCT, ORDER BY — runs as a batch
+// operator inside the pipeline; the iterator itself only applies
+// OFFSET/LIMIT row accounting. A row is decoded to typed values only
+// when Row asks for it; Cells hands it on as the head produced it.
 type RowIter struct {
 	vars []string
 
@@ -24,8 +25,12 @@ type RowIter struct {
 	idx    int
 	toSkip int // OFFSET
 	remain int // LIMIT budget; -1 = unlimited
-	row    []dict.Value
-	err    error
+	// cells is the current row as the head produced it; row is its
+	// decoded copy, filled on the first Row call after each Next.
+	cells   []dict.Value
+	row     []dict.Value
+	decoded bool
+	err     error
 	// started marks when the pipeline opened; Close folds the elapsed
 	// time into the package-wide pipeline-seconds total.
 	started time.Time
@@ -42,6 +47,7 @@ func StreamVal(ctx *Ctx, vop ValOperator, limit, offset int) *RowIter {
 	if limit >= 0 {
 		it.remain = limit
 	}
+	it.cells = make([]dict.Value, len(it.vars))
 	it.row = make([]dict.Value, len(it.vars))
 	return it
 }
@@ -96,7 +102,7 @@ func (hs HeadShape) Ops(op Operator) ValOperator {
 		proj := NewProjectOp(op, hs.Items)
 		if hs.Keep >= 0 && !hs.Distinct && len(hs.OrderBy) == 0 {
 			// bare projection under LIMIT: only LIMIT+OFFSET rows are
-			// ever consumed, so stop decoding there
+			// ever consumed, so stop evaluating there
 			proj.SetRowBound(hs.Keep)
 		}
 		vop = proj
@@ -214,9 +220,10 @@ func (it *RowIter) next() bool {
 				it.toSkip--
 				continue
 			}
-			for c := range it.row {
-				it.row[c] = it.batch.Cols[c][i]
+			for c := range it.cells {
+				it.cells[c] = it.batch.Cols[c][i]
 			}
+			it.decoded = false
 			if it.remain > 0 {
 				it.remain--
 			}
@@ -225,9 +232,23 @@ func (it *RowIter) next() bool {
 	}
 }
 
-// Row returns the current row. The slice is reused by the next call to
-// Next; copy it to retain.
-func (it *RowIter) Row() []dict.Value { return it.row }
+// Row returns the current row decoded to typed values. The slice is
+// reused by the next call to Next; copy it to retain.
+func (it *RowIter) Row() []dict.Value {
+	if !it.decoded {
+		copy(it.row, it.cells)
+		it.ctx.decodeRow(it.row)
+		it.decoded = true
+	}
+	return it.row
+}
+
+// Cells returns the current row as the head produced it, for consumers
+// that write terms rather than compute on values: a cell with an OID
+// names a dictionary term and may be undecoded (Kind VInvalid), a cell
+// without one is a computed value, and the zero Value is unbound. The
+// slice is reused by the next call to Next.
+func (it *RowIter) Cells() []dict.Value { return it.cells }
 
 // Err reports why the stream ended early: the query context's error
 // after a cancellation or timeout, an operator Open failure, a recovered
@@ -250,7 +271,8 @@ func (it *RowIter) Close() {
 		it.vop = nil
 	}
 	if it.batch != nil {
-		// Row returned copies, so nothing reads the vectors any more
+		// Row and Cells returned copies, so nothing reads the vectors
+		// any more
 		it.batch.release()
 		it.batch = nil
 	}

@@ -126,6 +126,7 @@ func (s *SortOp) run() {
 				keys: make([]dict.Value, len(s.keys)),
 				seq:  seq,
 			}
+			s.ctx.decodeRow(r.vals)
 			seq++
 			for ki := range s.keys {
 				r.keys[ki] = s.evalKey(r.vals, s.keys[ki].Expr)

@@ -5,12 +5,18 @@ import (
 	"srdf/internal/sparql"
 )
 
-// VBatch is one vector of decoded result rows flowing through the query
-// head: a column of typed values per output name, at most BatchRows rows.
-// Where the BGP pipeline exchanges OID batches, the head operators
-// (Project, Aggregate, Distinct, Sort) exchange value batches, so
-// solution modifiers run inside the vectorized pipeline instead of over
-// a materialized result.
+// VBatch is one vector of result rows flowing through the query head: a
+// column of cells per output name, at most BatchRows rows. Where the BGP
+// pipeline exchanges OID batches, the head operators (Project, Aggregate,
+// Distinct, Sort) exchange value batches, so solution modifiers run
+// inside the vectorized pipeline instead of over a materialized result.
+//
+// A cell is materialized late: ProjectOp hands a bare variable on as its
+// OID alone (Kind VInvalid, OID set), and only a consumer that needs the
+// typed value — RowIter.Row, DistinctOp, SortOp — decodes it, through
+// Ctx.decodeRow. A serializer never does: it writes the term the OID
+// names. Computed cells carry their value and no OID; the zero Value is
+// unbound.
 type VBatch struct {
 	Vars []string
 	Cols [][]dict.Value
@@ -71,7 +77,7 @@ func (b *VBatch) Row(i int, dst []dict.Value) []dict.Value {
 	return dst
 }
 
-// ValOperator is a pull-based operator over decoded value batches — the
+// ValOperator is a pull-based operator over value batches — the
 // head-side mirror of Operator. The contract is identical: Open prepares
 // state, Next fills the batch and reports whether it produced rows, and
 // Close releases resources and may arrive before exhaustion (LIMIT).
@@ -109,10 +115,10 @@ func (c *vrowsCursor) fill(b *VBatch) bool {
 }
 
 // ProjectOp evaluates the query's select expressions over each input
-// batch, turning OID batches into decoded value batches — the streaming
+// batch, turning OID batches into value batches — the streaming
 // projection at the boundary between the BGP pipeline and the head. A
-// bare-variable item decodes its column directly; any other expression
-// runs compiled.
+// bare-variable item passes its OIDs on undecoded (see VBatch); any other
+// expression runs compiled.
 type ProjectOp struct {
 	in   Operator
 	vars []string
@@ -124,7 +130,7 @@ type ProjectOp struct {
 	prog  program
 	// budget caps the rows ever evaluated (-1 = unlimited). When the
 	// head is a bare projection under a LIMIT, only LIMIT+OFFSET rows
-	// are needed, so decoding the rest of a pulled batch is pure waste.
+	// are needed, so evaluating the rest of a pulled batch is pure waste.
 	budget int
 
 	ctx     *Ctx
@@ -191,7 +197,7 @@ func (p *ProjectOp) Next(b *VBatch) bool {
 		return false
 	}
 	// Evaluate over the batch's physical columns through its selection
-	// vector — filtered-out rows are never decoded, and view batches are
+	// vector — filtered-out rows are never touched, and view batches are
 	// never gathered.
 	in := p.inBatch
 	n := in.Len()
@@ -214,7 +220,7 @@ func (p *ProjectOp) Next(b *VBatch) bool {
 				if in.Sel != nil {
 					phys = int(in.Sel[k])
 				}
-				out = append(out, p.ctx.valueOf(col[phys]))
+				out = append(out, dict.Value{OID: col[phys]})
 			}
 		case ci == -1:
 			for k := 0; k < n; k++ {
@@ -270,6 +276,7 @@ func (d *DistinctOp) Next(b *VBatch) bool {
 		}
 		for i := 0; i < d.inb.Len(); i++ {
 			d.row = d.inb.Row(i, d.row)
+			d.ctx.decodeRow(d.row)
 			d.kb = appendDistinctKey(d.kb[:0], d.row)
 			if d.seen[string(d.kb)] {
 				continue

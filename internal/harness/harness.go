@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"sort"
 	"strings"
 
@@ -651,9 +652,15 @@ func BuildStores(sc *Script) (mut, fresh *core.Store, err error) {
 
 // CheckEquivalence runs the full differential matrix: every query on
 // every store under every plan configuration must answer as the oracle
-// does over ts (EvalQuery). Errors name stores by argument position.
+// does over ts (EvalQuery), and so must its answer served over HTTP in
+// every result format (checkWire). Errors name stores by argument
+// position.
 func CheckEquivalence(ts []nt.Triple, queries []Query, stores ...*core.Store) error {
 	o := NewOracle(ts)
+	wires := make([]http.Handler, len(stores))
+	for i, st := range stores {
+		wires[i] = wireHandler(st)
+	}
 	for _, q := range queries {
 		want, err := o.Eval(q.Text)
 		if err != nil {
@@ -662,6 +669,9 @@ func CheckEquivalence(ts []nt.Triple, queries []Query, stores ...*core.Store) er
 		for i, st := range stores {
 			if _, err := EvalQuery(st, q.Text, want); err != nil {
 				return fmt.Errorf("store %d: %w", i, err)
+			}
+			if err := checkWire(wires[i], q.Text, want); err != nil {
+				return fmt.Errorf("store %d over HTTP: %w", i, err)
 			}
 		}
 	}

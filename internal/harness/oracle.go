@@ -139,16 +139,23 @@ func (b binding) unify(n sparql.Node, t dict.Term) bool {
 	return true
 }
 
-// value is a variable's typed value: a literal's parsed value, an IRI or
-// blank node as its string. Unbound variables are invalid.
+// value is a variable's typed value (termValue); unbound variables are
+// invalid.
 func (b binding) value(name string) dict.Value {
 	t, ok := b[name]
-	switch {
-	case !ok:
+	if !ok {
 		return dict.Value{}
-	case t.Kind == dict.KindLiteral:
+	}
+	return termValue(t)
+}
+
+// termValue is a term's typed value: a literal's parsed value, an IRI or
+// blank node as its string.
+func termValue(t dict.Term) dict.Value {
+	switch t.Kind {
+	case dict.KindLiteral:
 		return dict.ParseLiteral(t.Value, t.Datatype, t.Lang)
-	case t.Kind == dict.KindBlank:
+	case dict.KindBlank:
 		return dict.Value{Kind: dict.VString, Str: "_:" + t.Value}
 	}
 	return dict.Value{Kind: dict.VString, Str: t.Value}

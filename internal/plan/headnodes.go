@@ -25,8 +25,9 @@ type HeadNode interface {
 }
 
 // ProjectNode evaluates the select expressions over the BGP pipeline,
-// decoding OID batches into value batches. Bound > 0 caps the rows ever
-// decoded (set when a bare projection sits under a LIMIT).
+// turning OID batches into value batches (bare variables stay OIDs; see
+// exec.VBatch). Bound > 0 caps the rows ever evaluated (set when a bare
+// projection sits under a LIMIT).
 type ProjectNode struct {
 	Input Node
 	Items []sparql.SelectItem

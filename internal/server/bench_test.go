@@ -6,9 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"testing"
 
 	"srdf"
+	"srdf/internal/dict"
+	"srdf/internal/rdfh"
 )
 
 // BenchmarkServe_ConcurrentLoad drives the full HTTP path — admission,
@@ -101,4 +104,85 @@ func BenchmarkServe_PointLookup(b *testing.B) {
 	if total := ps.Hits + ps.Misses; total > 0 {
 		b.ReportMetric(float64(ps.Hits)/float64(total), "cache-hit-ratio")
 	}
+}
+
+// discardResponse is a ResponseWriter that drops the body, so a handler
+// benchmark measures the server, not a recorder's buffer growth.
+type discardResponse struct {
+	h    http.Header
+	code int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(code int)        { d.code = code }
+
+// BenchmarkServe_Report serves the serve.report query shape — four plain
+// variables (order IRI, date, price, status) over a ~470-row order-date
+// window, a plan-cache hit after the first request, RDFscan with zone
+// maps — through the in-process handler in each result format: execution, the head and
+// serialization, without the network. ns/row is the per-result-row cost.
+func BenchmarkServe_Report(b *testing.B) {
+	d := rdfh.Generate(0.005, 3)
+	st := srdf.New(srdf.Defaults())
+	dates := make([]int64, len(d.Orders))
+	for i, o := range d.Orders {
+		s := srdf.IRI(rdfh.OrderIRI(o.Key))
+		for _, t := range []srdf.Triple{
+			{S: s, P: srdf.IRI(rdfh.POrdDate), O: dict.DateLit(dict.FormatDate(o.OrderDate))},
+			{S: s, P: srdf.IRI(rdfh.POrdTotal), O: dict.FloatLit(o.TotalPrice)},
+			{S: s, P: srdf.IRI(rdfh.POrdStatus), O: dict.StringLit(o.Status)},
+		} {
+			if err := st.Add(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		dates[i] = o.OrderDate
+	}
+	if _, err := st.Organize(); err != nil {
+		b.Fatal(err)
+	}
+	sort.Slice(dates, func(i, j int) bool { return dates[i] < dates[j] })
+	lo, hi := dates[len(dates)/3], dates[len(dates)/3+470]
+	q := fmt.Sprintf(`SELECT ?o ?od ?tp ?st WHERE {
+  ?o <%s> ?od . ?o <%s> ?tp . ?o <%s> ?st .
+  FILTER (?od >= "%s"^^<%s> && ?od < "%s"^^<%s>) }`,
+		rdfh.POrdDate, rdfh.POrdTotal, rdfh.POrdStatus,
+		dict.FormatDate(lo), dict.XSDDate, dict.FormatDate(hi), dict.XSDDate)
+	opts := srdf.QueryOptions{Mode: srdf.RDFScan, ZoneMaps: true}
+	res, err := st.QueryWith(q, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := res.Len()
+	h := New(st, Config{Query: opts}).Handler()
+	target := "/sparql?query=" + url.QueryEscape(q)
+	for _, mime := range []string{MimeJSON, MimeCSV, MimeTSV} {
+		b.Run(mimeName(mime), func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, target, nil)
+			req.Header.Set("Accept", mime)
+			w := &discardResponse{h: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(w.h)
+				w.code = http.StatusOK
+				h.ServeHTTP(w, req)
+				if w.code != http.StatusOK {
+					b.Fatalf("status %d", w.code)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
+}
+
+func mimeName(mime string) string {
+	switch mime {
+	case MimeCSV:
+		return "csv"
+	case MimeTSV:
+		return "tsv"
+	}
+	return "json"
 }

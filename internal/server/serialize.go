@@ -1,25 +1,39 @@
 package server
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"srdf/internal/dict"
 )
 
-// RowSource is the streaming result a serializer consumes: core.Rows
-// satisfies it, and tests drive serializers with fixtures.
+// RowSource is the streaming result a serializer consumes: the server
+// adapts core.Rows to it, and tests drive serializers with fixtures.
 type RowSource interface {
 	Vars() []string
 	Next() bool
+	// Row returns the current row's cells. A cell with an OID is written
+	// as the RDF term that OID names — resolved through Term, or a batch
+	// at a time when the source also has a Terms method (core.Rows) — so
+	// its typed fields are not read and may be unset. A cell without an
+	// OID is a computed value (arithmetic, an aggregate), written as a
+	// literal of its kind; the zero Value is unbound.
 	Row() []dict.Value
-	// Term recovers the exact RDF term of a value (false for computed
-	// values, which carry no source OID).
+	// Term recovers the exact RDF term named by v.OID (false for an OID
+	// the source does not know).
 	Term(v dict.Value) (dict.Term, bool)
 	Err() error
+}
+
+// termBatcher is implemented by sources that resolve many OIDs under one
+// dictionary lock (core.Rows.Terms).
+type termBatcher interface {
+	Terms(oids []dict.OID, fn func(i int, t dict.Term, ok bool))
 }
 
 // Result formats of the SPARQL 1.1 Query Results family the endpoint
@@ -53,123 +67,159 @@ func SerializerFor(mime string) (Serializer, bool) {
 	return nil, false
 }
 
-// termOf resolves a result cell to an RDF term: exact via the source
-// dictionary when the value carries an OID, synthesized from the typed
-// value otherwise (computed expressions and aggregates). The second
-// return is false for unbound cells.
-func termOf(src RowSource, v dict.Value) (dict.Term, bool) {
-	if v.Kind == dict.VInvalid {
-		return dict.Term{}, false
-	}
-	if t, ok := src.Term(v); ok {
-		return t, true
-	}
+// computedTerm is the literal a computed value is written as: its
+// lexical form typed by its kind.
+func computedTerm(v dict.Value) dict.Term {
 	switch v.Kind {
 	case dict.VBool:
-		return dict.TypedLit(v.Lexical(), dict.XSDBool), true
+		return dict.TypedLit(v.Lexical(), dict.XSDBool)
 	case dict.VInt:
-		return dict.TypedLit(v.Lexical(), dict.XSDInt), true
+		return dict.TypedLit(v.Lexical(), dict.XSDInt)
 	case dict.VFloat:
-		return dict.TypedLit(v.Lexical(), dict.XSDDouble), true
+		return dict.TypedLit(v.Lexical(), dict.XSDDouble)
 	case dict.VDate:
-		return dict.TypedLit(v.Lexical(), dict.XSDDate), true
+		return dict.TypedLit(v.Lexical(), dict.XSDDate)
 	case dict.VDateTime:
-		return dict.TypedLit(v.Lexical(), dict.XSDDateTm), true
+		return dict.TypedLit(v.Lexical(), dict.XSDDateTm)
 	default:
-		return dict.StringLit(v.Str), true
+		return dict.StringLit(v.Str)
 	}
 }
 
 // jsonSerializer emits the SPARQL 1.1 Query Results JSON Format:
 // {"head":{"vars":[...]},"results":{"bindings":[...]}} with each
 // binding an object of {"type","value","xml:lang"/"datatype"} terms.
-// Bindings stream as rows arrive; nothing is buffered.
 type jsonSerializer struct{}
 
 func (jsonSerializer) ContentType() string { return MimeJSON + "; charset=utf-8" }
 
 func (jsonSerializer) Write(w io.Writer, src RowSource) (int, error) {
 	vars := src.Vars()
-	var head strings.Builder
-	head.WriteString(`{"head":{"vars":[`)
+	e := newEncoder(src, len(vars), appendJSONTerm)
+	defer e.release()
+	e.out = append(e.out, `{"head":{"vars":[`...)
+	// each binding's `"name":` prefix is encoded once per query
+	keys := make([][]byte, len(vars))
 	for i, v := range vars {
 		if i > 0 {
-			head.WriteByte(',')
+			e.out = append(e.out, ',')
 		}
-		head.Write(jsonString(v))
+		e.out = appendJSONString(e.out, v)
+		keys[i] = append(appendJSONString(nil, v), ':')
 	}
-	head.WriteString(`]},"results":{"bindings":[`)
-	if _, err := io.WriteString(w, head.String()); err != nil {
-		return 0, err
-	}
-	rows := 0
-	for src.Next() {
-		var b []byte
-		if rows > 0 {
+	e.out = append(e.out, `]},"results":{"bindings":[`...)
+	n, err := e.stream(w, func(b []byte, row int, cells [][]byte) []byte {
+		if row > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, '{')
-		row := src.Row()
-		wrote := false
-		for i, v := range row {
-			t, bound := termOf(src, v)
-			if !bound {
+		sep := false
+		for i, c := range cells {
+			if c == nil {
 				continue // unbound: the variable is absent from the binding
 			}
-			if wrote {
+			if sep {
 				b = append(b, ',')
 			}
-			wrote = true
-			b = append(b, jsonString(vars[i])...)
-			b = append(b, ':')
-			b = appendJSONTerm(b, t)
+			sep = true
+			b = append(b, keys[i]...)
+			b = append(b, c...)
 		}
-		b = append(b, '}')
-		if _, err := w.Write(b); err != nil {
-			return rows, err
-		}
-		rows++
+		return append(b, '}')
+	})
+	if err != nil {
+		return n, err
 	}
-	if err := src.Err(); err != nil {
-		return rows, err
-	}
-	_, err := io.WriteString(w, "]}}\n")
-	return rows, err
+	e.out = append(e.out, "]}}\n"...)
+	return n, e.flush(w)
 }
 
+// appendJSONTerm appends one term's binding object.
 func appendJSONTerm(b []byte, t dict.Term) []byte {
-	b = append(b, `{"type":`...)
 	switch t.Kind {
 	case dict.KindIRI:
-		b = append(b, `"uri"`...)
+		b = append(b, `{"type":"uri","value":`...)
 	case dict.KindBlank:
-		b = append(b, `"bnode"`...)
+		b = append(b, `{"type":"bnode","value":`...)
 	default:
-		b = append(b, `"literal"`...)
+		b = append(b, `{"type":"literal","value":`...)
 	}
-	b = append(b, `,"value":`...)
-	b = append(b, jsonString(t.Value)...)
+	b = appendJSONString(b, t.Value)
 	if t.Kind == dict.KindLiteral {
 		if t.Lang != "" {
 			b = append(b, `,"xml:lang":`...)
-			b = append(b, jsonString(t.Lang)...)
+			b = appendJSONString(b, t.Lang)
 		} else if t.Datatype != "" && t.Datatype != dict.XSDString {
 			b = append(b, `,"datatype":`...)
-			b = append(b, jsonString(t.Datatype)...)
+			b = appendJSONString(b, t.Datatype)
 		}
 	}
 	return append(b, '}')
 }
 
-// jsonString renders one JSON string literal. Inputs are term values and
-// variable names, which json.Marshal cannot fail on.
-func jsonString(s string) []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return []byte(`""`)
+// appendJSONString appends s as a JSON string with encoding/json's
+// escaping, byte for byte: the HTML-sensitive < > & as \u003c \u003e
+// \u0026, control bytes as \b \f \n \r \t or \u00XX, U+2028 and U+2029
+// as \u2028 and \u2029, and each invalid UTF-8 byte as \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if jsonPlain[c] {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
 	}
-	return b
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
+
+// jsonPlain marks the bytes appendJSONString copies as they are: ASCII
+// but for control bytes, the quote, the backslash and < > &.
+var jsonPlain = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, rune(c))
+	}
+	return t
+}()
 
 // csvSerializer emits SPARQL 1.1 Query Results CSV: header row of bare
 // variable names, then one RFC 4180 record per solution — IRIs and
@@ -180,35 +230,88 @@ type csvSerializer struct{}
 func (csvSerializer) ContentType() string { return MimeCSV + "; charset=utf-8" }
 
 func (csvSerializer) Write(w io.Writer, src RowSource) (int, error) {
-	cw := csv.NewWriter(w)
-	cw.UseCRLF = true // RFC 4180 line endings, per the CSV results spec
-	if err := cw.Write(src.Vars()); err != nil {
-		return 0, err
+	vars := src.Vars()
+	e := newEncoder(src, len(vars), appendCSVTerm)
+	defer e.release()
+	for i, v := range vars {
+		if i > 0 {
+			e.out = append(e.out, ',')
+		}
+		e.out = appendCSVField(e.out, "", v)
 	}
-	rows := 0
-	record := make([]string, len(src.Vars()))
-	for src.Next() {
-		for i, v := range src.Row() {
-			t, bound := termOf(src, v)
-			switch {
-			case !bound:
-				record[i] = ""
-			case t.Kind == dict.KindBlank:
-				record[i] = "_:" + t.Value
-			default:
-				record[i] = t.Value
+	e.out = append(e.out, "\r\n"...)
+	n, err := e.stream(w, func(b []byte, _ int, cells [][]byte) []byte {
+		for i, c := range cells {
+			if i > 0 {
+				b = append(b, ',')
 			}
+			b = append(b, c...) // unbound: an empty field
 		}
-		if err := cw.Write(record); err != nil {
-			return rows, err
+		return append(b, "\r\n"...)
+	})
+	if err != nil {
+		return n, err
+	}
+	return n, e.flush(w)
+}
+
+// appendCSVTerm appends one term's CSV field.
+func appendCSVTerm(b []byte, t dict.Term) []byte {
+	if t.Kind == dict.KindBlank {
+		return appendCSVField(b, "_:", t.Value)
+	}
+	return appendCSVField(b, "", t.Value)
+}
+
+// appendCSVField appends the field prefix+s as encoding/csv writes it
+// with UseCRLF, byte for byte: quoted when it contains a comma, quote, CR
+// or LF, starts with a Unicode space, or is exactly \. — and inside the
+// quotes a quote doubles, LF becomes CRLF, and a bare CR is dropped.
+func appendCSVField(b []byte, prefix, s string) []byte {
+	if !csvNeedsQuotes(prefix, s) {
+		b = append(b, prefix...)
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	b = append(b, prefix...) // "_:" needs no escaping
+	for len(s) > 0 {
+		i := strings.IndexAny(s, "\"\r\n")
+		if i < 0 {
+			i = len(s)
 		}
-		rows++
+		b = append(b, s[:i]...)
+		if i == len(s) {
+			break
+		}
+		switch s[i] {
+		case '"':
+			b = append(b, `""`...)
+		case '\n':
+			b = append(b, "\r\n"...)
+		}
+		s = s[i+1:]
 	}
-	if err := src.Err(); err != nil {
-		return rows, err
+	return append(b, '"')
+}
+
+func csvNeedsQuotes(prefix, s string) bool {
+	field := s
+	if prefix != "" {
+		field = prefix // the prefix decides the leading rune; s the rest
+	} else if s == `\.` {
+		return true
 	}
-	cw.Flush()
-	return rows, cw.Error()
+	if field == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(field)
+	return unicode.IsSpace(r)
 }
 
 // tsvSerializer emits SPARQL 1.1 Query Results TSV: header of
@@ -221,79 +324,356 @@ func (tsvSerializer) ContentType() string { return MimeTSV + "; charset=utf-8" }
 
 func (tsvSerializer) Write(w io.Writer, src RowSource) (int, error) {
 	vars := src.Vars()
-	var b []byte
+	e := newEncoder(src, len(vars), appendTSVTerm)
+	defer e.release()
 	for i, v := range vars {
 		if i > 0 {
-			b = append(b, '\t')
+			e.out = append(e.out, '\t')
 		}
-		b = append(b, '?')
-		b = append(b, v...)
+		e.out = append(e.out, '?')
+		e.out = append(e.out, v...)
 	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
-		return 0, err
-	}
-	rows := 0
-	for src.Next() {
-		b = b[:0]
-		for i, v := range src.Row() {
+	e.out = append(e.out, '\n')
+	n, err := e.stream(w, func(b []byte, _ int, cells [][]byte) []byte {
+		for i, c := range cells {
 			if i > 0 {
 				b = append(b, '\t')
 			}
-			t, bound := termOf(src, v)
-			if !bound {
+			b = append(b, c...) // unbound: an empty cell
+		}
+		return append(b, '\n')
+	})
+	if err != nil {
+		return n, err
+	}
+	return n, e.flush(w)
+}
+
+// appendTSVTerm appends one term in N-Triples syntax.
+func appendTSVTerm(b []byte, t dict.Term) []byte { return t.Append(b) }
+
+// A serializer pulls rows a chunk at a time — chunkCells cells — so the
+// chunk's unseen OIDs resolve in one dictionary pass, and it writes to
+// the connection once flushBytes of output have accumulated instead of
+// once per row.
+const (
+	chunkCells = 1024
+	flushBytes = 32 << 10
+)
+
+// encoder is the per-query state the three serializers share: the term
+// cache for the negotiated format, the pulled chunk, and the output
+// buffer. Encoders are pooled, so a request allocates none of it.
+type encoder struct {
+	src   RowSource
+	batch termBatcher // nil: resolve one OID at a time through src.Term
+	term  func([]byte, dict.Term) []byte
+	cache termCache
+	// chunk holds the pulled rows' cells, row-major; miss the chunk's
+	// unseen OIDs.
+	chunk []dict.Value
+	miss  []dict.OID
+	put   func(int, dict.Term, bool) // fillMiss, bound once per encoder
+	// cells is the current row's encoded cells (nil: unbound); computed
+	// cells are encoded into scratch.
+	cells   [][]byte
+	scratch []byte
+	out     []byte
+}
+
+var encoders = sync.Pool{New: func() any {
+	e := &encoder{scratch: make([]byte, 0, 256), out: make([]byte, 0, flushBytes+4<<10)}
+	e.put = e.fillMiss
+	return e
+}}
+
+func newEncoder(src RowSource, width int, term func([]byte, dict.Term) []byte) *encoder {
+	e := encoders.Get().(*encoder)
+	e.src, e.term = src, term
+	e.batch, _ = src.(termBatcher)
+	e.cache.reset()
+	if cap(e.cells) < width {
+		e.cells = make([][]byte, width)
+	}
+	e.cells = e.cells[:width]
+	e.out = e.out[:0]
+	return e
+}
+
+// release returns the encoder to the pool, dropping what one unusually
+// large result grew so the pool does not pin it.
+func (e *encoder) release() {
+	e.src, e.batch, e.term = nil, nil, nil
+	clear(e.chunk[:cap(e.chunk)]) // drop the strings the cells reference
+	clear(e.cells)
+	if cap(e.out) > 4*flushBytes {
+		e.out = make([]byte, 0, flushBytes+4<<10)
+	}
+	e.cache.shrink()
+	encoders.Put(e)
+}
+
+// stream writes every row of the source: it pulls a chunk, resolves its
+// unseen OIDs, encodes each row's cells, and lets row append the row in
+// the format's framing (row is the 0-based row number).
+func (e *encoder) stream(w io.Writer, row func(b []byte, row int, cells [][]byte) []byte) (int, error) {
+	width := len(e.cells)
+	per := chunkCells / max(width, 1)
+	n := 0
+	for {
+		e.chunk = e.chunk[:0]
+		pulled := 0
+		for pulled < per && e.src.Next() {
+			e.chunk = append(e.chunk, e.src.Row()...)
+			pulled++
+		}
+		e.resolve()
+		for r := 0; r < pulled; r++ {
+			e.encodeRow(e.chunk[r*width : (r+1)*width])
+			e.out = row(e.out, n, e.cells)
+			n++
+			if len(e.out) >= flushBytes {
+				if err := e.flush(w); err != nil {
+					return n, err
+				}
+			}
+		}
+		if pulled < per {
+			break
+		}
+	}
+	if err := e.src.Err(); err != nil {
+		_ = e.flush(w) // the source's error is the one to report
+		return n, err
+	}
+	return n, nil
+}
+
+func (e *encoder) flush(w io.Writer) error {
+	_, err := w.Write(e.out)
+	e.out = e.out[:0]
+	return err
+}
+
+// resolve encodes the chunk's OIDs the cache has not seen, each once: a
+// batch at a time when the source can (one dictionary lock per chunk),
+// else one Term call per new OID.
+func (e *encoder) resolve() {
+	e.cache.startChunk()
+	e.miss = e.miss[:0]
+	for _, v := range e.chunk {
+		if v.OID == dict.Nil {
+			continue
+		}
+		slot, fresh := e.cache.claim(v.OID)
+		switch {
+		case !fresh:
+		case e.batch != nil:
+			e.miss = append(e.miss, v.OID)
+		default:
+			if t, ok := e.src.Term(v); ok {
+				e.cache.fill(slot, e.term, t)
+			}
+		}
+	}
+	if len(e.miss) > 0 {
+		e.batch.Terms(e.miss, e.put)
+	}
+}
+
+// fillMiss encodes the term of the i-th batched miss into its slot.
+func (e *encoder) fillMiss(i int, t dict.Term, ok bool) {
+	if ok {
+		e.cache.fill(e.cache.find(e.miss[i]), e.term, t)
+	}
+}
+
+// encodeRow points e.cells at the encodings of one row: cached terms for
+// OID cells, fresh encodings in scratch for computed ones.
+func (e *encoder) encodeRow(row []dict.Value) {
+	e.scratch = e.scratch[:0]
+	for i, v := range row {
+		if v.OID != dict.Nil {
+			if b, ok := e.cache.get(v.OID); ok {
+				e.cells[i] = b
 				continue
 			}
-			b = append(b, t.String()...)
+			// an OID the source does not know: written from its value
 		}
-		b = append(b, '\n')
-		if _, err := w.Write(b); err != nil {
-			return rows, err
+		if v.Kind == dict.VInvalid {
+			e.cells[i] = nil
+			continue
 		}
-		rows++
+		lo := len(e.scratch)
+		e.scratch = e.term(e.scratch, computedTerm(v))
+		e.cells[i] = e.scratch[lo:len(e.scratch):len(e.scratch)]
 	}
-	if err := src.Err(); err != nil {
-		return rows, err
+}
+
+// termCache maps the OIDs of one query's result to their encoding in the
+// negotiated format, so a term repeated across rows — a status code, a
+// date — is resolved and encoded once. The encodings share one byte
+// arena; the index is an open-addressing table of arena spans. Past
+// cacheBytes of arena or cacheTerms entries the cache starts over at the
+// next chunk, so a result of millions of distinct terms still streams in
+// bounded memory.
+type termCache struct {
+	slots []cacheSlot // power-of-two length; OID Nil marks a free slot
+	shift uint
+	used  int
+	arena []byte
+}
+
+type cacheSlot struct {
+	oid dict.OID
+	// lo, hi span the encoding in the arena; lo < 0 until it is filled,
+	// and for good when the source does not know the OID
+	lo, hi int
+}
+
+const (
+	cacheBytes = 1 << 20
+	cacheTerms = 1 << 14
+)
+
+func (c *termCache) reset() {
+	if c.used > 0 {
+		clear(c.slots)
+		c.used = 0
 	}
-	return rows, nil
+	c.arena = c.arena[:0]
+}
+
+// startChunk starts the cache over when it has outgrown its budget.
+func (c *termCache) startChunk() {
+	if len(c.arena) > cacheBytes || c.used > cacheTerms {
+		c.reset()
+	}
+}
+
+// shrink drops storage a large result grew before the cache is pooled.
+func (c *termCache) shrink() {
+	if len(c.slots) > 4*cacheTerms {
+		c.slots, c.shift, c.used = nil, 0, 0
+	}
+	if cap(c.arena) > 2*cacheBytes {
+		c.arena = nil
+	}
+}
+
+// find returns o's slot, or the free slot where it belongs.
+func (c *termCache) find(o dict.OID) int {
+	mask := len(c.slots) - 1
+	i := int((uint64(o) * 0x9e3779b97f4a7c15) >> c.shift)
+	for c.slots[i].oid != dict.Nil && c.slots[i].oid != o {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// claim returns o's slot, inserting an unfilled entry when o is new
+// (fresh). The slot stays valid until the next claim, which may rehash.
+func (c *termCache) claim(o dict.OID) (slot int, fresh bool) {
+	if 2*(c.used+1) > len(c.slots) {
+		c.grow()
+	}
+	i := c.find(o)
+	if c.slots[i].oid == o {
+		return i, false
+	}
+	c.slots[i] = cacheSlot{oid: o, lo: -1}
+	c.used++
+	return i, true
+}
+
+// grow doubles the table (64 slots at first) and rehashes it.
+func (c *termCache) grow() {
+	old := c.slots
+	c.slots = make([]cacheSlot, max(64, 2*len(old)))
+	c.shift = uint(64 - bits.TrailingZeros(uint(len(c.slots))))
+	for _, s := range old {
+		if s.oid != dict.Nil {
+			c.slots[c.find(s.oid)] = s
+		}
+	}
+}
+
+// fill encodes t into the arena as the entry of a claimed slot.
+func (c *termCache) fill(slot int, enc func([]byte, dict.Term) []byte, t dict.Term) {
+	s := &c.slots[slot]
+	s.lo = len(c.arena)
+	c.arena = enc(c.arena, t)
+	s.hi = len(c.arena)
+}
+
+// get returns o's encoding; false when o is not cached or unknown.
+func (c *termCache) get(o dict.OID) ([]byte, bool) {
+	if c.used == 0 {
+		return nil, false
+	}
+	s := &c.slots[c.find(o)]
+	if s.oid != o || s.lo < 0 {
+		return nil, false
+	}
+	return c.arena[s.lo:s.hi:s.hi], true
 }
 
 // Negotiate picks a result format from an Accept header value, ""
 // meaning "anything" (JSON). It honors q-weights across the three
-// supported types plus the wildcard families; false means nothing
-// acceptable (406).
+// supported types plus the wildcard families; q=0 means "not acceptable"
+// (RFC 9110 §12.4.2), so an explicit q=0 also vetoes its type when a
+// wildcard would match it. False means nothing acceptable (406).
 func Negotiate(accept string) (string, bool) {
 	if strings.TrimSpace(accept) == "" {
 		return MimeJSON, true
 	}
-	best, bestQ := "", -1.0
-	for _, part := range strings.Split(accept, ",") {
+	parts := strings.Split(accept, ",")
+	vetoed := map[string]bool{}
+	for _, part := range parts {
+		// a wildcard at q=0 matches nothing; a concrete type vetoes itself
+		if mime, q := parseAcceptPart(part); q <= 0 && !strings.Contains(mime, "*") {
+			for _, offer := range offersFor(mime) {
+				vetoed[offer] = true
+			}
+		}
+	}
+	best, bestQ := "", 0.0
+	for _, part := range parts {
 		mime, q := parseAcceptPart(part)
-		var offer string
-		switch mime {
-		case MimeJSON, "application/json":
-			offer = MimeJSON
-		case MimeCSV:
-			offer = MimeCSV
-		case MimeTSV:
-			offer = MimeTSV
-		case "*/*", "application/*":
-			offer = MimeJSON
-		case "text/*":
-			offer = MimeCSV
-		default:
+		if q <= bestQ {
+			// strictly greater: an earlier entry wins ties, and JSON is
+			// listed first by clients that want it
 			continue
 		}
-		// strictly greater: an earlier entry wins ties, and JSON is
-		// listed first by clients that want it
-		if q > bestQ {
-			best, bestQ = offer, q
+		for _, offer := range offersFor(mime) {
+			if !vetoed[offer] {
+				best, bestQ = offer, q
+				break
+			}
 		}
 	}
 	if best == "" {
 		return "", false
 	}
 	return best, true
+}
+
+// offersFor lists the formats a media range matches, preferred first: a
+// single format for a concrete type, several for a wildcard.
+func offersFor(mime string) []string {
+	switch mime {
+	case MimeJSON, "application/json", "application/*":
+		return []string{MimeJSON}
+	case MimeCSV:
+		return []string{MimeCSV}
+	case MimeTSV:
+		return []string{MimeTSV}
+	case "*/*":
+		return []string{MimeJSON, MimeCSV, MimeTSV}
+	case "text/*":
+		return []string{MimeCSV, MimeTSV}
+	}
+	return nil
 }
 
 func parseAcceptPart(part string) (string, float64) {

@@ -203,6 +203,14 @@ func TestNegotiate(t *testing.T) {
 		{"text/csv ; q=0.8", MimeCSV, true},
 		{"application/rdf+xml", "", false},
 		{"text/html;q=0.9", "", false},
+		// q=0 is "not acceptable" (RFC 9110 §12.4.2), never a last resort,
+		// and an explicit q=0 vetoes its type under a wildcard too
+		{"text/csv;q=0", "", false},
+		{"application/json;q=0, */*", MimeCSV, true},
+		{"text/html, */*;q=0", "", false},
+		{"text/csv, */*;q=0", MimeCSV, true},
+		{"text/*;q=0, text/tab-separated-values", MimeTSV, true},
+		{"text/csv;q=0, text/*", MimeTSV, true},
 	}
 	for _, c := range cases {
 		got, ok := Negotiate(c.accept)

@@ -421,16 +421,15 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	// Probe the first row before committing a status code, so a query
 	// that times out (or whose client vanishes) before producing
 	// anything still gets an honest status instead of an empty 200.
-	src := &peekSource{rows: rows, hook: s.rowHook}
+	src := &peekSource{rows: rows, hook: s.rowHook, limit: s.cfg.MaxResultRows}
 	src.prime()
 	if err := rows.Err(); err != nil && !src.has {
 		outcome = s.failQuery(w, err)
 		return
 	}
 
-	capped := &rowCapSource{RowSource: src, limit: s.cfg.MaxResultRows}
 	w.Header().Set("Content-Type", ser.ContentType())
-	n, werr := ser.Write(w, capped)
+	n, werr := ser.Write(w, src)
 	rowsOut = int64(n)
 	s.met.rowsSent.Add(uint64(n))
 	s.met.latency.Observe(time.Since(started).Seconds())
@@ -441,7 +440,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		outcome = s.failQuery(nil, werr)
 		panic(http.ErrAbortHandler)
 	}
-	if capped.capped {
+	if src.capped {
 		// Row cap hit mid-stream: abort rather than pretend the result
 		// is complete — same honesty contract as a timeout.
 		outcome = "row_capped"
@@ -507,70 +506,68 @@ func (s *Server) serveExplainAnalyze(ctx context.Context, w http.ResponseWriter,
 	return "ok"
 }
 
-// rowCapSource stops a result stream after limit rows (0: unlimited),
-// flagging the truncation so the handler can abort the transfer.
-type rowCapSource struct {
-	RowSource
-	limit  int64
-	n      int64
-	capped bool
-}
-
-func (c *rowCapSource) Next() bool {
-	if c.limit > 0 && c.n >= c.limit {
-		c.capped = true
-		return false
-	}
-	if !c.RowSource.Next() {
-		return false
-	}
-	c.n++
-	return true
-}
-
-// peekSource adapts core.Rows to RowSource with one row of lookahead
-// (see handleSPARQL). The peeked row is copied: Rows reuses its row
-// slice on Next, and the serializer reads the peek after a real Next.
+// peekSource adapts core.Rows to RowSource: it hands the serializer the
+// undecoded cells (Rows.Cells) and resolves their OIDs a batch at a time
+// (Rows.Terms), holds one row of lookahead (see handleSPARQL), and stops
+// the stream after limit rows (0: unlimited), flagging the truncation so
+// the handler can abort the transfer. The peeked row is copied: Rows
+// reuses its cell slice on Next, and the serializer reads the peek after
+// a real Next.
 type peekSource struct {
 	rows   *core.Rows
 	has    bool
 	used   bool
 	peeked []dict.Value
 	hook   func()
+	limit  int64
+	n      int64
+	capped bool
 }
 
 func (p *peekSource) prime() {
 	if p.rows.Next() {
 		p.has = true
-		p.peeked = append(p.peeked[:0], p.rows.Row()...)
+		p.peeked = append(p.peeked[:0], p.rows.Cells()...)
 	}
 }
 
 func (p *peekSource) Vars() []string { return p.rows.Vars() }
 
 func (p *peekSource) Next() bool {
+	if p.limit > 0 && p.n >= p.limit {
+		p.capped = true
+		return false
+	}
 	if p.hook != nil {
 		p.hook()
 	}
 	if p.has {
 		if !p.used {
 			p.used = true
+			p.n++
 			return true
 		}
 		p.has = false // moving past the peeked row
 	}
-	return p.rows.Next()
+	if !p.rows.Next() {
+		return false
+	}
+	p.n++
+	return true
 }
 
 func (p *peekSource) Row() []dict.Value {
 	if p.has && p.used {
 		return p.peeked
 	}
-	return p.rows.Row()
+	return p.rows.Cells()
 }
 
 func (p *peekSource) Term(v dict.Value) (dict.Term, bool) { return p.rows.Term(v) }
-func (p *peekSource) Err() error                          { return p.rows.Err() }
+func (p *peekSource) Terms(oids []dict.OID, fn func(i int, t dict.Term, ok bool)) {
+	p.rows.Terms(oids, fn)
+}
+func (p *peekSource) Err() error { return p.rows.Err() }
 
 // handleMetrics renders every registered family — request counters,
 // admission, plan cache, pool, store, executor, query log — in one

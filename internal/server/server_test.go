@@ -108,6 +108,7 @@ func TestContentNegotiationMatrix(t *testing.T) {
 		{"text/*", MimeCSV, http.StatusOK},
 		{"*/*", MimeJSON, http.StatusOK},
 		{"application/rdf+xml", "", http.StatusNotAcceptable},
+		{"text/csv;q=0", "", http.StatusNotAcceptable},
 	}
 	for _, c := range cases {
 		w := get(t, h, target, c.accept)
