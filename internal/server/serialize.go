@@ -237,7 +237,7 @@ func (csvSerializer) Write(w io.Writer, src RowSource) (int, error) {
 		if i > 0 {
 			e.out = append(e.out, ',')
 		}
-		e.out = appendCSVField(e.out, "", v)
+		e.out = appendCSVField(e.out, v)
 	}
 	e.out = append(e.out, "\r\n"...)
 	n, err := e.stream(w, func(b []byte, _ int, cells [][]byte) []byte {
@@ -258,22 +258,20 @@ func (csvSerializer) Write(w io.Writer, src RowSource) (int, error) {
 // appendCSVTerm appends one term's CSV field.
 func appendCSVTerm(b []byte, t dict.Term) []byte {
 	if t.Kind == dict.KindBlank {
-		return appendCSVField(b, "_:", t.Value)
+		return appendCSVField(b, "_:"+t.Value)
 	}
-	return appendCSVField(b, "", t.Value)
+	return appendCSVField(b, t.Value)
 }
 
-// appendCSVField appends the field prefix+s as encoding/csv writes it
-// with UseCRLF, byte for byte: quoted when it contains a comma, quote, CR
-// or LF, starts with a Unicode space, or is exactly \. — and inside the
-// quotes a quote doubles, LF becomes CRLF, and a bare CR is dropped.
-func appendCSVField(b []byte, prefix, s string) []byte {
-	if !csvNeedsQuotes(prefix, s) {
-		b = append(b, prefix...)
+// appendCSVField appends s as encoding/csv writes a field with UseCRLF,
+// byte for byte: quoted when it contains a comma, quote, CR or LF, starts
+// with a Unicode space, or is exactly \. — and inside the quotes a quote
+// doubles, LF becomes CRLF, and a bare CR is dropped.
+func appendCSVField(b []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
 		return append(b, s...)
 	}
 	b = append(b, '"')
-	b = append(b, prefix...) // "_:" needs no escaping
 	for len(s) > 0 {
 		i := strings.IndexAny(s, "\"\r\n")
 		if i < 0 {
@@ -294,15 +292,12 @@ func appendCSVField(b []byte, prefix, s string) []byte {
 	return append(b, '"')
 }
 
-func csvNeedsQuotes(prefix, s string) bool {
-	field := s
-	if prefix != "" {
-		field = prefix // the prefix decides the leading rune; s the rest
-	} else if s == `\.` {
-		return true
-	}
-	if field == "" {
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
 		return false
+	}
+	if s == `\.` {
+		return true
 	}
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -310,7 +305,7 @@ func csvNeedsQuotes(prefix, s string) bool {
 			return true
 		}
 	}
-	r, _ := utf8.DecodeRuneInString(field)
+	r, _ := utf8.DecodeRuneInString(s)
 	return unicode.IsSpace(r)
 }
 
@@ -374,9 +369,9 @@ type encoder struct {
 	chunk []dict.Value
 	miss  []dict.OID
 	put   func(int, dict.Term, bool) // fillMiss, bound once per encoder
-	// cells is the current row's encoded cells (nil: unbound); computed
+	// encoded is the current row's encoded cells (nil: unbound); computed
 	// cells are encoded into scratch.
-	cells   [][]byte
+	encoded [][]byte
 	scratch []byte
 	out     []byte
 }
@@ -392,10 +387,10 @@ func newEncoder(src RowSource, width int, term func([]byte, dict.Term) []byte) *
 	e.src, e.term = src, term
 	e.batch, _ = src.(termBatcher)
 	e.cache.reset()
-	if cap(e.cells) < width {
-		e.cells = make([][]byte, width)
+	if cap(e.encoded) < width {
+		e.encoded = make([][]byte, width)
 	}
-	e.cells = e.cells[:width]
+	e.encoded = e.encoded[:width]
 	e.out = e.out[:0]
 	return e
 }
@@ -405,7 +400,7 @@ func newEncoder(src RowSource, width int, term func([]byte, dict.Term) []byte) *
 func (e *encoder) release() {
 	e.src, e.batch, e.term = nil, nil, nil
 	clear(e.chunk[:cap(e.chunk)]) // drop the strings the cells reference
-	clear(e.cells)
+	clear(e.encoded)
 	if cap(e.out) > 4*flushBytes {
 		e.out = make([]byte, 0, flushBytes+4<<10)
 	}
@@ -417,7 +412,7 @@ func (e *encoder) release() {
 // unseen OIDs, encodes each row's cells, and lets row append the row in
 // the format's framing (row is the 0-based row number).
 func (e *encoder) stream(w io.Writer, row func(b []byte, row int, cells [][]byte) []byte) (int, error) {
-	width := len(e.cells)
+	width := len(e.encoded)
 	per := chunkCells / max(width, 1)
 	n := 0
 	for {
@@ -430,7 +425,7 @@ func (e *encoder) stream(w io.Writer, row func(b []byte, row int, cells [][]byte
 		e.resolve()
 		for r := 0; r < pulled; r++ {
 			e.encodeRow(e.chunk[r*width : (r+1)*width])
-			e.out = row(e.out, n, e.cells)
+			e.out = row(e.out, n, e.encoded)
 			n++
 			if len(e.out) >= flushBytes {
 				if err := e.flush(w); err != nil {
@@ -488,25 +483,25 @@ func (e *encoder) fillMiss(i int, t dict.Term, ok bool) {
 	}
 }
 
-// encodeRow points e.cells at the encodings of one row: cached terms for
+// encodeRow points e.encoded at the encodings of one row: cached terms for
 // OID cells, fresh encodings in scratch for computed ones.
 func (e *encoder) encodeRow(row []dict.Value) {
 	e.scratch = e.scratch[:0]
 	for i, v := range row {
 		if v.OID != dict.Nil {
 			if b, ok := e.cache.get(v.OID); ok {
-				e.cells[i] = b
+				e.encoded[i] = b
 				continue
 			}
 			// an OID the source does not know: written from its value
 		}
 		if v.Kind == dict.VInvalid {
-			e.cells[i] = nil
+			e.encoded[i] = nil
 			continue
 		}
 		lo := len(e.scratch)
 		e.scratch = e.term(e.scratch, computedTerm(v))
-		e.cells[i] = e.scratch[lo:len(e.scratch):len(e.scratch)]
+		e.encoded[i] = e.scratch[lo:len(e.scratch):len(e.scratch)]
 	}
 }
 
