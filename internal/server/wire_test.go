@@ -186,3 +186,71 @@ func TestSerializeAllocsFlat(t *testing.T) {
 		}
 	}
 }
+
+// referenceBody serializes an all-bound fixture with the reference
+// encoders: json.Marshal, encoding/csv and dict.Term.String.
+func referenceBody(t *testing.T, mime string, f *fakeRows) string {
+	var b bytes.Buffer
+	switch mime {
+	case MimeJSON:
+		vars, _ := json.Marshal(f.vars)
+		b.WriteString(`{"head":{"vars":` + string(vars) + `},"results":{"bindings":[`)
+		for r, row := range f.rows {
+			if r > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteByte('{')
+			for i, v := range row {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				name, _ := json.Marshal(f.vars[i])
+				b.Write(append(name, ':'))
+				b.Write(jsonTermRef(f.terms[v.OID]))
+			}
+			b.WriteByte('}')
+		}
+		b.WriteString("]}}\n")
+	case MimeCSV:
+		cw := csv.NewWriter(&b)
+		cw.UseCRLF = true
+		cw.Write(f.vars)
+		for _, row := range f.rows {
+			rec := make([]string, len(row))
+			for i, v := range row {
+				rec[i] = f.terms[v.OID].Value
+			}
+			cw.Write(rec)
+		}
+		cw.Flush()
+		if err := cw.Error(); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		b.WriteString("?" + strings.Join(f.vars, "\t?") + "\n")
+		for _, row := range f.rows {
+			for i, v := range row {
+				if i > 0 {
+					b.WriteByte('\t')
+				}
+				b.WriteString(f.terms[v.OID].String())
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// TestSerializersLargeResult streams a result with more distinct terms
+// than the term cache keeps, so the cache starts over mid-stream, and
+// checks every format against its reference encoder byte for byte.
+func TestSerializersLargeResult(t *testing.T) {
+	const rows = 3 * cacheTerms // two distinct terms a row: several resets
+	f := reportRows(rows)
+	for _, mime := range []string{MimeJSON, MimeCSV, MimeTSV} {
+		f.i = 0
+		if got, want := serialize(t, mime, f), referenceBody(t, mime, f); got != want {
+			t.Errorf("%s: %d-row body differs from the reference encoding", mime, rows)
+		}
+	}
+}
