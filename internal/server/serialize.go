@@ -347,10 +347,10 @@ func (tsvSerializer) Write(w io.Writer, src RowSource) (int, error) {
 // appendTSVTerm appends one term in N-Triples syntax.
 func appendTSVTerm(b []byte, t dict.Term) []byte { return t.Append(b) }
 
-// A serializer pulls rows a chunk at a time — chunkCells cells — so the
-// chunk's unseen OIDs resolve in one dictionary pass, and it writes to
-// the connection once flushBytes of output have accumulated instead of
-// once per row.
+// A serializer pulls rows a chunk at a time — chunkCells cells, or one
+// row when a row is wider — so the chunk's unseen OIDs resolve in one
+// dictionary pass, and it writes to the connection once flushBytes of
+// output have accumulated instead of once per row.
 const (
 	chunkCells = 1024
 	flushBytes = 32 << 10
@@ -413,14 +413,16 @@ func (e *encoder) release() {
 // the format's framing (row is the 0-based row number).
 func (e *encoder) stream(w io.Writer, row func(b []byte, row int, cells [][]byte) []byte) (int, error) {
 	width := len(e.encoded)
-	per := chunkCells / max(width, 1)
+	per := max(chunkCells/max(width, 1), 1) // rows a chunk holds
 	n := 0
-	for {
+	for more := true; more; {
 		e.chunk = e.chunk[:0]
 		pulled := 0
-		for pulled < per && e.src.Next() {
+		for ; pulled < per; pulled++ {
+			if more = e.src.Next(); !more {
+				break
+			}
 			e.chunk = append(e.chunk, e.src.Row()...)
-			pulled++
 		}
 		e.resolve()
 		for r := 0; r < pulled; r++ {
@@ -432,9 +434,6 @@ func (e *encoder) stream(w io.Writer, row func(b []byte, row int, cells [][]byte
 					return n, err
 				}
 			}
-		}
-		if pulled < per {
-			break
 		}
 	}
 	if err := e.src.Err(); err != nil {
@@ -615,18 +614,20 @@ func (c *termCache) get(o dict.OID) ([]byte, bool) {
 
 // Negotiate picks a result format from an Accept header value, ""
 // meaning "anything" (JSON). It honors q-weights across the three
-// supported types plus the wildcard families; q=0 means "not acceptable"
-// (RFC 9110 §12.4.2), so an explicit q=0 also vetoes its type when a
-// wildcard would match it. False means nothing acceptable (406).
+// supported types plus the wildcard families. q=0 means "not acceptable"
+// (RFC 9110 §12.4.2): the entry itself matches nothing, and a concrete
+// type at q=0 also vetoes its format where a wildcard would pick it. A
+// concrete type with q>0 always matches its own format, so
+// "application/json;q=0, application/sparql-results+json" is JSON. False
+// means nothing acceptable (406).
 func Negotiate(accept string) (string, bool) {
 	if strings.TrimSpace(accept) == "" {
 		return MimeJSON, true
 	}
 	parts := strings.Split(accept, ",")
-	vetoed := map[string]bool{}
+	vetoed := map[string]bool{} // formats a wildcard must not pick
 	for _, part := range parts {
-		// a wildcard at q=0 matches nothing; a concrete type vetoes itself
-		if mime, q := parseAcceptPart(part); q <= 0 && !strings.Contains(mime, "*") {
+		if mime, q := parseAcceptPart(part); q <= 0 && !isWildcard(mime) {
 			for _, offer := range offersFor(mime) {
 				vetoed[offer] = true
 			}
@@ -640,8 +641,9 @@ func Negotiate(accept string) (string, bool) {
 			// listed first by clients that want it
 			continue
 		}
+		wild := isWildcard(mime)
 		for _, offer := range offersFor(mime) {
-			if !vetoed[offer] {
+			if !wild || !vetoed[offer] {
 				best, bestQ = offer, q
 				break
 			}
@@ -670,6 +672,8 @@ func offersFor(mime string) []string {
 	}
 	return nil
 }
+
+func isWildcard(mime string) bool { return strings.HasSuffix(mime, "/*") }
 
 func parseAcceptPart(part string) (string, float64) {
 	fields := strings.Split(part, ";")

@@ -211,6 +211,10 @@ func TestNegotiate(t *testing.T) {
 		{"text/csv, */*;q=0", MimeCSV, true},
 		{"text/*;q=0, text/tab-separated-values", MimeTSV, true},
 		{"text/csv;q=0, text/*", MimeTSV, true},
+		// the veto binds wildcards only: a concrete type with q>0 always
+		// matches its own format, even one another alias vetoed
+		{"application/json;q=0, application/sparql-results+json", MimeJSON, true},
+		{"application/sparql-results+json;q=0, application/json;q=0.5, text/csv;q=0.4", MimeJSON, true},
 	}
 	for _, c := range cases {
 		got, ok := Negotiate(c.accept)

@@ -6,8 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"srdf/internal/dict"
 )
@@ -251,6 +255,82 @@ func TestSerializersLargeResult(t *testing.T) {
 		f.i = 0
 		if got, want := serialize(t, mime, f), referenceBody(t, mime, f); got != want {
 			t.Errorf("%s: %d-row body differs from the reference encoding", mime, rows)
+		}
+	}
+}
+
+// TestWideProjection serves SELECTs of 1 100 variables, wider than the
+// cells a serializer pulls at a time, in every format, over a result with
+// rows and over an empty one. Each request must return, with every row
+// written.
+func TestWideProjection(t *testing.T) {
+	const width = 1100
+	var vars strings.Builder
+	for i := 0; i < width-2; i++ {
+		fmt.Fprintf(&vars, " (?n AS ?u%d)", i)
+	}
+	h := testServer(t, 5, Config{}).Handler()
+	for _, pred := range []string{"name", "missing"} {
+		q := fmt.Sprintf("SELECT ?s ?n%s WHERE { ?s <http://ex/%s> ?n }", vars.String(), pred)
+		for _, mime := range []string{MimeJSON, MimeCSV, MimeTSV} {
+			done := make(chan *httptest.ResponseRecorder, 1)
+			go func() { done <- get(t, h, "/sparql?query="+url.QueryEscape(q), mime) }()
+			select {
+			case w := <-done:
+				if w.Code != http.StatusOK {
+					t.Fatalf("%s %s: status %d: %s", pred, mime, w.Code, w.Body.String())
+				}
+				lines := strings.Count(w.Body.String(), "\n")
+				if mime != MimeJSON && pred == "name" && lines != 6 {
+					t.Errorf("%s %s: %d lines, want a header and 5 rows", pred, mime, lines)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("%s %s: a %d-variable SELECT did not return", pred, mime, width)
+			}
+		}
+	}
+}
+
+// batchRows is fakeRows with core.Rows' batched lookup; it counts the
+// Terms batches and the single-OID Term calls a serializer makes.
+type batchRows struct {
+	*fakeRows
+	batches, singles int
+}
+
+func (b *batchRows) Term(v dict.Value) (dict.Term, bool) {
+	b.singles++
+	return b.fakeRows.Term(v)
+}
+
+func (b *batchRows) Terms(oids []dict.OID, fn func(int, dict.Term, bool)) {
+	b.batches++
+	for i, o := range oids {
+		t, ok := b.terms[o]
+		fn(i, t, ok)
+	}
+}
+
+// TestSerializersBatchedTerms drives the serializers through a source
+// that resolves OIDs a batch at a time, as core.Rows does. The golden
+// fixture must come out byte for byte as through single lookups, and a
+// result that starts the cache over mid-stream as its reference
+// encoding, with no single lookup and at most one batch per chunk.
+func TestSerializersBatchedTerms(t *testing.T) {
+	const rows = 3 * cacheTerms
+	f := reportRows(rows)
+	for _, mime := range []string{MimeJSON, MimeCSV, MimeTSV} {
+		b := &batchRows{fakeRows: fixtureRows()}
+		if got, want := serialize(t, mime, b), serialize(t, mime, fixtureRows()); got != want {
+			t.Errorf("%s: batched fixture body\n got %q\nwant %q", mime, got, want)
+		}
+		f.i = 0
+		b = &batchRows{fakeRows: f}
+		if got, want := serialize(t, mime, b), referenceBody(t, mime, f); got != want {
+			t.Errorf("%s: batched %d-row body differs from the reference encoding", mime, rows)
+		}
+		if chunks := rows * len(f.vars) / chunkCells; b.singles != 0 || b.batches == 0 || b.batches > chunks {
+			t.Errorf("%s: %d batches and %d single lookups for %d chunks", mime, b.batches, b.singles, chunks)
 		}
 	}
 }
