@@ -133,3 +133,40 @@ func BenchmarkRefresh_AfterBatch(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkRefresh_AfterDelete is the delete side of
+// BenchmarkRefresh_AfterBatch: the refresh that folds 1 000 deletions,
+// one triple each of 1 000 clustered subjects, into the same 200
+// k-triple store with SPO, PSO and POS sorted — the deleted triples are
+// merged out of those three, and the touched subjects tombstoned and
+// re-routed through the delta layer. The triples are added back outside
+// the timer so every iteration starts from the same store.
+func BenchmarkRefresh_AfterDelete(b *testing.B) {
+	const n, batch = 100000, 1000
+	st := deltaBenchStore(b, n, 0)
+	if _, err := st.Query(deltaBenchQuery, core.QueryOptions{Mode: plan.ModeDefault}); err != nil {
+		b.Fatal(err) // a Default plan: sorts PSO and POS
+	}
+	victim := func(j int) nt.Triple {
+		i := j * (n / batch)
+		return nt.Triple{S: dict.IRI(fmt.Sprintf("http://del/s%06d", i)), P: dict.IRI("http://del/a"), O: dict.IntLit(int64(i % 9973))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < batch; j++ {
+			st.Delete(victim(j))
+		}
+		b.StartTimer()
+		if got := st.Stats().Triples; got != 2*n-batch {
+			b.Fatalf("%d triples after the deletions, want %d", got, 2*n-batch)
+		}
+		b.StopTimer()
+		for j := 0; j < batch; j++ {
+			st.Add(victim(j))
+		}
+		st.Stats()
+		b.StartTimer()
+	}
+}

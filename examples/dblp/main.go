@@ -54,7 +54,7 @@ func main() {
 	}
 
 	fmt.Println("== irregular residue ==")
-	irr := cat.Irregular
+	irr := cat.IrregularIdx.Triples()
 	for i := 0; i < irr.Len(); i++ {
 		tr := irr.At(i)
 		fmt.Printf("  %s %s %s .\n", d.String(tr.S), d.String(tr.P), d.String(tr.O))

@@ -157,13 +157,13 @@ func TestDeleteWholeSubject(t *testing.T) {
 }
 
 // TestReAddAfterAppliedDelete covers the write-loss regression where
-// NumTriples applied a pending delete (leaving the index stale) and a
+// NumTriples applied a pending delete ahead of the refresh and a
 // subsequent re-Add of the same triple was mistaken for a duplicate.
 func TestReAddAfterAppliedDelete(t *testing.T) {
 	s := newDeltaStore(t, 10, -1)
 	a, _ := deltaTriple(3)
 	s.Delete(a)
-	n := s.NumTriples() // applies the delete without rebuilding indexes
+	n := s.NumTriples() // folds the delete ahead of the refresh
 	s.Add(a)            // must not be treated as a duplicate
 	if got := s.NumTriples(); got != n+1 {
 		t.Fatalf("re-add after applied delete: NumTriples %d, want %d", got, n+1)
@@ -222,35 +222,68 @@ func TestOrganizeAfterDeltas(t *testing.T) {
 	}
 }
 
-// checkIndexCurrent compares every projection the store (and its
-// irregular residue) has sorted so far with a from-scratch sort of the
-// table it indexes.
-func checkIndexCurrent(t *testing.T, s *Store, when string) {
+// checkIndexCurrent checks the store's two index sets after a refresh
+// against sources they were not merged from: every order either set
+// has materialized equals a fresh sort of that set's own SPO rows, the
+// store's SPO holds exactly the model's triples, and the CS cells of
+// live rows plus the irregular residue are the store's triples, each
+// exactly once.
+func checkIndexCurrent(t *testing.T, s *Store, when string, model map[nt.Triple]bool) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sets := map[string]struct {
-		idx *triples.IndexSet
-		tb  *triples.Table
-	}{"store": {s.idx, s.table}, "irregular": {s.cat.IrregularIdx, s.cat.Irregular}}
-	for name, x := range sets {
-		if s.idxRows != s.table.Len() || len(s.deadSet) != 0 {
-			t.Fatalf("%s: refresh left %d of %d rows indexed, %d dead", when, s.idxRows, s.table.Len(), len(s.deadSet))
+	same := func(what string, got, want *triples.Projection) {
+		t.Helper()
+		if !slices.Equal(got.A, want.A) || !slices.Equal(got.B, want.B) || !slices.Equal(got.C, want.C) {
+			t.Fatalf("%s: %s (%d rows, want %d)", when, what, got.Len(), want.Len())
 		}
-		for _, p := range x.idx.Materialized() {
-			got, want := x.idx.Get(p), triples.Build(x.tb, p)
-			if !slices.Equal(got.A, want.A) || !slices.Equal(got.B, want.B) || !slices.Equal(got.C, want.C) {
-				t.Fatalf("%s: %s index %v differs from a fresh sort of its table (%d rows, want %d)",
-					when, name, p, got.Len(), want.Len())
+	}
+	for name, set := range map[string]*triples.IndexSet{"store": s.idx, "irregular": s.cat.IrregularIdx} {
+		for _, p := range set.Materialized() {
+			same(fmt.Sprintf("%s index %v differs from a fresh sort of its SPO", name, p),
+				set.Get(p), triples.Build(set.Triples(), p))
+		}
+	}
+	spo := s.idx.Get(triples.SPO)
+
+	modelled := triples.NewTable(len(model))
+	for tr := range model {
+		so, _ := s.dict.Lookup(tr.S)
+		po, _ := s.dict.Lookup(tr.P)
+		oo, _ := s.dict.Lookup(tr.O)
+		modelled.Append(so, po, oo)
+	}
+	same("store SPO differs from the model's triples", spo, triples.Build(modelled, triples.SPO))
+
+	placed := s.cat.IrregularIdx.Triples().Clone()
+	for _, tab := range s.cat.Tables {
+		for row := 0; row < tab.NumRows(); row++ {
+			sub := tab.SubjectOID(row)
+			if tab.RowOf(sub) != row {
+				continue // vacated: tombstoned, or superseded by a delta row
+			}
+			for ci, c := range tab.Cols {
+				if v := tab.Value(ci, row); v != dict.Nil && !c.Folded {
+					placed.Append(sub, c.Prop.Pred, v)
+				}
 			}
 		}
 	}
+	for _, lt := range s.cat.Links {
+		for i, sub := range lt.Subj {
+			if lt.Parent.DenseLiveRow(sub) >= 0 {
+				placed.Append(sub, lt.Pred, lt.Val[i])
+			}
+		}
+	}
+	same("CS cells plus irregular triples differ from the store's triples", triples.Build(placed, triples.SPO), spo)
 }
 
 // TestRefreshMergesIndex drives the incremental index path: batches of
-// adds, deletes, re-adds and no-ops — some with NumTriples applying the
-// deletions before the refresh does — must leave every sorted
-// projection identical to a fresh sort, carry exactly the projections
+// adds, deletes, re-adds and no-ops — some with NumTriples folding the
+// deletions before the refresh does — must leave the store holding
+// exactly the test's model of its triples, every sorted projection
+// identical to a fresh sort, carry exactly the projections
 // the previous epoch had, and log one line per folding refresh.
 func TestRefreshMergesIndex(t *testing.T) {
 	s := newDeltaStore(t, 60, 40)
@@ -266,9 +299,12 @@ func TestRefreshMergesIndex(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(5))
-	live := make(map[int]bool)
+	live := make(map[int]bool)        // subjects with both triples
+	model := make(map[nt.Triple]bool) // every triple the store holds
 	for i := 0; i < 60; i++ {
 		live[i] = true
+		a, b := deltaTriple(i)
+		model[a], model[b] = true, true
 	}
 	for batch := 0; batch < 30; batch++ {
 		for op := 0; op < 1+rng.Intn(12); op++ {
@@ -279,16 +315,19 @@ func TestRefreshMergesIndex(t *testing.T) {
 				s.Add(a)
 				s.Add(b)
 				live[i] = true
+				model[a], model[b] = true, true
 			case 2:
 				s.Delete(a)
 				delete(live, i)
+				delete(model, a)
 				if rng.Intn(2) == 0 {
-					s.NumTriples() // applies the deletion ahead of the refresh
+					s.NumTriples() // folds the deletion ahead of the refresh
 				}
 				if rng.Intn(3) == 0 {
 					s.Add(a) // delete-then-re-add
 					s.Add(b)
 					live[i] = true
+					model[a], model[b] = true, true
 				}
 			case 3:
 				s.Delete(nt.Triple{S: a.S, P: a.P, O: dict.StringLit("absent")})
@@ -300,7 +339,7 @@ func TestRefreshMergesIndex(t *testing.T) {
 		if got := mustRows(t, s, plan.ModeDefault); got != len(live) {
 			t.Fatalf("batch %d: Default plan %d rows, want %d", batch, got, len(live))
 		}
-		checkIndexCurrent(t, s, fmt.Sprintf("batch %d", batch))
+		checkIndexCurrent(t, s, fmt.Sprintf("batch %d", batch), model)
 		if got := s.idx.Materialized(); !slices.Equal(got, want) {
 			t.Fatalf("batch %d: index set holds %v, want the %v it started with", batch, got, want)
 		}

@@ -351,9 +351,9 @@ func TestUnorganizedSaveOpen(t *testing.T) {
 }
 
 // TestOpenSortsOnDemand checks what an opened store pays for its
-// indexes and when: nothing at Open, SPO alone at the first write (the
-// presence check under Store.mu reads no other order), and further
-// orders only as plans read them.
+// indexes and when: SPO is there at Open (adopted from the triples
+// section), the first write reads no other order for its presence
+// check, and further orders are sorted only as plans read them.
 func TestOpenSortsOnDemand(t *testing.T) {
 	st := persistStore(t, persistOpts(), 300)
 	path := filepath.Join(t.TempDir(), "s.srdf")
@@ -367,8 +367,8 @@ func TestOpenSortsOnDemand(t *testing.T) {
 	if err := got.Dict().CheckOrder(); err != nil {
 		t.Fatal(err)
 	}
-	if got.idx != nil {
-		t.Fatal("Open indexed the table")
+	if m := got.idx.Materialized(); !slices.Equal(m, []triples.Perm{triples.SPO}) {
+		t.Fatalf("Open materialized %v, want SPO only", m)
 	}
 	if err := got.Add(nt.Triple{S: dict.IRI("http://persist/new"), P: dict.IRI("http://persist/u"), O: dict.IntLit(1)}); err != nil {
 		t.Fatal(err)
@@ -381,5 +381,39 @@ func TestOpenSortsOnDemand(t *testing.T) {
 	}
 	if m := got.idx.Materialized(); len(m) < 2 || len(m) == len(triples.AllPerms) {
 		t.Fatalf("one Default-plan scan left %v sorted", m)
+	}
+}
+
+// TestOpenSortsNothing pins the restart path: a store reopened from a
+// snapshot with delta traffic answers its first RDFscan query, and takes
+// an Add and the refresh that folds it, without sorting an SPO
+// projection — neither the store's nor the irregular residue's.
+func TestOpenSortsNothing(t *testing.T) {
+	st := persistStore(t, persistOpts(), 300)
+	st.Add(nt.Triple{S: dict.IRI("http://persist/a9000"), P: dict.IRI("http://persist/x"), O: dict.IntLit(9000)})
+	st.Add(nt.Triple{S: dict.IRI("http://persist/odd2"), P: dict.IRI("http://persist/z"), O: dict.StringLit("more")})
+	st.Delete(nt.Triple{S: dict.IRI("http://persist/b0001"), P: dict.IRI("http://persist/w"), O: dict.IntLit(1)})
+	path := filepath.Join(t.TempDir(), "s.srdf")
+	if err := st.Save(path); err != nil {
+		t.Fatal(err)
+	}
+
+	builds0, _ := triples.ProjectionCounts(triples.SPO)
+	got, err := OpenStore(path, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	if rows := rowsOf(t, got, persistQueries[0], plan.ModeRDFScan); len(rows) != 300 {
+		t.Fatalf("first query: %d rows, want 300", len(rows))
+	}
+	if err := got.Add(nt.Triple{S: dict.IRI("http://persist/odd3"), P: dict.IRI("http://persist/z"), O: dict.StringLit("new")}); err != nil {
+		t.Fatal(err)
+	}
+	if rows := rowsOf(t, got, persistQueries[3], plan.ModeRDFScan); len(rows) != 3 {
+		t.Fatalf("after the Add: %d irregular rows, want 3", len(rows))
+	}
+	if b, _ := triples.ProjectionCounts(triples.SPO); b != builds0 {
+		t.Fatalf("open, first query and first write sorted SPO %d times, want 0", b-builds0)
 	}
 }

@@ -127,8 +127,8 @@ type QueryOptions struct {
 // index set is merged into fresh arrays, the catalog is cloned
 // copy-on-write), so concurrent readers keep a consistent epoch. The one
 // thing a reader may add to a published snapshot is a triple projection
-// nobody needed before: the index set sorts it on first use, from rows
-// it owns, under its own lock.
+// nobody needed before: the index set sorts it on first use, from its
+// own SPO arrays, under its own lock.
 type snapshot struct {
 	epoch     uint64
 	dict      *dict.Dictionary
@@ -167,10 +167,11 @@ type Store struct {
 
 	opts Options
 
-	dict  *dict.Dictionary
-	table *triples.Table
-	idx   *triples.IndexSet
-	pool  *colstore.BufferPool
+	dict *dict.Dictionary
+	// idx is the only store of the triples: its SPO projection is the
+	// row store, a set, as of the last fold of the pending writes below.
+	idx  *triples.IndexSet
+	pool *colstore.BufferPool
 	// blob is the mapped (or heap-fallback) snapshot backing the lazy
 	// segments of an opened store; nil for stores built in memory. It
 	// must stay open while any reader can still fault a segment in, so
@@ -182,25 +183,19 @@ type Store struct {
 	cat       *relational.Catalog
 	organized bool
 
-	// idxRows is how many leading rows of table the index set covers:
-	// rows past it were appended since the last refresh and are merged
-	// in by the next one. Deletions applied to the covered rows are in
-	// deadSet.
-	idxRows int
+	// addPending holds the adds not yet folded into idx, in arrival
+	// order (a bulk load before Organize is one long batch of them);
+	// delPending holds the requested deletions. No triple is in both
+	// because of an earlier add: an add cancels a pending delete of the
+	// same triple, so a delete still pending is the later operation.
+	addPending *triples.Table
+	delPending map[triples.Triple]struct{}
 	// touched collects subjects whose residence must be re-resolved by
 	// the next refresh (post-Organize adds and deletes).
 	touched map[dict.OID]struct{}
-	// deltaSet tracks post-Organize adds not yet folded into the
-	// indexes, for duplicate suppression (RDF graphs are sets).
+	// deltaSet tracks post-Organize adds not yet folded into idx, for
+	// duplicate suppression (RDF graphs are sets).
 	deltaSet map[triples.Triple]struct{}
-	// delPending holds requested deletions, applied in one batch pass.
-	delPending map[triples.Triple]struct{}
-	// deadSet tracks deletions already applied to the table but not yet
-	// reflected in the indexes (NumTriples applies deletes without the
-	// full refresh), so presence checks do not trust the stale index
-	// and the next refresh knows which rows to merge out of it. A
-	// re-added triple stays in the set: its old index row must still go.
-	deadSet map[triples.Triple]struct{}
 
 	epoch uint64
 	snap  *snapshot
@@ -298,12 +293,12 @@ func newBareStore(opts Options) *Store {
 		opts:       opts,
 		fs:         fs,
 		dict:       dict.New(),
-		table:      triples.NewTable(0),
+		idx:        triples.NewIndexSet(triples.NewTable(0)),
 		pool:       newPool(opts),
+		addPending: triples.NewTable(0),
+		delPending: make(map[triples.Triple]struct{}),
 		touched:    make(map[dict.OID]struct{}),
 		deltaSet:   make(map[triples.Triple]struct{}),
-		delPending: make(map[triples.Triple]struct{}),
-		deadSet:    make(map[triples.Triple]struct{}),
 		plans:      newPlanCache(DefaultPlanCacheSize),
 		qlog:       newQueryLog(DefaultQueryLogSize),
 		born:       time.Now(),
@@ -324,13 +319,15 @@ func newPool(opts Options) *colstore.BufferPool {
 // fallback otherwise), sealed segment payloads are checksummed but not
 // decoded (they fault in on first scan, visible in
 // PoolStats.SegmentsLazy/SegmentsDecoded, and under Options.PoolBytes
-// pressure are evicted back to the mapping), and the triple table is
-// not sorted until the first query or update needs the store's indexes
-// (SPO then, any other projection when a plan first reads it) — Open
-// itself never pays a sort. With
-// Options.WALPath set, the log's surviving records are replayed through
-// the ordinary delta path before the store is returned — crash recovery
-// is exactly "load latest snapshot, re-apply the logged tail".
+// pressure are evicted back to the mapping), and the triples section,
+// written in SPO order, is adopted as the store's SPO projection without
+// a sort — so neither Open, nor the first query, nor the presence check
+// of the first write sorts anything (a file whose rows are out of order
+// is sorted once here). Other projections are sorted when a plan first
+// reads them. With Options.WALPath set, the log's surviving records are
+// replayed through the ordinary delta path before the store is
+// returned — crash recovery is exactly "load latest snapshot, re-apply
+// the logged tail".
 func OpenStore(path string, opts Options) (*Store, error) {
 	s := newBareStore(opts)
 	snap, blob, err := storage.OpenFileFS(s.fs, path, s.pool)
@@ -339,7 +336,7 @@ func OpenStore(path string, opts Options) (*Store, error) {
 	}
 	s.blob = blob
 	s.dict = snap.Dict
-	s.table = snap.Triples
+	s.idx = triples.NewIndexSet(snap.Triples)
 	s.schema = snap.Schema
 	s.cat = snap.Catalog
 	s.organized = snap.Organized
@@ -439,11 +436,14 @@ func (s *Store) checkpointLocked() error {
 		return nil
 	}
 	// Serialize under mu: the byte slice is an immutable copy of this
-	// instant's state, so the file write needs no lock at all.
+	// instant's state, so the file write needs no lock at all. Writes a
+	// refresh has not folded yet (a recovery probe checkpoints while
+	// refreshes are held back) are folded into the triples first.
+	s.foldLocked()
 	data, err := storage.Marshal(&storage.Snapshot{
 		Organized: s.organized,
 		Dict:      s.dict,
-		Triples:   s.table,
+		Triples:   s.idx.Triples(),
 		Schema:    s.schema,
 		Catalog:   s.cat,
 	})
@@ -623,13 +623,14 @@ func (s *Store) OverflowLiterals() int {
 	return n
 }
 
-// NumTriples returns the store size including trickle inserts and
-// pending deletions.
+// NumTriples returns the number of distinct triples, pending writes
+// included: they are folded into the index set first (the next refresh
+// publishes it).
 func (s *Store) NumTriples() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.applyPendingDeletesLocked()
-	return s.table.Len()
+	s.foldLocked()
+	return s.idx.Len()
 }
 
 // Add appends one triple (trickle load). Before Organize it is ordinary
@@ -658,35 +659,27 @@ func (s *Store) Add(t nt.Triple) error {
 }
 
 // addLocked applies one insertion and reports whether it changed state
-// (false for set-semantics no-ops) — the signal for WAL logging.
+// (false for set-semantics no-ops) — the signal for WAL logging. Before
+// Organize it is a plain append: the fold collapses duplicates.
 func (s *Store) addLocked(t nt.Triple) bool {
 	so := s.dict.Intern(t.S)
 	po := s.dict.Intern(t.P)
 	oo := s.dict.Intern(t.O)
 	tr := triples.Triple{S: so, P: po, O: oo}
+	_, undo := s.delPending[tr]
+	delete(s.delPending, tr) // re-adding cancels a pending deletion
 	if s.organized {
-		if _, pending := s.delPending[tr]; pending {
-			// re-adding a pending-deleted triple cancels the deletion
-			delete(s.delPending, tr)
+		if undo {
 			s.touched[so] = struct{}{}
-			return true
+			return true // only present triples are queued for deletion
 		}
-		if _, dup := s.deltaSet[tr]; dup {
+		if _, dup := s.deltaSet[tr]; dup || s.idx.Get(triples.SPO).Contains(tr) {
 			return false // RDF graphs are sets; the live path enforces it
-		}
-		if _, dead := s.deadSet[tr]; !dead && s.idxContainsLocked(tr) {
-			return false // present in the (non-stale part of the) index
 		}
 		s.deltaSet[tr] = struct{}{}
 		s.touched[so] = struct{}{}
-	} else if _, pending := s.delPending[tr]; pending {
-		// pre-Organize delete-then-re-add: flush the committed deletions
-		// now (removing the earlier copies of tr), then fall through to
-		// append the fresh one — otherwise the batch delete applied later
-		// would erase this add too
-		s.applyPendingDeletesLocked()
 	}
-	s.table.Append(so, po, oo)
+	s.addPending.Append(so, po, oo)
 	return true
 }
 
@@ -732,77 +725,49 @@ func (s *Store) deleteLocked(t nt.Triple) bool {
 		return false // already queued: a repeat delete is a no-op
 	}
 	if s.organized {
-		_, added := s.deltaSet[tr]
-		_, dead := s.deadSet[tr]
-		if !added && (dead || !s.idxContainsLocked(tr)) {
+		if _, added := s.deltaSet[tr]; !added && !s.idx.Get(triples.SPO).Contains(tr) {
 			return false // absent: nothing to delete
 		}
-		s.delPending[tr] = struct{}{}
 		s.touched[so] = struct{}{}
-		return true
 	}
-	// Pre-Organize there is no current index to consult, so a delete of
-	// an absent (but interned) triple still reports applied — and may be
+	// Pre-Organize the pending adds are not searched, so a delete of an
+	// absent (but interned) triple still reports applied — and may be
 	// WAL-logged; replaying it stays a no-op.
 	s.delPending[tr] = struct{}{}
 	return true
 }
 
-// idxContainsLocked reports whether the triple is present in the base
-// index (which reflects the table as of the last refresh; callers
-// additionally consult deltaSet/delPending/deadSet for in-flight
-// writes). A snapshot-opened store defers indexing to the first
-// operation that needs it — that is what keeps Open at millisecond cost —
-// so the first Add or Delete after Open sorts the table here, under
-// s.mu: into SPO only, the one order a presence check reads.
-func (s *Store) idxContainsLocked(tr triples.Triple) bool {
-	if s.idx == nil {
-		s.indexTableLocked()
+// foldLocked merges the pending writes into the index set — the one
+// place they reach it — and reports the batch sizes. The existing rows
+// are never re-sorted: Merge sorts the batch and merges it into every
+// order the current set has, in fresh arrays, so a published set is
+// never written. A pending add whose triple is also pending deletion
+// was deleted after it was added, and is dropped.
+func (s *Store) foldLocked() (added, deleted int) {
+	add := s.addPending
+	added, deleted = add.Len(), len(s.delPending)
+	if added == 0 && deleted == 0 {
+		return 0, 0
 	}
-	return s.idx.Get(triples.SPO).Contains(tr)
-}
-
-// indexTableLocked creates the index set from the whole current table
-// (SPO sorted now, the other orders when a plan first reads them).
-func (s *Store) indexTableLocked() {
-	s.idx = triples.NewIndexSet(s.table)
-	s.idxRows = s.table.Len()
-	s.deadSet = make(map[triples.Triple]struct{}) // index is current
-}
-
-// applyPendingDeletesLocked filters the queued deletions out of the base
-// table in one pass. Returns the number of triples removed.
-func (s *Store) applyPendingDeletesLocked() int {
-	if len(s.delPending) == 0 {
-		return 0
-	}
-	w, n := 0, s.table.Len()
-	indexed := 0 // removed rows the index set covers
-	for i := 0; i < n; i++ {
-		tr := s.table.At(i)
-		if _, dead := s.delPending[tr]; dead {
-			// gone from the table but still in the index until the
-			// next refresh merges it out; until then a re-Add must not
-			// be mistaken for a duplicate
-			s.deadSet[tr] = struct{}{}
-			if i < s.idxRows {
-				indexed++
-			}
-			continue
-		}
-		s.table.S[w], s.table.P[w], s.table.O[w] = tr.S, tr.P, tr.O
-		w++
-	}
-	removed := n - w
-	s.table.S = s.table.S[:w]
-	s.table.P = s.table.P[:w]
-	s.table.O = s.table.O[:w]
-	s.idxRows -= indexed
+	del := triples.NewTable(deleted)
 	for tr := range s.delPending {
-		delete(s.deltaSet, tr)
+		del.AppendTriple(tr)
 	}
+	if deleted > 0 {
+		w := 0
+		for i := 0; i < add.Len(); i++ {
+			if _, dead := s.delPending[add.At(i)]; !dead {
+				add.S[w], add.P[w], add.O[w] = add.S[i], add.P[i], add.O[i]
+				w++
+			}
+		}
+		add.S, add.P, add.O = add.S[:w], add.P[:w], add.O[:w]
+	}
+	s.idx = s.idx.Merge(add, del)
+	s.addPending = triples.NewTable(0)
 	s.delPending = make(map[triples.Triple]struct{})
-	return removed
+	s.deltaSet = make(map[triples.Triple]struct{})
+	return added, deleted
 }
 
 // LoadNTriples bulk-loads N-Triples. When lenient, malformed lines are
@@ -852,15 +817,14 @@ func (s *Store) LoadTurtle(r io.Reader) (int, error) {
 
 // OrganizeReport summarizes what Organize did.
 type OrganizeReport struct {
-	Triples           int
-	DuplicatesDropped int
-	RawCSs            int
-	CSs               int
-	Tables            int
-	LinkTables        int
-	FKs               int
-	Coverage          float64
-	IrregularTriples  int
+	Triples          int
+	RawCSs           int
+	CSs              int
+	Tables           int
+	LinkTables       int
+	FKs              int
+	Coverage         float64
+	IrregularTriples int
 }
 
 func (r OrganizeReport) String() string {
@@ -871,50 +835,45 @@ func (r OrganizeReport) String() string {
 // Organize runs the self-organization pipeline: discover characteristic
 // sets, cluster subjects (renumbering the whole OID space), materialize
 // the relational catalog with zone maps, and index the renumbered
-// table. Duplicate triples are dropped first (RDF graphs are sets). The
-// table is sorted twice in full, both times into SPO: once before the
-// renumbering (by the dedup, which leaves it in SPO order so the
-// projection discovery and clustering share costs one sortedness scan)
-// and once after it,
-// for the projection the catalog is filled from and the store's index
-// set adopts. The other five orders are sorted only if a plan ever
-// reads them. It can be called again after live updates to fold the
-// delta layer into a fresh clustering; because it renumbers the shared
-// dictionary it waits for all in-flight queries to finish (close every
-// Rows iterator first — calling Organize with a stream open on the same
-// goroutine deadlocks).
+// triples. Pending writes are folded in first, so discovery and
+// clustering read the store's own SPO projection, which is a set. The
+// renumbering rewrites a copy of it — the published arrays are never
+// written — and that copy is sorted once into the SPO projection the
+// catalog is filled from and the store's new index set holds. The other
+// five orders are sorted only if a plan ever reads them. It can be
+// called again after live updates to fold the delta layer into a fresh
+// clustering; because it renumbers the shared dictionary it waits for
+// all in-flight queries to finish (close every Rows iterator first —
+// calling Organize with a stream open on the same goroutine deadlocks).
 func (s *Store) Organize() (OrganizeReport, error) {
 	s.gate.Lock()
 	defer s.gate.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep OrganizeReport
-	s.applyPendingDeletesLocked()
-	// the table is about to be rewritten and renumbered: whatever
-	// happens below, the old index set no longer describes it
-	s.idx, s.idxRows = nil, 0
-	rep.DuplicatesDropped = s.table.Dedup()
-	rep.Triples = s.table.Len()
+	s.foldLocked()
+	spo := s.idx.Get(triples.SPO)
+	rep.Triples = spo.Len()
 
-	spo := triples.Build(s.table, triples.SPO)
-	s.schema = cs.DiscoverSPO(spo, s.dict, s.opts.CS)
+	schema := cs.DiscoverSPO(spo, s.dict, s.opts.CS)
 	clOpts := s.opts.Cluster
-	clOpts.SortKeys = s.workloadSortKeysLocked(clOpts.SortKeys)
-	inf, err := cluster.ReorganizeSPO(spo, s.table, s.dict, s.schema, clOpts)
+	clOpts.SortKeys = s.workloadSortKeysLocked(schema, clOpts.SortKeys)
+	tb := s.idx.Triples().Clone()
+	inf, err := cluster.ReorganizeSPO(spo, tb, s.dict, schema, clOpts)
 	if err != nil {
 		return rep, fmt.Errorf("core: organize: %w", err)
 	}
+	s.schema = schema
 	s.clusterIn = inf
 	// The rebuilt segments live on the heap (the clustering just
 	// rewrote them), so the fresh pool carries the byte budget but no
-	// mapping releasers; the old blob stays open for the base table but
-	// its resident pages are dropped below.
+	// mapping releasers; the old blob stays open but its resident pages
+	// are dropped below.
 	s.pool = newPool(s.opts)
-	s.indexTableLocked()
+	s.idx = triples.NewIndexSet(tb)
 	s.cat = relational.BuildCatalogSPO(s.idx.Get(triples.SPO), s.schema, inf, s.pool)
 	s.organized = true
 	s.touched = make(map[dict.OID]struct{})
-	s.deltaSet = make(map[triples.Triple]struct{})
 	s.epoch++
 	s.publishSnapshotLocked()
 	if s.blob != nil {
@@ -1010,7 +969,7 @@ func (s *Store) compactLocked() relational.CompactStats {
 // log's filter counts: for each retained CS, the most-filtered predicate
 // among its properties wins. Explicit user keys take precedence; tables
 // without a workload signal fall back to AutoSortKey.
-func (s *Store) workloadSortKeysLocked(explicit map[string]string) map[string]string {
+func (s *Store) workloadSortKeysLocked(schema *cs.Schema, explicit map[string]string) map[string]string {
 	filtered := s.qlog.profile().FilterColumns
 	if len(filtered) == 0 {
 		return explicit
@@ -1019,7 +978,7 @@ func (s *Store) workloadSortKeysLocked(explicit map[string]string) map[string]st
 	for k, v := range explicit {
 		out[k] = v
 	}
-	for _, c := range s.schema.CSs {
+	for _, c := range schema.CSs {
 		if !c.Retained {
 			continue
 		}
@@ -1065,14 +1024,13 @@ func (s *Store) publishSnapshotLocked() {
 	}
 }
 
-// refreshLocked folds pending writes into a fresh snapshot: batch-apply
-// deletions, derive the next epoch's index set from the previous one
-// (the appended rows are sorted and merged, the deleted ones merged
-// out, in every projection the previous epoch had sorted — the existing
-// rows are never re-sorted, and the table is sorted from scratch only
-// when no index set exists yet), incrementally re-assign every touched
-// subject through the delta layer, auto-compact past the threshold,
-// and publish the next epoch.
+// refreshLocked folds pending writes into a fresh snapshot: derive the
+// next epoch's index set from the previous one (foldLocked: the batch is
+// sorted and merged in, the deleted triples merged out, in every
+// projection the previous epoch had sorted — the existing rows are
+// never re-sorted), incrementally re-assign every touched subject
+// through the delta layer, auto-compact past the threshold, and publish
+// the next epoch when anything differs from the published one.
 func (s *Store) refreshLocked() {
 	start := time.Now()
 	// Durability precedes visibility: the batch of trickle writes this
@@ -1100,24 +1058,8 @@ func (s *Store) refreshLocked() {
 		// the sync just latched: keep the previous epoch visible
 		return
 	}
-	changed := s.applyPendingDeletesLocked() > 0
-	added, deleted, subjects := s.table.Len()-s.idxRows, len(s.deadSet), len(s.touched)
-	var merged []triples.Perm
-	switch {
-	case s.idx == nil:
-		s.indexTableLocked()
-		changed = true
-	case added > 0 || deleted > 0:
-		gone := triples.NewTable(deleted)
-		for tr := range s.deadSet {
-			gone.AppendTriple(tr)
-		}
-		s.idx = s.idx.Merge(s.table.Tail(s.idxRows), gone)
-		s.idxRows = s.table.Len()
-		s.deadSet = make(map[triples.Triple]struct{}) // index is current again
-		merged = s.idx.Materialized()
-		changed = true
-	}
+	added, deleted := s.foldLocked()
+	subjects := len(s.touched)
 	if s.organized && len(s.touched) > 0 {
 		subs := make([]dict.OID, 0, len(s.touched))
 		for o := range s.touched {
@@ -1128,8 +1070,6 @@ func (s *Store) refreshLocked() {
 		cat.ReassignSubjects(subs, s.idx.Get(triples.SPO), s.schema)
 		s.cat = cat
 		s.touched = make(map[dict.OID]struct{})
-		s.deltaSet = make(map[triples.Triple]struct{})
-		changed = true
 		thr := s.opts.CompactThreshold
 		if thr == 0 {
 			thr = DefaultCompactThreshold
@@ -1140,11 +1080,19 @@ func (s *Store) refreshLocked() {
 			cat.Compact(s.pool)
 		}
 	}
-	if changed || s.snap == nil {
-		s.epoch++
-		s.publishSnapshotLocked()
+	// a fold outside a refresh (NumTriples, a checkpoint) left s.idx
+	// ahead of the published set: that counts as a change too
+	changed := s.snap == nil || s.snap.idx != s.idx || s.snap.cat != s.cat
+	if !changed {
+		return
 	}
-	if changed && s.log != nil {
+	s.epoch++
+	s.publishSnapshotLocked()
+	if s.log != nil {
+		var merged []triples.Perm
+		if added+deleted > 0 {
+			merged = s.idx.Materialized()
+		}
 		s.log.Info("refresh", "epoch", s.epoch, "added", added, "deleted", deleted,
 			"subjects", subjects, "merged", fmt.Sprint(merged), "duration", time.Since(start))
 	}
@@ -1434,7 +1382,7 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	s.refreshLocked()
 	st := Stats{
-		Triples:   s.table.Len(),
+		Triples:   s.idx.Len(),
 		Resources: s.dict.NumResources(),
 		Literals:  s.dict.NumLiterals(),
 		Organized: s.organized,

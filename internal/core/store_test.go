@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -212,18 +213,58 @@ func TestTrickleInsertAfterOrganize(t *testing.T) {
 	}
 }
 
-func TestDuplicateTriplesDropped(t *testing.T) {
-	s := newTestStore(t, libSrc, 3)
-	tr := nt.Triple{S: dict.IRI("http://lib.example.org/b1"), P: dict.IRI("http://lib.example.org/isbn"), O: dict.StringLit("111")}
+// TestDuplicateTriplesInvisible adds one triple twice and checks that
+// the store holds it once — one row in both plan families, NumTriples
+// 1 — in every storage state: unorganized, reopened unorganized,
+// organized, re-added through the delta layer after a Delete, and
+// reopened from Save. An RDF graph is a set, whatever the state.
+func TestDuplicateTriplesInvisible(t *testing.T) {
+	tr := nt.Triple{S: dict.IRI("http://dup/s"), P: dict.IRI("http://dup/p"), O: dict.StringLit("o")}
+	const q = `SELECT ?s ?o WHERE { ?s <http://dup/p> ?o }`
+	check := func(s *Store, state string, want int) {
+		t.Helper()
+		for _, mode := range []plan.Mode{plan.ModeDefault, plan.ModeRDFScan} {
+			res, err := s.Query(q, QueryOptions{Mode: mode, ZoneMaps: true})
+			if err != nil {
+				t.Fatalf("%s: %v", state, err)
+			}
+			if res.Len() != want {
+				t.Fatalf("%s, mode %v: %d rows, want %d", state, mode, res.Len(), want)
+			}
+		}
+		if n := s.NumTriples(); n != want {
+			t.Fatalf("%s: NumTriples %d, want %d", state, n, want)
+		}
+	}
+	reopen := func(s *Store, name string) *Store {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), name)
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		o, err := OpenStore(path, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { o.Close() })
+		return o
+	}
+
+	s := NewStore(DefaultOptions())
 	s.Add(tr)
 	s.Add(tr)
-	rep, err := s.Organize()
-	if err != nil {
+	check(s, "unorganized", 1)
+	check(reopen(s, "unorganized.srdf"), "reopened unorganized", 1)
+	if _, err := s.Organize(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.DuplicatesDropped < 2 {
-		t.Errorf("duplicates dropped = %d, want >= 2", rep.DuplicatesDropped)
-	}
+	check(s, "organized", 1)
+	s.Delete(tr)
+	check(s, "deleted", 0)
+	s.Add(tr)
+	s.Add(tr)
+	check(s, "re-added as delta", 1)
+	check(reopen(s, "delta.srdf"), "reopened", 1)
 }
 
 func TestStats(t *testing.T) {

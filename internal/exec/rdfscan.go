@@ -57,7 +57,7 @@ func RDFJoin(ctx *Ctx, in *Rel, keyVar string, t *relational.Table, star Star, f
 		colIdx[i] = t.ColIndex(star.Props[i].Pred)
 	}
 	var irrSPO *triples.Projection
-	if ctx.Cat != nil && ctx.Cat.Irregular.Len() > 0 {
+	if ctx.Cat != nil && ctx.Cat.IrregularIdx.Len() > 0 {
 		irrSPO = ctx.Cat.IrregularIdx.Get(triples.SPO)
 	}
 
@@ -154,7 +154,7 @@ func ResidualStar(ctx *Ctx, star Star, covering []*relational.Table) *Rel {
 			}
 		}
 	}
-	if cat.Irregular.Len() == 0 && !anyLink {
+	if cat.IrregularIdx.Len() == 0 && !anyLink {
 		return rel
 	}
 	irrPSO := cat.IrregularIdx.Get(triples.PSO)

@@ -309,7 +309,7 @@ func (b *builder) residualFree(st *star) bool {
 			}
 		}
 	}
-	if b.sv.Cat.Irregular.Len() == 0 {
+	if b.sv.Cat.IrregularIdx.Len() == 0 {
 		return true
 	}
 	pso := b.sv.Cat.IrregularIdx.Get(triples.PSO)

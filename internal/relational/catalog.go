@@ -134,9 +134,8 @@ type LinkTable struct {
 type Catalog struct {
 	Tables []*Table
 	Links  []*LinkTable
-	// Irregular holds every triple the tables do not answer.
-	Irregular *triples.Table
-	// IrregularIdx indexes the residual triples for fallback access.
+	// IrregularIdx holds every triple the tables do not answer: the
+	// irregular residue, indexed for fallback access.
 	IrregularIdx *triples.IndexSet
 
 	byName map[string]*Table
@@ -201,9 +200,8 @@ func BuildCatalog(tb *triples.Table, d *dict.Dictionary, schema *cs.Schema, inf 
 // anyway, and the catalog only reads it.
 func BuildCatalogSPO(spo *triples.Projection, schema *cs.Schema, inf *cluster.Info, pool *colstore.BufferPool) *Catalog {
 	cat := &Catalog{
-		Irregular: triples.NewTable(0),
-		byName:    make(map[string]*Table),
-		byCS:      make(map[int]*Table),
+		byName: make(map[string]*Table),
+		byCS:   make(map[int]*Table),
 	}
 	// Create table shells.
 	for _, c := range schema.CSs {
@@ -254,12 +252,14 @@ func BuildCatalogSPO(spo *triples.Projection, schema *cs.Schema, inf *cluster.In
 		}
 	}
 
-	// Fill: one pass over SPO in clustered subject order.
+	// Fill: one pass over SPO in clustered subject order, so the residue
+	// comes out in SPO order too and its index set adopts it unsorted.
+	irregular := triples.NewTable(0)
 	spo.Distinct1(func(s dict.OID, lo, hi int) {
 		csID, ok := schema.SubjectCS[s]
 		if !ok {
 			for i := lo; i < hi; i++ {
-				cat.Irregular.Append(s, spo.B[i], spo.C[i])
+				irregular.Append(s, spo.B[i], spo.C[i])
 			}
 			return
 		}
@@ -267,7 +267,7 @@ func BuildCatalogSPO(spo *triples.Projection, schema *cs.Schema, inf *cluster.In
 		row := t.RowOf(s)
 		if row < 0 {
 			for i := lo; i < hi; i++ {
-				cat.Irregular.Append(s, spo.B[i], spo.C[i])
+				irregular.Append(s, spo.B[i], spo.C[i])
 			}
 			return
 		}
@@ -282,14 +282,14 @@ func BuildCatalogSPO(spo *triples.Projection, schema *cs.Schema, inf *cluster.In
 			col := t.Col(p)
 			if col == nil {
 				for i := l; i < h; i++ {
-					cat.Irregular.Append(s, p, spo.C[i])
+					irregular.Append(s, p, spo.C[i])
 				}
 				return
 			}
 			col.Data.Set(row, spo.C[l])
 			// overflow values of a 0..1 column stay irregular
 			for i := l + 1; i < h; i++ {
-				cat.Irregular.Append(s, p, spo.C[i])
+				irregular.Append(s, p, spo.C[i])
 			}
 		})
 	})
@@ -311,7 +311,7 @@ func BuildCatalogSPO(spo *triples.Projection, schema *cs.Schema, inf *cluster.In
 			c.Data.Seal()
 		}
 	}
-	cat.IrregularIdx = triples.NewIndexSet(cat.Irregular)
+	cat.IrregularIdx = triples.NewIndexSet(irregular)
 	return cat
 }
 
@@ -455,7 +455,7 @@ func (cat *Catalog) Stats() Stats {
 		s.Columns += len(t.Cols)
 	}
 	s.LinkTables = len(cat.Links)
-	s.IrregularTriples = cat.Irregular.Len()
+	s.IrregularTriples = cat.IrregularIdx.Len()
 	s.DeltaRows = cat.DeltaRowCount()
 	s.Tombstones = cat.TombstoneCount()
 	return s

@@ -106,12 +106,12 @@ func TestCatalogFKResolution(t *testing.T) {
 func TestIrregularResidual(t *testing.T) {
 	cat, tb, d, _ := build(t, dblpSrc, 3)
 	// webpage1's url triple is irregular
-	if cat.Irregular.Len() == 0 {
+	if cat.IrregularIdx.Len() == 0 {
 		t.Fatal("no irregular triples")
 	}
 	found := false
-	for i := 0; i < cat.Irregular.Len(); i++ {
-		tm, _ := d.Term(cat.Irregular.P[i])
+	for i := 0; i < cat.IrregularIdx.Len(); i++ {
+		tm, _ := d.Term(cat.IrregularIdx.Triples().P[i])
 		if dict.LocalName(tm.Value) == "url" {
 			found = true
 		}
@@ -133,8 +133,8 @@ func TestIrregularResidual(t *testing.T) {
 	for _, lt := range cat.Links {
 		cells += len(lt.Subj)
 	}
-	if cells+cat.Irregular.Len() != tb.Len() {
-		t.Errorf("cells %d + irregular %d != triples %d", cells, cat.Irregular.Len(), tb.Len())
+	if cells+cat.IrregularIdx.Len() != tb.Len() {
+		t.Errorf("cells %d + irregular %d != triples %d", cells, cat.IrregularIdx.Len(), tb.Len())
 	}
 }
 

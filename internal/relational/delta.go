@@ -268,7 +268,6 @@ func (cat *Catalog) TombstoneCount() int {
 // snapshot. Col structs are shared until Compact replaces them.
 func (cat *Catalog) CloneForWrite() *Catalog {
 	nc := &Catalog{
-		Irregular:    cat.Irregular,
 		IrregularIdx: cat.IrregularIdx,
 		Tables:       make([]*Table, len(cat.Tables)),
 		byName:       make(map[string]*Table, len(cat.byName)),
@@ -374,18 +373,21 @@ func (cat *Catalog) ReassignSubjects(subjects []dict.OID, spo *triples.Projectio
 		t.removeDeltaRows(touched)
 	}
 
-	// Drop the touched subjects' irregular triples; re-routing appends
-	// their survivors below.
-	irr := triples.NewTable(cat.Irregular.Len())
-	dropped := triples.NewTable(0)
-	for i := 0; i < cat.Irregular.Len(); i++ {
-		if tr := cat.Irregular.At(i); touched[tr.S] {
-			dropped.AppendTriple(tr)
-		} else {
-			irr.AppendTriple(tr)
+	// Drop the touched subjects' irregular triples, found by range
+	// lookups on the residue's SPO; re-routing adds their survivors back.
+	irrSPO := cat.IrregularIdx.Get(triples.SPO)
+	dropped, spilled := triples.NewTable(0), triples.NewTable(0)
+	spill := func(s, p dict.OID, vals []dict.OID) {
+		for _, v := range vals {
+			spilled.Append(s, p, v)
 		}
 	}
-	kept := irr.Len()
+	for _, s := range subjects {
+		lo, hi := irrSPO.Range1(s)
+		for i := lo; i < hi; i++ {
+			dropped.Append(s, irrSPO.B[i], irrSPO.C[i])
+		}
+	}
 
 	// Re-route in caller order (sorted subjects → deterministic layout).
 	var preds []dict.OID
@@ -407,7 +409,7 @@ func (cat *Catalog) ReassignSubjects(subjects []dict.OID, spo *triples.Projectio
 		if t == nil {
 			st.Spilled++
 			spo.Distinct2(lo, hi, func(p dict.OID, l, h int) {
-				appendDistinct(irr, s, p, spo.C[l:h])
+				spill(s, p, spo.C[l:h])
 			})
 			continue
 		}
@@ -423,30 +425,18 @@ func (cat *Catalog) ReassignSubjects(subjects []dict.OID, spo *triples.Projectio
 			vals := spo.C[l:h]
 			if ci := t.routableCol(p); ci >= 0 {
 				row[ci] = vals[0] // first value in the column, like BuildCatalog
-				appendDistinct(irr, s, p, vals[1:])
+				spill(s, p, vals[1:])
 				return
 			}
-			appendDistinct(irr, s, p, vals)
+			spill(s, p, vals)
 		})
 		t.appendDeltaRow(s, row)
 		cat.deltaOf[s] = t
 	}
-	cat.Irregular = irr
 	// like the store's own index: the untouched residue is not re-sorted,
 	// the touched subjects' triples are merged out and back in
-	cat.IrregularIdx = cat.IrregularIdx.Merge(irr.Tail(kept), dropped)
+	cat.IrregularIdx = cat.IrregularIdx.Merge(spilled, dropped)
 	return st
-}
-
-// appendDistinct appends (s,p,v) for each v in vals, collapsing exact
-// duplicates (vals are sorted — SPO order): RDF graphs are sets.
-func appendDistinct(tb *triples.Table, s, p dict.OID, vals []dict.OID) {
-	for i, v := range vals {
-		if i > 0 && v == vals[i-1] {
-			continue
-		}
-		tb.Append(s, p, v)
-	}
 }
 
 // removeDeltaRows rebuilds the delta without the given subjects,

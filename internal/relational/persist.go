@@ -80,17 +80,17 @@ func RestoreDeltaRows(subj []dict.OID, cols [][]dict.OID) (*DeltaRows, error) {
 
 // AssembleCatalog wires a deserialized catalog: the name/CS lookup maps,
 // the delta- and extra-residence maps, and the irregular index are all
-// rebuilt from the restored tables and links. Link Parent pointers must
-// already be set.
+// rebuilt from the restored tables and links; the index set takes
+// ownership of irregular. Link Parent pointers must already be set.
 func AssembleCatalog(tables []*Table, links []*LinkTable, irregular *triples.Table) *Catalog {
 	cat := &Catalog{
-		Tables:    tables,
-		Links:     links,
-		Irregular: irregular,
-		byName:    make(map[string]*Table, len(tables)),
-		byCS:      make(map[int]*Table, len(tables)),
-		deltaOf:   make(map[dict.OID]*Table),
-		extraOf:   make(map[dict.OID]*Table),
+		Tables:       tables,
+		Links:        links,
+		IrregularIdx: triples.NewIndexSet(irregular),
+		byName:       make(map[string]*Table, len(tables)),
+		byCS:         make(map[int]*Table, len(tables)),
+		deltaOf:      make(map[dict.OID]*Table),
+		extraOf:      make(map[dict.OID]*Table),
 	}
 	for _, t := range tables {
 		cat.byName[t.Name] = t
@@ -104,6 +104,5 @@ func AssembleCatalog(tables []*Table, links []*LinkTable, irregular *triples.Tab
 			cat.extraOf[s] = t
 		}
 	}
-	cat.IrregularIdx = triples.NewIndexSet(irregular)
 	return cat
 }

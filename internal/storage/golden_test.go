@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +17,7 @@ import (
 	"srdf/internal/nt"
 	"srdf/internal/plan"
 	"srdf/internal/storage"
+	"srdf/internal/triples"
 )
 
 var update = flag.Bool("update", false, "regenerate the golden snapshot fixture")
@@ -188,6 +191,67 @@ func TestGoldenFixture(t *testing.T) {
 	}
 	if !bytes.Equal(got2, want) {
 		t.Fatalf("rebuilt store serializes differently: %d bytes vs %d", len(got2), len(want))
+	}
+}
+
+// TestGoldenUpdateOrderRows opens a snapshot laid out the way earlier
+// writers of this version laid it out — the triples and the irregular
+// residue in update order rather than SPO order. It must open, sorting
+// each of the two sets once, answer every golden query exactly like the
+// store it was saved from, and re-save in the current layout.
+func TestGoldenUpdateOrderRows(t *testing.T) {
+	st := buildGoldenStore(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "spo.srdf")
+	if err := st.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := storage.ReadFile(path, colstore.NewPool(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	shuffle := func(tb *triples.Table) *triples.Table {
+		out := triples.NewTable(tb.Len())
+		for _, i := range rng.Perm(tb.Len()) {
+			out.AppendTriple(tb.At(i))
+		}
+		return out
+	}
+	data, err := storage.MarshalRowOrder(snap, shuffle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "update-order.srdf")
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := core.DefaultOptions()
+	opts.CS.MinSupport = 3
+	opts.CompactThreshold = -1
+	builds0, _ := triples.ProjectionCounts(triples.SPO)
+	opened, err := core.OpenStore(old, opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer opened.Close()
+	if b, _ := triples.ProjectionCounts(triples.SPO); b != builds0+2 {
+		t.Fatalf("opening sorted %d SPO projections, want 2 (the triples and the residue)", b-builds0)
+	}
+	for _, q := range goldenQueries {
+		if got, want := queryRows(t, opened, q), queryRows(t, st, q); !slices.Equal(got, want) {
+			t.Errorf("query %s:\nupdate-order file: %v\nits source store: %v", q, got, want)
+		}
+	}
+	resaved := filepath.Join(dir, "resaved.srdf")
+	if err := opened.Save(resaved); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := os.ReadFile(resaved)
+	want, _ := os.ReadFile(path)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-saving the update-order file gave %d bytes unlike the SPO-order save's %d", len(got), len(want))
 	}
 }
 

@@ -628,7 +628,7 @@ func writeCatalog(cat *relational.Catalog, schema *cs.Schema) (catPayload, segPa
 		}
 	}
 
-	b = writeTriplesInto(b, cat.Irregular)
+	b = writeTriplesInto(b, cat.IrregularIdx.Triples())
 	return b, segs, nil
 }
 

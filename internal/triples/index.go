@@ -13,16 +13,16 @@ import (
 // IndexSet is the "exhaustive indexing" of RDF-3X and MonetDB+HSP that
 // the paper critiques for its lack of locality — and that the
 // reorganized store still needs for the irregular residue and for
-// non-star access paths. Because those are the exception, only SPO is
-// sorted when the set is created; every other order is sorted the first
+// non-star access paths. Because those are the exception, only SPO
+// exists when the set is created; every other order is sorted the first
 // time a reader asks for it, once, and readers may ask concurrently
 // (published snapshots share one set).
 //
-// A set never looks at the table again after NewIndexSet returns: SPO
-// owns copies of the rows and the other orders are derived from SPO's
-// arrays. That is what makes a late materialization safe — the store
-// compacts and appends to its table in place, and an order sorted from
-// a table that has since moved would disagree with its siblings.
+// The set is the only store of its triples, and they form a set: SPO
+// is the row store, without duplicates, and the other orders are
+// derived from SPO's arrays. No array of a set is written once the set
+// exists — Merge builds the next set in fresh arrays — which is what
+// makes a late materialization safe while a writer moves on.
 type IndexSet struct {
 	perms [6]atomic.Pointer[Projection]
 	// build serializes the first Get of one order; Get of a
@@ -34,13 +34,36 @@ type IndexSet struct {
 	resPreds map[dict.OID]struct{}
 }
 
-// NewIndexSet indexes the table: SPO now, the other orders on demand.
+// NewIndexSet makes an index set of t's triples and takes ownership of
+// t: the caller must not write t afterwards. Rows that already ascend
+// strictly in SPO order (what the snapshot writer and the catalog
+// produce) are adopted as the SPO projection without a copy; any other
+// table is sorted and its duplicate triples collapsed, which counts as
+// an SPO build. The other orders are sorted on demand.
 func NewIndexSet(t *Table) *IndexSet {
-	start := time.Now()
 	s := &IndexSet{}
-	s.perms[SPO].Store(Build(t, SPO))
+	if isSPOSet(t) {
+		s.perms[SPO].Store(&Projection{Order: SPO, A: t.S, B: t.P, C: t.O})
+		return s
+	}
+	start := time.Now()
+	spo := Build(t, SPO)
+	spo.dedup()
+	s.perms[SPO].Store(spo)
 	observe(buildsTotal, SPO, start)
 	return s
+}
+
+// isSPOSet reports whether t's rows strictly ascend in SPO order: one
+// early-exiting scan.
+func isSPOSet(t *Table) bool {
+	keys := [][]dict.OID{t.S, t.P, t.O}
+	for i := 1; i < t.Len(); i++ {
+		if compareRows(keys, uint32(i-1), uint32(i)) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // BuildAll indexes the table and materializes all six orders.
@@ -50,6 +73,17 @@ func BuildAll(t *Table) *IndexSet {
 		s.Get(p)
 	}
 	return s
+}
+
+// Len returns the number of triples in the set.
+func (s *IndexSet) Len() int { return s.perms[SPO].Load().Len() }
+
+// Triples returns the set's triples in SPO order as a table that shares
+// SPO's arrays, for readers of plain columns such as the snapshot
+// writer. It must not be written.
+func (s *IndexSet) Triples() *Table {
+	spo := s.perms[SPO].Load()
+	return &Table{S: spo.A, P: spo.B, O: spo.C}
 }
 
 // Get returns the projection for a permutation, sorting it on first
@@ -113,13 +147,18 @@ func (spo *Projection) reorder(p Perm) *Projection {
 }
 
 // Merge returns the index set of the next epoch: every row equal to a
-// triple of del is dropped and the rows of add are inserted, by one
+// triple of del is dropped and the triples of add are inserted, by one
 // linear merge per order this set has materialized; the other orders
-// stay lazy and will be derived from the merged SPO. add and del are
-// small batches — they are sorted per order, the existing rows are not.
-// The receiver is not modified, so readers of the previous epoch keep
-// using it while the writer merges.
+// stay lazy and will be derived from the merged SPO. A triple of add
+// already present is not repeated, so the result is a set again. add
+// and del are small batches — they are sorted per order, the existing
+// rows are not. The receiver is not modified, so readers of the
+// previous epoch keep using it while the writer merges; an empty batch
+// returns it unchanged.
 func (s *IndexSet) Merge(add, del *Table) *IndexSet {
+	if add.Len() == 0 && del.Len() == 0 {
+		return s
+	}
 	ns := &IndexSet{}
 	for _, p := range AllPerms {
 		old := s.perms[p].Load()
@@ -128,14 +167,23 @@ func (s *IndexSet) Merge(add, del *Table) *IndexSet {
 		}
 		start := time.Now()
 		ns.perms[p].Store(old.merge(Build(add, p), Build(del, p)))
-		observe(mergesTotal, p, start)
+		if old.Len() == 0 {
+			observe(buildsTotal, p, start) // nothing to merge into: a sort
+		} else {
+			observe(mergesTotal, p, start)
+		}
 	}
 	return ns
 }
 
 // merge combines three projections of one order: pr minus every row
-// that equals a row of del, plus the rows of add.
+// that equals a row of del, plus the rows of add, each triple once. add
+// and del are fresh sorts that merge may take over.
 func (pr *Projection) merge(add, del *Projection) *Projection {
+	if pr.Len() == 0 {
+		add.dedup()
+		return add
+	}
 	n := pr.Len() + add.Len()
 	out := &Projection{
 		Order: pr.Order,
@@ -144,13 +192,16 @@ func (pr *Projection) merge(add, del *Projection) *Projection {
 		C:     make([]dict.OID, 0, n),
 	}
 	take := func(from *Projection, i int) {
+		if k := out.Len() - 1; k >= 0 && compareAt(from, i, out, k) == 0 {
+			return // already present: an index set is a set
+		}
 		out.A = append(out.A, from.A[i])
 		out.B = append(out.B, from.B[i])
 		out.C = append(out.C, from.C[i])
 	}
 	i, j, k := 0, 0, 0 // cursors into pr, add, del
 	for i < pr.Len() {
-		for j < add.Len() && compareAt(add, j, pr, i) < 0 {
+		for j < add.Len() && compareAt(add, j, pr, i) <= 0 {
 			take(add, j)
 			j++
 		}
@@ -203,7 +254,7 @@ func RegisterMetrics(reg *obs.Registry) {
 		mergesTotal.With(p.String())
 	}
 	reg.RegisterLabeledCounter("srdf_projection_builds_total",
-		"Triple projections sorted, by permutation (SPO when an index set is created, the rest on first use).", buildsTotal)
+		"Triple projections sorted, by permutation (SPO when an index set is created from unsorted rows, the rest on first use); an adopted SPO is not a sort.", buildsTotal)
 	reg.RegisterLabeledCounter("srdf_projection_merges_total",
 		"Triple projections carried across a refresh by merging the batch in, by permutation.", mergesTotal)
 	reg.RegisterHistogram("srdf_projection_build_seconds",

@@ -84,30 +84,67 @@ func sameRows(t *testing.T, what string, got, want *Projection) {
 	}
 }
 
+// setOf is the reference for an index set's rows: a fresh sort of the
+// table's distinct triples in one order.
+func setOf(tb *Table, p Perm) *Projection {
+	pr := Build(tb, p)
+	pr.dedup()
+	return pr
+}
+
 // TestLazyOrdersEqualDirectBuild checks the derivation of every order
-// from SPO, and the constraint that makes laziness safe: the set owns
-// its rows, so a table that is compacted and appended to after the set
-// was created does not leak into an order materialized later.
+// from SPO against a direct sort of the table's distinct triples.
 func TestLazyOrdersEqualDirectBuild(t *testing.T) {
 	for _, n := range []int{0, 1, 40, 5000} {
 		tb := randomTable(int64(n), n)
 		frozen := tb.Clone()
-		set := NewIndexSet(tb)
+		set := NewIndexSet(tb) // takes tb over
 		if got := set.Materialized(); !slices.Equal(got, []Perm{SPO}) {
 			t.Fatalf("n=%d: a new set materialized %v, want SPO only", n, got)
 		}
-		// what the store does to its table between refreshes
-		if n > 1 {
-			tb.S[0], tb.P[0], tb.O[0] = tb.S[n-1], tb.P[n-1], tb.O[n-1]
-			tb.S, tb.P, tb.O = tb.S[:n/2], tb.P[:n/2], tb.O[:n/2]
-		}
-		tb.Append(r(999), r(998), l(997))
 		for _, p := range AllPerms {
-			sameRows(t, "lazy", set.Get(p), Build(frozen, p))
+			sameRows(t, "lazy", set.Get(p), setOf(frozen, p))
 		}
 		if got := set.Materialized(); len(got) != len(AllPerms) {
 			t.Fatalf("n=%d: materialized %v after asking for all", n, got)
 		}
+		if set.Len() != set.Get(SPO).Len() || set.Triples().Len() != set.Len() {
+			t.Fatalf("n=%d: Len %d, Triples %d, SPO %d rows", n, set.Len(), set.Triples().Len(), set.Get(SPO).Len())
+		}
+	}
+}
+
+// TestNewIndexSetAdoptsSPOSets checks what NewIndexSet costs: rows that
+// already form a set in SPO order become the SPO projection as they are
+// — same arrays, no sort counted — and any other table is sorted, its
+// duplicates collapsed, and one SPO build counted.
+func TestNewIndexSetAdoptsSPOSets(t *testing.T) {
+	raw := randomTable(3, 2000) // unsorted, with duplicates
+	want := setOf(raw.Clone(), SPO)
+	builds0, _ := ProjectionCounts(SPO)
+	sorted := NewIndexSet(raw)
+	if b, _ := ProjectionCounts(SPO); b != builds0+1 {
+		t.Fatalf("sorting an unsorted table counted %d SPO builds, want 1", b-builds0)
+	}
+	sameRows(t, "sorted", sorted.Get(SPO), want)
+	if want.Len() == raw.Len() {
+		t.Fatal("the input had no duplicates to collapse")
+	}
+
+	rows := &Table{S: want.A, P: want.B, O: want.C}
+	adopted := NewIndexSet(rows)
+	if b, _ := ProjectionCounts(SPO); b != builds0+1 {
+		t.Fatalf("adopting an SPO set counted %d SPO builds, want none", b-builds0-1)
+	}
+	if spo := adopted.Get(SPO); &spo.A[0] != &rows.S[0] || &spo.C[0] != &rows.O[0] {
+		t.Fatal("an SPO-ordered set was copied, not adopted")
+	}
+	// a duplicate in SPO order is not a set: it is sorted and collapsed
+	dup := rows.Clone()
+	dup.AppendTriple(dup.At(dup.Len() - 1))
+	sameRows(t, "sorted duplicate", NewIndexSet(dup).Get(SPO), want)
+	if b, _ := ProjectionCounts(SPO); b != builds0+2 {
+		t.Fatalf("a trailing duplicate counted %d SPO builds, want 1", b-builds0-1)
 	}
 }
 
@@ -194,9 +231,10 @@ func mergeScripts() []mergeScript {
 }
 
 // TestMergeEqualsBuildAll replays add/delete scripts two ways: merged
-// into an existing index set, and applied to the table (the store's
-// compaction: drop every copy of a deleted triple, then append) with
-// all six orders rebuilt from scratch. The rows must be identical.
+// into an existing index set, and applied to the table (drop every copy
+// of a deleted triple, then append) with all six orders rebuilt from
+// scratch. The rows must be identical, and a set: the scripts' bases
+// and batches repeat triples, and each must come out once.
 func TestMergeEqualsBuildAll(t *testing.T) {
 	for _, sc := range mergeScripts() {
 		set := NewIndexSet(sc.base)
@@ -232,7 +270,7 @@ func TestMergeEqualsBuildAll(t *testing.T) {
 		}
 		// the previous epoch is untouched: its readers are still running
 		for _, p := range AllPerms {
-			sameRows(t, sc.name+" (previous epoch)", set.Get(p), Build(sc.base, p))
+			sameRows(t, sc.name+" (previous epoch)", set.Get(p), setOf(sc.base, p))
 		}
 	}
 }

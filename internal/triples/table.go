@@ -7,9 +7,11 @@
 // In the reorganized store the projections are only the fallback for
 // the irregular residue and for non-star access paths, so they are kept
 // cheap: every order is produced by one radix kernel (sort.go), an
-// IndexSet sorts SPO when it is created and each other order the first
-// time a reader asks for it, and a batch of updates is merged into the
-// orders that exist instead of re-sorting the table (index.go).
+// IndexSet is the only copy of its triples — its SPO projection is the
+// row store, adopted without a sort when the rows arrive in SPO order —
+// each other order is sorted the first time a reader asks for it, and a
+// batch of updates is merged into the orders that exist instead of
+// re-sorting the set (index.go).
 package triples
 
 import (
@@ -24,8 +26,9 @@ type Triple struct {
 	S, P, O dict.OID
 }
 
-// Table is the base triple table in parse (insertion) order, stored
-// column-wise like MonetDB BATs.
+// Table is a sequence of triples in arrival order, stored column-wise
+// like MonetDB BATs: a bulk load or a batch of pending writes, before an
+// IndexSet adopts or merges it.
 type Table struct {
 	S, P, O []dict.OID
 }
@@ -74,38 +77,15 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// Tail returns rows [from, Len) as a view sharing the table's arrays —
-// the rows appended since an index set last covered the table.
-func (t *Table) Tail(from int) *Table {
-	return &Table{S: t.S[from:], P: t.P[from:], O: t.O[from:]}
-}
-
 // Dedup sorts the table in SPO order and removes exact duplicate triples,
 // returning the number removed. RDF graphs are sets; bulk loads of dirty
 // data commonly carry duplicates.
 func (t *Table) Dedup() int {
 	n := t.Len()
-	if n == 0 {
-		return 0
-	}
-	idx := sortRows(n, t.S, t.P, t.O)
-	outS := make([]dict.OID, 0, n)
-	outP := make([]dict.OID, 0, n)
-	outO := make([]dict.OID, 0, n)
-	var last Triple
-	for k, i := range idx {
-		tr := t.At(int(i))
-		if k > 0 && tr == last {
-			continue
-		}
-		last = tr
-		outS = append(outS, tr.S)
-		outP = append(outP, tr.P)
-		outO = append(outO, tr.O)
-	}
-	removed := n - len(outS)
-	t.S, t.P, t.O = outS, outP, outO
-	return removed
+	spo := Build(t, SPO)
+	spo.dedup()
+	t.S, t.P, t.O = spo.A, spo.B, spo.C
+	return n - t.Len()
 }
 
 // Perm names one of the six sort orders of a projection.
@@ -197,6 +177,20 @@ func gather(p Perm, order []uint32, a, b, c []dict.OID) *Projection {
 
 // Len returns the number of rows.
 func (pr *Projection) Len() int { return len(pr.A) }
+
+// dedup collapses equal adjacent rows in place, turning a sorted
+// projection into a set.
+func (pr *Projection) dedup() {
+	w := 0
+	for i := range pr.A {
+		if w > 0 && compareAt(pr, i, pr, w-1) == 0 {
+			continue
+		}
+		pr.A[w], pr.B[w], pr.C[w] = pr.A[i], pr.B[i], pr.C[i]
+		w++
+	}
+	pr.A, pr.B, pr.C = pr.A[:w], pr.B[:w], pr.C[:w]
+}
 
 // At returns row i in permuted component order.
 func (pr *Projection) At(i int) (a, b, c dict.OID) { return pr.A[i], pr.B[i], pr.C[i] }

@@ -143,9 +143,10 @@ func BenchmarkWAL_Append(b *testing.B) {
 }
 
 // BenchmarkOpen_FirstAnswer is the restart path a client waits for:
-// open a 40 k-triple snapshot and answer one query. Open itself sorts
-// nothing; the first query sorts the table into SPO plus the orders its
-// plan reads (PSO for the planner's estimates here), not all six.
+// open a 40 k-triple snapshot and answer one query. Open adopts the
+// snapshot's SPO-ordered triples section as the SPO projection without a
+// sort; the first query sorts only the orders its plan reads (PSO for
+// the planner's estimates here), not all six.
 func BenchmarkOpen_FirstAnswer(b *testing.B) {
 	path := persistedBenchPath(b, 20000)
 	opts := core.DefaultOptions()
