@@ -185,9 +185,9 @@ type Store struct {
 
 	// addPending holds the adds not yet folded into idx, in arrival
 	// order (a bulk load before Organize is one long batch of them);
-	// delPending holds the requested deletions. No triple is in both
-	// because of an earlier add: an add cancels a pending delete of the
-	// same triple, so a delete still pending is the later operation.
+	// delPending holds the requested deletions. An add cancels a pending
+	// delete of its triple, so a triple in both was deleted after its
+	// last add.
 	addPending *triples.Table
 	delPending map[triples.Triple]struct{}
 	// touched collects subjects whose residence must be re-resolved by
@@ -598,8 +598,7 @@ func (s *Store) Catalog() *relational.Catalog {
 
 // Organized reports whether the store has a materialized schema —
 // either from Organize or from an opened snapshot. Unlike Stats it does
-// not refresh, so it is safe on the snapshot fast path before the
-// deferred index build.
+// not refresh, so it is safe on the snapshot fast path.
 func (s *Store) Organized() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

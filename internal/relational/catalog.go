@@ -3,8 +3,8 @@
 // beside "Triple Table Storage"). Each retained CS becomes a table whose
 // row i holds the property values of the CS's i-th clustered subject;
 // multi-valued properties become link tables; triples outside the schema
-// stay in an irregular residual triple table. The catalog also renders
-// the SQL view of the data (research question ii).
+// stay in an irregular residue, an index set of triples. The catalog
+// also renders the SQL view of the data (research question ii).
 package relational
 
 import (

@@ -20,11 +20,13 @@ const maxCount = 1<<31 - 1
 
 // Snapshot is the serializable state of a store: everything Organize
 // built plus the live-update delta layer. Schema and Catalog are nil for
-// un-organized stores (dictionary and base triples only).
+// un-organized stores (dictionary and triples only).
 type Snapshot struct {
 	Organized bool
 	// Dict carries its literal-order watermark in the dict section.
-	Dict    *dict.Dictionary
+	Dict *dict.Dictionary
+	// Triples is written in the order given — the store passes its SPO
+	// projection — and read back in the order written.
 	Triples *triples.Table
 	Schema  *cs.Schema
 	Catalog *relational.Catalog

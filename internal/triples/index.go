@@ -42,24 +42,22 @@ type IndexSet struct {
 // an SPO build. The other orders are sorted on demand.
 func NewIndexSet(t *Table) *IndexSet {
 	s := &IndexSet{}
-	if isSPOSet(t) {
-		s.perms[SPO].Store(&Projection{Order: SPO, A: t.S, B: t.P, C: t.O})
-		return s
+	spo := &Projection{Order: SPO, A: t.S, B: t.P, C: t.O}
+	if !spo.ascends() {
+		start := time.Now()
+		spo = Build(t, SPO)
+		spo.dedup()
+		observe(buildsTotal, SPO, start)
 	}
-	start := time.Now()
-	spo := Build(t, SPO)
-	spo.dedup()
 	s.perms[SPO].Store(spo)
-	observe(buildsTotal, SPO, start)
 	return s
 }
 
-// isSPOSet reports whether t's rows strictly ascend in SPO order: one
-// early-exiting scan.
-func isSPOSet(t *Table) bool {
-	keys := [][]dict.OID{t.S, t.P, t.O}
-	for i := 1; i < t.Len(); i++ {
-		if compareRows(keys, uint32(i-1), uint32(i)) >= 0 {
+// ascends reports whether every row is strictly greater than the one
+// before it: sorted, and a set. One early-exiting scan.
+func (pr *Projection) ascends() bool {
+	for i := 1; i < pr.Len(); i++ {
+		if compareAt(pr, i-1, pr, i) >= 0 {
 			return false
 		}
 	}
@@ -151,10 +149,11 @@ func (spo *Projection) reorder(p Perm) *Projection {
 // linear merge per order this set has materialized; the other orders
 // stay lazy and will be derived from the merged SPO. A triple of add
 // already present is not repeated, so the result is a set again. add
-// and del are small batches — they are sorted per order, the existing
-// rows are not. The receiver is not modified, so readers of the
-// previous epoch keep using it while the writer merges; an empty batch
-// returns it unchanged.
+// and del are batches — they are sorted per order, the existing rows
+// are not; into an empty order (a bulk load's first fold) the merge is
+// just that sort, and counts as a build. The receiver is not modified,
+// so readers of the previous epoch keep using it while the writer
+// merges; an empty batch returns it unchanged.
 func (s *IndexSet) Merge(add, del *Table) *IndexSet {
 	if add.Len() == 0 && del.Len() == 0 {
 		return s
@@ -180,8 +179,8 @@ func (s *IndexSet) Merge(add, del *Table) *IndexSet {
 // that equals a row of del, plus the rows of add, each triple once. add
 // and del are fresh sorts that merge may take over.
 func (pr *Projection) merge(add, del *Projection) *Projection {
+	add.dedup()
 	if pr.Len() == 0 {
-		add.dedup()
 		return add
 	}
 	n := pr.Len() + add.Len()
@@ -192,23 +191,27 @@ func (pr *Projection) merge(add, del *Projection) *Projection {
 		C:     make([]dict.OID, 0, n),
 	}
 	take := func(from *Projection, i int) {
-		if k := out.Len() - 1; k >= 0 && compareAt(from, i, out, k) == 0 {
-			return // already present: an index set is a set
-		}
 		out.A = append(out.A, from.A[i])
 		out.B = append(out.B, from.B[i])
 		out.C = append(out.C, from.C[i])
 	}
 	i, j, k := 0, 0, 0 // cursors into pr, add, del
 	for i < pr.Len() {
-		for j < add.Len() && compareAt(add, j, pr, i) <= 0 {
+		c := 1 // add[j] against pr[i]
+		for j < add.Len() {
+			if c = compareAt(add, j, pr, i); c >= 0 {
+				break
+			}
 			take(add, j)
 			j++
+		}
+		if c == 0 {
+			j++ // added again: pr's row stands for it, deleted or not
 		}
 		for k < del.Len() && compareAt(del, k, pr, i) < 0 {
 			k++
 		}
-		if k == del.Len() || compareAt(del, k, pr, i) != 0 {
+		if c == 0 || k == del.Len() || compareAt(del, k, pr, i) != 0 {
 			take(pr, i)
 		}
 		i++
