@@ -257,7 +257,7 @@ func RegisterMetrics(reg *obs.Registry) {
 		mergesTotal.With(p.String())
 	}
 	reg.RegisterLabeledCounter("srdf_projection_builds_total",
-		"Triple projections sorted, by permutation (SPO when an index set is created from unsorted rows, the rest on first use); an adopted SPO is not a sort.", buildsTotal)
+		"Triple projections sorted, by permutation (SPO when an index set is created from, or first filled with, unsorted rows; the rest on first use); an adopted SPO is not a sort.", buildsTotal)
 	reg.RegisterLabeledCounter("srdf_projection_merges_total",
 		"Triple projections carried across a refresh by merging the batch in, by permutation.", mergesTotal)
 	reg.RegisterHistogram("srdf_projection_build_seconds",
