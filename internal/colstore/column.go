@@ -17,7 +17,8 @@ import (
 // (Vals) filled with Set. Seal freezes it into per-block compressed
 // segments (see segment.go): Vals is dropped, reads go through the
 // segment layer, and the scan-side predicate kernels (SelectEqBlock,
-// SelectRangeBlock, SelectNotNilBlock) evaluate on the compressed form.
+// SelectRangeBlock, SelectNotNilBlock, RefineBlock) evaluate on the
+// compressed form.
 // Every accessor works on both representations, so untracked or
 // never-sealed columns (tests, scratch data) behave exactly as before.
 type Column struct {
@@ -379,6 +380,17 @@ func (c *Column) SelectNotNilBlock(b, lo, hi int, base int32, sel []int32) []int
 		}
 	}
 	return sel
+}
+
+// RefineBlock keeps, in place, the rows of sel (block-relative,
+// ascending) of block b whose non-NULL value lies in [vlo,vhi]: the
+// kernel for every property after the first, which reads only the rows
+// an earlier property let through.
+func (c *Column) RefineBlock(b int, vlo, vhi dict.OID, sel []int32) []int32 {
+	if c.segs != nil {
+		return c.segs[b].Refine(vlo, vhi, sel)
+	}
+	return refineVals(c.Vals[b*BlockRows:], vlo, vhi, sel)
 }
 
 // AscendingWindow returns the [lo,hi) row window whose values lie in

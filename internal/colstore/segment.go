@@ -5,12 +5,15 @@
 // selection vectors, so a scan never decodes (or copies) rows that a
 // predicate rejects: RLE answers equality in O(runs), frame-of-reference
 // blocks prune via min/max before touching packed words, and block
-// dictionaries compare small codes instead of 8-byte OIDs.
+// dictionaries compare small codes instead of 8-byte OIDs. A refine
+// kernel narrows an existing selection, so a scan's later predicates
+// test only the rows its earlier ones let through.
 package colstore
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"srdf/internal/dict"
@@ -49,7 +52,10 @@ func (e Encoding) String() string {
 // Segment is one immutable compressed block of a sealed column. Row
 // indexes are block-relative ([0,Len)). The Select* kernels append the
 // block-relative indexes (plus base) of matching rows to sel without
-// decompressing the block; dict.Nil cells never match any kernel.
+// decompressing the block; Refine narrows a selection an earlier kernel
+// built, testing only the rows it still holds. dict.Nil cells never
+// match any kernel. FOR and dict blocks compare packed deltas or codes,
+// unpacked a word at a time (see unpack), never decoded OIDs.
 type Segment interface {
 	// Len returns the row count of the block.
 	Len() int
@@ -70,11 +76,21 @@ type Segment interface {
 	SelectRange(lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32
 	// SelectNotNil appends base+i for rows i in [lo,hi) that are not NULL.
 	SelectNotNil(lo, hi int, base int32, sel []int32) []int32
+	// Refine keeps, in place and in order, the rows of sel (ascending
+	// block-relative indexes, no base) whose non-NULL value lies in
+	// [vlo,vhi], and returns the shortened slice. An equality test is
+	// the range [v,v]; a presence test is [dict.Nil, ^dict.OID(0)].
+	Refine(vlo, vhi dict.OID, sel []int32) []int32
 }
 
 // maxDictCard caps the per-block dictionary size; beyond it the chooser
 // falls back to FOR or plain.
 const maxDictCard = 256
+
+// maxDictWidth is the widest code a valid dict payload carries: a
+// snapshot admits maxDictCard+1 distinct values, so codes up to
+// maxDictCard, which take bits.Len(maxDictCard) bits.
+const maxDictWidth = 9
 
 // EncodeBlock analyzes one block and returns it under the smallest
 // feasible encoding (ties prefer RLE, then FOR, then dict: cheaper
@@ -167,17 +183,38 @@ func packBits(deltas []uint64, width int) []uint64 {
 	return out
 }
 
-func unpackBit(packed []uint64, width int, i int) uint64 {
+// unpack writes the packed values first, first+1, ... (width bits each,
+// width in [0,64]) to dst, each plus add. It is the one read path of FOR
+// and dict blocks: it walks the words in order with a running shift, one
+// load per word, so a value pays a shift and a mask, and a value that
+// straddles two words one more shift and OR.
+func unpack[T ~uint64](dst []T, packed []uint64, width, first int, add T) {
 	if width == 0 {
-		return 0
+		for i := range dst {
+			dst[i] = add
+		}
+		return
 	}
-	bit := i * width
+	if len(dst) == 0 {
+		return
+	}
+	mask, uw := widthMask(width), uint(width)
+	bit := first * width
 	w, off := bit>>6, uint(bit&63)
-	v := packed[w] >> off
-	if off+uint(width) > 64 {
-		v |= packed[w+1] << (64 - off)
+	cur := packed[w]
+	for i := range dst {
+		v := cur >> off
+		if off += uw; off >= 64 {
+			off -= 64
+			// the next word holds the value's high off bits; when off is
+			// 0 the shift moves every bit past the mask (or out, at 64)
+			if w++; w < len(packed) {
+				cur = packed[w]
+				v |= cur << (uw - off)
+			}
+		}
+		dst[i] = T(v&mask) + add
 	}
-	return v & widthMask(width)
 }
 
 func widthMask(width int) uint64 {
@@ -185,6 +222,97 @@ func widthMask(width int) uint64 {
 		return ^uint64(0)
 	}
 	return 1<<uint(width) - 1
+}
+
+// unpackChunk is how many packed values a kernel unpacks at a time into
+// its stack buffer.
+const unpackChunk = 64
+
+// selectPacked appends base+i for the rows i in [lo,hi) whose packed
+// value lies in [dlo,dhi] (dlo <= dhi): the values are compared packed —
+// as FOR deltas or dict codes — never as OIDs.
+func selectPacked(packed []uint64, width, lo, hi int, dlo, dhi uint64, base int32, sel []int32) []int32 {
+	var buf [unpackChunk]uint64
+	n := len(sel)
+	sel = slices.Grow(sel, hi-lo)[:n+hi-lo]
+	span := dhi - dlo
+	for c := lo; c < hi; c += unpackChunk {
+		vals := buf[:min(unpackChunk, hi-c)]
+		unpack(vals, packed, width, c, 0)
+		for j, d := range vals {
+			sel[n] = base + int32(c+j)
+			if d-dlo <= span {
+				n++
+			}
+		}
+	}
+	return sel[:n]
+}
+
+// refinePacked keeps, in place, the rows of sel whose packed value lies
+// in [dlo,dhi] (dlo <= dhi). Survivors less than unpackChunk rows apart
+// share one unpack, which stops at the last of them, so a sparse
+// selection unpacks little more than the rows it holds.
+func refinePacked(packed []uint64, width int, dlo, dhi uint64, sel []int32) []int32 {
+	var buf [unpackChunk]uint64
+	span := dhi - dlo
+	n := 0
+	for k := 0; k < len(sel); {
+		first := int(sel[k])
+		e := k + 1
+		for e < len(sel) && int(sel[e])-first < unpackChunk {
+			e++
+		}
+		unpack(buf[:int(sel[e-1])-first+1], packed, width, first, 0)
+		for ; k < e; k++ {
+			i := sel[k]
+			sel[n] = i
+			if buf[int(i)-first]-dlo <= span {
+				n++
+			}
+		}
+	}
+	return sel[:n]
+}
+
+// maxPacked returns the largest of the first n packed values.
+func maxPacked(packed []uint64, width, n int) uint64 {
+	var buf [unpackChunk]uint64
+	m := uint64(0)
+	for c := 0; c < n; c += unpackChunk {
+		vals := buf[:min(unpackChunk, n-c)]
+		unpack(vals, packed, width, c, 0)
+		for _, v := range vals {
+			m = max(m, v)
+		}
+	}
+	return m
+}
+
+// appendRows appends base+i for every row i in [lo,hi).
+func appendRows(lo, hi int, base int32, sel []int32) []int32 {
+	for i := lo; i < hi; i++ {
+		sel = append(sel, base+int32(i))
+	}
+	return sel
+}
+
+// refineVals keeps, in place, the rows i of sel whose vals[i] is a
+// non-NULL value in [vlo,vhi]: the refine kernel of flat vectors.
+func refineVals(vals []dict.OID, vlo, vhi dict.OID, sel []int32) []int32 {
+	vlo = max(vlo, dict.Nil+1) // dict.Nil is the smallest OID
+	if vlo > vhi {
+		return sel[:0]
+	}
+	span := vhi - vlo
+	n := 0
+	for _, i := range sel {
+		sel[n] = i
+		if vals[i]-vlo <= span {
+			n++
+		}
+	}
+	return sel[:n]
 }
 
 // --- plain -----------------------------------------------------------
@@ -235,6 +363,10 @@ func (s *plainSegment) SelectNotNil(lo, hi int, base int32, sel []int32) []int32
 	return sel
 }
 
+func (s *plainSegment) Refine(vlo, vhi dict.OID, sel []int32) []int32 {
+	return refineVals(s.vals, vlo, vhi, sel)
+}
+
 // --- run-length ------------------------------------------------------
 
 type rleSegment struct {
@@ -275,11 +407,15 @@ func (s *rleSegment) Get(i int) dict.OID {
 }
 
 func (s *rleSegment) Decode(dst []dict.OID) []dict.OID {
-	start := int32(0)
+	n := len(dst)
+	dst = slices.Grow(dst, s.Len())[:n+s.Len()]
+	out, start := dst[n:], 0
 	for r, v := range s.vals {
-		for ; start < s.ends[r]; start++ {
-			dst = append(dst, v)
+		run := out[start:s.ends[r]]
+		for i := range run {
+			run[i] = v
 		}
+		start = int(s.ends[r])
 	}
 	return dst
 }
@@ -290,17 +426,7 @@ func (s *rleSegment) runWindow(r, lo, hi int, base int32, sel []int32) []int32 {
 	if r > 0 {
 		rlo = int(s.ends[r-1])
 	}
-	rhi := int(s.ends[r])
-	if rlo < lo {
-		rlo = lo
-	}
-	if rhi > hi {
-		rhi = hi
-	}
-	for i := rlo; i < rhi; i++ {
-		sel = append(sel, base+int32(i))
-	}
-	return sel
+	return appendRows(max(rlo, lo), min(int(s.ends[r]), hi), base, sel)
 }
 
 func (s *rleSegment) SelectEq(lo, hi int, v dict.OID, base int32, sel []int32) []int32 {
@@ -331,6 +457,25 @@ func (s *rleSegment) SelectNotNil(lo, hi int, base int32, sel []int32) []int32 {
 		}
 	}
 	return sel
+}
+
+// Refine walks the runs alongside the selection: each run's value is
+// tested once, when the first survivor inside it arrives.
+func (s *rleSegment) Refine(vlo, vhi dict.OID, sel []int32) []int32 {
+	n, r, end, ok := 0, -1, int32(0), false
+	for _, i := range sel {
+		for i >= end {
+			r++
+			end = s.ends[r]
+			v := s.vals[r]
+			ok = v != dict.Nil && v >= vlo && v <= vhi
+		}
+		sel[n] = i
+		if ok {
+			n++
+		}
+	}
+	return sel[:n]
 }
 
 // --- frame of reference ----------------------------------------------
@@ -364,54 +509,62 @@ func (s *forSegment) Encoding() Encoding { return EncFOR }
 func (s *forSegment) Bytes() int         { return 16 + 8*len(s.packed) }
 func (s *forSegment) Zone() Zone         { return s.zone }
 func (s *forSegment) Get(i int) dict.OID {
-	return s.base + dict.OID(unpackBit(s.packed, s.width, i))
+	var v [1]dict.OID
+	unpack(v[:], s.packed, s.width, i, s.base)
+	return v[0]
 }
 
 func (s *forSegment) Decode(dst []dict.OID) []dict.OID {
-	for i := 0; i < s.n; i++ {
-		dst = append(dst, s.base+dict.OID(unpackBit(s.packed, s.width, i)))
-	}
+	n := len(dst)
+	dst = slices.Grow(dst, s.n)[:n+s.n]
+	unpack(dst[n:], s.packed, s.width, 0, s.base)
 	return dst
 }
 
-func (s *forSegment) SelectEq(lo, hi int, v dict.OID, base int32, sel []int32) []int32 {
-	if v < s.zone.Min || v > s.zone.Max {
-		return sel // min/max prune: packed words never touched
-	}
-	want := uint64(v - s.base)
-	for i := lo; i < hi; i++ {
-		if unpackBit(s.packed, s.width, i) == want {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
-}
-
-func (s *forSegment) SelectRange(lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32 {
-	if vhi < s.zone.Min || vlo > s.zone.Max {
-		return sel // min/max prune
+// deltas maps [vlo,vhi] onto the block's delta range. none: no row can
+// match (min/max prune, packed words never touched); all: every row
+// matches.
+func (s *forSegment) deltas(vlo, vhi dict.OID) (dlo, dhi uint64, none, all bool) {
+	if vhi < s.zone.Min || vlo > s.zone.Max || vlo > vhi {
+		return 0, 0, true, false
 	}
 	if vlo <= s.zone.Min && vhi >= s.zone.Max {
-		return s.SelectNotNil(lo, hi, base, sel) // whole block qualifies
+		return 0, 0, false, true
 	}
-	dlo := uint64(0)
 	if vlo > s.base {
 		dlo = uint64(vlo - s.base)
 	}
-	dhi := uint64(vhi - s.base)
-	for i := lo; i < hi; i++ {
-		if d := unpackBit(s.packed, s.width, i); d >= dlo && d <= dhi {
-			sel = append(sel, base+int32(i))
-		}
+	return dlo, uint64(vhi - s.base), false, false
+}
+
+func (s *forSegment) SelectEq(lo, hi int, v dict.OID, base int32, sel []int32) []int32 {
+	return s.SelectRange(lo, hi, v, v, base, sel)
+}
+
+func (s *forSegment) SelectRange(lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32 {
+	switch dlo, dhi, none, all := s.deltas(vlo, vhi); {
+	case none:
+		return sel
+	case all:
+		return appendRows(lo, hi, base, sel) // FOR blocks are NULL-free
+	default:
+		return selectPacked(s.packed, s.width, lo, hi, dlo, dhi, base, sel)
 	}
-	return sel
 }
 
 func (s *forSegment) SelectNotNil(lo, hi int, base int32, sel []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		sel = append(sel, base+int32(i)) // FOR blocks are NULL-free
+	return appendRows(lo, hi, base, sel) // FOR blocks are NULL-free
+}
+
+func (s *forSegment) Refine(vlo, vhi dict.OID, sel []int32) []int32 {
+	switch dlo, dhi, none, all := s.deltas(vlo, vhi); {
+	case none:
+		return sel[:0]
+	case all:
+		return sel
+	default:
+		return refinePacked(s.packed, s.width, dlo, dhi, sel)
 	}
-	return sel
 }
 
 // --- block dictionary ------------------------------------------------
@@ -432,7 +585,7 @@ func encodeDict(vals []dict.OID, distinct map[dict.OID]struct{}, zone Zone) *dic
 	for v := range distinct {
 		dv = append(dv, v)
 	}
-	sort.Slice(dv, func(i, j int) bool { return dv[i] < dv[j] })
+	slices.Sort(dv)
 	code := make(map[dict.OID]uint64, len(dv))
 	for i, v := range dv {
 		code[v] = uint64(i)
@@ -456,75 +609,68 @@ func (s *dictSegment) Encoding() Encoding { return EncDict }
 func (s *dictSegment) Bytes() int         { return 8*len(s.dictVals) + 8*len(s.packed) }
 func (s *dictSegment) Zone() Zone         { return s.zone }
 func (s *dictSegment) Get(i int) dict.OID {
-	return s.dictVals[unpackBit(s.packed, s.width, i)]
+	var c [1]uint64
+	unpack(c[:], s.packed, s.width, i, 0)
+	return s.dictVals[c[0]]
 }
 
 func (s *dictSegment) Decode(dst []dict.OID) []dict.OID {
-	for i := 0; i < s.n; i++ {
-		dst = append(dst, s.dictVals[unpackBit(s.packed, s.width, i)])
+	n := len(dst)
+	dst = slices.Grow(dst, s.n)[:n+s.n]
+	out := dst[n:]
+	unpack(out, s.packed, s.width, 0, 0) // codes, mapped in place
+	for i, c := range out {
+		out[i] = s.dictVals[c]
 	}
 	return dst
 }
 
-// codeOf returns the code of v, or -1 when v is not in the block.
-func (s *dictSegment) codeOf(v dict.OID) int {
-	k := sort.Search(len(s.dictVals), func(i int) bool { return s.dictVals[i] >= v })
-	if k < len(s.dictVals) && s.dictVals[k] == v {
-		return k
+// codes maps [vlo,vhi] onto the block's code range once: the dictionary
+// is sorted, so a value range is a code range. none: no non-NULL row can
+// match; all: every row matches.
+func (s *dictSegment) codes(vlo, vhi dict.OID) (clo, chi uint64, none, all bool) {
+	lo, _ := slices.BinarySearch(s.dictVals, vlo)
+	hi, found := slices.BinarySearch(s.dictVals, vhi)
+	if found {
+		hi++
 	}
-	return -1
+	if lo == 0 && s.zone.HasNull {
+		lo = 1 // never select NULL cells
+	}
+	if lo >= hi {
+		return 0, 0, true, false
+	}
+	return uint64(lo), uint64(hi - 1), false, lo == 0 && hi == len(s.dictVals)
 }
 
 func (s *dictSegment) SelectEq(lo, hi int, v dict.OID, base int32, sel []int32) []int32 {
-	if v == dict.Nil {
-		return sel
-	}
-	c := s.codeOf(v)
-	if c < 0 {
-		return sel // value absent: codes never touched
-	}
-	want := uint64(c)
-	for i := lo; i < hi; i++ {
-		if unpackBit(s.packed, s.width, i) == want {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
+	return s.SelectRange(lo, hi, v, v, base, sel)
 }
 
 func (s *dictSegment) SelectRange(lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32 {
-	// the dictionary is sorted, so a value range is a code range
-	cLo := sort.Search(len(s.dictVals), func(i int) bool { return s.dictVals[i] >= vlo })
-	cHi := sort.Search(len(s.dictVals), func(i int) bool { return s.dictVals[i] > vhi })
-	if s.zone.HasNull && cLo == 0 && vlo == dict.Nil {
-		cLo = 1 // never select NULL cells
+	switch clo, chi, none, all := s.codes(vlo, vhi); {
+	case none:
+		return sel // codes never touched
+	case all:
+		return appendRows(lo, hi, base, sel)
+	default:
+		return selectPacked(s.packed, s.width, lo, hi, clo, chi, base, sel)
 	}
-	if cLo >= cHi {
-		return sel
-	}
-	lo64, hi64 := uint64(cLo), uint64(cHi-1)
-	for i := lo; i < hi; i++ {
-		if c := unpackBit(s.packed, s.width, i); c >= lo64 && c <= hi64 {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
 }
 
 func (s *dictSegment) SelectNotNil(lo, hi int, base int32, sel []int32) []int32 {
-	if !s.zone.HasNull {
-		for i := lo; i < hi; i++ {
-			sel = append(sel, base+int32(i))
-		}
+	return s.SelectRange(lo, hi, dict.Nil, ^dict.OID(0), base, sel)
+}
+
+func (s *dictSegment) Refine(vlo, vhi dict.OID, sel []int32) []int32 {
+	switch clo, chi, none, all := s.codes(vlo, vhi); {
+	case none:
+		return sel[:0]
+	case all:
 		return sel
+	default:
+		return refinePacked(s.packed, s.width, clo, chi, sel)
 	}
-	// Nil is the smallest OID, so when present its code is 0.
-	for i := lo; i < hi; i++ {
-		if unpackBit(s.packed, s.width, i) != 0 {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
 }
 
 // EncodingCounts tallies segments per encoding, for Explain and stats.

@@ -388,7 +388,12 @@ func TestSealPoolAccounting(t *testing.T) {
 }
 
 // TestSegmentKernelQuick is the property check: on arbitrary value
-// blocks, kernels always agree with brute force.
+// blocks, kernels always agree with brute force — on the whole block, on
+// random [lo,hi) sub-windows, and for the refine kernel over a random
+// ascending input selection — both on the encoded block and on the lazy
+// segment restored from its serialized bytes. FOR and dict blocks are
+// also checked at every packed width in kernelWidths, values straddling
+// words included.
 func TestSegmentKernelQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -415,10 +420,32 @@ func TestSegmentKernelQuick(t *testing.T) {
 			bruteSelect(vals, 0, n, func(v dict.OID) bool { return v >= vlo && v <= vhi })) {
 			return false
 		}
-		return eqSel(seg.SelectNotNil(0, n, 0, nil),
-			bruteSelect(vals, 0, n, func(dict.OID) bool { return true }))
+		if !eqSel(seg.SelectNotNil(0, n, 0, nil),
+			bruteSelect(vals, 0, n, func(dict.OID) bool { return true })) {
+			return false
+		}
+		lz, err := lazyCopy(seg)
+		if err != nil {
+			t.Logf("seed %d: restore: %v", seed, err)
+			return false
+		}
+		for _, s := range []Segment{seg, lz} {
+			for trial := 0; trial < 4; trial++ {
+				lo, hi := randWindow(rng, n)
+				qlo, qhi := vlo, vhi
+				if trial > 0 {
+					qlo, qhi = randRange(rng, vals)
+				}
+				if msg := kernelMismatch(s, vals, lo, hi, qlo, qhi, randSel(rng, n)); msg != "" {
+					t.Logf("seed %d %v (%T): %s", seed, seg.Encoding(), s, msg)
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+	checkWidths(t, rand.New(rand.NewSource(17)))
 }

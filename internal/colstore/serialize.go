@@ -257,6 +257,10 @@ func (s *lazySegment) SelectNotNil(lo, hi int, base int32, sel []int32) []int32 
 	return s.load().SelectNotNil(lo, hi, base, sel)
 }
 
+func (s *lazySegment) Refine(vlo, vhi dict.OID, sel []int32) []int32 {
+	return s.load().Refine(vlo, vhi, sel)
+}
+
 // asPlain unwraps a (possibly lazy) segment to its plain form for
 // zero-copy block views, faulting lazy blocks in.
 func asPlain(seg Segment) (*plainSegment, bool) {
@@ -439,10 +443,8 @@ func decodeSegmentPayload(enc Encoding, rows int, zone Zone, b []byte) (Segment,
 			return nil, fmt.Errorf("malformed dict payload")
 		}
 		// every code must index the dictionary
-		for i := 0; i < rows; i++ {
-			if unpackBit(packed, width, i) >= card {
-				return nil, fmt.Errorf("malformed dict payload: code out of range at row %d", i)
-			}
+		if maxPacked(packed, width, rows) >= card {
+			return nil, fmt.Errorf("malformed dict payload: code out of range")
 		}
 		return &dictSegment{dictVals: dv, width: width, n: rows, packed: packed, zone: zone}, nil
 	default:
@@ -509,29 +511,21 @@ func validateSegmentPayload(enc Encoding, rows int, b []byte) error {
 		if r.off+8*nWords != len(b) {
 			return fmt.Errorf("malformed dict payload")
 		}
-		packed := b[r.off:]
-		for i := 0; i < rows; i++ {
-			if unpackBitBytes(packed, width, i) >= card {
-				return fmt.Errorf("malformed dict payload: code out of range at row %d", i)
-			}
+		// every code must index the dictionary: the packed words of a
+		// block of at most BlockRows rows and maxDictWidth-bit codes fit
+		// a stack buffer, so the check unpacks like the kernels do
+		var words [(BlockRows*maxDictWidth + 63) / 64]uint64
+		if nWords > len(words) {
+			return fmt.Errorf("malformed dict payload: %d rows", rows)
+		}
+		for i := range words[:nWords] {
+			words[i] = binary.LittleEndian.Uint64(b[r.off+8*i:])
+		}
+		if maxPacked(words[:nWords], width, rows) >= card {
+			return fmt.Errorf("malformed dict payload: code out of range")
 		}
 	default:
 		return fmt.Errorf("unknown encoding %d", enc)
 	}
 	return nil
-}
-
-// unpackBitBytes is unpackBit over raw little-endian word bytes, for
-// validation before any []uint64 is materialized.
-func unpackBitBytes(packed []byte, width, i int) uint64 {
-	if width == 0 {
-		return 0
-	}
-	bit := i * width
-	w, off := bit>>6, uint(bit&63)
-	v := binary.LittleEndian.Uint64(packed[8*w:]) >> off
-	if off+uint(width) > 64 {
-		v |= binary.LittleEndian.Uint64(packed[8*w+8:]) << (64 - off)
-	}
-	return v & widthMask(width)
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"srdf/internal/dict"
 	"srdf/internal/sparql"
@@ -14,15 +15,19 @@ import (
 // number of groups, not the number of input rows.
 //
 // Per batch it runs the compiled aggregate arguments once, assigns every
-// row a dense group id from an open-addressing table keyed on the packed
-// group-OID tuple, and folds each aggregate's argument vector into that
-// aggregate's typed states by group id: COUNT, SUM and AVG only count
-// and add, MIN and MAX only compare. Groups are emitted in the order
-// their first input row arrived.
+// row a dense group id (see groupIDs: direct-indexed while the GROUP BY
+// columns have few distinct values, a hash table past that), and folds
+// each aggregate's argument vector into that aggregate's typed states by
+// group id: COUNT, SUM and AVG only count and add, MIN and MAX only
+// compare. Groups are emitted in the order their first input row
+// arrived.
 type AggregateOp struct {
 	in      Operator
 	groupBy []string
 	vars    []string
+	// Stats is the stats id of the plan node whose OpStats receive the
+	// group count and id path (0: none).
+	Stats int
 
 	args     program // aggregate arguments over the input batches
 	leaves   []aggLeaf
@@ -35,16 +40,27 @@ type AggregateOp struct {
 	// extStates and nSeen DISTINCT sets, stored group-major.
 	nSum, nExt, nSeen int
 
-	ctx    *Ctx
-	groups groupTable
-	sums   []sumState
-	exts   []extState
-	seen   []map[string]struct{}
-	repr   []dict.OID // each group's first input row, row-major
-	key    []dict.OID
-	gids   []int32
-	ran    bool
-	out    vrowsCursor
+	ctx  *Ctx
+	ng   int // groups so far
+	sums []sumState
+	exts []extState
+	seen []map[string]struct{}
+	repr []dict.OID // each group's first input row, row-major
+	// Direct group ids: each GROUP BY column's OIDs map to dense codes,
+	// which concatenate into an index of direct (group id + 1, 0 for
+	// none). hashed: the code space outgrew maxDirectBits, and groups
+	// holds the ids from then on.
+	codes  []codeTable
+	direct []int32
+	// directBuf backs direct while the index is at most 6 bits wide,
+	// so a query with a few groups allocates no direct array.
+	directBuf [64]int32
+	hashed    bool
+	groups    groupTable
+	key       []dict.OID
+	gids      []int32
+	ran       bool
+	out       vrowsCursor
 }
 
 // aggLeaf is one aggregate of the select list.
@@ -58,6 +74,10 @@ type aggLeaf struct {
 	// SUM, AVG) or extStates (MIN, MAX); seen its DISTINCT set.
 	slot, seen int
 	ext        bool
+	// shared: an earlier COUNT, SUM or AVG leaf over the same argument
+	// folds the sumState this leaf reads (Q1's SUM(?q) and AVG(?q)
+	// count and add the same values), so this one folds nothing.
+	shared bool
 }
 
 // sumState folds COUNT, SUM and AVG: it never compares values.
@@ -112,6 +132,8 @@ func NewAggregateOp(in Operator, items []sparql.SelectItem, groupBy []string) *A
 		if x.Func == sparql.AggMin || x.Func == sparql.AggMax {
 			l.ext, l.slot = true, a.nExt
 			a.nExt++
+		} else if k := a.sumLeafOf(l.arg, j); !x.Distinct && k >= 0 {
+			l.slot, l.shared = a.leaves[k].slot, true
 		} else {
 			l.slot = a.nSum
 			a.nSum++
@@ -148,6 +170,17 @@ func NewAggregateOp(in Operator, items []sparql.SelectItem, groupBy []string) *A
 	return a
 }
 
+// sumLeafOf returns the first of the leaves before j that folds its own
+// sumState over argument arg without DISTINCT, or -1.
+func (a *AggregateOp) sumLeafOf(arg, j int) int {
+	for k, l := range a.leaves[:j] {
+		if !l.ext && !l.shared && l.seen < 0 && l.arg == arg {
+			return k
+		}
+	}
+	return -1
+}
+
 // NumAggs reports the number of aggregate leaves (for plan explain).
 func (a *AggregateOp) NumAggs() int { return len(a.leaves) }
 
@@ -173,6 +206,14 @@ func (a *AggregateOp) Close() { a.in.Close() }
 func (a *AggregateOp) run() {
 	a.groups.width = len(a.groupCol)
 	a.key = make([]dict.OID, len(a.groupCol))
+	if !a.hashed {
+		a.codes = make([]codeTable, len(a.groupCol))
+		for j := range a.codes {
+			a.codes[j].slots = a.codes[j].slotBuf[:]
+		}
+		a.direct = a.directBuf[:1]
+	}
+	a.gids = selBlocks.get()
 	b := NewBatch(a.in.Vars())
 	for !a.ctx.Cancelled() && a.in.Next(b) {
 		if err := a.fold(b); err != nil {
@@ -182,6 +223,12 @@ func (a *AggregateOp) run() {
 		b.Reset()
 	}
 	a.args.release()
+	selBlocks.put(a.gids)
+	a.gids = nil
+	if st := a.ctx.Stats.Node(a.Stats); st != nil {
+		st.Groups.Store(int64(a.ng))
+		st.GroupsHashed.Store(a.hashed)
+	}
 	if a.ctx.ExecErr() != nil {
 		// the aggregation failed (memory budget): emit nothing and let
 		// the iterator report the recorded cause
@@ -196,42 +243,26 @@ func (a *AggregateOp) run() {
 // ErrMemBudget when a new group would exceed the query's memory budget
 // (group state is what makes aggregation memory grow; folds into
 // existing groups are free).
+//
+// The SUM, AVG and COUNT leaves fold an argument vector whose rows are
+// all VInt or all VFloat (its typed lane, see vec.lane) in a loop
+// without a per-row kind switch; any other vector takes sumState.add.
+// Either way each group adds its rows in row order, so a float sum is
+// the same whichever loop ran.
 func (a *AggregateOp) fold(b *Batch) error {
 	n := b.Len()
 	if n == 0 {
 		return nil
 	}
 	a.args.run(a.ctx, b.Cols, b.Sel, n, nil)
-	if cap(a.gids) < n {
-		a.gids = make([]int32, n, BatchRows)
-	}
 	gids := a.gids[:n]
-	for k := range gids {
-		phys := k
-		if b.Sel != nil {
-			phys = int(b.Sel[k])
-		}
-		for j, c := range a.groupCol {
-			a.key[j] = dict.Nil
-			if c >= 0 {
-				a.key[j] = b.Cols[c][phys]
-			}
-		}
-		gid, isNew := a.groups.find(a.key)
-		if isNew {
-			if err := a.ctx.Mem.Grow(int64(len(a.key))*8 + int64(len(b.Cols))*8 + int64(len(a.leaves))*48 + 64); err != nil {
-				return err
-			}
-			for c := range b.Cols {
-				a.repr = append(a.repr, b.Cols[c][phys])
-			}
-			a.addGroup()
-		}
-		gids[k] = gid
+	if err := a.groupIDs(b, gids); err != nil {
+		return err
 	}
 	for j := range a.leaves {
 		l := &a.leaves[j]
 		switch {
+		case l.shared:
 		case l.arg < 0: // COUNT(*)
 			for _, g := range gids {
 				a.sums[int(g)*a.nSum+l.slot].count++
@@ -247,16 +278,233 @@ func (a *AggregateOp) fold(b *Batch) error {
 			}
 		default:
 			x := a.args.result(l.arg)
-			for k, g := range gids {
-				a.sums[int(g)*a.nSum+l.slot].add(x.v[k])
+			sums, stride := a.sums[l.slot:], a.nSum
+			switch x.lane {
+			case dict.VFloat:
+				for k, g := range gids {
+					s := &sums[int(g)*stride]
+					s.sum += x.v[k].f
+					s.count++
+					s.allInt = false
+				}
+			case dict.VInt:
+				for k, g := range gids {
+					s := &sums[int(g)*stride]
+					s.sumInt += x.v[k].i
+					s.sum += float64(x.v[k].i)
+					s.count++
+				}
+			default:
+				for k, g := range gids {
+					sums[int(g)*stride].add(x.v[k])
+				}
 			}
 		}
 	}
 	return nil
 }
 
+// maxDirectBits bounds the direct group-id index: while the GROUP BY
+// columns' code counts, each rounded up to a power of two, multiply to
+// at most 1<<maxDirectBits, a group id is one array load.
+const maxDirectBits = 12
+
+// groupIDs sets gids[k] to the group id of logical row k, adding groups
+// in first-seen order. Each GROUP BY column maps its OIDs to dense codes
+// (an unbound column, always dict.Nil, has the one code 0); the codes
+// concatenate, column by column, into a bit-packed index of the direct
+// array, so no key tuple is hashed or compared. The first batch that
+// takes the index past maxDirectBits moves the groups, ids unchanged,
+// to the hash table, which serves every row from then on.
+func (a *AggregateOp) groupIDs(b *Batch, gids []int32) error {
+	if !a.hashed {
+		clear(gids)
+		shift, grew := uint(0), false
+		for j, c := range a.groupCol {
+			t := &a.codes[j]
+			if c < 0 {
+				t.code(dict.Nil)
+				continue
+			}
+			col := b.Cols[c]
+			last, code := dict.Nil, int32(-1)
+			for k := range gids {
+				phys := k
+				if b.Sel != nil {
+					phys = int(b.Sel[k])
+				}
+				if o := col[phys]; o != last || code < 0 {
+					// o in its home slot needs no call
+					if e := t.slots[t.home(o)]; e.oid == o && e.code != 0 {
+						last, code = o, e.code-1
+					} else {
+						last, code = o, t.code(o)
+					}
+				}
+				gids[k] |= code << shift
+			}
+			if w := uint(bits.Len(uint(t.n - 1))); w != t.bits {
+				t.bits, grew = w, true
+			}
+			if shift += t.bits; shift > maxDirectBits {
+				break
+			}
+		}
+		switch {
+		case shift > maxDirectBits:
+			a.toHash()
+		case grew:
+			a.relayout(shift)
+		}
+	}
+	if !a.hashed {
+		for k, idx := range gids {
+			g := a.direct[idx] - 1
+			if g < 0 {
+				if err := a.newGroup(b, k); err != nil {
+					return err
+				}
+				g = int32(a.ng - 1)
+				a.direct[idx] = g + 1
+			}
+			gids[k] = g
+		}
+		return nil
+	}
+	for k := range gids {
+		phys := k
+		if b.Sel != nil {
+			phys = int(b.Sel[k])
+		}
+		for j, c := range a.groupCol {
+			a.key[j] = dict.Nil
+			if c >= 0 {
+				a.key[j] = b.Cols[c][phys]
+			}
+		}
+		gid, isNew := a.groups.find(a.key)
+		if isNew {
+			if err := a.newGroup(b, k); err != nil {
+				return err
+			}
+		}
+		gids[k] = gid
+	}
+	return nil
+}
+
+// newGroup adds a group whose first input row is logical row k of b.
+func (a *AggregateOp) newGroup(b *Batch, k int) error {
+	if err := a.ctx.Mem.Grow(int64(len(a.groupCol))*8 + int64(len(b.Cols))*8 + int64(len(a.leaves))*48 + 64); err != nil {
+		return err
+	}
+	phys := k
+	if b.Sel != nil {
+		phys = int(b.Sel[k])
+	}
+	for c := range b.Cols {
+		a.repr = append(a.repr, b.Cols[c][phys])
+	}
+	a.addGroup()
+	return nil
+}
+
+// groupKey writes group g's GROUP BY key, read off its first input row,
+// to a.key.
+func (a *AggregateOp) groupKey(g int) []dict.OID {
+	width := len(a.in.Vars())
+	for j, c := range a.groupCol {
+		a.key[j] = dict.Nil
+		if c >= 0 {
+			a.key[j] = a.repr[g*width+c]
+		}
+	}
+	return a.key
+}
+
+// relayout rebuilds the direct array for an index of width bits after a
+// column's code field widened: every group's index moves.
+func (a *AggregateOp) relayout(width uint) {
+	if 1<<width <= len(a.directBuf) {
+		a.direct = a.directBuf[:1<<width]
+		clear(a.direct)
+	} else {
+		a.direct = make([]int32, 1<<width)
+	}
+	for g := 0; g < a.ng; g++ {
+		idx, shift := int32(0), uint(0)
+		for j, o := range a.groupKey(g) {
+			idx |= a.codes[j].code(o) << shift
+			shift += a.codes[j].bits
+		}
+		a.direct[idx] = int32(g + 1)
+	}
+}
+
+// toHash moves the groups so far, in id order, to the hash table and
+// drops the direct path.
+func (a *AggregateOp) toHash() {
+	for g := 0; g < a.ng; g++ {
+		a.groups.find(a.groupKey(g))
+	}
+	a.hashed, a.codes, a.direct = true, nil, nil
+}
+
+// codeTable maps one GROUP BY column's OIDs to dense codes 0, 1, ... in
+// first-seen order: open addressing over a power-of-two slot array kept
+// at most half full, which starts in the table's own slotBuf, so a
+// low-cardinality column allocates nothing. bits is the width of the
+// column's field in a direct index.
+type codeTable struct {
+	slots   []codeSlot
+	n       int32 // codes so far
+	bits    uint
+	slotBuf [16]codeSlot
+}
+
+type codeSlot struct {
+	oid  dict.OID
+	code int32 // code + 1; 0 = empty
+}
+
+// code returns o's code, adding one when o is new.
+func (t *codeTable) code(o dict.OID) int32 {
+	if 2*(int(t.n)+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]codeSlot, 4*len(old))
+		for _, e := range old {
+			if e.code != 0 {
+				t.slots[t.slot(e.oid)] = e
+			}
+		}
+	}
+	i := t.slot(o)
+	if e := t.slots[i]; e.code != 0 {
+		return e.code - 1
+	}
+	t.n++
+	t.slots[i] = codeSlot{oid: o, code: t.n}
+	return t.n - 1
+}
+
+// home is o's first probe slot.
+func (t *codeTable) home(o dict.OID) int {
+	return int(uint64(o)*0x9e3779b97f4a7c15>>40) & (len(t.slots) - 1)
+}
+
+// slot returns o's slot: where it is, or the empty slot it belongs in.
+func (t *codeTable) slot(o dict.OID) int {
+	mask := len(t.slots) - 1
+	for i := t.home(o); ; i = (i + 1) & mask {
+		if e := t.slots[i]; e.code == 0 || e.oid == o {
+			return i
+		}
+	}
+}
+
 // addGroup appends one group's zero states.
 func (a *AggregateOp) addGroup() {
+	a.ng++
 	for i := 0; i < a.nSum; i++ {
 		a.sums = append(a.sums, sumState{allInt: true})
 	}
@@ -361,7 +609,7 @@ func (a *AggregateOp) result(l *aggLeaf, g int) dict.Value {
 // of groups at a time.
 func (a *AggregateOp) finish() [][]dict.Value {
 	width := len(a.in.Vars())
-	ng := a.groups.n
+	ng := a.ng
 	// An aggregate query with no GROUP BY over an empty input still
 	// yields one row (SUM=0 via empty states) whose variables are unbound.
 	if ng == 0 && len(a.groupBy) == 0 {

@@ -37,6 +37,22 @@ type num struct {
 type vec struct {
 	v []num
 	s []string // text of the VString rows; nil until one occurs
+	// lane is the kind every row has when all rows are VInt or all are
+	// VFloat — a typed lane, which arithmetic and the SUM/AVG/COUNT folds
+	// run through without a per-row kind switch — and VInvalid otherwise.
+	lane dict.ValueKind
+}
+
+// laneOf is the lane of a vector whose rows' kinds are the set bits of
+// kinds (bit k for kind k).
+func laneOf(kinds uint) dict.ValueKind {
+	switch kinds {
+	case 1 << dict.VInt:
+		return dict.VInt
+	case 1 << dict.VFloat:
+		return dict.VFloat
+	}
+	return dict.VInvalid
 }
 
 // setStr records the text of row k (whose kind is VString).
@@ -199,6 +215,7 @@ func (p *program) run(ctx *Ctx, cols [][]dict.OID, sel []int32, n int, aggVals [
 		in := &p.code[i]
 		in.out.v = in.out.v[:n]
 		out := &in.out
+		out.lane = dict.VInvalid
 		switch in.op {
 		case opErr:
 			clear(out.v)
@@ -213,6 +230,7 @@ func (p *program) run(ctx *Ctx, cols [][]dict.OID, sel []int32, n int, aggVals [
 					out.setStr(k, in.litS)
 				}
 			}
+			out.lane = laneOf(1 << in.lit.k)
 		case opAgg:
 			for k, v := range aggVals[in.arg][:n] {
 				out.v[k] = num{v.Kind, v.Int, v.Float}
@@ -222,6 +240,7 @@ func (p *program) run(ctx *Ctx, cols [][]dict.OID, sel []int32, n int, aggVals [
 			}
 		case opNeg:
 			negKernel(out.v, p.code[in.l].out.v)
+			out.lane = p.code[in.l].out.lane
 		case opNot:
 			l := &p.code[in.l].out
 			for k := range out.v {
@@ -237,7 +256,7 @@ func (p *program) run(ctx *Ctx, cols [][]dict.OID, sel []int32, n int, aggVals [
 		case opCmp:
 			cmpKernel(in.bop, out.v, &p.code[in.l].out, &p.code[in.r].out)
 		case opArith:
-			arithKernel(in.bop, out.v, p.code[in.l].out.v, p.code[in.r].out.v)
+			arithKernel(in.bop, out, &p.code[in.l].out, &p.code[in.r].out)
 		}
 	}
 }
@@ -254,11 +273,13 @@ func (p *program) release() {
 // result is the output vector of instruction i after run.
 func (p *program) result(i int) *vec { return &p.code[i].out }
 
-// decodeCol decodes the selected rows of one OID column into x. Literal
-// cells index the query's literal table; resources, Nil and literals
-// minted after the table was bound take valueOf's general path.
+// decodeCol decodes the selected rows of one OID column into x and sets
+// its lane. Literal cells index the query's literal table; resources,
+// Nil and literals minted after the table was bound take valueOf's
+// general path.
 func (c *Ctx) decodeCol(x *vec, col []dict.OID, sel []int32) {
 	lits := c.lits
+	kinds := uint(0)
 	for k := range x.v {
 		phys := k
 		if sel != nil {
@@ -269,6 +290,7 @@ func (c *Ctx) decodeCol(x *vec, col []dict.OID, sel []int32) {
 			if p := o.Payload() - 1; p < uint64(len(lits)) {
 				lv := &lits[p]
 				x.v[k] = num{lv.Kind, lv.Int, lv.Float}
+				kinds |= 1 << lv.Kind
 				if lv.Kind == dict.VString {
 					x.setStr(k, lv.Str)
 				}
@@ -277,10 +299,12 @@ func (c *Ctx) decodeCol(x *vec, col []dict.OID, sel []int32) {
 		}
 		v := c.valueOf(o)
 		x.v[k] = num{v.Kind, v.Int, v.Float}
+		kinds |= 1 << v.Kind
 		if v.Kind == dict.VString {
 			x.setStr(k, v.Str)
 		}
 	}
+	x.lane = laneOf(kinds)
 }
 
 func boolNum(b bool) num {
@@ -423,12 +447,18 @@ func (a num) asFloat() float64 {
 	return a.f
 }
 
-// arithKernel is arith over unboxed operands.
-func arithKernel(op sparql.Op, out, l, r []num) {
-	for k := range out {
-		a, b := l[k], r[k]
+// arithKernel is arith over unboxed operands. Two typed lanes take
+// arithLanes; any other pair, and every division (its zero divisor is a
+// per-row error), the general per-row loop.
+func arithKernel(op sparql.Op, out, l, r *vec) {
+	if op != sparql.OpDiv && l.lane != dict.VInvalid && r.lane != dict.VInvalid {
+		arithLanes(op, out, l, r)
+		return
+	}
+	for k := range out.v {
+		a, b := l.v[k], r.v[k]
 		if (a.k != dict.VInt && a.k != dict.VFloat) || (b.k != dict.VInt && b.k != dict.VFloat) {
-			out[k] = num{}
+			out.v[k] = num{}
 			continue
 		}
 		if a.k == dict.VInt && b.k == dict.VInt && op != sparql.OpDiv {
@@ -441,7 +471,7 @@ func arithKernel(op sparql.Op, out, l, r []num) {
 			default:
 				n = a.i * b.i
 			}
-			out[k] = num{k: dict.VInt, i: n}
+			out.v[k] = num{k: dict.VInt, i: n}
 			continue
 		}
 		fa, fb := a.asFloat(), b.asFloat()
@@ -455,11 +485,63 @@ func arithKernel(op sparql.Op, out, l, r []num) {
 			f = float64(fa * fb) // explicit rounding: never fused into an FMA
 		default:
 			if fb == 0 {
-				out[k] = num{}
+				out.v[k] = num{}
 				continue
 			}
 			f = fa / fb
 		}
-		out[k] = num{k: dict.VFloat, f: f}
+		out.v[k] = num{k: dict.VFloat, f: f}
 	}
+}
+
+// arithLanes is +, - or * over two typed lanes, one loop per operator
+// with no per-row kind test. int∘int stays int; otherwise an int lane
+// reads as float, as asFloat does, and the result is a float lane.
+func arithLanes(op sparql.Op, out, l, r *vec) {
+	o := out.v
+	a, b := l.v[:len(o)], r.v[:len(o)]
+	if l.lane == dict.VInt && r.lane == dict.VInt {
+		out.lane = dict.VInt
+		switch op {
+		case sparql.OpAdd:
+			for k := range o {
+				o[k] = num{k: dict.VInt, i: a[k].i + b[k].i}
+			}
+		case sparql.OpSub:
+			for k := range o {
+				o[k] = num{k: dict.VInt, i: a[k].i - b[k].i}
+			}
+		default:
+			for k := range o {
+				o[k] = num{k: dict.VInt, i: a[k].i * b[k].i}
+			}
+		}
+		return
+	}
+	out.lane = dict.VFloat
+	lInt, rInt := l.lane == dict.VInt, r.lane == dict.VInt
+	switch op {
+	case sparql.OpAdd:
+		for k := range o {
+			o[k] = num{k: dict.VFloat, f: laneFloat(a[k], lInt) + laneFloat(b[k], rInt)}
+		}
+	case sparql.OpSub:
+		for k := range o {
+			o[k] = num{k: dict.VFloat, f: laneFloat(a[k], lInt) - laneFloat(b[k], rInt)}
+		}
+	default:
+		for k := range o {
+			// explicit rounding: never fused into an FMA
+			o[k] = num{k: dict.VFloat, f: float64(laneFloat(a[k], lInt) * laneFloat(b[k], rInt))}
+		}
+	}
+}
+
+// laneFloat reads a typed-lane value as a float: an int lane converts,
+// as asFloat does.
+func laneFloat(v num, isInt bool) float64 {
+	if isInt {
+		return float64(v.i)
+	}
+	return v.f
 }

@@ -8,32 +8,6 @@ import (
 	"srdf/internal/triples"
 )
 
-// blockMayMatch reports whether zone maps leave block b of the scanned
-// columns able to hold a row satisfying every property.
-func blockMayMatch(cols []*relational.Col, props []StarProp, b int) bool {
-	for i := range cols {
-		p := &props[i]
-		zm := cols[i].Data.Zones()
-		if b >= zm.NumBlocks() {
-			continue
-		}
-		switch {
-		case p.ObjConst != dict.Nil:
-			if !zm.MayMatch(b, p.ObjConst, p.ObjConst) {
-				return false
-			}
-		case p.HasRange:
-			// prune only when the prefix part misses the block and no
-			// overflow member lies within its bounds
-			if !zm.MayMatch(b, p.Lo, p.Hi) && (len(p.Over) == 0 || zm.Zones[b].AllNull ||
-				!p.overIn(zm.Zones[b].Min, zm.Zones[b].Max)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // RDFJoin is the RDFscan variant that "does the same, but receiving a
 // stream of candidate subjects" (§II-C; cf. the Pivot Index Scan of
 // Brodt et al.). For every input row it fetches the star's columns

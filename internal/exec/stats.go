@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -38,6 +39,36 @@ type OpStats struct {
 	// Time extrapolates them over all later batches.
 	SampledNS atomic.Int64
 	Sampled   atomic.Int64
+	// Groups is a HashAggregate's group count; GroupsHashed reports that
+	// it outgrew the direct group ids and switched to the hash table.
+	Groups       atomic.Int64
+	GroupsHashed atomic.Bool
+
+	// skips counts, per RDFscan property (star order), the blocks whose
+	// zone made the property's kernel redundant, summed over the scan's
+	// tables.
+	skipMu sync.Mutex
+	skips  []int64
+}
+
+// addSkips adds n kernel skips for star property i.
+func (s *OpStats) addSkips(i int, n int64) {
+	s.skipMu.Lock()
+	if len(s.skips) <= i {
+		s.skips = append(s.skips, make([]int64, i+1-len(s.skips))...)
+	}
+	s.skips[i] += n
+	s.skipMu.Unlock()
+}
+
+// Skips returns the kernel skips of star property i.
+func (s *OpStats) Skips(i int) int64 {
+	s.skipMu.Lock()
+	defer s.skipMu.Unlock()
+	if i < len(s.skips) {
+		return s.skips[i]
+	}
+	return 0
 }
 
 // RowsOut returns the rows emitted so far.

@@ -18,10 +18,15 @@ import (
 //
 // Predicates are evaluated by the column predicate kernels directly on
 // the compressed segments (RLE answers equality in O(runs), FOR blocks
-// prune on min/max before touching packed words); the surviving rows
-// are emitted as a selection vector over zero-copy decoded block views,
-// so rejected rows are never copied — consumers gather through Batch.Sel
-// only at materialization points.
+// prune on min/max before touching packed words). Per block, the first
+// property that needs testing builds one selection vector and every
+// later property refines it in place, so a property tests only the rows
+// the earlier ones let through; Open orders the properties most
+// selective first. A property whose zone shows every row of the block
+// passing is skipped for that block. The surviving rows are emitted as a
+// selection vector over zero-copy decoded block views, so rejected rows
+// are never copied — consumers gather through Batch.Sel only at
+// materialization points.
 type ScanOp struct {
 	Table    *relational.Table
 	Star     Star
@@ -32,10 +37,13 @@ type ScanOp struct {
 	// Blooms are runtime join filters pushed down from hash joins above
 	// this scan; unpublished handles are skipped at Open.
 	Blooms []ScanBloom
+	// Stats is the stats id of the plan node whose OpStats receive the
+	// per-property kernel skip counts at Close (0: none).
+	Stats int
 
 	ctx    *Ctx
-	cols   []*relational.Col
-	colIdx []int // column index in Table.Cols, for delta-tail access
+	props  []scanProp // in star order
+	order  []int      // props in evaluation order
 	blooms []scanBloom
 	block  int // next block to scan
 	last   int // last block (inclusive)
@@ -54,17 +62,41 @@ type ScanOp struct {
 	dCur int
 }
 
-// scanScratch is the per-scanner reusable state: selection buffers, the
-// subject view, and one decode buffer per output column. Nothing here is
-// shared between scans. The block-sized buffers come from the package
-// free lists: init takes them and release returns them, once, when the
-// owner closes (see blocks.go).
+// scanProp is one star property as the scan evaluates it: its column,
+// the value range its kernel tests — [c,c] for a bound object, the
+// pushed-down range, or every non-NULL value for a presence-only
+// property — and its rank in the evaluation order.
+type scanProp struct {
+	p      *StarProp
+	col    *colstore.Column
+	idx    int // column index in Table.Cols, for delta-tail access
+	lo, hi dict.OID
+	rank   int     // propConst, propRange or propPresent
+	zsel   float64 // fraction of the scanned blocks a range's zones admit
+	// skips counts the blocks whose zone made the kernel redundant.
+	skips int64
+	// touched: the current block's pages of col are accounted.
+	touched bool
+}
+
+// Evaluation ranks: bound objects first, then ranges by ascending zsel,
+// then presence-only properties.
+const (
+	propConst = iota
+	propRange
+	propPresent
+)
+
+// scanScratch is the per-scanner reusable state: the selection buffer,
+// the subject view, and one decode buffer per output column. Nothing
+// here is shared between scans. The block-sized buffers come from the
+// package free lists: init takes them and release returns them, once,
+// when the owner closes (see blocks.go).
 type scanScratch struct {
-	sel, tmp []int32
-	subj     []dict.OID
-	objBufs  [][]dict.OID // one per output property
-	views    [][]dict.OID
-	touched  []bool
+	sel     []int32
+	subj    []dict.OID
+	objBufs [][]dict.OID // one per output property
+	views   [][]dict.OID
 	// ovf decodes blocks that may hold overflow literals; taken on
 	// first use, so scans of blocks sealed at Organize never hold one.
 	ovf []dict.OID
@@ -78,14 +110,12 @@ func (sc *scanScratch) init(star *Star) {
 		}
 	}
 	sc.sel = selBlocks.get()[:0]
-	sc.tmp = selBlocks.get()[:0]
 	sc.subj = oidBlocks.get()
 	sc.objBufs = make([][]dict.OID, outCols)
 	for i := range sc.objBufs {
 		sc.objBufs[i] = oidBlocks.get()
 	}
 	sc.views = make([][]dict.OID, 0, outCols+1)
-	sc.touched = make([]bool, len(star.Props))
 }
 
 // release returns the scratch blocks to their free lists and forgets
@@ -93,7 +123,6 @@ func (sc *scanScratch) init(star *Star) {
 // afterwards.
 func (sc *scanScratch) release() {
 	selBlocks.put(sc.sel)
-	selBlocks.put(sc.tmp)
 	oidBlocks.put(sc.subj)
 	for _, b := range sc.objBufs {
 		oidBlocks.put(b)
@@ -124,15 +153,14 @@ func (s *ScanOp) Open(ctx *Ctx) error {
 	if s.lo < 0 {
 		s.lo = 0
 	}
-	s.cols = make([]*relational.Col, len(s.Star.Props))
-	s.colIdx = make([]int, len(s.Star.Props))
+	s.props = make([]scanProp, len(s.Star.Props))
 	for i := range s.Star.Props {
-		s.colIdx[i] = s.Table.ColIndex(s.Star.Props[i].Pred)
-		if s.colIdx[i] < 0 {
+		idx := s.Table.ColIndex(s.Star.Props[i].Pred)
+		if idx < 0 {
 			s.hi = s.lo // planner error; empty result
 			return nil
 		}
-		s.cols[i] = s.Table.Cols[s.colIdx[i]]
+		s.props[i] = scanProp{p: &s.Star.Props[i], col: s.Table.Cols[idx].Data, idx: idx}
 	}
 	// Resolve published bloom handles once: the fill happened in the
 	// upstream hash join's Open, strictly before this probe-side Open.
@@ -165,8 +193,80 @@ func (s *ScanOp) Open(ctx *Ctx) error {
 	}
 	s.block = s.lo / colstore.BlockRows
 	s.last = (s.hi - 1) / colstore.BlockRows
+	if !s.rankProps() {
+		s.last = -1 // contradictory constraints: no sealed row qualifies
+	}
 	s.sc.init(&s.Star)
 	return nil
+}
+
+// rankProps sets each property's kernel range and evaluation order:
+// bound objects first, then ranges by ascending zsel over the blocks
+// this scan reads, then presence-only properties (ties keep star
+// order). It reports false when a bound object fails its own range, so
+// no row can qualify.
+func (s *ScanOp) rankProps() bool {
+	s.order = make([]int, 0, len(s.props))
+	for i := range s.props {
+		sp := &s.props[i]
+		p := sp.p
+		switch {
+		case p.ObjConst != dict.Nil:
+			if !p.matches(p.ObjConst) {
+				return false
+			}
+			sp.rank, sp.lo, sp.hi = propConst, p.ObjConst, p.ObjConst
+		case p.HasRange:
+			sp.rank, sp.lo, sp.hi = propRange, p.Lo, p.Hi
+			zm := sp.col.Zones()
+			n, match := 0, 0
+			for b := s.block; b <= s.last && b < zm.NumBlocks(); b++ {
+				n++
+				if zm.MayMatch(b, p.Lo, p.Hi) {
+					match++
+				}
+			}
+			if n > 0 {
+				sp.zsel = float64(match) / float64(n)
+			}
+		default:
+			sp.rank, sp.lo, sp.hi = propPresent, dict.Nil, ^dict.OID(0)
+		}
+		// insertion sort: a star has a handful of properties
+		k := len(s.order)
+		s.order = append(s.order, i)
+		for ; k > 0; k-- {
+			q := &s.props[s.order[k-1]]
+			if q.rank < sp.rank || q.rank == sp.rank && q.zsel <= sp.zsel {
+				break
+			}
+			s.order[k] = s.order[k-1]
+		}
+		s.order[k] = i
+	}
+	return true
+}
+
+// blockMayMatch reports whether zone maps leave block b of the scanned
+// columns able to hold a row satisfying every property.
+func (s *ScanOp) blockMayMatch(b int) bool {
+	for i := range s.props {
+		sp := &s.props[i]
+		if sp.rank == propPresent {
+			continue
+		}
+		zm := sp.col.Zones()
+		if b >= zm.NumBlocks() {
+			continue
+		}
+		// a range prunes only when the prefix part misses the block and
+		// no overflow member lies within its bounds
+		if !zm.MayMatch(b, sp.lo, sp.hi) && (sp.rank == propConst || len(sp.p.Over) == 0 ||
+			zm.Zones[b].AllNull || !sp.p.overIn(zm.Zones[b].Min, zm.Zones[b].Max)) {
+			return false
+		}
+	}
+	return true
 }
 
 // selectBlock evaluates the star's predicates over block blk with the
@@ -176,54 +276,41 @@ func (s *ScanOp) Open(ctx *Ctx) error {
 // empty sel means the block produced nothing.
 func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, wlo, whi int) {
 	bs := blk * colstore.BlockRows
-	wlo, whi = bs, bs+colstore.BlockRows
-	if wlo < s.lo {
-		wlo = s.lo
-	}
-	if whi > s.hi {
-		whi = s.hi
-	}
-	if s.UseZones && !blockMayMatch(s.cols, s.Star.Props, blk) {
+	wlo, whi = max(bs, s.lo), min(bs+colstore.BlockRows, s.hi)
+	if s.UseZones && !s.blockMayMatch(blk) {
 		return nil, false, wlo, whi // pruned: pages never touched
 	}
 	rlo, rhi := wlo-bs, whi-bs
 	all = true
-	for i := range s.cols {
-		p := &s.Star.Props[i]
-		col := s.cols[i].Data
-		sc.touched[i] = false
-		var tmp []int32
-		switch {
-		case p.ObjConst != dict.Nil:
-			if !p.matches(p.ObjConst) {
-				return nil, false, wlo, whi // contradictory constraints
+	for _, i := range s.order {
+		sp := &s.props[i]
+		col := sp.col
+		sp.touched = false
+		if zm := col.Zones(); blk < zm.NumBlocks() {
+			// a NULL-free zone inside the range: every row passes
+			if z := zm.Zones[blk]; !z.HasNull && !z.AllNull && z.Min >= sp.lo && z.Max <= sp.hi {
+				sp.skips++
+				continue
 			}
-			tmp = col.SelectEqBlock(blk, rlo, rhi, p.ObjConst, 0, sc.tmp[:0])
-		case p.HasRange:
-			if len(p.Over) > 0 && overflowBlock(col, blk, p) {
-				tmp = selectOverflow(col, blk, rlo, rhi, p, sc)
-				break
-			}
-			tmp = col.SelectRangeBlock(blk, rlo, rhi, p.Lo, p.Hi, 0, sc.tmp[:0])
-		default:
-			// presence-only property: the kernel is skippable when the
-			// block provably has no NULLs
-			zm := col.Zones()
-			if blk < zm.NumBlocks() {
-				if z := zm.Zones[blk]; !z.HasNull && !z.AllNull {
-					continue
-				}
-			}
-			tmp = col.SelectNotNilBlock(blk, rlo, rhi, 0, sc.tmp[:0])
 		}
 		col.Touch(wlo, whi)
-		sc.touched[i] = true
-		if all {
-			sc.sel = append(sc.sel[:0], tmp...)
-			all = false
-		} else {
-			sc.sel = intersectSel(sc.sel, tmp)
+		sp.touched = true
+		switch {
+		case len(sp.p.Over) > 0 && overflowBlock(col, blk, sp.p):
+			if all {
+				sc.sel = appendWindow(sc.sel[:0], rlo, rhi)
+			}
+			sc.sel = refineOverflow(col, blk, sp.p, sc)
+		case !all:
+			sc.sel = col.RefineBlock(blk, sp.lo, sp.hi, sc.sel)
+		case sp.rank == propConst:
+			sc.sel = col.SelectEqBlock(blk, rlo, rhi, sp.lo, 0, sc.sel[:0])
+		case sp.rank == propRange:
+			sc.sel = col.SelectRangeBlock(blk, rlo, rhi, sp.lo, sp.hi, 0, sc.sel[:0])
+		default:
+			sc.sel = col.SelectNotNilBlock(blk, rlo, rhi, 0, sc.sel[:0])
 		}
+		all = false
 		if len(sc.sel) == 0 {
 			return nil, false, wlo, whi
 		}
@@ -232,10 +319,7 @@ func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, w
 	// sealed segments are immutable, so deletion is a scan-time filter.
 	if del := s.Table.Del; del.AnyInRange(wlo, whi) {
 		if all {
-			sc.sel = sc.sel[:0]
-			for i := rlo; i < rhi; i++ {
-				sc.sel = append(sc.sel, int32(i))
-			}
+			sc.sel = appendWindow(sc.sel[:0], rlo, rhi)
 			all = false
 		}
 		out := sc.sel[:0]
@@ -254,10 +338,7 @@ func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, w
 	// the key column here is paid back by never moving the row further.
 	if len(s.blooms) > 0 {
 		if all {
-			sc.sel = sc.sel[:0]
-			for i := rlo; i < rhi; i++ {
-				sc.sel = append(sc.sel, int32(i))
-			}
+			sc.sel = appendWindow(sc.sel[:0], rlo, rhi)
 			all = false
 		}
 		for bi := range s.blooms {
@@ -270,12 +351,12 @@ func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, w
 					}
 				}
 			} else {
-				col := s.cols[bl.prop].Data
-				if !sc.touched[bl.prop] {
-					col.Touch(wlo, whi)
-					sc.touched[bl.prop] = true
+				sp := &s.props[bl.prop]
+				if !sp.touched {
+					sp.col.Touch(wlo, whi)
+					sp.touched = true
 				}
-				vals := col.GatherBlock(blk, sc.sel, sc.objBufs[bl.oc])
+				vals := sp.col.GatherBlock(blk, sc.sel, sc.objBufs[bl.oc])
 				for _, k := range sc.sel {
 					if bl.f.MayContain(vals[k]) {
 						out = append(out, k)
@@ -297,6 +378,14 @@ func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, w
 	return sc.sel, false, wlo, whi
 }
 
+// appendWindow appends the block-relative rows [rlo,rhi) to sel.
+func appendWindow(sel []int32, rlo, rhi int) []int32 {
+	for i := rlo; i < rhi; i++ {
+		sel = append(sel, int32(i))
+	}
+	return sel
+}
+
 // overflowBlock reports that block blk of col may hold literals minted
 // since Organize: its zone max lies past the watermark, which only
 // blocks sealed by Compact do. Blocks sealed at Organize never get here.
@@ -305,21 +394,21 @@ func overflowBlock(col *colstore.Column, blk int, p *StarProp) bool {
 	return blk >= zm.NumBlocks() || zm.Zones[blk].Max > p.N
 }
 
-// selectOverflow is the range kernel of a block that may hold overflow
-// literals: rows whose value lies in [Lo,Hi] or is one of the range's
-// overflow members.
-func selectOverflow(col *colstore.Column, blk, rlo, rhi int, p *StarProp, sc *scanScratch) []int32 {
+// refineOverflow is the range kernel of a block that may hold overflow
+// literals: it keeps the rows of sc.sel whose value lies in [Lo,Hi] or
+// is one of the range's overflow members.
+func refineOverflow(col *colstore.Column, blk int, p *StarProp, sc *scanScratch) []int32 {
 	if sc.ovf == nil {
 		sc.ovf = oidBlocks.get()
 	}
 	vals := col.BlockValues(blk, sc.ovf)
-	sel := sc.tmp[:0]
-	for i := rlo; i < rhi; i++ {
-		if v := vals[i]; v != dict.Nil && ((v >= p.Lo && v <= p.Hi) || p.inOver(v)) {
-			sel = append(sel, int32(i))
+	out := sc.sel[:0]
+	for _, k := range sc.sel {
+		if v := vals[k]; v != dict.Nil && p.matches(v) {
+			out = append(out, k)
 		}
 	}
-	return sel
+	return out
 }
 
 // scanBloom is one resolved bloom probe: the published filter plus the
@@ -330,32 +419,13 @@ type scanBloom struct {
 	oc   int // objBufs index when prop >= 0
 }
 
-// intersectSel intersects two ascending selections in place into a.
-func intersectSel(a, b []int32) []int32 {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // blockView resolves output column oc (backed by prop pi) of block blk
 // for the given selection, touching its pages if the kernel pass did
 // not. Sparse selections gather single rows off the compressed form;
 // dense ones decode the block (zero-copy for plain blocks).
 func (s *ScanOp) blockView(sc *scanScratch, blk, pi, oc, wlo, whi int, sel []int32) []dict.OID {
-	col := s.cols[pi].Data
-	if !sc.touched[pi] {
+	col := s.props[pi].col
+	if !s.props[pi].touched {
 		col.Touch(wlo, whi)
 	}
 	if sel != nil && len(sel)*4 < whi-wlo {
@@ -379,7 +449,7 @@ func (s *ScanOp) emitBlock(b *Batch, blk int, sel []int32, wlo, whi int) {
 		}
 		views = append(views, subj)
 		oc := 0
-		for i := range s.cols {
+		for i := range s.props {
 			if s.Star.Props[i].ObjVar == "" {
 				continue
 			}
@@ -396,7 +466,7 @@ func (s *ScanOp) emitBlock(b *Batch, blk int, sel []int32, wlo, whi int) {
 	}
 	views = append(views, subj)
 	oc := 0
-	for i := range s.cols {
+	for i := range s.props {
 		if s.Star.Props[i].ObjVar == "" {
 			continue
 		}
@@ -410,14 +480,14 @@ func (s *ScanOp) emitBlock(b *Batch, blk int, sel []int32, wlo, whi int) {
 // scanned column, so the pool cannot evict a decoded block out from
 // under a kernel or a lent view.
 func (s *ScanOp) pinBlock(blk int) {
-	for _, c := range s.cols {
-		c.Data.PinBlock(blk)
+	for i := range s.props {
+		s.props[i].col.PinBlock(blk)
 	}
 }
 
 func (s *ScanOp) unpinBlock(blk int) {
-	for _, c := range s.cols {
-		c.Data.UnpinBlock(blk)
+	for i := range s.props {
+		s.props[i].col.UnpinBlock(blk)
 	}
 }
 
@@ -485,9 +555,9 @@ func (s *ScanOp) nextDelta(b *Batch) bool {
 		sel := sc.sel[:0]
 		for r := lo; r < hi; r++ {
 			ok := true
-			for i := range s.colIdx {
+			for i := range s.props {
 				p := &s.Star.Props[i]
-				v := d.Cols[s.colIdx[i]][r]
+				v := d.Cols[s.props[i].idx][r]
 				if v == dict.Nil || !p.matches(v) {
 					ok = false
 					break
@@ -497,7 +567,7 @@ func (s *ScanOp) nextDelta(b *Batch) bool {
 				bl := &s.blooms[bi]
 				v := d.Subj[r]
 				if bl.prop >= 0 {
-					v = d.Cols[s.colIdx[bl.prop]][r]
+					v = d.Cols[s.props[bl.prop].idx][r]
 				}
 				ok = bl.f.MayContain(v)
 			}
@@ -511,11 +581,11 @@ func (s *ScanOp) nextDelta(b *Batch) bool {
 		}
 		views := sc.views[:0]
 		views = append(views, d.Subj[lo:hi])
-		for i := range s.colIdx {
+		for i := range s.props {
 			if s.Star.Props[i].ObjVar == "" {
 				continue
 			}
-			views = append(views, d.Cols[s.colIdx[i]][lo:hi])
+			views = append(views, d.Cols[s.props[i].idx][lo:hi])
 		}
 		sc.views = views
 		if len(sel) == hi-lo {
@@ -535,6 +605,15 @@ func (s *ScanOp) Close() {
 	}
 	// the consumer stopped pulling, so no lent view is read again
 	s.sc.release()
+	if s.ctx == nil {
+		return
+	}
+	if st := s.ctx.Stats.Node(s.Stats); st != nil {
+		for i := range s.props {
+			st.addSkips(i, s.props[i].skips)
+			s.props[i].skips = 0
+		}
+	}
 }
 
 // DefaultStarOp evaluates a star with the paper's Default plan family: a

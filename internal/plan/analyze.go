@@ -214,6 +214,37 @@ func (a *Analyze) annotate(b *strings.Builder, sid int, est float64, hasEst bool
 	}
 }
 
+// skips renders, for an RDFscan column line, how many blocks skipped the
+// column's kernel because the block's zone showed every row passing.
+func (a *Analyze) skips(sid, prop int) string {
+	if a == nil {
+		return ""
+	}
+	var k int64
+	if st := a.Stats.Node(sid); st != nil {
+		k = st.Skips(prop)
+	}
+	return fmt.Sprintf(" skip=%d", k)
+}
+
+// groups renders a HashAggregate's group count and which group-id path
+// it finished on: direct (an array indexed by the GROUP BY columns'
+// codes) or hash (the group table).
+func (a *Analyze) groups(sid int) string {
+	if a == nil {
+		return ""
+	}
+	st := a.Stats.Node(sid)
+	if st == nil {
+		return ""
+	}
+	path := "direct"
+	if st.GroupsHashed.Load() {
+		path = "hash"
+	}
+	return fmt.Sprintf(" groups=%d %s", st.Groups.Load(), path)
+}
+
 // misFactor is the symmetric est/act ratio, clamped below at one row so
 // empty results do not divide by zero.
 func misFactor(est, act float64) float64 {

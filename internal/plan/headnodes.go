@@ -69,7 +69,9 @@ type AggregateNode struct {
 }
 
 func (n *AggregateNode) ValOp() exec.ValOperator {
-	return exec.NewStatsValOp(n.sid, exec.NewAggregateOp(n.Input.Op(), n.Items, n.GroupBy))
+	agg := exec.NewAggregateOp(n.Input.Op(), n.Items, n.GroupBy)
+	agg.Stats = n.sid
+	return exec.NewStatsValOp(n.sid, agg)
 }
 
 func (n *AggregateNode) Vars() []string {
@@ -87,6 +89,7 @@ func (n *AggregateNode) Explain(b *strings.Builder, indent int, an *Analyze) {
 		groups[i] = "?" + g
 	}
 	fmt.Fprintf(b, "HashAggregate by [%s] -> %s", strings.Join(groups, " "), itemsDesc(n.Items))
+	b.WriteString(an.groups(n.sid))
 	an.annotate(b, n.sid, 0, false, "")
 	b.WriteByte('\n')
 	n.Input.Explain(b, indent+1, an)

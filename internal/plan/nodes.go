@@ -139,6 +139,7 @@ func (n *RDFScanNode) Op() exec.Operator {
 	for _, t := range n.Tables {
 		sc := exec.NewScanOp(t, n.Star, n.UseZones, 0, -1)
 		sc.Blooms = sb
+		sc.Stats = n.sid
 		ops = append(ops, sc)
 	}
 	// The irregular residual is whole-input by nature; evaluate it
@@ -209,7 +210,7 @@ func (n *RDFScanNode) Explain(b *strings.Builder, indent int, an *Analyze) {
 	b.WriteByte('\n')
 	for i := range n.Star.Props {
 		pad(b, indent+1)
-		fmt.Fprintf(b, "col %s%s\n", propDesc(&n.Star.Props[i]), n.colPhysDesc(&n.Star.Props[i]))
+		fmt.Fprintf(b, "col %s%s%s\n", propDesc(&n.Star.Props[i]), n.colPhysDesc(&n.Star.Props[i]), an.skips(n.sid, i))
 	}
 }
 
