@@ -54,8 +54,8 @@ Project ?b ?n act_rows=6 time=?
   MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=51 act_rows=6 time=?
     MergeJoin ?a -> country_name [2 props, subject-ordered scan] est_rows=6 cost=34 act_rows=6 time=?
       RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
-        col p=R15 ?a enc=for×1
-        col p=R16 ?y enc=for×1
+        col p=R15 ?a enc=for×1 skip=1
+        col p=R16 ?y enc=for×1 skip=1
 actual: rows=6 time=?
 misestimate: worst est/act 1.0x at MergeJoin ?c
 `
@@ -73,11 +73,11 @@ Project ?b ?n act_rows=6 time=?
   HashJoin on [?a] est_rows=6 cost=89 act_rows=6 time=?
     MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=5 cost=33 act_rows=6 time=?
       RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps delta=1 est_rows=5 cost=18 act_rows=6 time=?
-        col p=R17 ?nm enc=for×1
-        col p=R18 ?c enc=for×1
+        col p=R17 ?nm enc=for×1 skip=1
+        col p=R18 ?c enc=for×1 skip=1
     RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
-      col p=R15 ?a enc=for×1
-      col p=R16 ?y enc=for×1
+      col p=R15 ?a enc=for×1 skip=1
+      col p=R16 ?y enc=for×1 skip=1
 actual: rows=6 time=?
 misestimate: worst est/act 1.2x at MergeJoin ?c
 `
@@ -91,11 +91,11 @@ Project ?b ?n act_rows=6 time=?
   HashJoin on [?a] est_rows=6 cost=81 act_rows=6 time=?
     MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=5 cost=25 act_rows=6 time=?
       RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps est_rows=5 cost=10 act_rows=6 time=?
-        col p=R17 ?nm enc=for×1
-        col p=R18 ?c enc=for×1
+        col p=R17 ?nm enc=for×1 skip=1
+        col p=R18 ?c enc=for×1 skip=1
     RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
-      col p=R15 ?a enc=for×1
-      col p=R16 ?y enc=for×1
+      col p=R15 ?a enc=for×1 skip=1
+      col p=R16 ?y enc=for×1 skip=1
 actual: rows=6 time=?
 misestimate: worst est/act 1.2x at MergeJoin ?c
 `
