@@ -28,6 +28,16 @@ type aggCase struct {
 
 var aggParityCases = []aggCase{
 	{
+		name: "no rows and no GROUP BY is one group",
+		rows: 0,
+		gen: func(i int) (dict.Term, dict.Term, dict.Term) {
+			return dict.IRI("http://g/only"), dict.StringLit("s"), dict.IntLit(1)
+		},
+		query:  `SELECT (SUM(?x) AS ?s) (COUNT(*) AS ?n) (AVG(?x) AS ?a) WHERE { ?g1 <http://p/a> ?g2 . ?g1 <http://p/b> ?x . ?g1 <http://p/c> ?u }`,
+		groups: 1, path: "direct",
+		want: "2|0\t2|0\t0|\t\n",
+	},
+	{
 		name: "one group, float sums",
 		rows: 3000,
 		gen: func(i int) (dict.Term, dict.Term, dict.Term) {
@@ -148,7 +158,7 @@ func runAggCase(t *testing.T, c aggCase, hashed bool) (string, int64, string) {
 	return aggRender(rows), st.Groups.Load(), path
 }
 
-// TestAggregateGroupPathParity runs each GROUP BY through the direct
+// TestAggregateGroupPathParity runs each aggregate through the direct
 // group ids (switching to the hash table where the case outgrows them)
 // and through the hash table alone: both must give, row for row and bit
 // for bit, the result recorded from the commit before either path

@@ -225,18 +225,20 @@ func (a *AggregateOp) run() {
 	a.args.release()
 	selBlocks.put(a.gids)
 	a.gids = nil
+	if a.ctx.ExecErr() == nil {
+		a.out = vrowsCursor{rows: a.finish()}
+		a.fin.release()
+	} else {
+		// the aggregation failed (memory budget): emit nothing and let
+		// the iterator report the recorded cause
+		a.out = vrowsCursor{}
+	}
+	// after finish, which gives an ungrouped aggregate over no rows its
+	// one group
 	if st := a.ctx.Stats.Node(a.Stats); st != nil {
 		st.Groups.Store(int64(a.ng))
 		st.GroupsHashed.Store(a.hashed)
 	}
-	if a.ctx.ExecErr() != nil {
-		// the aggregation failed (memory budget): emit nothing and let
-		// the iterator report the recorded cause
-		a.out = vrowsCursor{}
-		return
-	}
-	a.out = vrowsCursor{rows: a.finish()}
-	a.fin.release()
 }
 
 // fold folds one input batch into the group states. It fails with
