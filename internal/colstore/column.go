@@ -16,9 +16,8 @@ import (
 // A column has two lives. During build it is a mutable flat vector
 // (Vals) filled with Set. Seal freezes it into per-block compressed
 // segments (see segment.go): Vals is dropped, reads go through the
-// segment layer, and the scan-side predicate kernels (SelectEqBlock,
-// SelectRangeBlock, SelectNotNilBlock, RefineBlock) evaluate on the
-// compressed form.
+// segment layer, and the scan-side predicate kernels (SelectBlock,
+// RefineBlock) evaluate on the compressed form.
 // Every accessor works on both representations, so untracked or
 // never-sealed columns (tests, scratch data) behave exactly as before.
 type Column struct {
@@ -335,51 +334,15 @@ func (c *Column) GatherBlock(b int, sel []int32, buf []dict.OID) []dict.OID {
 	return buf
 }
 
-// SelectEqBlock appends base+i for the rows i (block-relative, within
-// [lo,hi)) of block b equal to v, evaluating on the compressed form.
-func (c *Column) SelectEqBlock(b, lo, hi int, v dict.OID, base int32, sel []int32) []int32 {
+// SelectBlock appends the rows i (block-relative, within [lo,hi)) of
+// block b whose non-NULL value lies in [vlo,vhi], evaluating on the
+// compressed form. An equality test is [v,v]; a presence test is
+// [dict.Nil, ^dict.OID(0)].
+func (c *Column) SelectBlock(b, lo, hi int, vlo, vhi dict.OID, sel []int32) []int32 {
 	if c.segs != nil {
-		return c.segs[b].SelectEq(lo, hi, v, base, sel)
+		return c.segs[b].Select(lo, hi, vlo, vhi, sel)
 	}
-	if v == dict.Nil {
-		return sel
-	}
-	off := b * BlockRows
-	for i := lo; i < hi; i++ {
-		if c.Vals[off+i] == v {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
-}
-
-// SelectRangeBlock appends base+i for the rows i of block b whose
-// non-NULL value lies in [vlo,vhi].
-func (c *Column) SelectRangeBlock(b, lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32 {
-	if c.segs != nil {
-		return c.segs[b].SelectRange(lo, hi, vlo, vhi, base, sel)
-	}
-	off := b * BlockRows
-	for i := lo; i < hi; i++ {
-		if v := c.Vals[off+i]; v != dict.Nil && v >= vlo && v <= vhi {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
-}
-
-// SelectNotNilBlock appends base+i for the non-NULL rows i of block b.
-func (c *Column) SelectNotNilBlock(b, lo, hi int, base int32, sel []int32) []int32 {
-	if c.segs != nil {
-		return c.segs[b].SelectNotNil(lo, hi, base, sel)
-	}
-	off := b * BlockRows
-	for i := lo; i < hi; i++ {
-		if c.Vals[off+i] != dict.Nil {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
+	return selectVals(c.Vals[b*BlockRows:], lo, hi, vlo, vhi, sel)
 }
 
 // RefineBlock keeps, in place, the rows of sel (block-relative,

@@ -22,8 +22,8 @@ func bruteRefine(vals []dict.OID, in []int32, vlo, vhi dict.OID) []int32 {
 }
 
 // kernelMismatch checks every kernel of seg against brute force over
-// vals: Decode and Get, the three select kernels on the window [lo,hi)
-// with a non-zero base, and Refine of the ascending selection in to
+// vals: Decode and Get, Select on the window [lo,hi) as a range, an
+// equality and a presence test, and Refine of the ascending selection in to
 // [vlo,vhi]. It returns "" when all agree, else what disagreed.
 func kernelMismatch(seg Segment, vals []dict.OID, lo, hi int, vlo, vhi dict.OID, in []int32) string {
 	if seg.Len() != len(vals) {
@@ -41,27 +41,14 @@ func kernelMismatch(seg Segment, vals []dict.OID, lo, hi int, vlo, vhi dict.OID,
 			return fmt.Sprintf("Get(%d) = %v, want %v", i, g, v)
 		}
 	}
-	const base = 5000
-	shift := func(s []int32) []int32 {
-		out := make([]int32, len(s))
-		for i, k := range s {
-			out[i] = k + base
-		}
-		return out
-	}
-	inRange := func(v dict.OID) bool { return v >= vlo && v <= vhi }
 	prefix := []int32{-1} // selects append after what sel holds
-	got := seg.SelectRange(lo, hi, vlo, vhi, base, append([]int32(nil), prefix...))
-	if want := shift(bruteSelect(vals, lo, hi, inRange)); got[0] != -1 || !eqSel(got[1:], want) {
-		return fmt.Sprintf("SelectRange[%d,%d) [%v,%v]: got %v want %v", lo, hi, vlo, vhi, got[1:], want)
-	}
-	got = seg.SelectEq(lo, hi, vlo, base, append([]int32(nil), prefix...))
-	if want := shift(bruteSelect(vals, lo, hi, func(v dict.OID) bool { return v == vlo })); got[0] != -1 || !eqSel(got[1:], want) {
-		return fmt.Sprintf("SelectEq[%d,%d) %v: got %v want %v", lo, hi, vlo, got[1:], want)
-	}
-	got = seg.SelectNotNil(lo, hi, base, append([]int32(nil), prefix...))
-	if want := shift(bruteSelect(vals, lo, hi, func(dict.OID) bool { return true })); got[0] != -1 || !eqSel(got[1:], want) {
-		return fmt.Sprintf("SelectNotNil[%d,%d): got %v want %v", lo, hi, got[1:], want)
+	for _, r := range [][2]dict.OID{{vlo, vhi}, {vlo, vlo}, {dict.Nil, ^dict.OID(0)}} {
+		// a range, an equality test and a presence test
+		inRange := func(v dict.OID) bool { return v >= r[0] && v <= r[1] }
+		got := seg.Select(lo, hi, r[0], r[1], append([]int32(nil), prefix...))
+		if want := bruteSelect(vals, lo, hi, inRange); got[0] != -1 || !eqSel(got[1:], want) {
+			return fmt.Sprintf("Select[%d,%d) [%v,%v]: got %v want %v", lo, hi, r[0], r[1], got[1:], want)
+		}
 	}
 	want := bruteRefine(vals, in, vlo, vhi)
 	sel := append([]int32(nil), in...)

@@ -50,9 +50,9 @@ func (e Encoding) String() string {
 }
 
 // Segment is one immutable compressed block of a sealed column. Row
-// indexes are block-relative ([0,Len)). The Select* kernels append the
-// block-relative indexes (plus base) of matching rows to sel without
-// decompressing the block; Refine narrows a selection an earlier kernel
+// indexes are block-relative ([0,Len)). Select appends the
+// block-relative indexes of matching rows to sel without decompressing
+// the block; Refine narrows a selection an earlier kernel
 // built, testing only the rows it still holds. dict.Nil cells never
 // match any kernel. FOR and dict blocks compare packed deltas or codes,
 // unpacked a word at a time (see unpack), never decoded OIDs.
@@ -69,13 +69,10 @@ type Segment interface {
 	Get(i int) dict.OID
 	// Decode appends all rows to dst and returns it.
 	Decode(dst []dict.OID) []dict.OID
-	// SelectEq appends base+i for rows i in [lo,hi) equal to v.
-	SelectEq(lo, hi int, v dict.OID, base int32, sel []int32) []int32
-	// SelectRange appends base+i for rows i in [lo,hi) with a non-NULL
-	// value in [vlo,vhi].
-	SelectRange(lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32
-	// SelectNotNil appends base+i for rows i in [lo,hi) that are not NULL.
-	SelectNotNil(lo, hi int, base int32, sel []int32) []int32
+	// Select appends i for the rows i in [lo,hi) whose non-NULL value
+	// lies in [vlo,vhi]. An equality test is the range [v,v]; a presence
+	// test is [dict.Nil, ^dict.OID(0)].
+	Select(lo, hi int, vlo, vhi dict.OID, sel []int32) []int32
 	// Refine keeps, in place and in order, the rows of sel (ascending
 	// block-relative indexes, no base) whose non-NULL value lies in
 	// [vlo,vhi], and returns the shortened slice. An equality test is
@@ -228,10 +225,10 @@ func widthMask(width int) uint64 {
 // its stack buffer.
 const unpackChunk = 64
 
-// selectPacked appends base+i for the rows i in [lo,hi) whose packed
-// value lies in [dlo,dhi] (dlo <= dhi): the values are compared packed —
-// as FOR deltas or dict codes — never as OIDs.
-func selectPacked(packed []uint64, width, lo, hi int, dlo, dhi uint64, base int32, sel []int32) []int32 {
+// selectPacked appends the rows i in [lo,hi) whose packed value lies in
+// [dlo,dhi] (dlo <= dhi): the values are compared packed — as FOR
+// deltas or dict codes — never as OIDs.
+func selectPacked(packed []uint64, width, lo, hi int, dlo, dhi uint64, sel []int32) []int32 {
 	var buf [unpackChunk]uint64
 	n := len(sel)
 	sel = slices.Grow(sel, hi-lo)[:n+hi-lo]
@@ -240,7 +237,7 @@ func selectPacked(packed []uint64, width, lo, hi int, dlo, dhi uint64, base int3
 		vals := buf[:min(unpackChunk, hi-c)]
 		unpack(vals, packed, width, c, 0)
 		for j, d := range vals {
-			sel[n] = base + int32(c+j)
+			sel[n] = int32(c + j)
 			if d-dlo <= span {
 				n++
 			}
@@ -289,10 +286,26 @@ func maxPacked(packed []uint64, width, n int) uint64 {
 	return m
 }
 
-// appendRows appends base+i for every row i in [lo,hi).
-func appendRows(lo, hi int, base int32, sel []int32) []int32 {
+// appendRows appends every row i in [lo,hi).
+func appendRows(lo, hi int, sel []int32) []int32 {
 	for i := lo; i < hi; i++ {
-		sel = append(sel, base+int32(i))
+		sel = append(sel, int32(i))
+	}
+	return sel
+}
+
+// selectVals appends the rows i in [lo,hi) whose vals[i] is a non-NULL
+// value in [vlo,vhi]: the select kernel of flat vectors.
+func selectVals(vals []dict.OID, lo, hi int, vlo, vhi dict.OID, sel []int32) []int32 {
+	vlo = max(vlo, dict.Nil+1) // dict.Nil is the smallest OID
+	if vlo > vhi {
+		return sel
+	}
+	span := vhi - vlo
+	for i := lo; i < hi; i++ {
+		if vals[i]-vlo <= span {
+			sel = append(sel, int32(i))
+		}
 	}
 	return sel
 }
@@ -333,34 +346,8 @@ func (s *plainSegment) view() []dict.OID { return s.vals }
 
 func (s *plainSegment) Decode(dst []dict.OID) []dict.OID { return append(dst, s.vals...) }
 
-func (s *plainSegment) SelectEq(lo, hi int, v dict.OID, base int32, sel []int32) []int32 {
-	if v == dict.Nil {
-		return sel
-	}
-	for i := lo; i < hi; i++ {
-		if s.vals[i] == v {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
-}
-
-func (s *plainSegment) SelectRange(lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if v := s.vals[i]; v != dict.Nil && v >= vlo && v <= vhi {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
-}
-
-func (s *plainSegment) SelectNotNil(lo, hi int, base int32, sel []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if s.vals[i] != dict.Nil {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
+func (s *plainSegment) Select(lo, hi int, vlo, vhi dict.OID, sel []int32) []int32 {
+	return selectVals(s.vals, lo, hi, vlo, vhi, sel)
 }
 
 func (s *plainSegment) Refine(vlo, vhi dict.OID, sel []int32) []int32 {
@@ -421,39 +408,18 @@ func (s *rleSegment) Decode(dst []dict.OID) []dict.OID {
 }
 
 // runWindow appends the rows of run r clipped to [lo,hi).
-func (s *rleSegment) runWindow(r, lo, hi int, base int32, sel []int32) []int32 {
+func (s *rleSegment) runWindow(r, lo, hi int, sel []int32) []int32 {
 	rlo := 0
 	if r > 0 {
 		rlo = int(s.ends[r-1])
 	}
-	return appendRows(max(rlo, lo), min(int(s.ends[r]), hi), base, sel)
+	return appendRows(max(rlo, lo), min(int(s.ends[r]), hi), sel)
 }
 
-func (s *rleSegment) SelectEq(lo, hi int, v dict.OID, base int32, sel []int32) []int32 {
-	if v == dict.Nil {
-		return sel
-	}
-	for r, rv := range s.vals {
-		if rv == v {
-			sel = s.runWindow(r, lo, hi, base, sel)
-		}
-	}
-	return sel
-}
-
-func (s *rleSegment) SelectRange(lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32 {
+func (s *rleSegment) Select(lo, hi int, vlo, vhi dict.OID, sel []int32) []int32 {
 	for r, rv := range s.vals {
 		if rv != dict.Nil && rv >= vlo && rv <= vhi {
-			sel = s.runWindow(r, lo, hi, base, sel)
-		}
-	}
-	return sel
-}
-
-func (s *rleSegment) SelectNotNil(lo, hi int, base int32, sel []int32) []int32 {
-	for r, rv := range s.vals {
-		if rv != dict.Nil {
-			sel = s.runWindow(r, lo, hi, base, sel)
+			sel = s.runWindow(r, lo, hi, sel)
 		}
 	}
 	return sel
@@ -537,23 +503,15 @@ func (s *forSegment) deltas(vlo, vhi dict.OID) (dlo, dhi uint64, none, all bool)
 	return dlo, uint64(vhi - s.base), false, false
 }
 
-func (s *forSegment) SelectEq(lo, hi int, v dict.OID, base int32, sel []int32) []int32 {
-	return s.SelectRange(lo, hi, v, v, base, sel)
-}
-
-func (s *forSegment) SelectRange(lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32 {
+func (s *forSegment) Select(lo, hi int, vlo, vhi dict.OID, sel []int32) []int32 {
 	switch dlo, dhi, none, all := s.deltas(vlo, vhi); {
 	case none:
 		return sel
 	case all:
-		return appendRows(lo, hi, base, sel) // FOR blocks are NULL-free
+		return appendRows(lo, hi, sel) // FOR blocks are NULL-free
 	default:
-		return selectPacked(s.packed, s.width, lo, hi, dlo, dhi, base, sel)
+		return selectPacked(s.packed, s.width, lo, hi, dlo, dhi, sel)
 	}
-}
-
-func (s *forSegment) SelectNotNil(lo, hi int, base int32, sel []int32) []int32 {
-	return appendRows(lo, hi, base, sel) // FOR blocks are NULL-free
 }
 
 func (s *forSegment) Refine(vlo, vhi dict.OID, sel []int32) []int32 {
@@ -643,23 +601,15 @@ func (s *dictSegment) codes(vlo, vhi dict.OID) (clo, chi uint64, none, all bool)
 	return uint64(lo), uint64(hi - 1), false, lo == 0 && hi == len(s.dictVals)
 }
 
-func (s *dictSegment) SelectEq(lo, hi int, v dict.OID, base int32, sel []int32) []int32 {
-	return s.SelectRange(lo, hi, v, v, base, sel)
-}
-
-func (s *dictSegment) SelectRange(lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32 {
+func (s *dictSegment) Select(lo, hi int, vlo, vhi dict.OID, sel []int32) []int32 {
 	switch clo, chi, none, all := s.codes(vlo, vhi); {
 	case none:
 		return sel // codes never touched
 	case all:
-		return appendRows(lo, hi, base, sel)
+		return appendRows(lo, hi, sel)
 	default:
-		return selectPacked(s.packed, s.width, lo, hi, clo, chi, base, sel)
+		return selectPacked(s.packed, s.width, lo, hi, clo, chi, sel)
 	}
-}
-
-func (s *dictSegment) SelectNotNil(lo, hi int, base int32, sel []int32) []int32 {
-	return s.SelectRange(lo, hi, dict.Nil, ^dict.OID(0), base, sel)
 }
 
 func (s *dictSegment) Refine(vlo, vhi dict.OID, sel []int32) []int32 {

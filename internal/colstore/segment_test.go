@@ -112,19 +112,19 @@ func TestSegmentRoundtripAndKernels(t *testing.T) {
 			if probe == dict.Nil {
 				probe = lit(5)
 			}
-			got := seg.SelectEq(lo, hi, probe, 0, nil)
+			got := seg.Select(lo, hi, probe, probe, nil)
 			want := bruteSelect(vals, lo, hi, func(v dict.OID) bool { return v == probe })
 			if !eqSel(got, want) {
 				t.Fatalf("%s/%s: SelectEq mismatch: got %v want %v", name, seg.Encoding(), got, want)
 			}
 			vlo := probe - dict.OID(rng.Intn(50))
 			vhi := probe + dict.OID(rng.Intn(50))
-			got = seg.SelectRange(lo, hi, vlo, vhi, 0, nil)
+			got = seg.Select(lo, hi, vlo, vhi, nil)
 			want = bruteSelect(vals, lo, hi, func(v dict.OID) bool { return v >= vlo && v <= vhi })
 			if !eqSel(got, want) {
 				t.Fatalf("%s/%s: SelectRange[%v,%v] mismatch", name, seg.Encoding(), vlo, vhi)
 			}
-			got = seg.SelectNotNil(lo, hi, 0, nil)
+			got = seg.Select(lo, hi, dict.Nil, ^dict.OID(0), nil)
 			want = bruteSelect(vals, lo, hi, func(dict.OID) bool { return true })
 			if !eqSel(got, want) {
 				t.Fatalf("%s/%s: SelectNotNil mismatch", name, seg.Encoding())
@@ -251,9 +251,9 @@ func TestColumnKernelsAcrossBlocks(t *testing.T) {
 		for b := 0; b < c.NumBlocks(); b++ {
 			lo := b * BlockRows
 			hi := min(lo+BlockRows, len(vals))
-			gotEq = c.SelectEqBlock(b, 0, hi-lo, probe, int32(lo), gotEq)
-			gotRg = c.SelectRangeBlock(b, 0, hi-lo, vlo, vhi, int32(lo), gotRg)
-			gotNN = c.SelectNotNilBlock(b, 0, hi-lo, int32(lo), gotNN)
+			gotEq = rebased(gotEq, lo, c.SelectBlock(b, 0, hi-lo, probe, probe, nil))
+			gotRg = rebased(gotRg, lo, c.SelectBlock(b, 0, hi-lo, vlo, vhi, nil))
+			gotNN = rebased(gotNN, lo, c.SelectBlock(b, 0, hi-lo, dict.Nil, ^dict.OID(0), nil))
 		}
 		if want := bruteSelect(vals, 0, len(vals), func(v dict.OID) bool { return v == probe }); !eqSel(gotEq, want) {
 			t.Fatalf("%s: cross-block SelectEq mismatch", name)
@@ -265,6 +265,15 @@ func TestColumnKernelsAcrossBlocks(t *testing.T) {
 			t.Fatalf("%s: cross-block SelectNotNil mismatch", name)
 		}
 	}
+}
+
+// rebased appends the block-relative rows of blk, offset by the block's
+// first row lo, to sel.
+func rebased(sel []int32, lo int, blk []int32) []int32 {
+	for _, i := range blk {
+		sel = append(sel, int32(lo)+i)
+	}
+	return sel
 }
 
 // TestAllNilBlocks covers columns with entirely-NULL blocks: the zones
@@ -280,11 +289,11 @@ func TestAllNilBlocks(t *testing.T) {
 	for b := 0; b < c.NumBlocks(); b++ {
 		lo := b * BlockRows
 		hi := min(lo+BlockRows, len(vals))
-		if sel := c.SelectNotNilBlock(b, 0, hi-lo, 0, nil); b != 1 && len(sel) != 0 {
+		if sel := c.SelectBlock(b, 0, hi-lo, dict.Nil, ^dict.OID(0), nil); b != 1 && len(sel) != 0 {
 			t.Errorf("block %d: all-NULL block selected %d rows", b, len(sel))
 		}
 	}
-	if got := c.SelectEqBlock(1, 0, BlockRows, lit(42), 0, nil); len(got) != 1 || got[0] != 3 {
+	if got := c.SelectBlock(1, 0, BlockRows, lit(42), lit(42), nil); len(got) != 1 || got[0] != 3 {
 		t.Errorf("SelectEq in sparse block = %v, want [3]", got)
 	}
 	if c.NullCount() != len(vals)-1 {
@@ -302,7 +311,7 @@ func TestSingleRowTailBlock(t *testing.T) {
 	if c.NumBlocks() != 2 {
 		t.Fatalf("blocks = %d", c.NumBlocks())
 	}
-	if got := c.SelectEqBlock(1, 0, 1, lit(uint64(BlockRows+1)), int32(BlockRows), nil); len(got) != 1 || got[0] != int32(BlockRows) {
+	if got := c.SelectBlock(1, 0, 1, lit(uint64(BlockRows+1)), lit(uint64(BlockRows+1)), nil); len(got) != 1 || got[0] != 0 {
 		t.Errorf("tail block SelectEq = %v", got)
 	}
 	if v := c.Get(BlockRows); v != lit(uint64(BlockRows+1)) {
@@ -411,16 +420,16 @@ func TestSegmentKernelQuick(t *testing.T) {
 		}
 		seg := EncodeBlock(vals)
 		probe := lit(uint64(1 + rng.Intn(100000)))
-		if !eqSel(seg.SelectEq(0, n, probe, 0, nil),
+		if !eqSel(seg.Select(0, n, probe, probe, nil),
 			bruteSelect(vals, 0, n, func(v dict.OID) bool { return v == probe })) {
 			return false
 		}
 		vlo, vhi := probe-dict.OID(rng.Intn(1000)), probe+dict.OID(rng.Intn(1000))
-		if !eqSel(seg.SelectRange(0, n, vlo, vhi, 0, nil),
+		if !eqSel(seg.Select(0, n, vlo, vhi, nil),
 			bruteSelect(vals, 0, n, func(v dict.OID) bool { return v >= vlo && v <= vhi })) {
 			return false
 		}
-		if !eqSel(seg.SelectNotNil(0, n, 0, nil),
+		if !eqSel(seg.Select(0, n, dict.Nil, ^dict.OID(0), nil),
 			bruteSelect(vals, 0, n, func(dict.OID) bool { return true })) {
 			return false
 		}

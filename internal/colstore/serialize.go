@@ -245,16 +245,8 @@ func (s *lazySegment) Get(i int) dict.OID { return s.load().Get(i) }
 
 func (s *lazySegment) Decode(dst []dict.OID) []dict.OID { return s.load().Decode(dst) }
 
-func (s *lazySegment) SelectEq(lo, hi int, v dict.OID, base int32, sel []int32) []int32 {
-	return s.load().SelectEq(lo, hi, v, base, sel)
-}
-
-func (s *lazySegment) SelectRange(lo, hi int, vlo, vhi dict.OID, base int32, sel []int32) []int32 {
-	return s.load().SelectRange(lo, hi, vlo, vhi, base, sel)
-}
-
-func (s *lazySegment) SelectNotNil(lo, hi int, base int32, sel []int32) []int32 {
-	return s.load().SelectNotNil(lo, hi, base, sel)
+func (s *lazySegment) Select(lo, hi int, vlo, vhi dict.OID, sel []int32) []int32 {
+	return s.load().Select(lo, hi, vlo, vhi, sel)
 }
 
 func (s *lazySegment) Refine(vlo, vhi dict.OID, sel []int32) []int32 {

@@ -64,9 +64,8 @@ func TestSerializeRoundtripAllShapes(t *testing.T) {
 					lo, hi := orig.Zones().BlockRange(b)
 					blen := hi - lo
 					probe := vals[lo+rng.Intn(blen)]
-					var s1, s2 []int32
-					s1 = orig.SelectEqBlock(b, 0, blen, probe, int32(lo), s1)
-					s2 = rc.SelectEqBlock(b, 0, blen, probe, int32(lo), s2)
+					s1 := orig.SelectBlock(b, 0, blen, probe, probe, nil)
+					s2 := rc.SelectBlock(b, 0, blen, probe, probe, nil)
 					if len(s1) != len(s2) {
 						t.Fatalf("n=%d block %d: eq kernel %d vs %d rows", n, b, len(s2), len(s1))
 					}
@@ -75,8 +74,8 @@ func TestSerializeRoundtripAllShapes(t *testing.T) {
 							t.Fatalf("n=%d block %d: eq kernel diverges at %d", n, b, i)
 						}
 					}
-					s1 = orig.SelectNotNilBlock(b, 0, blen, 0, s1[:0])
-					s2 = rc.SelectNotNilBlock(b, 0, blen, 0, s2[:0])
+					s1 = orig.SelectBlock(b, 0, blen, dict.Nil, ^dict.OID(0), s1[:0])
+					s2 = rc.SelectBlock(b, 0, blen, dict.Nil, ^dict.OID(0), s2[:0])
 					if len(s1) != len(s2) {
 						t.Fatalf("n=%d block %d: notnil kernel %d vs %d rows", n, b, len(s2), len(s1))
 					}

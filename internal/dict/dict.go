@@ -2,6 +2,7 @@ package dict
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -22,6 +23,9 @@ type Dictionary struct {
 	litIDs  map[litKey]uint64
 	litLex  []litKey
 	litVals []Value
+	// names holds the one copy of each datatype IRI and language tag
+	// the literals share.
+	names map[string]string
 
 	// Literal order (see order.go): payloads 1..litN are value-ordered;
 	// while litN > 0 every later payload is an overflow literal, listed
@@ -41,6 +45,7 @@ func New() *Dictionary {
 	return &Dictionary{
 		resIDs: make(map[string]uint64),
 		litIDs: make(map[litKey]uint64),
+		names:  make(map[string]string),
 	}
 }
 
@@ -77,6 +82,7 @@ func (d *Dictionary) internResource(key string) OID {
 	if id, ok = d.resIDs[key]; ok {
 		return ResourceOID(id)
 	}
+	key = strings.Clone(key) // the caller's string may pin a whole input line
 	d.resKeys = append(d.resKeys, key)
 	id = uint64(len(d.resKeys))
 	d.resIDs[key] = id
@@ -97,14 +103,29 @@ func (d *Dictionary) InternLiteral(lex, datatype, lang string) OID {
 	if id, ok = d.litIDs[k]; ok {
 		return LiteralOID(id)
 	}
+	k = litKey{strings.Clone(lex), d.shared(datatype), d.shared(lang)}
 	d.litLex = append(d.litLex, k)
-	d.litVals = append(d.litVals, ParseLiteral(lex, datatype, lang))
+	d.litVals = append(d.litVals, ParseLiteral(k.lex, k.datatype, k.lang))
 	id = uint64(len(d.litLex))
 	d.litIDs[k] = id
 	if d.litN > 0 {
 		d.overNew = append(d.overNew, id)
 	}
 	return LiteralOID(id)
+}
+
+// shared returns the dictionary's one copy of a datatype IRI or
+// language tag. Callers hold d.mu.
+func (d *Dictionary) shared(s string) string {
+	if s == "" {
+		return s
+	}
+	c, ok := d.names[s]
+	if !ok {
+		c = strings.Clone(s)
+		d.names[c] = c
+	}
+	return c
 }
 
 // Lookup returns the OID of t if it has been interned.

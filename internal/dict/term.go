@@ -113,7 +113,7 @@ func (t Term) Append(dst []byte) []byte {
 	switch t.Kind {
 	case KindIRI:
 		dst = append(dst, '<')
-		dst = append(dst, t.Value...)
+		dst = appendEscapedIRI(dst, t.Value)
 		return append(dst, '>')
 	case KindBlank:
 		dst = append(dst, "_:"...)
@@ -127,10 +127,27 @@ func (t Term) Append(dst []byte) []byte {
 		dst = append(dst, t.Lang...)
 	} else if t.Datatype != "" && t.Datatype != XSDString {
 		dst = append(dst, "^^<"...)
-		dst = append(dst, t.Datatype...)
+		dst = appendEscapedIRI(dst, t.Datatype)
 		dst = append(dst, '>')
 	}
 	return dst
+}
+
+// appendEscapedIRI appends iri with each character that IRIREF forbids
+// — <>"{}|^`\, space and the C0 controls — written as \u00XX, so that
+// an N-Triples reader gets the same IRI back.
+func appendEscapedIRI(dst []byte, iri string) []byte {
+	const hex = "0123456789ABCDEF"
+	start := 0
+	for i := 0; i < len(iri); i++ {
+		switch c := iri[i]; {
+		case c <= ' ', c == '<', c == '>', c == '"', c == '{', c == '}', c == '|', c == '^', c == '`', c == '\\':
+			dst = append(dst, iri[start:i]...)
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&15])
+			start = i + 1
+		}
+	}
+	return append(dst, iri[start:]...)
 }
 
 // appendEscapedLiteral appends s with N-Triples' string escapes. A value

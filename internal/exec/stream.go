@@ -303,12 +303,8 @@ func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, w
 			sc.sel = refineOverflow(col, blk, sp.p, sc)
 		case !all:
 			sc.sel = col.RefineBlock(blk, sp.lo, sp.hi, sc.sel)
-		case sp.rank == propConst:
-			sc.sel = col.SelectEqBlock(blk, rlo, rhi, sp.lo, 0, sc.sel[:0])
-		case sp.rank == propRange:
-			sc.sel = col.SelectRangeBlock(blk, rlo, rhi, sp.lo, sp.hi, 0, sc.sel[:0])
 		default:
-			sc.sel = col.SelectNotNilBlock(blk, rlo, rhi, 0, sc.sel[:0])
+			sc.sel = col.SelectBlock(blk, rlo, rhi, sp.lo, sp.hi, sc.sel[:0])
 		}
 		all = false
 		if len(sc.sel) == 0 {

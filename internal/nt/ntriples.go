@@ -7,7 +7,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"srdf/internal/dict"
@@ -111,236 +110,48 @@ func (r *Reader) ReadAll() ([]Triple, error) {
 }
 
 func parseLine(line string, lineNo int) (Triple, error) {
-	p := &lineParser{s: line, line: lineNo}
-	s, err := p.term()
-	if err != nil {
-		return Triple{}, err
+	fail := func(msg string) (Triple, error) {
+		return Triple{}, &ParseError{Line: lineNo, Msg: msg}
 	}
-	if s.Kind == dict.KindLiteral {
-		return Triple{}, p.errf("subject must not be a literal")
+	var t [3]dict.Term
+	pos := 0
+	for i := range t {
+		pos = skipBlanks(line, pos)
+		if pos < len(line) && strings.IndexByte("<_\"", line[pos]) < 0 {
+			return fail(fmt.Sprintf("unexpected character %q", line[pos]))
+		}
+		lx, end, msg := Lex(line, pos)
+		switch {
+		case msg != "":
+			return fail(msg)
+		case lx.PName:
+			return fail("datatype must be an IRI")
+		case lx.Kind == dict.KindIRI && lx.Value == "":
+			return fail("empty IRI")
+		}
+		t[i], pos = lx.Term, end
 	}
-	p.skipWS()
-	pr, err := p.term()
-	if err != nil {
-		return Triple{}, err
+	if t[0].Kind == dict.KindLiteral {
+		return fail("subject must not be a literal")
 	}
-	if pr.Kind != dict.KindIRI {
-		return Triple{}, p.errf("predicate must be an IRI")
+	if t[1].Kind != dict.KindIRI {
+		return fail("predicate must be an IRI")
 	}
-	p.skipWS()
-	o, err := p.term()
-	if err != nil {
-		return Triple{}, err
+	pos = skipBlanks(line, pos)
+	if pos == len(line) || line[pos] != '.' {
+		return fail("expected terminating '.'")
 	}
-	p.skipWS()
-	if !p.consume('.') {
-		return Triple{}, p.errf("expected terminating '.'")
+	if rest := line[skipBlanks(line, pos+1):]; rest != "" && rest[0] != '#' {
+		return fail(fmt.Sprintf("trailing garbage %q", rest))
 	}
-	p.skipWS()
-	if !p.eof() && !strings.HasPrefix(p.rest(), "#") {
-		return Triple{}, p.errf("trailing garbage %q", p.rest())
-	}
-	return Triple{S: s, P: pr, O: o}, nil
+	return Triple{S: t[0], P: t[1], O: t[2]}, nil
 }
 
-type lineParser struct {
-	s    string
-	pos  int
-	line int
-}
-
-func (p *lineParser) errf(format string, args ...interface{}) error {
-	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *lineParser) eof() bool     { return p.pos >= len(p.s) }
-func (p *lineParser) rest() string  { return p.s[p.pos:] }
-func (p *lineParser) peek() byte    { return p.s[p.pos] }
-func (p *lineParser) advance() byte { c := p.s[p.pos]; p.pos++; return c }
-
-func (p *lineParser) consume(c byte) bool {
-	if !p.eof() && p.peek() == c {
-		p.pos++
-		return true
+func skipBlanks(s string, i int) int {
+	for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+		i++
 	}
-	return false
-}
-
-func (p *lineParser) skipWS() {
-	for !p.eof() && (p.peek() == ' ' || p.peek() == '\t') {
-		p.pos++
-	}
-}
-
-func (p *lineParser) term() (dict.Term, error) {
-	if p.eof() {
-		return dict.Term{}, p.errf("unexpected end of statement")
-	}
-	switch p.peek() {
-	case '<':
-		return p.iri()
-	case '_':
-		return p.blank()
-	case '"':
-		return p.literal()
-	default:
-		return dict.Term{}, p.errf("unexpected character %q", p.peek())
-	}
-}
-
-func (p *lineParser) iri() (dict.Term, error) {
-	p.pos++ // '<'
-	start := p.pos
-	for !p.eof() && p.peek() != '>' {
-		p.pos++
-	}
-	if p.eof() {
-		return dict.Term{}, p.errf("unterminated IRI")
-	}
-	raw := p.s[start:p.pos]
-	p.pos++ // '>'
-	iri, err := unescape(raw, p.line)
-	if err != nil {
-		return dict.Term{}, err
-	}
-	if iri == "" {
-		return dict.Term{}, p.errf("empty IRI")
-	}
-	return dict.IRI(iri), nil
-}
-
-func (p *lineParser) blank() (dict.Term, error) {
-	if p.pos+1 >= len(p.s) || p.s[p.pos+1] != ':' {
-		return dict.Term{}, p.errf("malformed blank node")
-	}
-	p.pos += 2
-	start := p.pos
-	for !p.eof() && isLabelChar(p.peek()) {
-		p.pos++
-	}
-	if p.pos == start {
-		return dict.Term{}, p.errf("empty blank node label")
-	}
-	return dict.Blank(p.s[start:p.pos]), nil
-}
-
-func isLabelChar(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-		c >= '0' && c <= '9' || c == '_' || c == '-' || c == '.'
-}
-
-func (p *lineParser) literal() (dict.Term, error) {
-	p.pos++ // '"'
-	var b strings.Builder
-	for {
-		if p.eof() {
-			return dict.Term{}, p.errf("unterminated literal")
-		}
-		c := p.advance()
-		if c == '"' {
-			break
-		}
-		if c == '\\' {
-			if p.eof() {
-				return dict.Term{}, p.errf("dangling escape")
-			}
-			e := p.advance()
-			switch e {
-			case 't':
-				b.WriteByte('\t')
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case 'b':
-				b.WriteByte('\b')
-			case 'f':
-				b.WriteByte('\f')
-			case '"', '\\', '\'':
-				b.WriteByte(e)
-			case 'u', 'U':
-				n := 4
-				if e == 'U' {
-					n = 8
-				}
-				if p.pos+n > len(p.s) {
-					return dict.Term{}, p.errf("truncated \\%c escape", e)
-				}
-				code, err := strconv.ParseUint(p.s[p.pos:p.pos+n], 16, 32)
-				if err != nil {
-					return dict.Term{}, p.errf("bad \\%c escape", e)
-				}
-				p.pos += n
-				b.WriteRune(rune(code))
-			default:
-				return dict.Term{}, p.errf("unknown escape \\%c", e)
-			}
-			continue
-		}
-		b.WriteByte(c)
-	}
-	lit := dict.Term{Kind: dict.KindLiteral, Value: b.String()}
-	if !p.eof() && p.peek() == '@' {
-		p.pos++
-		start := p.pos
-		for !p.eof() && (isLabelChar(p.peek()) && p.peek() != '.' || p.peek() == '-') {
-			p.pos++
-		}
-		if p.pos == start {
-			return dict.Term{}, p.errf("empty language tag")
-		}
-		lit.Lang = p.s[start:p.pos]
-		return lit, nil
-	}
-	if strings.HasPrefix(p.rest(), "^^") {
-		p.pos += 2
-		if p.eof() || p.peek() != '<' {
-			return dict.Term{}, p.errf("datatype must be an IRI")
-		}
-		dt, err := p.iri()
-		if err != nil {
-			return dict.Term{}, err
-		}
-		lit.Datatype = dt.Value
-	}
-	return lit, nil
-}
-
-func unescape(s string, line int) (string, error) {
-	if !strings.Contains(s, "\\") {
-		return s, nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] != '\\' {
-			b.WriteByte(s[i])
-			i++
-			continue
-		}
-		if i+1 >= len(s) {
-			return "", &ParseError{Line: line, Msg: "dangling escape in IRI"}
-		}
-		e := s[i+1]
-		n := 0
-		switch e {
-		case 'u':
-			n = 4
-		case 'U':
-			n = 8
-		default:
-			return "", &ParseError{Line: line, Msg: "invalid IRI escape"}
-		}
-		if i+2+n > len(s) {
-			return "", &ParseError{Line: line, Msg: "truncated IRI escape"}
-		}
-		code, err := strconv.ParseUint(s[i+2:i+2+n], 16, 32)
-		if err != nil {
-			return "", &ParseError{Line: line, Msg: "bad IRI escape"}
-		}
-		b.WriteRune(rune(code))
-		i += 2 + n
-	}
-	return b.String(), nil
+	return i
 }
 
 // Writer serializes triples as N-Triples.

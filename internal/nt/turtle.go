@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"unicode"
 
 	"srdf/internal/dict"
 )
@@ -25,14 +24,13 @@ func ParseTurtle(r io.Reader) ([]Triple, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &turtleParser{src: string(data), line: 1, prefixes: map[string]string{}}
+	p := &turtleParser{src: string(data), prefixes: map[string]string{}}
 	return p.parse()
 }
 
 type turtleParser struct {
 	src      string
 	pos      int
-	line     int
 	prefixes map[string]string
 	base     string
 	bnodeSeq int
@@ -43,40 +41,29 @@ type turtleParser struct {
 }
 
 func (p *turtleParser) errf(format string, args ...interface{}) error {
-	// 1-based column, derived from the position rather than tracked:
-	// every byte before pos has been consumed, so the last newline
-	// before it starts the current line.
+	// line and 1-based column, derived from the position rather than
+	// tracked: the last newline before pos starts the current line.
+	line := 1 + strings.Count(p.src[:p.pos], "\n")
 	col := p.pos - strings.LastIndexByte(p.src[:p.pos], '\n')
-	return &ParseError{Line: p.line, Col: col, Msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *turtleParser) eof() bool { return p.pos >= len(p.src) }
 
 func (p *turtleParser) peek() byte { return p.src[p.pos] }
 
-func (p *turtleParser) advance() byte {
-	c := p.src[p.pos]
-	p.pos++
-	if c == '\n' {
-		p.line++
-	}
-	return c
-}
-
 func (p *turtleParser) skipWS() {
 	for !p.eof() {
-		c := p.peek()
-		if c == '#' {
+		switch p.peek() {
+		case '#':
 			for !p.eof() && p.peek() != '\n' {
 				p.pos++
 			}
-			continue
+		case ' ', '\t', '\r', '\n':
+			p.pos++
+		default:
+			return
 		}
-		if c == ' ' || c == '\t' || c == '\r' || c == '\n' {
-			p.advance()
-			continue
-		}
-		return
 	}
 }
 
@@ -97,7 +84,9 @@ func (p *turtleParser) statement() error {
 		return p.prefixDecl()
 	}
 	if p.matchKeyword("@base") || p.matchKeyword("BASE") {
-		return p.baseDecl()
+		iri, err := p.directiveIRI("@base")
+		p.base = iri
+		return err
 	}
 	subj, propList, err := p.subject()
 	if err != nil {
@@ -115,7 +104,7 @@ func (p *turtleParser) statement() error {
 	if p.eof() || p.peek() != '.' {
 		return p.errf("expected '.' after statement")
 	}
-	p.advance()
+	p.pos++
 	return nil
 }
 
@@ -129,46 +118,33 @@ func (p *turtleParser) matchKeyword(kw string) bool {
 
 func (p *turtleParser) prefixDecl() error {
 	p.skipWS()
-	start := p.pos
-	for !p.eof() && p.peek() != ':' {
-		p.advance()
-	}
-	if p.eof() {
+	lx, end, msg := Lex(p.src, p.pos)
+	if msg != "" || !lx.PName || lx.Value != "" {
 		return p.errf("malformed @prefix")
 	}
-	name := strings.TrimSpace(p.src[start:p.pos])
-	p.advance() // ':'
-	p.skipWS()
-	if p.eof() || p.peek() != '<' {
-		return p.errf("@prefix expects an IRI")
-	}
-	iri, err := p.iriRef()
-	if err != nil {
-		return err
-	}
-	p.prefixes[name] = iri
-	p.skipWS()
-	if !p.eof() && p.peek() == '.' {
-		p.advance()
-	}
-	return nil
+	p.pos = end
+	iri, err := p.directiveIRI("@prefix")
+	p.prefixes[lx.Prefix] = iri
+	return err
 }
 
-func (p *turtleParser) baseDecl() error {
+// directiveIRI reads the IRI that ends a @prefix or @base directive,
+// verbatim, and the directive's optional '.'.
+func (p *turtleParser) directiveIRI(directive string) (string, error) {
 	p.skipWS()
 	if p.eof() || p.peek() != '<' {
-		return p.errf("@base expects an IRI")
+		return "", p.errf("%s expects an IRI", directive)
 	}
-	iri, err := p.iriRef()
-	if err != nil {
-		return err
+	lx, end, msg := Lex(p.src, p.pos)
+	p.pos = end
+	if msg != "" {
+		return "", p.errf("%s", msg)
 	}
-	p.base = iri
 	p.skipWS()
 	if !p.eof() && p.peek() == '.' {
-		p.advance()
+		p.pos++
 	}
-	return nil
+	return lx.Value, nil
 }
 
 // subject parses the statement subject. The second result reports a
@@ -176,41 +152,27 @@ func (p *turtleParser) baseDecl() error {
 // already emitted — such a subject may end the statement on its own.
 func (p *turtleParser) subject() (dict.Term, bool, error) {
 	p.skipWS()
-	if p.eof() {
-		return dict.Term{}, false, p.errf("expected subject")
-	}
-	switch p.peek() {
-	case '<':
-		iri, err := p.iriRef()
-		if err != nil {
-			return dict.Term{}, false, err
-		}
-		return dict.IRI(p.resolve(iri)), false, nil
-	case '_':
-		term, err := p.blankNode()
-		return term, false, err
-	case '[':
+	if !p.eof() && p.peek() == '[' {
 		term, anon, err := p.bnodePropertyList()
 		return term, err == nil && !anon, err
-	default:
-		iri, err := p.prefixedName()
-		if err != nil {
-			return dict.Term{}, false, err
-		}
-		return dict.IRI(iri), false, nil
 	}
+	t, err := p.term()
+	if err == nil && t.Kind == dict.KindLiteral {
+		err = p.errf("subject must not be a literal")
+	}
+	return t, false, err
 }
 
 // bnodePropertyList parses `[]` or a one-level `[ p o ; ... ]` at the
 // current '[', minting a fresh blank node; for the non-empty form the
 // inner triples are appended to the output. anon reports the bare `[]`.
 func (p *turtleParser) bnodePropertyList() (term dict.Term, anon bool, err error) {
-	p.advance() // '['
+	p.pos++ // '['
 	p.skipWS()
 	p.bnodeSeq++
 	bn := dict.Blank(fmt.Sprintf("anon%d", p.bnodeSeq))
 	if !p.eof() && p.peek() == ']' {
-		p.advance()
+		p.pos++
 		return bn, true, nil
 	}
 	if p.bnodeDepth >= 1 {
@@ -226,7 +188,7 @@ func (p *turtleParser) bnodePropertyList() (term dict.Term, anon bool, err error
 	if p.eof() || p.peek() != ']' {
 		return dict.Term{}, false, p.errf("expected ']' closing blank node property list")
 	}
-	p.advance()
+	p.pos++
 	return bn, false, nil
 }
 
@@ -246,7 +208,7 @@ func (p *turtleParser) predicateObjectList(subj dict.Term) error {
 			p.out = append(p.out, Triple{S: subj, P: pred, O: obj})
 			p.skipWS()
 			if !p.eof() && p.peek() == ',' {
-				p.advance()
+				p.pos++
 				continue
 			}
 			break
@@ -257,7 +219,7 @@ func (p *turtleParser) predicateObjectList(subj dict.Term) error {
 			// tolerated and a trailing one before '.' or ']' ends the
 			// list instead of demanding another predicate.
 			for !p.eof() && p.peek() == ';' {
-				p.advance()
+				p.pos++
 				p.skipWS()
 			}
 			if p.eof() || p.peek() == '.' || p.peek() == ']' {
@@ -270,89 +232,42 @@ func (p *turtleParser) predicateObjectList(subj dict.Term) error {
 }
 
 func (p *turtleParser) predicate() (dict.Term, error) {
-	if p.eof() {
-		return dict.Term{}, p.errf("expected predicate")
+	if strings.HasPrefix(p.src[p.pos:], "a") && p.pos+1 < len(p.src) && strings.IndexByte(" \t\n\r", p.src[p.pos+1]) >= 0 {
+		p.pos++
+		return dict.IRI(dict.RDFType), nil
 	}
-	if p.peek() == 'a' {
-		// `a` only if followed by whitespace
-		if p.pos+1 < len(p.src) {
-			nxt := p.src[p.pos+1]
-			if nxt == ' ' || nxt == '\t' || nxt == '\n' || nxt == '\r' {
-				p.advance()
-				return dict.IRI(dict.RDFType), nil
-			}
-		}
+	t, err := p.term()
+	if err == nil && t.Kind != dict.KindIRI {
+		err = p.errf("predicate must be an IRI")
 	}
-	if p.peek() == '<' {
-		iri, err := p.iriRef()
-		if err != nil {
-			return dict.Term{}, err
-		}
-		return dict.IRI(p.resolve(iri)), nil
-	}
-	iri, err := p.prefixedName()
-	if err != nil {
-		return dict.Term{}, err
-	}
-	return dict.IRI(iri), nil
+	return t, err
 }
 
 func (p *turtleParser) object() (dict.Term, error) {
-	if p.eof() {
-		return dict.Term{}, p.errf("expected object")
-	}
-	c := p.peek()
-	switch {
-	case c == '<':
-		iri, err := p.iriRef()
-		if err != nil {
-			return dict.Term{}, err
-		}
-		return dict.IRI(p.resolve(iri)), nil
-	case c == '_':
-		return p.blankNode()
-	case c == '"' || c == '\'':
-		return p.turtleLiteral()
-	case c == '[':
+	if !p.eof() && p.peek() == '[' {
 		term, _, err := p.bnodePropertyList()
 		return term, err
-	case c == '+' || c == '-' || c >= '0' && c <= '9':
-		return p.numericLiteral()
-	case strings.HasPrefix(p.src[p.pos:], "true") && p.boundaryAt(p.pos+4):
-		p.pos += 4
-		return dict.TypedLit("true", dict.XSDBool), nil
-	case strings.HasPrefix(p.src[p.pos:], "false") && p.boundaryAt(p.pos+5):
-		p.pos += 5
-		return dict.TypedLit("false", dict.XSDBool), nil
-	default:
-		iri, err := p.prefixedName()
-		if err != nil {
-			return dict.Term{}, err
-		}
-		return dict.IRI(iri), nil
 	}
+	return p.term()
 }
 
-func (p *turtleParser) boundaryAt(i int) bool {
-	if i >= len(p.src) {
-		return true
+// term lexes the term at the current position, expands a prefixed name
+// and resolves a relative IRI against @base.
+func (p *turtleParser) term() (dict.Term, error) {
+	lx, end, msg := Lex(p.src, p.pos)
+	if msg != "" {
+		p.pos = end
+		return dict.Term{}, p.errf("%s", msg)
 	}
-	c := p.src[i]
-	return !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_')
-}
-
-func (p *turtleParser) iriRef() (string, error) {
-	p.advance() // '<'
-	start := p.pos
-	for !p.eof() && p.peek() != '>' {
-		p.advance()
+	t, ok := lx.Resolve(p.prefixes)
+	if !ok {
+		return dict.Term{}, p.errf("undefined prefix %q", lx.Prefix)
 	}
-	if p.eof() {
-		return "", p.errf("unterminated IRI")
+	p.pos = end
+	if t.Kind == dict.KindIRI && !lx.PName {
+		t.Value = p.resolve(t.Value)
 	}
-	raw := p.src[start:p.pos]
-	p.advance() // '>'
-	return unescape(raw, p.line)
+	return t, nil
 }
 
 func (p *turtleParser) resolve(iri string) string {
@@ -360,143 +275,4 @@ func (p *turtleParser) resolve(iri string) string {
 		return p.base + iri
 	}
 	return iri
-}
-
-func (p *turtleParser) blankNode() (dict.Term, error) {
-	if p.pos+1 >= len(p.src) || p.src[p.pos+1] != ':' {
-		return dict.Term{}, p.errf("malformed blank node")
-	}
-	p.pos += 2
-	start := p.pos
-	for !p.eof() && isLabelChar(p.peek()) {
-		p.advance()
-	}
-	if p.pos == start {
-		return dict.Term{}, p.errf("empty blank node label")
-	}
-	return dict.Blank(p.src[start:p.pos]), nil
-}
-
-func (p *turtleParser) prefixedName() (string, error) {
-	start := p.pos
-	for !p.eof() && (isPNChar(rune(p.peek())) || p.peek() == ':') {
-		if p.peek() == ':' {
-			prefix := p.src[start:p.pos]
-			ns, ok := p.prefixes[prefix]
-			if !ok {
-				return "", p.errf("undefined prefix %q", prefix)
-			}
-			p.advance()
-			lstart := p.pos
-			for !p.eof() && isPNChar(rune(p.peek())) {
-				p.advance()
-			}
-			return ns + p.src[lstart:p.pos], nil
-		}
-		p.advance()
-	}
-	return "", p.errf("expected term, got %q", p.src[start:min(p.pos+8, len(p.src))])
-}
-
-func isPNChar(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '.'
-}
-
-func (p *turtleParser) turtleLiteral() (dict.Term, error) {
-	quote := p.advance()
-	var b strings.Builder
-	for {
-		if p.eof() {
-			return dict.Term{}, p.errf("unterminated literal")
-		}
-		c := p.advance()
-		if c == quote {
-			break
-		}
-		if c == '\\' {
-			if p.eof() {
-				return dict.Term{}, p.errf("dangling escape")
-			}
-			switch e := p.advance(); e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"', '\'', '\\':
-				b.WriteByte(e)
-			default:
-				return dict.Term{}, p.errf("unknown escape \\%c", e)
-			}
-			continue
-		}
-		b.WriteByte(c)
-	}
-	lit := dict.Term{Kind: dict.KindLiteral, Value: b.String()}
-	if !p.eof() && p.peek() == '@' {
-		p.advance()
-		start := p.pos
-		for !p.eof() && (isLabelChar(p.peek()) || p.peek() == '-') {
-			p.advance()
-		}
-		lit.Lang = p.src[start:p.pos]
-		return lit, nil
-	}
-	if strings.HasPrefix(p.src[p.pos:], "^^") {
-		p.pos += 2
-		if !p.eof() && p.peek() == '<' {
-			dt, err := p.iriRef()
-			if err != nil {
-				return dict.Term{}, err
-			}
-			lit.Datatype = dt
-		} else {
-			dt, err := p.prefixedName()
-			if err != nil {
-				return dict.Term{}, err
-			}
-			lit.Datatype = dt
-		}
-	}
-	return lit, nil
-}
-
-func (p *turtleParser) numericLiteral() (dict.Term, error) {
-	start := p.pos
-	if p.peek() == '+' || p.peek() == '-' {
-		p.advance()
-	}
-	dot := false
-	for !p.eof() {
-		c := p.peek()
-		if c >= '0' && c <= '9' {
-			p.advance()
-			continue
-		}
-		if c == '.' && !dot {
-			// '.' terminates the statement unless followed by a digit
-			if p.pos+1 < len(p.src) && p.src[p.pos+1] >= '0' && p.src[p.pos+1] <= '9' {
-				dot = true
-				p.advance()
-				continue
-			}
-		}
-		break
-	}
-	lex := p.src[start:p.pos]
-	if lex == "" || lex == "+" || lex == "-" {
-		return dict.Term{}, p.errf("malformed number")
-	}
-	if dot {
-		return dict.TypedLit(lex, dict.XSDDec), nil
-	}
-	return dict.TypedLit(lex, dict.XSDInt), nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

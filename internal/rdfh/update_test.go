@@ -1,7 +1,11 @@
 package rdfh
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -108,4 +112,85 @@ func TestQ6PushdownSurvivesWrites(t *testing.T) {
 	check("compacted")
 	cycle(2)
 	check("compacted+delta")
+}
+
+var (
+	joinRe  = regexp.MustCompile(`(?m)^\s*(RDFjoin \?\w+|MergeJoin \?\w+|HashJoin on \[[^\]]*\])`)
+	sdColRe = regexp.MustCompile(`(?m)^\s+col p=\S+ \?sd in\[\S+\] enc=(\S+) zsel=([\d.]+) skip=(\d+)$`)
+	encRe   = regexp.MustCompile(`×(\d+)`)
+	deltaRe = regexp.MustCompile(`RDFscan \?li .* delta=(\d+)`)
+)
+
+// TestLayoutAcrossStorageStates pins, in the sealed state, with about
+// 10% new orders in the delta, and after Compact, which join operator
+// Q3 and Q5 use at each join (preorder) and how many lineitem blocks
+// Q6's scan reads: the blocks its ?sd zone maps admit, of all blocks,
+// plus the delta rows it scans whole. The numbers record today's
+// layout — a write or Compact turns Q3's MergeJoin on ?o into a
+// HashJoin until the next Organize — so a change to the layout after
+// writes must restate every one it moves.
+func TestLayoutAcrossStorageStates(t *testing.T) {
+	d := testData()
+	opts := core.DefaultOptions()
+	opts.CS.MinSupport = 5
+	opts.CompactThreshold = -1
+	st := core.NewStore(opts)
+	d.Emit(func(tr nt.Triple) { st.Add(tr) })
+	if _, err := st.Organize(); err != nil {
+		t.Fatal(err)
+	}
+	q5Joins := "HashJoin on [?o ?s], HashJoin on [?c], HashJoin on [?n], MergeJoin ?r, MergeJoin ?n"
+	want := []struct{ state, q3, q5, q6 string }{
+		{"sealed", "MergeJoin ?c, MergeJoin ?o", q5Joins, "3/12 blocks"},
+		{"delta", "HashJoin on [?o], MergeJoin ?c", q5Joins, "3/12 blocks + 1173 delta rows"},
+		{"compacted", "HashJoin on [?o], MergeJoin ?c", q5Joins, "5/13 blocks"},
+	}
+	qo := core.QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true}
+	analyze := func(q string) string {
+		t.Helper()
+		ex, err := st.ExplainAnalyze(context.Background(), q, qo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex
+	}
+	for _, w := range want {
+		switch w.state {
+		case "delta":
+			orders, lis := newOrders(9, len(d.Orders)/10, 1_000_000)
+			(&Data{Orders: orders, Lineitems: lis}).Emit(func(tr nt.Triple) { st.Add(tr) })
+		case "compacted":
+			if _, err := st.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct{ name, q, want string }{{"Q3", Q3(), w.q3}, {"Q5", Q5(), w.q5}} {
+			ex := analyze(c.q)
+			var joins []string
+			for _, m := range joinRe.FindAllStringSubmatch(ex, -1) {
+				joins = append(joins, m[1])
+			}
+			if got := strings.Join(joins, ", "); got != c.want {
+				t.Errorf("%s %s joins: %s, want %s\n%s", w.state, c.name, got, c.want, ex)
+			}
+		}
+		ex := analyze(Q6())
+		m := sdColRe.FindStringSubmatch(ex)
+		if m == nil {
+			t.Fatalf("%s: no ?sd column line in Q6's scan:\n%s", w.state, ex)
+		}
+		blocks := 0
+		for _, n := range encRe.FindAllStringSubmatch(m[1], -1) {
+			k, _ := strconv.Atoi(n[1])
+			blocks += k
+		}
+		zsel, _ := strconv.ParseFloat(m[2], 64)
+		got := fmt.Sprintf("%d/%d blocks", int(math.Round(zsel*float64(blocks))), blocks)
+		if dm := deltaRe.FindStringSubmatch(ex); dm != nil {
+			got += " + " + dm[1] + " delta rows"
+		}
+		if got != w.q6 {
+			t.Errorf("%s Q6 reads %s, want %s\n%s", w.state, got, w.q6, ex)
+		}
+	}
 }

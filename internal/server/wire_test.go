@@ -71,7 +71,7 @@ func csvFieldRef(t dict.Term) string {
 func ntermRef(t dict.Term) string {
 	switch t.Kind {
 	case dict.KindIRI:
-		return "<" + t.Value + ">"
+		return "<" + iriRef(t.Value) + ">"
 	case dict.KindBlank:
 		return "_:" + t.Value
 	}
@@ -101,7 +101,21 @@ func ntermRef(t dict.Term) string {
 	if t.Lang != "" {
 		b.WriteString("@" + t.Lang)
 	} else if t.Datatype != "" && t.Datatype != dict.XSDString {
-		b.WriteString("^^<" + t.Datatype + ">")
+		b.WriteString("^^<" + iriRef(t.Datatype) + ">")
+	}
+	return b.String()
+}
+
+// iriRef writes each byte IRIREF forbids — <>"{}|^`\, space and the C0
+// controls — as \u00XX.
+func iriRef(iri string) string {
+	var b strings.Builder
+	for i := 0; i < len(iri); i++ {
+		if c := iri[i]; c <= 0x20 || strings.IndexByte("<>\"{}|^`\\", c) >= 0 {
+			fmt.Fprintf(&b, "\\u%04X", c)
+		} else {
+			b.WriteByte(c)
+		}
 	}
 	return b.String()
 }

@@ -3,28 +3,29 @@ package sparql
 import (
 	"fmt"
 	"strings"
+
+	"srdf/internal/dict"
+	"srdf/internal/nt"
 )
 
 type tokKind uint8
 
 const (
-	tEOF    tokKind = iota
-	tIRI            // <...>
-	tPName          // prefix:local or prefix:
-	tVar            // ?x or $x
-	tString         // "..." with optional ^^<dt> / ^^pn / @lang folded in
-	tNumber
-	tKeyword // SELECT, WHERE, ... (upper-cased)
-	tPunct   // { } ( ) . ; , * = != < <= > >= && || ! + - /
-	tA       // the keyword 'a' (rdf:type)
+	tEOF     tokKind = iota
+	tTerm            // an RDF term: IRI, prefixed name, literal or number
+	tVar             // ?x or $x
+	tKeyword         // SELECT, WHERE, ... (upper-cased)
+	tPunct           // { } ( ) . ; , * = != < <= > >= && || ! + - /
+	tA               // the keyword 'a' (rdf:type)
 )
 
 type token struct {
 	kind tokKind
+	// text is the keyword, punctuation or variable name; for a term,
+	// its source text
 	text string
-	// literal parts for tString
-	datatype, lang string
-	line           int
+	term nt.Lexeme // tTerm
+	line int
 }
 
 func (t token) String() string {
@@ -44,31 +45,31 @@ var keywords = map[string]bool{
 	"PREFIX": true, "BASE": true, "GROUP": true, "BY": true, "ORDER": true,
 	"ASC": true, "DESC": true, "LIMIT": true, "OFFSET": true, "AS": true,
 	"SUM": true, "COUNT": true, "AVG": true, "MIN": true, "MAX": true,
-	"TRUE": true, "FALSE": true, "OPTIONAL": true, "UNION": true,
+	"OPTIONAL": true, "UNION": true,
 }
 
+// lexer hands the parser one token at a time.
 type lexer struct {
 	src  string
 	pos  int
 	line int
-	toks []token
+	err  error // the first lexical error; the tokens end with it
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
-	for {
-		l.skipWS()
-		if l.pos >= len(l.src) {
-			l.emit(token{kind: tEOF, line: l.line})
-			return l.toks, nil
-		}
-		if err := l.next(); err != nil {
-			return nil, err
-		}
+// token returns the next token: tEOF at the end of the input and after
+// a lexical error, which err then holds.
+func (l *lexer) token() token {
+	l.skipWS()
+	if l.err != nil || l.pos >= len(l.src) {
+		return token{kind: tEOF, line: l.line}
 	}
+	t, err := l.next()
+	if err != nil {
+		l.err = err
+		return token{kind: tEOF, line: l.line}
+	}
+	return t
 }
-
-func (l *lexer) emit(t token) { l.toks = append(l.toks, t) }
 
 func (l *lexer) errf(format string, args ...interface{}) error {
 	return &ParseError{Line: l.line, Msg: fmt.Sprintf(format, args...)}
@@ -76,265 +77,119 @@ func (l *lexer) errf(format string, args ...interface{}) error {
 
 func (l *lexer) skipWS() {
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '#' {
+		switch l.src[l.pos] {
+		case '#':
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
-			continue
-		}
-		if c == '\n' {
+		case '\n':
 			l.line++
 			l.pos++
-			continue
-		}
-		if c == ' ' || c == '\t' || c == '\r' {
+		case ' ', '\t', '\r':
 			l.pos++
-			continue
+		default:
+			return
 		}
-		return
 	}
 }
 
-func (l *lexer) next() error {
+// punct returns the punctuation token of the n bytes at the position.
+func (l *lexer) punct(n int) (token, error) {
+	t := token{kind: tPunct, text: l.src[l.pos : l.pos+n], line: l.line}
+	l.pos += n
+	return t, nil
+}
+
+func (l *lexer) next() (token, error) {
 	c := l.src[l.pos]
+	two := l.pos+1 < len(l.src) && l.src[l.pos+1] == '='
 	switch {
-	case c == '<':
-		return l.iri()
+	case c == '<' && !iriAhead(l.src, l.pos):
+		// the less-than operator: an IRI ref has no whitespace before
+		// its closing '>'
+		if two {
+			return l.punct(2)
+		}
+		return l.punct(1)
+	case c == '!' || c == '>':
+		if two {
+			return l.punct(2)
+		}
+		return l.punct(1)
 	case c == '?' || c == '$':
 		return l.variable()
-	case c == '"' || c == '\'':
-		return l.str(c)
-	case c >= '0' && c <= '9':
-		return l.number(false)
-	case c == '{' || c == '}' || c == '(' || c == ')' || c == '.' || c == ';' ||
-		c == ',' || c == '*' || c == '=' || c == '+' || c == '/':
-		l.pos++
-		l.emit(token{kind: tPunct, text: string(c), line: l.line})
-		return nil
-	case c == '-':
-		// negative number literal or minus operator; the parser
-		// disambiguates, so always emit the operator and let unary
-		// minus handle negatives.
-		l.pos++
-		l.emit(token{kind: tPunct, text: "-", line: l.line})
-		return nil
-	case c == '!':
-		l.pos++
-		if l.pos < len(l.src) && l.src[l.pos] == '=' {
-			l.pos++
-			l.emit(token{kind: tPunct, text: "!=", line: l.line})
-		} else {
-			l.emit(token{kind: tPunct, text: "!", line: l.line})
+	case strings.IndexByte("{}().;,*=+-/", c) >= 0:
+		// '-' is always the operator: unary minus makes negative numbers
+		return l.punct(1)
+	case c == '&' || c == '|':
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == c {
+			return l.punct(2)
 		}
-		return nil
-	case c == '>':
-		l.pos++
-		if l.pos < len(l.src) && l.src[l.pos] == '=' {
-			l.pos++
-			l.emit(token{kind: tPunct, text: ">=", line: l.line})
-		} else {
-			l.emit(token{kind: tPunct, text: ">", line: l.line})
-		}
-		return nil
-	case c == '&':
-		if strings.HasPrefix(l.src[l.pos:], "&&") {
-			l.pos += 2
-			l.emit(token{kind: tPunct, text: "&&", line: l.line})
-			return nil
-		}
-		return l.errf("unexpected '&'")
-	case c == '|':
-		if strings.HasPrefix(l.src[l.pos:], "||") {
-			l.pos += 2
-			l.emit(token{kind: tPunct, text: "||", line: l.line})
-			return nil
-		}
-		return l.errf("unexpected '|'")
-	default:
-		return l.word()
+		return token{}, l.errf("unexpected %q", c)
 	}
+	lx, end, msg := nt.Lex(l.src, l.pos)
+	if msg == "" {
+		t := token{kind: tTerm, text: l.src[l.pos:end], term: lx, line: l.line}
+		l.line += strings.Count(t.text, "\n")
+		l.pos = end
+		return t, nil
+	}
+	if c == '<' || c == '"' || c == '\'' || c == '_' {
+		return token{}, l.errf("%s", msg)
+	}
+	return l.word()
 }
 
-func (l *lexer) iri() error {
-	// '<' may open an IRI or be the less-than operator: an IRI ref has
-	// no whitespace before the closing '>'.
-	start := l.pos + 1
-	i := start
-	for i < len(l.src) && l.src[i] != '>' && l.src[i] != ' ' && l.src[i] != '\n' && l.src[i] != '\t' {
-		i++
+// iriAhead reports whether the '<' at src[pos] opens an IRI ref rather
+// than a comparison: a '>' comes before any whitespace.
+func iriAhead(src string, pos int) bool {
+	for i := pos + 1; i < len(src); i++ {
+		switch src[i] {
+		case '>':
+			return true
+		case ' ', '\n', '\t':
+			return false
+		}
 	}
-	if i < len(l.src) && l.src[i] == '>' {
-		l.emit(token{kind: tIRI, text: l.src[start:i], line: l.line})
-		l.pos = i + 1
-		return nil
-	}
-	// operator '<' or '<='
-	l.pos++
-	if l.pos < len(l.src) && l.src[l.pos] == '=' {
-		l.pos++
-		l.emit(token{kind: tPunct, text: "<=", line: l.line})
-	} else {
-		l.emit(token{kind: tPunct, text: "<", line: l.line})
-	}
-	return nil
+	return false
 }
 
-func (l *lexer) variable() error {
+func (l *lexer) variable() (token, error) {
 	l.pos++
 	start := l.pos
 	for l.pos < len(l.src) && isNameChar(l.src[l.pos]) {
 		l.pos++
 	}
 	if l.pos == start {
-		return l.errf("empty variable name")
+		return token{}, l.errf("empty variable name")
 	}
-	l.emit(token{kind: tVar, text: l.src[start:l.pos], line: l.line})
-	return nil
+	return token{kind: tVar, text: l.src[start:l.pos], line: l.line}, nil
 }
 
 func isNameChar(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
 }
 
-func (l *lexer) str(quote byte) error {
-	l.pos++
-	var b strings.Builder
-	for {
-		if l.pos >= len(l.src) {
-			return l.errf("unterminated string")
-		}
-		c := l.src[l.pos]
-		l.pos++
-		if c == quote {
-			break
-		}
-		if c == '\\' {
-			if l.pos >= len(l.src) {
-				return l.errf("dangling escape")
-			}
-			e := l.src[l.pos]
-			l.pos++
-			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"', '\'', '\\':
-				b.WriteByte(e)
-			default:
-				return l.errf("unknown escape \\%c", e)
-			}
-			continue
-		}
-		if c == '\n' {
-			l.line++
-		}
-		b.WriteByte(c)
-	}
-	tok := token{kind: tString, text: b.String(), line: l.line}
-	if l.pos < len(l.src) && l.src[l.pos] == '@' {
-		l.pos++
-		start := l.pos
-		for l.pos < len(l.src) && (isNameChar(l.src[l.pos]) || l.src[l.pos] == '-') {
-			l.pos++
-		}
-		tok.lang = l.src[start:l.pos]
-	} else if strings.HasPrefix(l.src[l.pos:], "^^") {
-		l.pos += 2
-		if l.pos < len(l.src) && l.src[l.pos] == '<' {
-			l.pos++
-			start := l.pos
-			for l.pos < len(l.src) && l.src[l.pos] != '>' {
-				l.pos++
-			}
-			if l.pos >= len(l.src) {
-				return l.errf("unterminated datatype IRI")
-			}
-			tok.datatype = l.src[start:l.pos]
-			l.pos++
-		} else {
-			start := l.pos
-			for l.pos < len(l.src) && (isNameChar(l.src[l.pos]) || l.src[l.pos] == ':' || l.src[l.pos] == '.') {
-				l.pos++
-			}
-			tok.datatype = "pn:" + l.src[start:l.pos] // resolved by parser
-		}
-	}
-	l.emit(tok)
-	return nil
-}
-
-func (l *lexer) number(neg bool) error {
+// word reads a keyword or 'a'. Keywords match case-insensitively, so
+// TRUE and FALSE are the boolean literals too.
+func (l *lexer) word() (token, error) {
 	start := l.pos
-	dot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c >= '0' && c <= '9' {
-			l.pos++
-			continue
-		}
-		if c == '.' && !dot && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9' {
-			dot = true
-			l.pos++
-			continue
-		}
-		if (c == 'e' || c == 'E') && l.pos+1 < len(l.src) {
-			nxt := l.src[l.pos+1]
-			if nxt >= '0' && nxt <= '9' || nxt == '-' || nxt == '+' {
-				dot = true
-				l.pos += 2
-				continue
-			}
-		}
-		break
-	}
-	text := l.src[start:l.pos]
-	if neg {
-		text = "-" + text
-	}
-	l.emit(token{kind: tNumber, text: text, line: l.line})
-	return nil
-}
-
-func (l *lexer) word() error {
-	start := l.pos
-	for l.pos < len(l.src) && (isNameChar(l.src[l.pos]) || l.src[l.pos] == '-' || l.src[l.pos] == '.') {
+	for l.pos < len(l.src) && isNameChar(l.src[l.pos]) {
 		l.pos++
-	}
-	if l.pos < len(l.src) && l.src[l.pos] == ':' {
-		// prefixed name: word ':' local
-		l.pos++
-		lstart := l.pos
-		for l.pos < len(l.src) && (isNameChar(l.src[l.pos]) || l.src[l.pos] == '-' || l.src[l.pos] == '.') {
-			l.pos++
-		}
-		// trailing '.' is a statement terminator, not part of the name
-		for l.pos > lstart && l.src[l.pos-1] == '.' {
-			l.pos--
-		}
-		l.emit(token{kind: tPName, text: l.src[start:l.pos], line: l.line})
-		return nil
 	}
 	word := l.src[start:l.pos]
-	// strip trailing dots (statement terminators glued to the word)
-	trimmed := strings.TrimRight(word, ".")
-	ndots := len(word) - len(trimmed)
-	l.pos -= ndots
-	word = trimmed
 	if word == "" {
-		return l.errf("unexpected character %q", l.src[start])
+		return token{}, l.errf("unexpected character %q", l.src[start])
 	}
 	if word == "a" {
-		l.emit(token{kind: tA, text: "a", line: l.line})
-		return nil
+		return token{kind: tA, text: "a", line: l.line}, nil
 	}
-	up := strings.ToUpper(word)
-	if keywords[up] {
-		l.emit(token{kind: tKeyword, text: up, line: l.line})
-		return nil
+	switch up := strings.ToUpper(word); {
+	case up == "TRUE" || up == "FALSE":
+		lit := nt.Lexeme{Term: dict.TypedLit(strings.ToLower(word), dict.XSDBool)}
+		return token{kind: tTerm, text: word, term: lit, line: l.line}, nil
+	case keywords[up]:
+		return token{kind: tKeyword, text: up, line: l.line}, nil
 	}
-	return l.errf("unknown token %q", word)
+	return token{}, l.errf("unknown token %q", word)
 }

@@ -3,37 +3,38 @@ package sparql
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"srdf/internal/dict"
 )
 
 // Parse parses one SELECT query.
 func Parse(src string) (*Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: lexer{src: src, line: 1}, q: &Query{Prefixes: map[string]string{}, Limit: -1, Offset: -1}}
+	p.tok = p.lx.token()
+	err := p.query()
+	if p.lx.err != nil {
+		return nil, p.lx.err
 	}
-	p := &parser{toks: toks, q: &Query{Prefixes: map[string]string{}, Limit: -1, Offset: -1}}
-	if err := p.query(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return p.q, nil
 }
 
 type parser struct {
-	toks []token
-	pos  int
-	q    *Query
+	lx  lexer
+	tok token // the current token
+	q   *Query
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func (p *parser) cur() token { return p.tok }
 
+// advance returns the current token and moves to the next; it stays on
+// tEOF.
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.kind != tEOF {
+		p.tok = p.lx.token()
 	}
 	return t
 }
@@ -43,32 +44,24 @@ func (p *parser) errf(format string, args ...interface{}) error {
 }
 
 func (p *parser) expectKeyword(kw string) error {
-	t := p.cur()
-	if t.kind != tKeyword || t.text != kw {
-		return p.errf("expected %s, got %s", kw, t)
+	if !p.isKeyword(kw) {
+		return p.errf("expected %s, got %s", kw, p.tok)
 	}
 	p.advance()
 	return nil
 }
 
 func (p *parser) expectPunct(s string) error {
-	t := p.cur()
-	if t.kind != tPunct || t.text != s {
-		return p.errf("expected %q, got %s", s, t)
+	if !p.isPunct(s) {
+		return p.errf("expected %q, got %s", s, p.tok)
 	}
 	p.advance()
 	return nil
 }
 
-func (p *parser) isPunct(s string) bool {
-	t := p.cur()
-	return t.kind == tPunct && t.text == s
-}
+func (p *parser) isPunct(s string) bool { return p.tok.kind == tPunct && p.tok.text == s }
 
-func (p *parser) isKeyword(kw string) bool {
-	t := p.cur()
-	return t.kind == tKeyword && t.text == kw
-}
+func (p *parser) isKeyword(kw string) bool { return p.tok.kind == tKeyword && p.tok.text == kw }
 
 func (p *parser) query() error {
 	for p.isKeyword("PREFIX") {
@@ -103,23 +96,16 @@ func (p *parser) query() error {
 }
 
 func (p *parser) prefixDecl() error {
-	t := p.cur()
-	if t.kind != tPName || !strings.HasSuffix(t.text, ":") {
-		// PNAME with empty local part arrives as "prefix:"
-		if t.kind != tPName {
-			return p.errf("expected prefix name, got %s", t)
-		}
-	}
-	name := strings.TrimSuffix(p.advance().text, ":")
-	if i := strings.Index(name, ":"); i >= 0 {
-		name = name[:i]
+	t := p.advance()
+	if t.kind != tTerm || !t.term.PName || t.term.Value != "" {
+		return p.errf("expected prefix name, got %s", t)
 	}
 	iri := p.cur()
-	if iri.kind != tIRI {
-		return p.errf("expected IRI after PREFIX %s:", name)
+	if iri.kind != tTerm || iri.term.PName || iri.term.Kind != dict.KindIRI {
+		return p.errf("expected IRI after PREFIX %s:", t.term.Prefix)
 	}
 	p.advance()
-	p.q.Prefixes[name] = iri.text
+	p.q.Prefixes[t.term.Prefix] = iri.term.Value
 	return nil
 }
 
@@ -266,74 +252,31 @@ func (p *parser) node(subjPos bool) (Node, error) {
 	case tVar:
 		p.advance()
 		return Variable(t.text), nil
-	case tIRI:
-		p.advance()
-		return Constant(dict.IRI(t.text)), nil
-	case tPName:
-		p.advance()
-		iri, err := p.resolvePName(t.text)
+	case tTerm:
+		term, err := p.term(t)
 		if err != nil {
 			return Node{}, err
 		}
-		return Constant(dict.IRI(iri)), nil
-	case tString:
-		if subjPos {
+		if subjPos && term.Kind == dict.KindLiteral {
 			return Node{}, p.errf("literal in subject/predicate position")
 		}
 		p.advance()
-		lit, err := p.stringTerm(t)
-		if err != nil {
-			return Node{}, err
-		}
-		return Constant(lit), nil
-	case tNumber:
-		if subjPos {
-			return Node{}, p.errf("literal in subject/predicate position")
-		}
-		p.advance()
-		return Constant(numberTerm(t.text)), nil
-	case tKeyword:
-		if !subjPos && (t.text == "TRUE" || t.text == "FALSE") {
-			p.advance()
-			return Constant(dict.TypedLit(strings.ToLower(t.text), dict.XSDBool)), nil
-		}
+		return Constant(term), nil
 	}
 	return Node{}, p.errf("expected term, got %s", t)
 }
 
-func (p *parser) resolvePName(pn string) (string, error) {
-	i := strings.Index(pn, ":")
-	if i < 0 {
-		return "", p.errf("malformed prefixed name %q", pn)
+// term resolves a term token's prefixed name. Blank nodes are not
+// supported.
+func (p *parser) term(t token) (dict.Term, error) {
+	if t.term.Kind == dict.KindBlank {
+		return dict.Term{}, p.errf("blank node %s is not supported", t)
 	}
-	ns, ok := p.q.Prefixes[pn[:i]]
+	term, ok := t.term.Resolve(p.q.Prefixes)
 	if !ok {
-		return "", p.errf("undefined prefix %q", pn[:i])
+		return dict.Term{}, p.errf("undefined prefix %q", t.term.Prefix)
 	}
-	return ns + pn[i+1:], nil
-}
-
-func (p *parser) stringTerm(t token) (dict.Term, error) {
-	lit := dict.Term{Kind: dict.KindLiteral, Value: t.text, Lang: t.lang}
-	if t.datatype != "" {
-		dt := t.datatype
-		if strings.HasPrefix(dt, "pn:") {
-			resolved, err := p.resolvePName(dt[3:])
-			if err != nil {
-				return dict.Term{}, err
-			}
-			dt = resolved
-		}
-		lit.Datatype = dt
-	}
-	return lit, nil
-}
-
-func numberTerm(text string) dict.Term {
-	if strings.ContainsAny(text, ".eE") {
-		return dict.TypedLit(text, dict.XSDDec)
-	}
-	return dict.TypedLit(text, dict.XSDInt)
+	return term, nil
 }
 
 // --- expressions (precedence climbing) ---
@@ -463,26 +406,13 @@ func (p *parser) primary() (Expr, error) {
 	case tVar:
 		p.advance()
 		return &ExVar{Name: t.text}, nil
-	case tNumber:
-		p.advance()
-		return litExpr(numberTerm(t.text)), nil
-	case tString:
-		p.advance()
-		term, err := p.stringTerm(t)
+	case tTerm:
+		term, err := p.term(t)
 		if err != nil {
 			return nil, err
 		}
+		p.advance()
 		return litExpr(term), nil
-	case tIRI:
-		p.advance()
-		return litExpr(dict.IRI(t.text)), nil
-	case tPName:
-		p.advance()
-		iri, err := p.resolvePName(t.text)
-		if err != nil {
-			return nil, err
-		}
-		return litExpr(dict.IRI(iri)), nil
 	case tPunct:
 		if t.text == "(" {
 			p.advance()
@@ -522,10 +452,6 @@ func (p *parser) primary() (Expr, error) {
 				return nil, err
 			}
 			return agg, nil
-		}
-		if t.text == "TRUE" || t.text == "FALSE" {
-			p.advance()
-			return litExpr(dict.TypedLit(strings.ToLower(t.text), dict.XSDBool)), nil
 		}
 	}
 	return nil, p.errf("expected expression, got %s", t)
@@ -610,11 +536,11 @@ func (p *parser) orderKeys() error {
 
 func (p *parser) intTok() (int, error) {
 	t := p.cur()
-	if t.kind != tNumber {
+	if t.kind != tTerm || t.term.Datatype != dict.XSDInt {
 		return 0, p.errf("expected number, got %s", t)
 	}
 	p.advance()
-	n, err := strconv.Atoi(t.text)
+	n, err := strconv.Atoi(t.term.Value)
 	if err != nil {
 		return 0, p.errf("bad number %q", t.text)
 	}
@@ -668,11 +594,4 @@ func (p *parser) validate() error {
 		}
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
