@@ -1,6 +1,7 @@
 // Package nt parses and serializes RDF triples in the N-Triples format,
 // plus a pragmatic subset of Turtle (prefixes, `a`, `;`/`,` lists).
-// It is the ingestion front door of the self-organizing store.
+// It is the ingestion front door of the self-organizing store, and its
+// term lexer (Lex) is the one the SPARQL parser uses too.
 package nt
 
 import (
@@ -125,7 +126,7 @@ func parseLine(line string, lineNo int) (Triple, error) {
 		case msg != "":
 			return fail(msg)
 		case lx.PName:
-			return fail("datatype must be an IRI")
+			return fail("prefixed names are not N-Triples")
 		case lx.Kind == dict.KindIRI && lx.Value == "":
 			return fail("empty IRI")
 		}

@@ -8,14 +8,17 @@ import (
 	"srdf/internal/dict"
 )
 
-// ParseTurtle reads a pragmatic subset of Turtle: @prefix / PREFIX
-// declarations, prefixed names, `a` for rdf:type, object lists with `,`,
-// predicate-object lists with `;`, numeric / boolean / string literals
-// (with ^^ datatypes and @lang), blank nodes, one-level blank-node
-// property lists `[ p o ; ... ]` (in subject or object position, minting
-// a fresh blank node), and comments. It does not support collections
-// `( )` or property lists nested inside property lists. Parse errors
-// carry line and column.
+// ParseTurtle reads a pragmatic subset of Turtle: @prefix / PREFIX and
+// @base / BASE directives, `a` for rdf:type, object lists with `,`,
+// predicate-object lists with `;`, one-level blank-node property lists
+// `[ p o ; ... ]` (in subject or object position, minting a fresh blank
+// node), and comments. Every term — IRIs, prefixed names, blank node
+// labels, double- and single-quoted strings with their escapes,
+// language tags, datatypes, numbers and booleans — is read by Lex, the
+// lexer the N-Triples reader and the SPARQL parser share, so a term
+// reads the same in all three. Not supported: collections `( )`, property lists nested
+// inside property lists, and long `"""` strings. Parse errors carry
+// line and column.
 //
 // It exists so that examples and tests can state small graphs readably;
 // bulk loading uses the line-oriented N-Triples Reader.
@@ -118,7 +121,7 @@ func (p *turtleParser) matchKeyword(kw string) bool {
 
 func (p *turtleParser) prefixDecl() error {
 	p.skipWS()
-	lx, end, msg := Lex(p.src, p.pos)
+	lx, end, msg := lexName(p.src, p.pos)
 	if msg != "" || !lx.PName || lx.Value != "" {
 		return p.errf("malformed @prefix")
 	}

@@ -22,9 +22,8 @@ const (
 type token struct {
 	kind tokKind
 	// text is the keyword, punctuation or variable name; for a term,
-	// its source text
+	// its source text, and the lexer's term field holds the term
 	text string
-	term nt.Lexeme // tTerm
 	line int
 }
 
@@ -53,7 +52,8 @@ type lexer struct {
 	src  string
 	pos  int
 	line int
-	err  error // the first lexical error; the tokens end with it
+	term nt.Lexeme // the term of the last tTerm token
+	err  error     // the first lexical error; the tokens end with it
 }
 
 // token returns the next token: tEOF at the end of the input and after
@@ -129,7 +129,8 @@ func (l *lexer) next() (token, error) {
 	}
 	lx, end, msg := nt.Lex(l.src, l.pos)
 	if msg == "" {
-		t := token{kind: tTerm, text: l.src[l.pos:end], term: lx, line: l.line}
+		t := token{kind: tTerm, text: l.src[l.pos:end], line: l.line}
+		l.term = lx
 		l.line += strings.Count(t.text, "\n")
 		l.pos = end
 		return t, nil
@@ -141,13 +142,14 @@ func (l *lexer) next() (token, error) {
 }
 
 // iriAhead reports whether the '<' at src[pos] opens an IRI ref rather
-// than a comparison: a '>' comes before any whitespace.
+// than a comparison: a '>' comes before any whitespace or other '<'.
+// Stopping at the next '<' keeps lexing linear in a text of many '<'.
 func iriAhead(src string, pos int) bool {
 	for i := pos + 1; i < len(src); i++ {
 		switch src[i] {
 		case '>':
 			return true
-		case ' ', '\n', '\t':
+		case ' ', '\n', '\t', '<':
 			return false
 		}
 	}
@@ -186,8 +188,8 @@ func (l *lexer) word() (token, error) {
 	}
 	switch up := strings.ToUpper(word); {
 	case up == "TRUE" || up == "FALSE":
-		lit := nt.Lexeme{Term: dict.TypedLit(strings.ToLower(word), dict.XSDBool)}
-		return token{kind: tTerm, text: word, term: lit, line: l.line}, nil
+		l.term = nt.Lexeme{Term: dict.TypedLit(strings.ToLower(word), dict.XSDBool)}
+		return token{kind: tTerm, text: word, line: l.line}, nil
 	case keywords[up]:
 		return token{kind: tKeyword, text: up, line: l.line}, nil
 	}

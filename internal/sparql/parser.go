@@ -96,16 +96,17 @@ func (p *parser) query() error {
 }
 
 func (p *parser) prefixDecl() error {
-	t := p.advance()
-	if t.kind != tTerm || !t.term.PName || t.term.Value != "" {
-		return p.errf("expected prefix name, got %s", t)
-	}
-	iri := p.cur()
-	if iri.kind != tTerm || iri.term.PName || iri.term.Kind != dict.KindIRI {
-		return p.errf("expected IRI after PREFIX %s:", t.term.Prefix)
+	pn := p.lx.term
+	if p.tok.kind != tTerm || !pn.PName || pn.Value != "" {
+		return p.errf("expected prefix name, got %s", p.tok)
 	}
 	p.advance()
-	p.q.Prefixes[t.term.Prefix] = iri.term.Value
+	iri := p.lx.term
+	if p.tok.kind != tTerm || iri.PName || iri.Kind != dict.KindIRI {
+		return p.errf("expected IRI after PREFIX %s:", pn.Prefix)
+	}
+	p.advance()
+	p.q.Prefixes[pn.Prefix] = iri.Value
 	return nil
 }
 
@@ -253,7 +254,7 @@ func (p *parser) node(subjPos bool) (Node, error) {
 		p.advance()
 		return Variable(t.text), nil
 	case tTerm:
-		term, err := p.term(t)
+		term, err := p.term()
 		if err != nil {
 			return Node{}, err
 		}
@@ -266,15 +267,16 @@ func (p *parser) node(subjPos bool) (Node, error) {
 	return Node{}, p.errf("expected term, got %s", t)
 }
 
-// term resolves a term token's prefixed name. Blank nodes are not
-// supported.
-func (p *parser) term(t token) (dict.Term, error) {
-	if t.term.Kind == dict.KindBlank {
-		return dict.Term{}, p.errf("blank node %s is not supported", t)
+// term resolves the prefixed name of the current term token. Blank
+// nodes are not supported.
+func (p *parser) term() (dict.Term, error) {
+	lx := &p.lx.term
+	if lx.Kind == dict.KindBlank {
+		return dict.Term{}, p.errf("blank node %s is not supported", p.tok)
 	}
-	term, ok := t.term.Resolve(p.q.Prefixes)
+	term, ok := lx.Resolve(p.q.Prefixes)
 	if !ok {
-		return dict.Term{}, p.errf("undefined prefix %q", t.term.Prefix)
+		return dict.Term{}, p.errf("undefined prefix %q", lx.Prefix)
 	}
 	return term, nil
 }
@@ -407,7 +409,7 @@ func (p *parser) primary() (Expr, error) {
 		p.advance()
 		return &ExVar{Name: t.text}, nil
 	case tTerm:
-		term, err := p.term(t)
+		term, err := p.term()
 		if err != nil {
 			return nil, err
 		}
@@ -536,11 +538,11 @@ func (p *parser) orderKeys() error {
 
 func (p *parser) intTok() (int, error) {
 	t := p.cur()
-	if t.kind != tTerm || t.term.Datatype != dict.XSDInt {
+	if t.kind != tTerm || p.lx.term.Datatype != dict.XSDInt {
 		return 0, p.errf("expected number, got %s", t)
 	}
+	n, err := strconv.Atoi(p.lx.term.Value)
 	p.advance()
-	n, err := strconv.Atoi(t.term.Value)
 	if err != nil {
 		return 0, p.errf("bad number %q", t.text)
 	}

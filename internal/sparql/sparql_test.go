@@ -3,6 +3,7 @@ package sparql
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"srdf/internal/dict"
 )
@@ -254,5 +255,24 @@ func TestStringRendering(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestParseManyLessThans parses a FILTER of 50 000 comparisons written
+// without spaces. Each '<' looks ahead for the '>' of an IRI ref; the
+// look-ahead stops at the next '<', so the text lexes in linear time
+// rather than rescanning the rest of the query at every '<'.
+func TestParseManyLessThans(t *testing.T) {
+	src := "SELECT ?a WHERE { ?a <http://e/p> ?b FILTER(?a<?b" + strings.Repeat("&&?a<?b", 50_000) + ") }"
+	start := time.Now()
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Filters) != 1 {
+		t.Fatalf("filters = %d, want 1", len(q.Filters))
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("parse took %v", d)
 	}
 }
