@@ -133,15 +133,25 @@ func (t Term) Append(dst []byte) []byte {
 	return dst
 }
 
-// appendEscapedIRI appends iri with each character that IRIREF forbids
-// — <>"{}|^`\, space and the C0 controls — written as \u00XX, so that
-// an N-Triples reader gets the same IRI back.
+// iriEscaped marks the bytes IRIREF forbids: <>"{}|^`\, space and the
+// C0 controls.
+var iriEscaped = func() (t [256]bool) {
+	for c := 0; c <= ' '; c++ {
+		t[c] = true
+	}
+	for _, c := range []byte("<>\"{}|^`\\") {
+		t[c] = true
+	}
+	return t
+}()
+
+// appendEscapedIRI appends iri with each byte IRIREF forbids written as
+// \u00XX, so that an N-Triples reader gets the same IRI back.
 func appendEscapedIRI(dst []byte, iri string) []byte {
 	const hex = "0123456789ABCDEF"
 	start := 0
 	for i := 0; i < len(iri); i++ {
-		switch c := iri[i]; {
-		case c <= ' ', c == '<', c == '>', c == '"', c == '{', c == '}', c == '|', c == '^', c == '`', c == '\\':
+		if c := iri[i]; iriEscaped[c] {
 			dst = append(dst, iri[start:i]...)
 			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&15])
 			start = i + 1

@@ -134,13 +134,15 @@ func isAlnum(c byte) bool {
 // ^^datatype.
 func lexLiteral(src string, pos int) (Lexeme, int, string) {
 	q := src[pos]
-	i, esc := pos+1, false
+	i, j, esc := pos+1, pos, false // j: the next unescaped-looking q
 	for {
-		j := strings.IndexByte(src[i:], q)
-		if j < 0 {
-			return Lexeme{}, len(src), "unterminated string"
+		if j < i {
+			k := strings.IndexByte(src[i:], q)
+			if k < 0 {
+				return Lexeme{}, len(src), "unterminated string"
+			}
+			j = i + k
 		}
-		j += i
 		b := strings.IndexByte(src[i:j], '\\')
 		if b < 0 {
 			i = j

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"srdf/internal/dict"
 )
@@ -373,5 +374,21 @@ ex:s ex:q "v" .`
 		if a[i] != b[i] {
 			t.Errorf("triple %d: %v != %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestLexLongEscapes reads a literal of 500 000 escapes and an IRI of
+// 100 000 UCHARs: each term is scanned in one pass, not rescanned from
+// every escape.
+func TestLexLongEscapes(t *testing.T) {
+	lit := `"` + strings.Repeat(`\t`, 500_000) + `"`
+	iri := `<` + strings.Repeat(`\u0041`, 100_000) + `>`
+	start := time.Now()
+	ts := mustReadAll(t, iri+" <p:b> "+lit+" .")
+	if len(ts[0].O.Value) != 500_000 || len(ts[0].S.Value) != 100_000 {
+		t.Fatalf("read %d and %d bytes", len(ts[0].S.Value), len(ts[0].O.Value))
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("read took %v", d)
 	}
 }

@@ -18,8 +18,14 @@ type Triple struct {
 	S, P, O dict.Term
 }
 
-func (t Triple) String() string {
-	return t.S.String() + " " + t.P.String() + " " + t.O.String() + " ."
+func (t Triple) String() string { return string(t.Append(nil)) }
+
+// Append appends the triple's N-Triples statement, without a line end,
+// to dst.
+func (t Triple) Append(dst []byte) []byte {
+	dst = append(t.S.Append(dst), ' ')
+	dst = append(t.P.Append(dst), ' ')
+	return append(t.O.Append(dst), " ."...)
 }
 
 // ParseError describes a malformed statement. Col is the 1-based
@@ -171,7 +177,8 @@ func (w *Writer) Write(t Triple) error {
 	if w.err != nil {
 		return w.err
 	}
-	_, w.err = w.w.WriteString(t.String() + "\n")
+	// encode straight into the writer's free space when the line fits
+	_, w.err = w.w.Write(append(t.Append(w.w.AvailableBuffer()), '\n'))
 	return w.err
 }
 

@@ -16,9 +16,9 @@ import (
 // labels, double- and single-quoted strings with their escapes,
 // language tags, datatypes, numbers and booleans — is read by Lex, the
 // lexer the N-Triples reader and the SPARQL parser share, so a term
-// reads the same in all three. Not supported: collections `( )`, property lists nested
-// inside property lists, and long `"""` strings. Parse errors carry
-// line and column.
+// reads the same in all three. Not supported: collections `( )`,
+// property lists nested inside property lists, and long `"""` strings.
+// Parse errors carry line and column.
 //
 // It exists so that examples and tests can state small graphs readably;
 // bulk loading uses the line-oriented N-Triples Reader.
@@ -235,7 +235,8 @@ func (p *turtleParser) predicateObjectList(subj dict.Term) error {
 }
 
 func (p *turtleParser) predicate() (dict.Term, error) {
-	if strings.HasPrefix(p.src[p.pos:], "a") && p.pos+1 < len(p.src) && strings.IndexByte(" \t\n\r", p.src[p.pos+1]) >= 0 {
+	// `a` only if followed by whitespace
+	if p.pos+1 < len(p.src) && p.src[p.pos] == 'a' && strings.IndexByte(" \t\n\r", p.src[p.pos+1]) >= 0 {
 		p.pos++
 		return dict.IRI(dict.RDFType), nil
 	}
