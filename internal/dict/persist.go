@@ -44,7 +44,7 @@ func RestoreDictionary(res []string, lits []LiteralRec, ordered int) *Dictionary
 	d.litLex = make([]litKey, len(lits))
 	d.litVals = make([]Value, len(lits))
 	for i, l := range lits {
-		k := litKey{lex: l.Lex, datatype: d.shared(l.Datatype), lang: d.shared(l.Lang)}
+		k := litKey{lex: l.Lex, datatype: l.Datatype, lang: l.Lang}
 		d.litLex[i] = k
 		d.litVals[i] = ParseLiteral(l.Lex, l.Datatype, l.Lang)
 		d.litIDs[k] = uint64(i + 1)

@@ -27,8 +27,6 @@ type parser struct {
 	q   *Query
 }
 
-func (p *parser) cur() token { return p.tok }
-
 // advance returns the current token and moves to the next; it stays on
 // tEOF.
 func (p *parser) advance() token {
@@ -40,7 +38,7 @@ func (p *parser) advance() token {
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
-	return &ParseError{Line: p.cur().line, Msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Line: p.tok.line, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *parser) expectKeyword(kw string) error {
@@ -89,8 +87,8 @@ func (p *parser) query() error {
 	if err := p.solutionModifiers(); err != nil {
 		return err
 	}
-	if p.cur().kind != tEOF {
-		return p.errf("trailing input %s", p.cur())
+	if p.tok.kind != tEOF {
+		return p.errf("trailing input %s", p.tok)
 	}
 	return p.validate()
 }
@@ -117,7 +115,7 @@ func (p *parser) selectClause() error {
 		return nil
 	}
 	for {
-		t := p.cur()
+		t := p.tok
 		switch {
 		case t.kind == tVar:
 			p.advance()
@@ -131,7 +129,7 @@ func (p *parser) selectClause() error {
 			if err := p.expectKeyword("AS"); err != nil {
 				return err
 			}
-			av := p.cur()
+			av := p.tok
 			if av.kind != tVar {
 				return p.errf("expected variable after AS")
 			}
@@ -154,7 +152,7 @@ func (p *parser) groupGraphPattern() error {
 		return err
 	}
 	for {
-		t := p.cur()
+		t := p.tok
 		switch {
 		case t.kind == tPunct && t.text == "}":
 			p.advance()
@@ -232,7 +230,7 @@ func (p *parser) triplesSameSubject() error {
 }
 
 func (p *parser) predicateNode() (Node, error) {
-	if p.cur().kind == tA {
+	if p.tok.kind == tA {
 		p.advance()
 		return Constant(dict.IRI(dict.RDFType)), nil
 	}
@@ -248,7 +246,7 @@ func (p *parser) predicateNode() (Node, error) {
 
 // node parses a variable, IRI, prefixed name, or (for objects) literal.
 func (p *parser) node(subjPos bool) (Node, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.kind {
 	case tVar:
 		p.advance()
@@ -324,7 +322,7 @@ func (p *parser) cmpExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := p.cur()
+	t := p.tok
 	if t.kind == tPunct {
 		if op, ok := cmpOps[t.text]; ok {
 			p.advance()
@@ -345,7 +343,7 @@ func (p *parser) addExpr() (Expr, error) {
 	}
 	for p.isPunct("+") || p.isPunct("-") {
 		op := OpAdd
-		if p.cur().text == "-" {
+		if p.tok.text == "-" {
 			op = OpSub
 		}
 		p.advance()
@@ -365,7 +363,7 @@ func (p *parser) mulExpr() (Expr, error) {
 	}
 	for p.isPunct("*") || p.isPunct("/") {
 		op := OpMul
-		if p.cur().text == "/" {
+		if p.tok.text == "/" {
 			op = OpDiv
 		}
 		p.advance()
@@ -403,7 +401,7 @@ var aggFuncs = map[string]AggFunc{
 }
 
 func (p *parser) primary() (Expr, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.kind {
 	case tVar:
 		p.advance()
@@ -471,7 +469,7 @@ func litExpr(t dict.Term) *ExLit {
 
 func (p *parser) solutionModifiers() error {
 	for {
-		t := p.cur()
+		t := p.tok
 		if t.kind != tKeyword {
 			return nil
 		}
@@ -481,7 +479,7 @@ func (p *parser) solutionModifiers() error {
 			if err := p.expectKeyword("BY"); err != nil {
 				return err
 			}
-			for p.cur().kind == tVar {
+			for p.tok.kind == tVar {
 				p.q.GroupBy = append(p.q.GroupBy, p.advance().text)
 			}
 			if len(p.q.GroupBy) == 0 {
@@ -525,7 +523,7 @@ func (p *parser) orderKeys() error {
 				return err
 			}
 			p.q.OrderBy = append(p.q.OrderBy, OrderKey{Expr: e, Desc: desc})
-		case p.cur().kind == tVar:
+		case p.tok.kind == tVar:
 			p.q.OrderBy = append(p.q.OrderBy, OrderKey{Expr: &ExVar{Name: p.advance().text}})
 		default:
 			if len(p.q.OrderBy) == 0 {
@@ -537,7 +535,7 @@ func (p *parser) orderKeys() error {
 }
 
 func (p *parser) intTok() (int, error) {
-	t := p.cur()
+	t := p.tok
 	if t.kind != tTerm || p.lx.term.Datatype != dict.XSDInt {
 		return 0, p.errf("expected number, got %s", t)
 	}
