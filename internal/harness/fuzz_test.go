@@ -62,6 +62,9 @@ func checkAutoCompacted(t *testing.T, sc *Script, threshold int) {
 			if _, err := st.Query(sc.Queries[0].Text, coreQO()); err != nil {
 				t.Fatal(err)
 			}
+			if err := CheckResidence(st, sc.after(i+1), false); err != nil {
+				t.Fatalf("after op %d: %v", i, err)
+			}
 		}
 	}
 	if err := checkLiteralOrder("auto-compacted", st); err != nil {

@@ -675,6 +675,11 @@ func CheckEquivalence(ts []nt.Triple, queries []Query, stores ...*core.Store) er
 			}
 		}
 	}
+	for i, st := range stores {
+		if err := CheckResidence(st, ts, false); err != nil {
+			return fmt.Errorf("store %d: %w", i, err)
+		}
+	}
 	return nil
 }
 
@@ -696,6 +701,9 @@ func RunDifferential(seed int64, nSubj, nOps int) error {
 	}
 	if _, err := mut.Compact(); err != nil {
 		return err
+	}
+	if err := CheckResidence(mut, sc.Final(), true); err != nil {
+		return fmt.Errorf("post-compact: %w", err)
 	}
 	if err := checkLiteralOrder("post-compact", mut); err != nil {
 		return err

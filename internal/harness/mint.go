@@ -296,6 +296,9 @@ func RunMinting(seed int64, nSubj, nOps int, dir string) error {
 	if _, err := mut.Compact(); err != nil {
 		return err
 	}
+	if err := CheckResidence(mut, final, true); err != nil {
+		return fmt.Errorf("compacted: %w", err)
+	}
 	if err := checkLiteralOrder("compacted", mut); err != nil {
 		return err
 	}
