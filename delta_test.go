@@ -35,7 +35,9 @@ func deltaStore(t *testing.T) *srdf.Store {
 // the pushed range — the years the writes minted (1998, 1999) sit past
 // the ordered literal prefix and join it as overflow members ("+ovf2"),
 // so there is still no Filter; a compacted store shows freshly chosen
-// segment encodings with the delta annotations gone and the same range.
+// segment encodings with the delta row count gone and the same range,
+// while b1's clustered row stays tombstoned ("dead=1") until the next
+// Organize.
 // Any regression in how delta-tail scans or overflow literals surface in
 // EXPLAIN fails these exact-match comparisons.
 func TestGoldenExplainDeltaLifecycle(t *testing.T) {
@@ -84,9 +86,9 @@ Project ?b ?y
 	}
 	const compactedWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=0
 Project ?b ?y
-  RDFscan ?b over author_isbn [2 props, 0 self-joins] +zonemaps est_rows=1 cost=8
-    col p=R7 ?a enc=dict×1
-    col p=R8 ?y in[L6,L10]+ovf2 enc=plain×1 zsel=1.00
+  RDFscan ?b over author_isbn [2 props, 0 self-joins] +zonemaps dead=1 est_rows=1 cost=8
+    col p=R7 ?a enc=for×1
+    col p=R8 ?y in[L6,L10]+ovf2 enc=for×1 zsel=1.00
 `
 	ex, err = s.Explain(q, qo)
 	if err != nil {
@@ -159,8 +161,14 @@ func TestDeltaLifecycleResults(t *testing.T) {
 	if res.Len() != 4 {
 		t.Fatalf("after compact: %d rows, want 4", res.Len())
 	}
-	st := s.Stats()
-	if st.DeltaRows != 0 || st.Tombstones != 0 {
-		t.Fatalf("compact left delta state: %+v", st)
+	// Compact seals every delta row and drops dead tail rows; b2 left
+	// the clustered run, whose tombstone stays until the next Organize
+	if st := s.Stats(); st.DeltaRows != 0 {
+		t.Fatalf("compact left delta rows: %+v", st)
+	}
+	for _, tab := range s.Internal().Catalog().Tables {
+		if tab.Del.AnyInRange(tab.Count, tab.NumRows()) {
+			t.Fatalf("compact left a tombstone in %s's tail", tab.Name)
+		}
 	}
 }

@@ -43,8 +43,9 @@ import (
 	"srdf/internal/triples"
 )
 
-// DefaultCompactThreshold is the delta size (delta rows + tombstones)
-// past which a refresh triggers an automatic Compact.
+// DefaultCompactThreshold is the reclaimable tail size (delta rows +
+// tombstoned tail rows) past which a refresh triggers an automatic
+// Compact.
 const DefaultCompactThreshold = 4096
 
 // Options configures a Store.
@@ -58,8 +59,9 @@ type Options struct {
 	// least-recently-used unpinned segments are evicted back to their
 	// on-disk encoded form and fault in again on the next touch.
 	PoolBytes int64
-	// CompactThreshold is the delta size (delta rows + tombstones) that
-	// auto-triggers Compact during a refresh; 0 means
+	// CompactThreshold is the reclaimable tail size (delta rows +
+	// tombstoned tail rows; clustered tombstones stay until Organize)
+	// that auto-triggers Compact during a refresh; 0 means
 	// DefaultCompactThreshold, negative disables auto-compaction.
 	CompactThreshold int
 	// WALPath attaches a write-ahead log: every trickle Add/Delete is
@@ -906,8 +908,7 @@ type CompactReport struct {
 	// MergedRows is the number of delta rows merged into sealed
 	// segments.
 	MergedRows int
-	// DroppedTombstones counts delete-bitmap entries folded into the new
-	// segments.
+	// DroppedTombstones counts the tombstoned tail rows dropped.
 	DroppedTombstones int
 	// Epoch is the snapshot version after the compaction.
 	Epoch uint64
@@ -918,13 +919,16 @@ func (r CompactReport) String() string {
 		r.Tables, r.MergedRows, r.DroppedTombstones, r.Epoch)
 }
 
-// Compact merges the delta layer into freshly sealed segments:
-// tombstoned rows become permanent holes, delta rows are re-sealed
-// behind their table's clustered region, and CS statistics are refreshed
-// for the affected tables only — equivalent to, but much cheaper than, a
-// full re-Organize (which it does not replace: only Organize re-clusters
-// subject OIDs and restores sort-key pushdown). It is also triggered
-// automatically when the delta grows past Options.CompactThreshold.
+// Compact seals each table's tail into fresh segments: delta rows are
+// sealed behind the live tail rows, tombstoned tail rows are dropped, and
+// CS statistics are refreshed for the affected tables only — equivalent
+// to, but much cheaper than, a full re-Organize (which it does not
+// replace: only Organize re-clusters subject OIDs, folds the tail back
+// into the clustered run and drops clustered tombstones). The clustered
+// run is copied unchanged, so its encodings, zone maps and sort-key
+// pushdown survive; a table with nothing to reclaim is not rewritten.
+// It is also triggered automatically when delta rows plus dead tail
+// rows grow past Options.CompactThreshold.
 // Readers are unaffected: compaction happens on a catalog clone and
 // in-flight snapshots keep scanning the old segments.
 func (s *Store) Compact() (CompactReport, error) {
@@ -955,7 +959,7 @@ func (s *Store) Compact() (CompactReport, error) {
 
 // compactLocked compacts on a catalog clone; the caller publishes.
 func (s *Store) compactLocked() relational.CompactStats {
-	if s.cat == nil || !s.cat.HasDeltas() {
+	if s.cat == nil || s.cat.Reclaimable() == 0 {
 		return relational.CompactStats{}
 	}
 	cat := s.cat.CloneForWrite()
@@ -1073,7 +1077,7 @@ func (s *Store) refreshLocked() {
 		if thr == 0 {
 			thr = DefaultCompactThreshold
 		}
-		if thr > 0 && cat.DeltaRowCount()+cat.TombstoneCount() >= thr {
+		if thr > 0 && cat.Reclaimable() >= thr {
 			// cat is this refresh's private clone (unpublished until
 			// below), so compact it in place — no second deep copy
 			cat.Compact(s.pool)

@@ -303,8 +303,8 @@ func (b *builder) mergeScore(dst, src *cluster) (float64, bool) {
 	if inter == 0 {
 		return 0, false
 	}
-	union := len(dst.props) + len(src.props) - inter
-	jac := float64(inter) / float64(union)
+	either := len(dst.props) + len(src.props) - inter
+	jac := float64(inter) / float64(either)
 	srcSubset := inter == len(src.props)
 	dstSubset := inter == len(dst.props)
 	newSup := dst.support() + src.support()

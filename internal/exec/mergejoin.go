@@ -16,10 +16,9 @@ import (
 // order on the inner side — the join needs no hash build at all.
 //
 // The planner only chooses this operator when the inner star is covered
-// by exactly this table with no residual triples, no unsealed delta
-// rows, and no compacted-in extra rows, so the table scan is the
-// complete, subject-ascending answer set; tombstones and holes are
-// filtered by the scan like any other.
+// by exactly this table with no residual triples and no tail rows, so
+// the table scan is the complete, subject-ascending answer set;
+// tombstones are filtered by the scan like any other.
 type MergeJoinOp struct {
 	Left     Operator
 	KeyVar   string

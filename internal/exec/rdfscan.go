@@ -39,8 +39,8 @@ func RDFJoin(ctx *Ctx, in *Rel, keyVar string, t *relational.Table, star Star, f
 	vals := make([]dict.OID, 0, len(colIdx))
 	for i := 0; i < in.Len(); i++ {
 		s := in.Cols[ki][i]
-		// RowOf resolves delta rows and compacted-in extras too, and
-		// rejects tombstoned sealed rows (their subject moved or died).
+		// RowOf resolves tail rows too, and rejects tombstoned rows
+		// (their subject moved or died).
 		row := t.RowOf(s)
 		if row < 0 || anyNegIdx(colIdx) {
 			// Fallback: point star lookup over the full index.

@@ -526,7 +526,7 @@ func (s *ScanOp) Next(b *Batch) bool {
 	return s.nextDelta(b)
 }
 
-// nextDelta streams the table's unsealed delta tail after the sealed
+// nextDelta streams the table's unsealed tail rows after the sealed
 // blocks: each chunk evaluates the star's predicates row-at-a-time over
 // the delta columns (they are memory-resident flat vectors — no
 // compressed kernels, no page accounting) and lends the delta column
@@ -537,6 +537,7 @@ func (s *ScanOp) nextDelta(b *Batch) bool {
 	}
 	d := s.Table.Delta
 	n := d.Len()
+	subj := s.Table.Tail[len(s.Table.Tail)-n:]
 	sc := &s.sc
 	for s.dCur < n {
 		if s.ctx.Cancelled() {
@@ -561,7 +562,7 @@ func (s *ScanOp) nextDelta(b *Batch) bool {
 			}
 			for bi := 0; ok && bi < len(s.blooms); bi++ {
 				bl := &s.blooms[bi]
-				v := d.Subj[r]
+				v := subj[r]
 				if bl.prop >= 0 {
 					v = d.Cols[s.props[bl.prop].idx][r]
 				}
@@ -576,7 +577,7 @@ func (s *ScanOp) nextDelta(b *Batch) bool {
 			continue
 		}
 		views := sc.views[:0]
-		views = append(views, d.Subj[lo:hi])
+		views = append(views, subj[lo:hi])
 		for i := range s.props {
 			if s.Star.Props[i].ObjVar == "" {
 				continue

@@ -551,16 +551,16 @@ func (b *builder) filterForced(cands []*joinState) []*joinState {
 
 // mergeTable returns the single covering table a merge join may stream,
 // or nil when the star is not merge-joinable: it needs exactly one
-// covering table, no residual triples outside it, no unsealed delta rows
-// or post-compaction extra rows (the scan must be the complete subject-
-// ascending answer), and object variables that do not repeat variables
-// already bound on the left (the operator re-checks no equalities).
+// covering table, no residual triples outside it, a table that is its
+// clustered run alone (the scan must be the complete subject-ascending
+// answer), and object variables that do not repeat variables already
+// bound on the left (the operator re-checks no equalities).
 func (b *builder) mergeTable(left *joinState, st *star) *relational.Table {
 	if len(st.tables) != 1 || !b.residualFree(st) {
 		return nil
 	}
 	t := st.tables[0]
-	if t.DeltaLen() > 0 || len(t.Extra) > 0 {
+	if !t.Clustered() {
 		return nil
 	}
 	for i := range st.props {
@@ -580,7 +580,7 @@ func leftSortedOn(n Node, key string) bool {
 		return false
 	}
 	t := sc.Tables[0]
-	if t.SortPred == dict.Nil || t.SortDisturbed || t.DeltaLen() > 0 {
+	if t.SortPred == dict.Nil || !t.Clustered() {
 		return false
 	}
 	for i := range sc.Star.Props {

@@ -328,12 +328,11 @@ func (b *builder) subjectWindow(st *star, t *relational.Table) (dict.OID, dict.O
 	if t.SortPred == dict.Nil {
 		return 0, 0, false
 	}
-	// Live updates break the window's completeness: unsealed delta rows
-	// carry subject OIDs outside the dense range, and a compacted table
-	// (extra rows appended, holes punched) no longer keeps its sort-key
-	// column ascending. Tombstones alone are fine — stale sealed entries
-	// only widen the window.
-	if t.SortDisturbed || t.DeltaLen() > 0 {
+	// Tail rows break the window's completeness: they carry subject OIDs
+	// outside the clustered range and sort-key values out of order.
+	// Tombstones alone are fine — stale clustered entries only widen the
+	// window.
+	if !t.Clustered() {
 		return 0, 0, false
 	}
 	var rangeProp *exec.StarProp

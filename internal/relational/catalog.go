@@ -31,10 +31,13 @@ type Col struct {
 	Folded bool
 }
 
-// Table is a materialized CS. Beyond the clustered dense region it can
-// carry a live-update delta layer: Extra subjects sealed in by Compact
-// past the dense range, a tombstone bitmap over sealed rows, and an
-// unsealed columnar delta tail (see delta.go).
+// Table is a materialized CS: its clustered run plus one tail. In the
+// run, subject payload Base+i is row i and the sort-key column is
+// ascending, which zone maps and subject windows prune on. Rows past
+// the run belong to subjects added since Organize: the tail's leading
+// rows were sealed by Compact, its last Delta.Len() rows are unsealed
+// (see delta.go). Deletes only set bits in Del; no cell of the run is
+// rewritten before the next Organize.
 type Table struct {
 	CS   *cs.CS
 	Name string
@@ -43,29 +46,24 @@ type Table struct {
 	Base  uint64
 	Count int
 	// SortPred is the sub-ordering property (Nil if none); its column is
-	// physically ascending, which the planner exploits for range
-	// predicates via zone maps.
+	// physically ascending over the clustered run, which the planner
+	// exploits for range predicates via zone maps.
 	SortPred dict.OID
 	Cols     []*Col
 	// Hidden tables (absorbed 1-1 CSs) are materialized but not exported.
 	Hidden bool
 
-	// Extra holds the subject OIDs of sealed rows past the dense range
-	// (delta rows merged by Compact): row Count+i belongs to Extra[i].
-	Extra    []dict.OID
-	extraRow map[dict.OID]int
-	// Del tombstones sealed rows ([0,SealedRows)) whose subject was
-	// deleted or migrated to a delta row; scans filter it out.
+	// Tail holds the subjects of the rows past the clustered run: row
+	// Count+i belongs to Tail[i]. tailRow maps each live tail subject
+	// to its row; a tail subject vacated from a sealed row stays in Tail
+	// (tombstoned) until Compact drops the row.
+	Tail    []dict.OID
+	tailRow map[dict.OID]int
+	// Del tombstones sealed rows whose subject was deleted or moved to a
+	// delta row; scans filter it out.
 	Del *Bitmap
-	// Delta is the unsealed delta tail (nil when empty).
+	// Delta holds the cells of the unsealed tail rows (nil when none).
 	Delta *DeltaRows
-	// holes marks permanent all-NULL rows left by Compact folding
-	// tombstones in. Scans need no filter (every cell is NULL), but
-	// RowOf must not resolve a moved subject to its old hole.
-	holes *Bitmap
-	// SortDisturbed is set once extra rows or holes break the sort-key
-	// column's ascending invariant; range pushdown skips such tables.
-	SortDisturbed bool
 }
 
 // Col returns the column for a predicate, or nil.
@@ -88,35 +86,31 @@ func (t *Table) ColByName(name string) *Col {
 	return nil
 }
 
-// SubjectOID returns the subject OID of physical row i — dense rows by
-// OID arithmetic, extra and delta rows from their subject columns.
+// SubjectOID returns the subject OID of physical row i: clustered rows
+// by OID arithmetic, tail rows from Tail.
 func (t *Table) SubjectOID(i int) dict.OID {
 	if i < t.Count {
 		return dict.ResourceOID(t.Base + uint64(i))
 	}
-	if sr := t.SealedRows(); i >= sr {
-		return t.Delta.Subj[i-sr]
-	}
-	return t.Extra[i-t.Count]
+	return t.Tail[i-t.Count]
 }
 
 // RowOf returns the physical row currently holding subject s's data —
-// delta rows first, then compacted-in extra rows, then the dense range —
-// or -1. Tombstoned dense rows do not resolve: the subject either moved
-// to the delta layer or was deleted.
+// its tail row, else its live clustered row — or -1. A tombstoned
+// clustered row does not resolve: its subject moved to the tail or
+// was deleted.
 func (t *Table) RowOf(s dict.OID) int {
-	if t.Delta != nil {
-		if i, ok := t.Delta.rowOf[s]; ok {
-			return t.SealedRows() + i
-		}
-	}
-	if t.extraRow != nil {
-		if i, ok := t.extraRow[s]; ok {
-			return t.Count + i
-		}
+	if r, ok := t.tailRow[s]; ok {
+		return r
 	}
 	return t.DenseLiveRow(s)
 }
+
+// Clustered reports whether the table is its clustered run alone: with
+// no tail row, every row's subject is Base+row and the sort-key column
+// is ascending over all of them. Tombstones are allowed; scans filter
+// them.
+func (t *Table) Clustered() bool { return len(t.Tail) == 0 }
 
 // LinkTable stores a multi-valued property split off from its CS
 // ("in case the multiplicity is > 2 splitting it off into a separate
@@ -140,30 +134,22 @@ type Catalog struct {
 
 	byName map[string]*Table
 	byCS   map[int]*Table
-	// deltaOf / extraOf resolve delta-resident and compacted-in subjects
-	// whose OIDs lie outside every dense range.
-	deltaOf map[dict.OID]*Table
-	extraOf map[dict.OID]*Table
 }
 
 // TableOf returns the table (hidden ones included) currently holding s,
-// or nil: the delta and extra maps first, then a binary search over the
-// contiguous clustered ranges. Subjects whose dense row is tombstoned
-// resolve to nil — their data moved to a delta row or was deleted.
+// or nil: the table whose tail holds s, else the one whose clustered
+// range holds it live. A subject whose clustered row is tombstoned and
+// that sits in no tail resolves to nil — it was deleted.
 func (cat *Catalog) TableOf(s dict.OID) *Table {
-	if t := cat.deltaOf[s]; t != nil {
-		return t
-	}
-	if t := cat.extraOf[s]; t != nil {
-		return t
-	}
-	t := cat.denseTableOf(s)
-	if t != nil {
-		if r := int(s.Payload() - t.Base); t.Del.Get(r) || t.holes.Get(r) {
-			return nil
+	for _, t := range cat.Tables {
+		if _, ok := t.tailRow[s]; ok {
+			return t
 		}
 	}
-	return t
+	if t := cat.denseTableOf(s); t != nil && t.DenseLiveRow(s) >= 0 {
+		return t
+	}
+	return nil
 }
 
 // ByName returns a visible table by name.
@@ -461,8 +447,9 @@ func (cat *Catalog) Stats() Stats {
 	return s
 }
 
-// DumpCSV renders up to limit rows of a table as CSV (decoded terms),
-// for the SQL-toolchain-facing view and for debugging.
+// DumpCSV renders up to limit live rows of a table as CSV (decoded
+// terms) — the live clustered rows, then the live tail rows — for the
+// SQL-toolchain-facing view and for debugging.
 func (cat *Catalog) DumpCSV(t *Table, d *dict.Dictionary, limit int) string {
 	var b strings.Builder
 	b.WriteString("id")
@@ -471,17 +458,21 @@ func (cat *Catalog) DumpCSV(t *Table, d *dict.Dictionary, limit int) string {
 		b.WriteString(c.Prop.Name)
 	}
 	b.WriteString("\n")
-	n := t.Count
-	if limit > 0 && limit < n {
-		n = limit
-	}
 	// decode without touching the buffer pool: a debug dump must not
 	// perturb the page stats the pool exists to measure
+	sealed := t.SealedRows()
 	cols := make([][]dict.OID, len(t.Cols))
 	for ci, c := range t.Cols {
 		cols[ci] = c.Data.Values()
+		if t.Delta != nil {
+			cols[ci] = append(cols[ci][:sealed:sealed], t.Delta.Cols[ci]...)
+		}
 	}
-	for i := 0; i < n; i++ {
+	for i, n := 0, 0; i < t.NumRows() && (limit <= 0 || n < limit); i++ {
+		if t.Del.Get(i) {
+			continue
+		}
+		n++
 		b.WriteString(csvCell(d, t.SubjectOID(i)))
 		for _, vals := range cols {
 			b.WriteString(",")

@@ -1,14 +1,17 @@
 // Delta layer: the mutable side of the catalog. Sealed segments are
-// immutable, so live updates land next to them — per-table delta rows
-// (an unsealed columnar tail), a row-keyed delete bitmap over the sealed
-// region, and the irregular store as the spill target for triples that
-// fit no table ("PSO leftover"). Readers take the whole catalog as a
-// snapshot: every mutation here happens on a CloneForWrite copy, so a
-// query that started on the previous catalog keeps a consistent view
-// while writers append.
+// immutable, so live updates land next to them — per-table tail rows
+// (an unsealed columnar delta behind the sealed ones), a row-keyed
+// delete bitmap over the sealed rows, and the irregular store as the
+// spill target for triples that fit no table ("PSO leftover"). Readers
+// take the whole catalog as a snapshot: every mutation here happens on
+// a CloneForWrite copy, so a query that started on the previous catalog
+// keeps a consistent view while writers append.
 package relational
 
 import (
+	"maps"
+	mathbits "math/bits"
+
 	"srdf/internal/colstore"
 	"srdf/internal/cs"
 	"srdf/internal/dict"
@@ -85,14 +88,28 @@ func (b *Bitmap) Clone() *Bitmap {
 	return &Bitmap{words: append([]uint64(nil), b.words...), n: b.n}
 }
 
-// DeltaRows is a table's unsealed columnar tail: one row per
-// delta-resident subject, with Cols aligned to the table's Cols.
-// Delta rows never share subjects with live sealed rows — a subject
-// moving into the delta tombstones its sealed row first.
+// below returns a fresh bitmap of b's rows under n, nil when there are
+// none; nil-safe.
+func (b *Bitmap) below(n int) *Bitmap {
+	var out *Bitmap
+	for w, bits := range b.Words() {
+		for ; bits != 0; bits &= bits - 1 {
+			if i := w<<6 + mathbits.TrailingZeros64(bits); i < n {
+				if out == nil {
+					out = &Bitmap{}
+				}
+				out.Set(i)
+			}
+		}
+	}
+	return out
+}
+
+// DeltaRows holds the cells of a table's unsealed tail rows — the last
+// Len() rows of its Tail — with Cols aligned to the table's Cols.
 type DeltaRows struct {
-	Subj  []dict.OID
-	Cols  [][]dict.OID
-	rowOf map[dict.OID]int
+	Cols [][]dict.OID
+	n    int
 }
 
 // Len returns the number of delta rows; nil-safe.
@@ -100,7 +117,7 @@ func (d *DeltaRows) Len() int {
 	if d == nil {
 		return 0
 	}
-	return len(d.Subj)
+	return d.n
 }
 
 // Clone deep-copies the delta; nil-safe.
@@ -108,70 +125,42 @@ func (d *DeltaRows) Clone() *DeltaRows {
 	if d == nil {
 		return nil
 	}
-	nd := &DeltaRows{
-		Subj:  append([]dict.OID(nil), d.Subj...),
-		Cols:  make([][]dict.OID, len(d.Cols)),
-		rowOf: make(map[dict.OID]int, len(d.rowOf)),
-	}
+	nd := &DeltaRows{Cols: make([][]dict.OID, len(d.Cols)), n: d.n}
 	for i := range d.Cols {
 		nd.Cols[i] = append([]dict.OID(nil), d.Cols[i]...)
-	}
-	for s, r := range d.rowOf {
-		nd.rowOf[s] = r
 	}
 	return nd
 }
 
-// SealedRows returns the number of physical rows in the sealed columns:
-// the clustered dense region plus compacted-in extra rows.
-func (t *Table) SealedRows() int { return t.Count + len(t.Extra) }
+// NumRows returns the clustered run plus the tail.
+func (t *Table) NumRows() int { return t.Count + len(t.Tail) }
 
-// NumRows returns sealed plus delta rows.
-func (t *Table) NumRows() int { return t.SealedRows() + t.Delta.Len() }
+// SealedRows returns the number of physical rows in the sealed columns:
+// the clustered run plus the tail rows Compact sealed.
+func (t *Table) SealedRows() int { return t.NumRows() - t.Delta.Len() }
 
 // DeltaLen returns the number of unsealed delta rows.
 func (t *Table) DeltaLen() int { return t.Delta.Len() }
 
-// LiveCount returns the number of rows that are neither tombstoned nor
-// permanent holes left by Compact.
-func (t *Table) LiveCount() int { return t.NumRows() - t.Del.Count() - t.holes.Count() }
+// LiveCount returns the number of rows not tombstoned.
+func (t *Table) LiveCount() int { return t.NumRows() - t.Del.Count() }
 
-// HoleCount returns the number of permanent all-NULL rows.
-func (t *Table) HoleCount() int { return t.holes.Count() }
+// deadTail returns the number of tombstoned tail rows: every tail
+// subject has at most one live row, and vacated delta rows are dropped
+// at once, so the tail rows past tailRow's are the dead sealed ones.
+func (t *Table) deadTail() int { return len(t.Tail) - len(t.tailRow) }
 
-// union merges two bitmaps into a fresh one; nil-safe.
-func union(a, b *Bitmap) *Bitmap {
-	if a.Count() == 0 {
-		return b.Clone()
-	}
-	out := a.Clone()
-	if b != nil {
-		for w, bits := range b.words {
-			for w >= len(out.words) {
-				out.words = append(out.words, 0)
-			}
-			added := bits &^ out.words[w]
-			out.words[w] |= bits
-			for ; added != 0; added &= added - 1 {
-				out.n++
-			}
-		}
-	}
-	return out
-}
-
-// DenseLiveRow returns s's clustered dense row if it is still live —
-// neither tombstoned nor a permanent hole — else -1. Unlike RowOf it
-// ignores delta and extra residences: it answers "does this table's
+// DenseLiveRow returns s's clustered row if it is still live, else -1.
+// Unlike RowOf it ignores the tail: it answers "does this table's
 // build-time state (cells, link-table entries) still speak for s?",
-// which goes false the moment s is vacated into the delta layer.
+// which goes false the moment s is vacated into the tail.
 func (t *Table) DenseLiveRow(s dict.OID) int {
 	p := s.Payload()
 	if !s.IsResource() || p < t.Base || p >= t.Base+uint64(t.Count) {
 		return -1
 	}
 	r := int(p - t.Base)
-	if t.Del.Get(r) || t.holes.Get(r) {
+	if t.Del.Get(r) {
 		return -1
 	}
 	return r
@@ -197,26 +186,63 @@ func (t *Table) Value(ci, row int) dict.OID {
 	return t.Cols[ci].Data.Get(row)
 }
 
-// appendDeltaRow adds one delta row; vals must be aligned to Cols.
-func (t *Table) appendDeltaRow(s dict.OID, vals []dict.OID) int {
+// appendDeltaRow adds one unsealed tail row; vals must be aligned to
+// Cols.
+func (t *Table) appendDeltaRow(s dict.OID, vals []dict.OID) {
 	if t.Delta == nil {
-		t.Delta = &DeltaRows{Cols: make([][]dict.OID, len(t.Cols)), rowOf: make(map[dict.OID]int)}
+		t.Delta = &DeltaRows{Cols: make([][]dict.OID, len(t.Cols))}
 	}
-	i := len(t.Delta.Subj)
-	t.Delta.Subj = append(t.Delta.Subj, s)
+	if t.tailRow == nil {
+		t.tailRow = make(map[dict.OID]int)
+	}
+	t.tailRow[s] = t.NumRows()
+	t.Tail = append(t.Tail, s)
 	for ci := range t.Cols {
 		t.Delta.Cols[ci] = append(t.Delta.Cols[ci], vals[ci])
 	}
-	t.Delta.rowOf[s] = i
-	return i
+	t.Delta.n++
 }
 
-// ensureDel returns the table's tombstone bitmap, allocating on first use.
-func (t *Table) ensureDel() *Bitmap {
+// vacate removes s's live row: a sealed row is tombstoned, an unsealed
+// one is forgotten here and dropped by dropDeadDelta. It reports
+// whether the row was unsealed.
+func (t *Table) vacate(s dict.OID) (unsealed bool) {
+	row := t.RowOf(s)
+	delete(t.tailRow, s)
+	if row >= t.SealedRows() {
+		return true
+	}
 	if t.Del == nil {
 		t.Del = &Bitmap{}
 	}
-	return t.Del
+	t.Del.Set(row)
+	return false
+}
+
+// dropDeadDelta rebuilds the unsealed rows without the ones vacated,
+// preserving row order.
+func (t *Table) dropDeadDelta() {
+	sealed := t.SealedRows()
+	d := t.Delta
+	nd := &DeltaRows{Cols: make([][]dict.OID, len(d.Cols))}
+	tail := t.Tail[: sealed-t.Count : sealed-t.Count]
+	for j := 0; j < d.n; j++ {
+		s := t.Tail[sealed-t.Count+j]
+		if t.tailRow[s] != sealed+j {
+			continue
+		}
+		t.tailRow[s] = sealed + nd.n
+		tail = append(tail, s)
+		for ci := range d.Cols {
+			nd.Cols[ci] = append(nd.Cols[ci], d.Cols[ci][j])
+		}
+		nd.n++
+	}
+	t.Tail = tail
+	t.Delta = nd
+	if nd.n == 0 {
+		t.Delta = nil
+	}
 }
 
 // routableCol returns the column index a delta triple with predicate p
@@ -234,14 +260,15 @@ func (t *Table) routableCol(p dict.OID) int {
 	return t.ColIndex(p)
 }
 
-// HasDeltas reports whether any table carries delta rows or tombstones.
-func (cat *Catalog) HasDeltas() bool {
+// Reclaimable sums what Compact can reclaim across tables: delta rows
+// to seal and tombstoned tail rows to drop. Clustered tombstones are
+// not counted — they stay until the next Organize.
+func (cat *Catalog) Reclaimable() int {
+	n := 0
 	for _, t := range cat.Tables {
-		if t.DeltaLen() > 0 || t.Del.Count() > 0 {
-			return true
-		}
+		n += t.DeltaLen() + t.deadTail()
 	}
-	return false
+	return n
 }
 
 // DeltaRowCount sums delta rows across tables.
@@ -272,8 +299,6 @@ func (cat *Catalog) CloneForWrite() *Catalog {
 		Tables:       make([]*Table, len(cat.Tables)),
 		byName:       make(map[string]*Table, len(cat.byName)),
 		byCS:         make(map[int]*Table, len(cat.byCS)),
-		deltaOf:      make(map[dict.OID]*Table, len(cat.deltaOf)),
-		extraOf:      make(map[dict.OID]*Table, len(cat.extraOf)),
 	}
 	old2new := make(map[*Table]*Table, len(cat.Tables))
 	for i, t := range cat.Tables {
@@ -281,23 +306,12 @@ func (cat *Catalog) CloneForWrite() *Catalog {
 		ct.Cols = append([]*Col(nil), t.Cols...)
 		ct.Del = t.Del.Clone()
 		ct.Delta = t.Delta.Clone()
-		if t.Extra != nil {
-			ct.Extra = append([]dict.OID(nil), t.Extra...)
-			ct.extraRow = make(map[dict.OID]int, len(t.extraRow))
-			for s, r := range t.extraRow {
-				ct.extraRow[s] = r
-			}
-		}
+		ct.Tail = append([]dict.OID(nil), t.Tail...)
+		ct.tailRow = maps.Clone(t.tailRow)
 		nc.Tables[i] = &ct
 		nc.byName[ct.Name] = &ct
 		nc.byCS[ct.CS.ID] = &ct
 		old2new[t] = &ct
-	}
-	for s, t := range cat.deltaOf {
-		nc.deltaOf[s] = old2new[t]
-	}
-	for s, t := range cat.extraOf {
-		nc.extraOf[s] = old2new[t]
 	}
 	// Link tables share their (immutable) Subj/Val arrays, but the Parent
 	// pointer must follow the cloned table: liveness of a link entry is
@@ -337,40 +351,15 @@ type ReassignStats struct {
 // (Schema.SubjectCS stays as of the last Organize).
 func (cat *Catalog) ReassignSubjects(subjects []dict.OID, spo *triples.Projection, schema *cs.Schema) ReassignStats {
 	var st ReassignStats
-	if cat.deltaOf == nil {
-		cat.deltaOf = make(map[dict.OID]*Table)
-	}
-	if cat.extraOf == nil {
-		cat.extraOf = make(map[dict.OID]*Table)
-	}
-	touched := make(map[dict.OID]bool, len(subjects))
-	for _, s := range subjects {
-		touched[s] = true
-	}
-
 	// Vacate old residences.
-	removedDelta := make(map[*Table]bool)
+	vacated := make(map[*Table]bool)
 	for _, s := range subjects {
-		if t := cat.deltaOf[s]; t != nil {
-			removedDelta[t] = true
-			delete(cat.deltaOf, s)
-		}
-		if t := cat.extraOf[s]; t != nil {
-			t.ensureDel().Set(t.Count + t.extraRow[s])
-			delete(t.extraRow, s)
-			delete(cat.extraOf, s)
-		}
-		if t := cat.denseTableOf(s); t != nil {
-			row := int(s.Payload() - t.Base)
-			// already-vacated rows (tombstoned earlier, or a permanent
-			// hole from a past Compact) are not tombstoned again
-			if !t.Del.Get(row) && !t.holes.Get(row) {
-				t.ensureDel().Set(row)
-			}
+		if t := cat.TableOf(s); t != nil && t.vacate(s) {
+			vacated[t] = true
 		}
 	}
-	for t := range removedDelta {
-		t.removeDeltaRows(touched)
+	for t := range vacated {
+		t.dropDeadDelta()
 	}
 
 	// Drop the touched subjects' irregular triples, found by range
@@ -431,7 +420,6 @@ func (cat *Catalog) ReassignSubjects(subjects []dict.OID, spo *triples.Projectio
 			spill(s, p, vals)
 		})
 		t.appendDeltaRow(s, row)
-		cat.deltaOf[s] = t
 	}
 	// like the store's own index: the untouched residue is not re-sorted,
 	// the touched subjects' triples are merged out and back in
@@ -439,33 +427,9 @@ func (cat *Catalog) ReassignSubjects(subjects []dict.OID, spo *triples.Projectio
 	return st
 }
 
-// removeDeltaRows rebuilds the delta without the given subjects,
-// preserving row order.
-func (t *Table) removeDeltaRows(drop map[dict.OID]bool) {
-	d := t.Delta
-	if d == nil {
-		return
-	}
-	nd := &DeltaRows{Cols: make([][]dict.OID, len(d.Cols)), rowOf: make(map[dict.OID]int)}
-	for i, s := range d.Subj {
-		if drop[s] {
-			continue
-		}
-		nd.rowOf[s] = len(nd.Subj)
-		nd.Subj = append(nd.Subj, s)
-		for ci := range d.Cols {
-			nd.Cols[ci] = append(nd.Cols[ci], d.Cols[ci][i])
-		}
-	}
-	if len(nd.Subj) == 0 {
-		t.Delta = nil
-		return
-	}
-	t.Delta = nd
-}
-
-// denseTableOf is the clustered-range lookup only (no delta/extra maps,
-// no tombstone check): the table whose dense subject-OID range contains s.
+// denseTableOf is the clustered-range lookup only (no tail, no
+// tombstone check): the table whose clustered subject-OID range
+// contains s.
 func (cat *Catalog) denseTableOf(s dict.OID) *Table {
 	if !s.IsResource() {
 		return nil
@@ -493,50 +457,55 @@ type CompactStats struct {
 	Tables int
 	// MergedRows is the number of delta rows merged into sealed segments.
 	MergedRows int
-	// DroppedTombstones is the number of tombstones folded into
-	// permanent all-NULL holes.
+	// DroppedTombstones is the number of tombstoned tail rows dropped.
 	DroppedTombstones int
 }
 
-// Compact merges every table's delta layer into freshly sealed segments:
-// tombstoned sealed rows become permanent all-NULL holes (subject OIDs
-// are stable, so rows cannot move), delta rows are appended as sealed
-// "extra" rows addressed by an explicit subject map, and the per-table
-// CS statistics are refreshed — the incremental, per-table equivalent of
-// a full re-Organize. Call on a CloneForWrite catalog only.
+// Compact seals every table's tail: delta rows are appended to freshly
+// sealed segments behind the live sealed tail rows, tombstoned tail rows
+// are dropped, and the per-table CS statistics are refreshed — the
+// incremental, per-table equivalent of a full re-Organize. The clustered
+// run is copied unchanged, its tombstones included (subject OIDs are
+// stable, so its rows cannot move), so it keeps its encodings and its
+// ascending sort key. A table with no delta row and no dead tail row is
+// left as it is. Call on a CloneForWrite catalog only.
 func (cat *Catalog) Compact(pool *colstore.BufferPool) CompactStats {
 	var st CompactStats
-	if cat.deltaOf == nil {
-		cat.deltaOf = make(map[dict.OID]*Table)
-	}
-	if cat.extraOf == nil {
-		cat.extraOf = make(map[dict.OID]*Table)
-	}
 	for _, t := range cat.Tables {
-		dl := t.DeltaLen()
-		dead := t.Del.Count()
+		dl, dead := t.DeltaLen(), t.deadTail()
 		if dl == 0 && dead == 0 {
 			continue
 		}
 		st.Tables++
 		st.MergedRows += dl
 		st.DroppedTombstones += dead
-		oldSealed := t.SealedRows()
-		newSealed := oldSealed + dl
+		// the rows kept: the whole clustered run, then the live tail rows
+		rows := make([]int, 0, t.Count+len(t.tailRow))
+		for r := 0; r < t.Count; r++ {
+			rows = append(rows, r)
+		}
+		tail := make([]dict.OID, 0, len(t.tailRow))
+		for i, s := range t.Tail {
+			if r := t.Count + i; t.tailRow[s] == r {
+				t.tailRow[s] = t.Count + len(tail)
+				tail = append(tail, s)
+				rows = append(rows, r)
+			}
+		}
+		sealed := t.SealedRows()
 		nonNull := make(map[dict.OID]int, len(t.Cols))
 		for ci, c := range t.Cols {
 			vals := c.Data.Values()
-			ncol := colstore.NewColumn(c.Data.Name, newSealed, pool)
-			for r, v := range vals {
-				if v != dict.Nil && !t.Del.Get(r) {
-					ncol.Set(r, v)
-				}
-			}
 			if dl > 0 {
-				dcol := t.Delta.Cols[ci]
-				for j, v := range dcol {
-					if v != dict.Nil {
-						ncol.Set(oldSealed+j, v)
+				vals = append(vals[:sealed:sealed], t.Delta.Cols[ci]...)
+			}
+			ncol := colstore.NewColumn(c.Data.Name, len(rows), pool)
+			live := 0
+			for i, r := range rows {
+				if v := vals[r]; v != dict.Nil {
+					ncol.Set(i, v)
+					if !t.Del.Get(r) {
+						live++
 					}
 				}
 			}
@@ -546,34 +515,13 @@ func (cat *Catalog) Compact(pool *colstore.BufferPool) CompactStats {
 			// and a copied-up child column sharing the predicate must not
 			// clobber the owned column's count in the refreshed stats
 			if _, seen := nonNull[c.Prop.Pred]; !seen {
-				nonNull[c.Prop.Pred] = newSealed - ncol.NullCount()
+				nonNull[c.Prop.Pred] = live
 			}
 			t.Cols[ci] = &Col{Prop: c.Prop, Data: ncol, FKTable: c.FKTable, Folded: c.Folded}
 		}
-		if dl > 0 {
-			if t.extraRow == nil {
-				t.extraRow = make(map[dict.OID]int, dl)
-			}
-			for j, s := range t.Delta.Subj {
-				t.extraRow[s] = len(t.Extra) + j
-				cat.extraOf[s] = t
-				delete(cat.deltaOf, s)
-			}
-			t.Extra = append(t.Extra, t.Delta.Subj...)
-		}
-		if dead > 0 {
-			// Tombstones become permanent holes: the rows are all-NULL in
-			// the new segments, but RowOf must keep refusing to resolve a
-			// moved subject to its vacated row (a fresh bitmap, so
-			// snapshots sharing the old one are unaffected).
-			t.holes = union(t.holes, t.Del)
-		}
-		t.Del = nil
+		t.Tail = tail
 		t.Delta = nil
-		// Appended rows and interior holes break the sort-key column's
-		// ascending invariant; range pushdown must skip this table until
-		// a full Organize re-clusters it.
-		t.SortDisturbed = true
+		t.Del = t.Del.below(t.Count)
 		// Per-table CS refinement on a clone: the schema's copy is shared
 		// with published snapshots and read lock-free (SchemaSummary,
 		// CSOf), so it stays frozen; the cloned table carries the

@@ -1,5 +1,5 @@
 // Persistence support: the catalog's unexported derived state — lookup
-// maps, the delta layer's subject→row indexes, tombstone bitmap words —
+// maps, the tail's subject→row index, tombstone bitmap words —
 // is exported and rebuilt here so the snapshot layer can round-trip a
 // catalog without serializing anything derivable.
 package relational
@@ -37,51 +37,46 @@ func BitmapFromWords(words []uint64) *Bitmap {
 	return b
 }
 
-// Holes exposes the permanent-hole bitmap for serialization.
-func (t *Table) Holes() *Bitmap { return t.holes }
-
-// SetHoles installs a restored permanent-hole bitmap.
-func (t *Table) SetHoles(b *Bitmap) { t.holes = b }
-
-// SetExtra installs the compacted-in extra subjects, rebuilding the
+// RestoreTail installs a deserialized tail on a table whose Count and
+// Cols are set: its subjects, the tombstones, and the cells of its last
+// n rows (deltaCols aligned to Cols, each n long), re-deriving the
 // subject→row map.
-func (t *Table) SetExtra(extra []dict.OID) {
-	t.Extra = extra
-	t.extraRow = nil
-	if len(extra) > 0 {
-		t.extraRow = make(map[dict.OID]int, len(extra))
-		for i, s := range extra {
-			t.extraRow[s] = i
+func (t *Table) RestoreTail(tail []dict.OID, del *Bitmap, n int, deltaCols [][]dict.OID) error {
+	if n > len(tail) {
+		return fmt.Errorf("relational: %d delta rows in a tail of %d", n, len(tail))
+	}
+	for ci, col := range deltaCols {
+		if len(col) != n {
+			return fmt.Errorf("relational: delta column %d has %d rows, want %d", ci, len(col), n)
 		}
 	}
+	t.Tail, t.Del, t.Delta, t.tailRow = tail, del, nil, nil
+	if n > 0 {
+		t.Delta = &DeltaRows{Cols: deltaCols, n: n}
+	}
+	if words := del.Words(); del.AnyInRange(t.SealedRows(), len(words)<<6) {
+		return fmt.Errorf("relational: a tombstone past the %d sealed rows", t.SealedRows())
+	}
+	for i, s := range tail {
+		r := t.Count + i
+		if t.Del.Get(r) {
+			continue
+		}
+		if _, dup := t.tailRow[s]; dup {
+			return fmt.Errorf("relational: duplicate tail subject %v", s)
+		}
+		if t.tailRow == nil {
+			t.tailRow = make(map[dict.OID]int)
+		}
+		t.tailRow[s] = r
+	}
+	return nil
 }
 
-// RestoreDeltaRows rebuilds an unsealed delta tail from its serialized
-// columns, re-deriving the subject→row map. cols must be aligned to the
-// table's Cols and each as long as subj.
-func RestoreDeltaRows(subj []dict.OID, cols [][]dict.OID) (*DeltaRows, error) {
-	if len(subj) == 0 {
-		return nil, nil
-	}
-	d := &DeltaRows{Subj: subj, Cols: cols, rowOf: make(map[dict.OID]int, len(subj))}
-	for ci, col := range cols {
-		if len(col) != len(subj) {
-			return nil, fmt.Errorf("relational: delta column %d has %d rows, want %d", ci, len(col), len(subj))
-		}
-	}
-	for i, s := range subj {
-		if _, dup := d.rowOf[s]; dup {
-			return nil, fmt.Errorf("relational: duplicate delta subject %v", s)
-		}
-		d.rowOf[s] = i
-	}
-	return d, nil
-}
-
-// AssembleCatalog wires a deserialized catalog: the name/CS lookup maps,
-// the delta- and extra-residence maps, and the irregular index are all
-// rebuilt from the restored tables and links; the index set takes
-// ownership of irregular. Link Parent pointers must already be set.
+// AssembleCatalog wires a deserialized catalog: the name/CS lookup maps
+// and the irregular index are rebuilt from the restored tables and
+// links; the index set takes ownership of irregular. Link Parent
+// pointers must already be set.
 func AssembleCatalog(tables []*Table, links []*LinkTable, irregular *triples.Table) *Catalog {
 	cat := &Catalog{
 		Tables:       tables,
@@ -89,20 +84,10 @@ func AssembleCatalog(tables []*Table, links []*LinkTable, irregular *triples.Tab
 		IrregularIdx: triples.NewIndexSet(irregular),
 		byName:       make(map[string]*Table, len(tables)),
 		byCS:         make(map[int]*Table, len(tables)),
-		deltaOf:      make(map[dict.OID]*Table),
-		extraOf:      make(map[dict.OID]*Table),
 	}
 	for _, t := range tables {
 		cat.byName[t.Name] = t
 		cat.byCS[t.CS.ID] = t
-		if t.Delta != nil {
-			for _, s := range t.Delta.Subj {
-				cat.deltaOf[s] = t
-			}
-		}
-		for _, s := range t.Extra {
-			cat.extraOf[s] = t
-		}
 	}
 	return cat
 }

@@ -1,7 +1,7 @@
 // Package storage is the durability layer of the self-organizing store:
 // a versioned, checksummed binary snapshot format for the whole organized
 // state (dictionary, base triples, CS schema, catalog with sealed
-// compressed segments, tombstones, delta rows, irregular residue) plus a
+// compressed segments, tombstones, tail rows, irregular residue) plus a
 // write-ahead log that records post-Organize Add/Delete batches so the
 // delta layer survives crashes.
 //
@@ -40,8 +40,10 @@ const Magic = "SRDFSNP1"
 // per-property DistinctObj statistic to serialized PropStats; v3 ends
 // the dict section with the literal-order watermark (the count of
 // value-ordered literal payloads) in place of the header's
-// literals-ordered flag bit.
-const Version = 3
+// literals-ordered flag bit; v4 stores each table's tail as one subject
+// list (sealed rows first) with the unsealed row count, and drops the
+// sort-disturbed flag and the hole bitmap.
+const Version = 4
 
 const headerLen = 8 + 2 + 2 + 4
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"flag"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -22,11 +21,11 @@ import (
 
 var update = flag.Bool("update", false, "regenerate the golden snapshot fixture")
 
-const goldenPath = "testdata/golden_v3.srdf"
+const goldenPath = "testdata/golden_v4.srdf"
 
-// v2Path is a fixture of the previous format version, kept to pin that
-// an old file is refused with the typed version error.
-const v2Path = "testdata/golden_v2.srdf"
+// prevPath is a fixture of the previous format version, kept to pin
+// that an old file is refused with the typed version error.
+const prevPath = "testdata/golden_v3.srdf"
 
 // goldenSource is a fixed graph exercising most of the format surface:
 // two characteristic sets, a foreign key, a multi-valued property (link
@@ -53,8 +52,9 @@ var goldenQueries = []string{
 
 // buildGoldenStore reproduces the fixture's state: the fixed graph,
 // organized, plus delta traffic (a new matching subject, a delete, an
-// irregular add) folded into the catalog's delta layer but not
-// compacted.
+// irregular add) compacted into sealed tail rows, then more traffic
+// folded into the catalog but not compacted — a tombstoned sealed tail
+// row and unsealed tail rows behind it.
 func buildGoldenStore(t *testing.T) *core.Store {
 	t.Helper()
 	opts := core.DefaultOptions()
@@ -74,6 +74,13 @@ func buildGoldenStore(t *testing.T) *core.Store {
 	st.Delete(nt.Triple{S: g("p2"), P: g("age"), O: dict.IntLit(25)})
 	st.Add(nt.Triple{S: g("odd"), P: g("whatever"), O: dict.StringLit("more")})
 	st.Add(nt.Triple{S: g("p1"), P: g("nick"), O: dict.StringLit("al")})
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st.Delete(nt.Triple{S: g("p5"), P: g("age"), O: dict.IntLit(33)})
+	st.Add(nt.Triple{S: g("p6"), P: g("name"), O: dict.StringLit("frank")})
+	st.Add(nt.Triple{S: g("p6"), P: g("age"), O: dict.IntLit(52)})
+	st.Add(nt.Triple{S: g("p6"), P: g("works"), O: g("c1")})
 	st.Stats() // fold the writes into the published delta layer
 	return st
 }
@@ -210,15 +217,15 @@ func TestGoldenUpdateOrderRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	shuffle := func(tb *triples.Table) *triples.Table {
+	// both sets are saved in SPO order: reversed, neither is sorted
+	reverse := func(tb *triples.Table) *triples.Table {
 		out := triples.NewTable(tb.Len())
-		for _, i := range rng.Perm(tb.Len()) {
+		for i := tb.Len() - 1; i >= 0; i-- {
 			out.AppendTriple(tb.At(i))
 		}
 		return out
 	}
-	data, err := storage.MarshalRowOrder(snap, shuffle)
+	data, err := storage.MarshalRowOrder(snap, reverse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,16 +262,17 @@ func TestGoldenUpdateOrderRows(t *testing.T) {
 	}
 }
 
-// TestGoldenPreviousVersion: a snapshot of format v2 (literal order as a
-// header flag bit, no watermark) yields the typed VersionError.
+// TestGoldenPreviousVersion: a snapshot of format v3 (extra rows, hole
+// bitmap and sort-disturbed flag beside the delta) yields the typed
+// VersionError.
 func TestGoldenPreviousVersion(t *testing.T) {
-	data, err := os.ReadFile(v2Path)
+	data, err := os.ReadFile(prevPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ve *storage.VersionError
-	if _, err := storage.Read(data, colstore.NewPool(0)); !errors.As(err, &ve) || ve.Got != 2 || ve.Want != storage.Version {
-		t.Fatalf("v2 fixture: %v, want VersionError{Got: 2, Want: %d}", err, storage.Version)
+	if _, err := storage.Read(data, colstore.NewPool(0)); !errors.As(err, &ve) || ve.Got != 3 || ve.Want != storage.Version {
+		t.Fatalf("v3 fixture: %v, want VersionError{Got: 3, Want: %d}", err, storage.Version)
 	}
 }
 

@@ -552,7 +552,6 @@ func writeCatalog(cat *relational.Catalog, schema *cs.Schema) (catPayload, segPa
 		b = binary.AppendUvarint(b, uint64(t.Count))
 		b = appendOID(b, t.SortPred)
 		b = appendBool(b, t.Hidden)
-		b = appendBool(b, t.SortDisturbed)
 		b = writeTableCS(b, t.CS)
 
 		b = binary.AppendUvarint(b, uint64(len(t.Cols)))
@@ -592,20 +591,13 @@ func writeCatalog(cat *relational.Catalog, schema *cs.Schema) (catPayload, segPa
 			}
 		}
 
-		b = binary.AppendUvarint(b, uint64(len(t.Extra)))
-		for _, s := range t.Extra {
+		b = binary.AppendUvarint(b, uint64(len(t.Tail)))
+		for _, s := range t.Tail {
 			b = appendOID(b, s)
 		}
 		b = writeBitmap(b, t.Del)
-		b = writeBitmap(b, t.Holes())
-		if t.Delta.Len() == 0 {
-			b = appendBool(b, false)
-		} else {
-			b = appendBool(b, true)
-			b = binary.AppendUvarint(b, uint64(t.Delta.Len()))
-			for _, s := range t.Delta.Subj {
-				b = appendOID(b, s)
-			}
+		b = binary.AppendUvarint(b, uint64(t.DeltaLen()))
+		if t.Delta != nil {
 			for _, col := range t.Delta.Cols {
 				for _, v := range col {
 					b = appendOID(b, v)
@@ -653,7 +645,6 @@ func readCatalog(payload, segData []byte, schema *cs.Schema, pool *colstore.Buff
 		}
 		t.SortPred = r.oid()
 		t.Hidden = r.boolv()
-		t.SortDisturbed = r.boolv()
 		t.CS = readTableCS(r, schema)
 
 		nc := r.count(maxCount)
@@ -706,26 +697,18 @@ func readCatalog(payload, segData []byte, schema *cs.Schema, pool *colstore.Buff
 			t.Cols = append(t.Cols, col)
 		}
 
-		t.SetExtra(r.oids(r.count(maxCount)))
-		t.Del = readBitmap(r)
-		t.SetHoles(readBitmap(r))
-		if r.boolv() {
-			nd := r.count(maxCount)
-			subj := r.oids(nd)
-			cols := make([][]dict.OID, len(t.Cols))
-			for ci := range cols {
-				cols[ci] = r.oids(nd)
-			}
-			if r.err == nil {
-				delta, err := relational.RestoreDeltaRows(subj, cols)
-				if err != nil {
-					return nil, corrupt("catalog", "table %s: %v", t.Name, err)
-				}
-				t.Delta = delta
-			}
+		tail := r.oids(r.count(maxCount))
+		del := readBitmap(r)
+		nd := r.count(maxCount)
+		cols := make([][]dict.OID, len(t.Cols))
+		for ci := range cols {
+			cols[ci] = r.oids(nd)
 		}
 		if r.err != nil {
 			return nil, r.err
+		}
+		if err := t.RestoreTail(tail, del, nd, cols); err != nil {
+			return nil, corrupt("catalog", "table %s: %v", t.Name, err)
 		}
 		for _, c := range t.Cols {
 			if c.Data.Len() != t.SealedRows() {

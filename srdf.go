@@ -73,9 +73,10 @@ type Options struct {
 	// memory stays queryable with bounded RSS. Watch
 	// PoolStats.Evictions and PoolStats.ResidentBytes.
 	PoolBytes int64
-	// CompactThreshold is the delta-layer size (delta rows plus
-	// tombstones) past which the store automatically compacts deltas
-	// into freshly sealed segments; 0 uses the built-in default,
+	// CompactThreshold is the reclaimable delta-layer size (delta rows
+	// plus tombstoned tail rows) past which the store automatically
+	// compacts them into freshly sealed segments; 0 uses the built-in
+	// default,
 	// negative disables auto-compaction (Compact can still be called
 	// explicitly).
 	CompactThreshold int
@@ -253,11 +254,13 @@ func (s *Store) Organize() (Report, error) { return s.inner.Organize() }
 // CompactReport summarizes a Compact run.
 type CompactReport = core.CompactReport
 
-// Compact merges the delta layer (delta rows, tombstones) into freshly
-// sealed compressed segments and refreshes the affected tables' CS
-// statistics — the incremental, much cheaper alternative to a full
-// re-Organize. It also runs automatically once the delta outgrows
-// Options.CompactThreshold. Concurrent readers are unaffected: they
+// Compact seals each table's delta rows into fresh compressed segments
+// behind its clustered run, drops tombstoned tail rows and refreshes
+// the affected tables' CS statistics — the incremental, much cheaper
+// alternative to a full re-Organize. The clustered run is copied
+// unchanged (its tombstones stay until Organize), so its encodings and
+// sort-key pushdown survive. It also runs automatically once delta rows
+// plus dead tail rows outgrow Options.CompactThreshold. Concurrent readers are unaffected: they
 // keep their snapshot until their next query.
 func (s *Store) Compact() (CompactReport, error) { return s.inner.Compact() }
 
