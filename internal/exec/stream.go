@@ -535,8 +535,7 @@ func (s *ScanOp) nextDelta(b *Batch) bool {
 	if !s.dOn {
 		return false
 	}
-	d := s.Table.Delta
-	n := d.Len()
+	d, n := s.Table.Delta, s.Table.DeltaLen()
 	subj := s.Table.Tail[len(s.Table.Tail)-n:]
 	sc := &s.sc
 	for s.dCur < n {
@@ -554,7 +553,7 @@ func (s *ScanOp) nextDelta(b *Batch) bool {
 			ok := true
 			for i := range s.props {
 				p := &s.Star.Props[i]
-				v := d.Cols[s.props[i].idx][r]
+				v := d[s.props[i].idx][r]
 				if v == dict.Nil || !p.matches(v) {
 					ok = false
 					break
@@ -564,7 +563,7 @@ func (s *ScanOp) nextDelta(b *Batch) bool {
 				bl := &s.blooms[bi]
 				v := subj[r]
 				if bl.prop >= 0 {
-					v = d.Cols[s.props[bl.prop].idx][r]
+					v = d[s.props[bl.prop].idx][r]
 				}
 				ok = bl.f.MayContain(v)
 			}
@@ -582,7 +581,7 @@ func (s *ScanOp) nextDelta(b *Batch) bool {
 			if s.Star.Props[i].ObjVar == "" {
 				continue
 			}
-			views = append(views, d.Cols[s.props[i].idx][lo:hi])
+			views = append(views, d[s.props[i].idx][lo:hi])
 		}
 		sc.views = views
 		if len(sel) == hi-lo {

@@ -7,7 +7,6 @@ import (
 	"srdf/internal/dict"
 	"srdf/internal/exec"
 	"srdf/internal/nt"
-	"srdf/internal/relational"
 	"srdf/internal/triples"
 )
 
@@ -37,25 +36,19 @@ func CheckResidence(st *core.Store, ts []nt.Triple, compacted bool) error {
 		if bad != nil {
 			return
 		}
-		var home *relational.Table
+		var homes []string
 		for _, t := range cat.Tables {
-			if t.RowOf(s) < 0 {
-				continue
+			if t.RowOf(s) >= 0 {
+				homes = append(homes, t.Name)
 			}
-			if home != nil {
-				bad = fmt.Errorf("residence: %v has rows in %s and %s", s, home.Name, t.Name)
-				return
-			}
-			home = t
 		}
-		if got := cat.TableOf(s); got != home {
-			bad = fmt.Errorf("residence: TableOf(%v) = %v, its row is in %v", s, tableName(got), tableName(home))
-			return
-		}
-		if home == nil {
-			if ilo, ihi := irr.Range1(s); ihi-ilo != hi-lo {
-				bad = fmt.Errorf("residence: %v has no row and %d of its %d triples irregular", s, ihi-ilo, hi-lo)
-			}
+		home := cat.TableOf(s)
+		ilo, ihi := irr.Range1(s)
+		switch {
+		case len(homes) > 1 || len(homes) == 1 && (home == nil || home.Name != homes[0]):
+			bad = fmt.Errorf("residence: %v has rows in %v, and TableOf disagrees", s, homes)
+		case len(homes) == 0 && (home != nil || ihi-ilo != hi-lo):
+			bad = fmt.Errorf("residence: %v has no row and %d of its %d triples irregular", s, ihi-ilo, hi-lo)
 		}
 	})
 	if bad != nil {
@@ -77,14 +70,8 @@ func CheckResidence(st *core.Store, ts []nt.Triple, compacted bool) error {
 	return nil
 }
 
-func tableName(t *relational.Table) string {
-	if t == nil {
-		return "none"
-	}
-	return t.Name
-}
-
-// spoOf encodes ts with the store's dictionary into an SPO projection.
+// spoOf encodes ts, a triple set, with the store's dictionary into an
+// SPO projection.
 func spoOf(d *dict.Dictionary, ts []nt.Triple) (*triples.Projection, error) {
 	tb := triples.NewTable(len(ts))
 	for _, t := range ts {
@@ -96,6 +83,5 @@ func spoOf(d *dict.Dictionary, ts []nt.Triple) (*triples.Projection, error) {
 		}
 		tb.Append(s, p, o)
 	}
-	tb.Dedup()
 	return triples.Build(tb, triples.SPO), nil
 }

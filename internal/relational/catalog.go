@@ -35,7 +35,7 @@ type Col struct {
 // run, subject payload Base+i is row i and the sort-key column is
 // ascending, which zone maps and subject windows prune on. Rows past
 // the run belong to subjects added since Organize: the tail's leading
-// rows were sealed by Compact, its last Delta.Len() rows are unsealed
+// rows were sealed by Compact, its last DeltaLen() rows are unsealed
 // (see delta.go). Deletes only set bits in Del; no cell of the run is
 // rewritten before the next Organize.
 type Table struct {
@@ -62,8 +62,11 @@ type Table struct {
 	// Del tombstones sealed rows whose subject was deleted or moved to a
 	// delta row; scans filter it out.
 	Del *Bitmap
-	// Delta holds the cells of the unsealed tail rows (nil when none).
-	Delta *DeltaRows
+	// Delta holds the cells of the last DeltaLen() tail rows, which are
+	// not sealed yet: one slice per column, aligned to Cols (nil when
+	// there are none).
+	Delta    [][]dict.OID
+	unsealed int
 }
 
 // Col returns the column for a predicate, or nil.
@@ -440,10 +443,12 @@ func (cat *Catalog) Stats() Stats {
 		s.Rows += t.LiveCount()
 		s.Columns += len(t.Cols)
 	}
+	for _, t := range cat.Tables {
+		s.DeltaRows += t.DeltaLen()
+		s.Tombstones += t.Del.Count()
+	}
 	s.LinkTables = len(cat.Links)
 	s.IrregularTriples = cat.IrregularIdx.Len()
-	s.DeltaRows = cat.DeltaRowCount()
-	s.Tombstones = cat.TombstoneCount()
 	return s
 }
 
@@ -460,12 +465,11 @@ func (cat *Catalog) DumpCSV(t *Table, d *dict.Dictionary, limit int) string {
 	b.WriteString("\n")
 	// decode without touching the buffer pool: a debug dump must not
 	// perturb the page stats the pool exists to measure
-	sealed := t.SealedRows()
 	cols := make([][]dict.OID, len(t.Cols))
 	for ci, c := range t.Cols {
 		cols[ci] = c.Data.Values()
-		if t.Delta != nil {
-			cols[ci] = append(cols[ci][:sealed:sealed], t.Delta.Cols[ci]...)
+		if t.DeltaLen() > 0 {
+			cols[ci] = append(cols[ci], t.Delta[ci]...)
 		}
 	}
 	for i, n := 0, 0; i < t.NumRows() && (limit <= 0 || n < limit); i++ {

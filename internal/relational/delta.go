@@ -10,7 +10,7 @@ package relational
 
 import (
 	"maps"
-	mathbits "math/bits"
+	"slices"
 
 	"srdf/internal/colstore"
 	"srdf/internal/cs"
@@ -88,48 +88,14 @@ func (b *Bitmap) Clone() *Bitmap {
 	return &Bitmap{words: append([]uint64(nil), b.words...), n: b.n}
 }
 
-// below returns a fresh bitmap of b's rows under n, nil when there are
-// none; nil-safe.
+// below returns a copy of b without the rows at or past n, nil when
+// none is left; nil-safe.
 func (b *Bitmap) below(n int) *Bitmap {
-	var out *Bitmap
-	for w, bits := range b.Words() {
-		for ; bits != 0; bits &= bits - 1 {
-			if i := w<<6 + mathbits.TrailingZeros64(bits); i < n {
-				if out == nil {
-					out = &Bitmap{}
-				}
-				out.Set(i)
-			}
-		}
+	words := append([]uint64(nil), b.Words()[:min(len(b.Words()), (n+63)>>6)]...)
+	if len(words) == (n+63)>>6 && n&63 != 0 {
+		words[len(words)-1] &= 1<<(n&63) - 1
 	}
-	return out
-}
-
-// DeltaRows holds the cells of a table's unsealed tail rows — the last
-// Len() rows of its Tail — with Cols aligned to the table's Cols.
-type DeltaRows struct {
-	Cols [][]dict.OID
-	n    int
-}
-
-// Len returns the number of delta rows; nil-safe.
-func (d *DeltaRows) Len() int {
-	if d == nil {
-		return 0
-	}
-	return d.n
-}
-
-// Clone deep-copies the delta; nil-safe.
-func (d *DeltaRows) Clone() *DeltaRows {
-	if d == nil {
-		return nil
-	}
-	nd := &DeltaRows{Cols: make([][]dict.OID, len(d.Cols)), n: d.n}
-	for i := range d.Cols {
-		nd.Cols[i] = append([]dict.OID(nil), d.Cols[i]...)
-	}
-	return nd
+	return BitmapFromWords(words)
 }
 
 // NumRows returns the clustered run plus the tail.
@@ -137,17 +103,17 @@ func (t *Table) NumRows() int { return t.Count + len(t.Tail) }
 
 // SealedRows returns the number of physical rows in the sealed columns:
 // the clustered run plus the tail rows Compact sealed.
-func (t *Table) SealedRows() int { return t.NumRows() - t.Delta.Len() }
+func (t *Table) SealedRows() int { return t.NumRows() - t.unsealed }
 
 // DeltaLen returns the number of unsealed delta rows.
-func (t *Table) DeltaLen() int { return t.Delta.Len() }
+func (t *Table) DeltaLen() int { return t.unsealed }
 
 // LiveCount returns the number of rows not tombstoned.
 func (t *Table) LiveCount() int { return t.NumRows() - t.Del.Count() }
 
-// deadTail returns the number of tombstoned tail rows: every tail
-// subject has at most one live row, and vacated delta rows are dropped
-// at once, so the tail rows past tailRow's are the dead sealed ones.
+// deadTail returns the number of tombstoned tail rows: a tail subject
+// has at most one live row, and a vacated delta row is dropped at once,
+// so every Tail entry beyond the live ones is a dead sealed row.
 func (t *Table) deadTail() int { return len(t.Tail) - len(t.tailRow) }
 
 // DenseLiveRow returns s's clustered row if it is still live, else -1.
@@ -181,7 +147,7 @@ func (t *Table) ColIndex(pred dict.OID) int {
 // are memory-resident and free).
 func (t *Table) Value(ci, row int) dict.OID {
 	if sr := t.SealedRows(); row >= sr {
-		return t.Delta.Cols[ci][row-sr]
+		return t.Delta[ci][row-sr]
 	}
 	return t.Cols[ci].Data.Get(row)
 }
@@ -190,7 +156,7 @@ func (t *Table) Value(ci, row int) dict.OID {
 // Cols.
 func (t *Table) appendDeltaRow(s dict.OID, vals []dict.OID) {
 	if t.Delta == nil {
-		t.Delta = &DeltaRows{Cols: make([][]dict.OID, len(t.Cols))}
+		t.Delta = make([][]dict.OID, len(t.Cols))
 	}
 	if t.tailRow == nil {
 		t.tailRow = make(map[dict.OID]int)
@@ -198,9 +164,9 @@ func (t *Table) appendDeltaRow(s dict.OID, vals []dict.OID) {
 	t.tailRow[s] = t.NumRows()
 	t.Tail = append(t.Tail, s)
 	for ci := range t.Cols {
-		t.Delta.Cols[ci] = append(t.Delta.Cols[ci], vals[ci])
+		t.Delta[ci] = append(t.Delta[ci], vals[ci])
 	}
-	t.Delta.n++
+	t.unsealed++
 }
 
 // vacate removes s's live row: a sealed row is tombstoned, an unsealed
@@ -222,26 +188,18 @@ func (t *Table) vacate(s dict.OID) (unsealed bool) {
 // dropDeadDelta rebuilds the unsealed rows without the ones vacated,
 // preserving row order.
 func (t *Table) dropDeadDelta() {
-	sealed := t.SealedRows()
-	d := t.Delta
-	nd := &DeltaRows{Cols: make([][]dict.OID, len(d.Cols))}
-	tail := t.Tail[: sealed-t.Count : sealed-t.Count]
-	for j := 0; j < d.n; j++ {
-		s := t.Tail[sealed-t.Count+j]
+	sealed, d := t.SealedRows(), t.Delta
+	delta := t.Tail[sealed-t.Count:]
+	t.Tail, t.Delta, t.unsealed = t.Tail[:sealed-t.Count:sealed-t.Count], nil, 0
+	vals := make([]dict.OID, len(d))
+	for j, s := range delta {
 		if t.tailRow[s] != sealed+j {
 			continue
 		}
-		t.tailRow[s] = sealed + nd.n
-		tail = append(tail, s)
-		for ci := range d.Cols {
-			nd.Cols[ci] = append(nd.Cols[ci], d.Cols[ci][j])
+		for ci := range d {
+			vals[ci] = d[ci][j]
 		}
-		nd.n++
-	}
-	t.Tail = tail
-	t.Delta = nd
-	if nd.n == 0 {
-		t.Delta = nil
+		t.appendDeltaRow(s, vals)
 	}
 }
 
@@ -271,24 +229,6 @@ func (cat *Catalog) Reclaimable() int {
 	return n
 }
 
-// DeltaRowCount sums delta rows across tables.
-func (cat *Catalog) DeltaRowCount() int {
-	n := 0
-	for _, t := range cat.Tables {
-		n += t.DeltaLen()
-	}
-	return n
-}
-
-// TombstoneCount sums tombstoned sealed rows across tables.
-func (cat *Catalog) TombstoneCount() int {
-	n := 0
-	for _, t := range cat.Tables {
-		n += t.Del.Count()
-	}
-	return n
-}
-
 // CloneForWrite returns a catalog copy that shares all immutable state
 // (sealed columns, link tables) but owns the mutable delta layer, so
 // mutating the clone never disturbs readers holding the original as a
@@ -305,7 +245,10 @@ func (cat *Catalog) CloneForWrite() *Catalog {
 		ct := *t
 		ct.Cols = append([]*Col(nil), t.Cols...)
 		ct.Del = t.Del.Clone()
-		ct.Delta = t.Delta.Clone()
+		ct.Delta = nil
+		for _, col := range t.Delta {
+			ct.Delta = append(ct.Delta, slices.Clone(col))
+		}
 		ct.Tail = append([]dict.OID(nil), t.Tail...)
 		ct.tailRow = maps.Clone(t.tailRow)
 		nc.Tables[i] = &ct
@@ -347,8 +290,8 @@ type ReassignStats struct {
 // subjects spill entirely to the irregular store. Call on a
 // CloneForWrite catalog only; subjects should be sorted for determinism.
 // The schema is read, never written: published snapshots share it, and
-// the catalog's own delta maps are the live subject→table truth
-// (Schema.SubjectCS stays as of the last Organize).
+// the tables' clustered ranges, tombstones and tail maps are the live
+// subject→table truth (Schema.SubjectCS stays as of the last Organize).
 func (cat *Catalog) ReassignSubjects(subjects []dict.OID, spo *triples.Projection, schema *cs.Schema) ReassignStats {
 	var st ReassignStats
 	// Vacate old residences.
@@ -492,12 +435,11 @@ func (cat *Catalog) Compact(pool *colstore.BufferPool) CompactStats {
 				rows = append(rows, r)
 			}
 		}
-		sealed := t.SealedRows()
 		nonNull := make(map[dict.OID]int, len(t.Cols))
 		for ci, c := range t.Cols {
 			vals := c.Data.Values()
 			if dl > 0 {
-				vals = append(vals[:sealed:sealed], t.Delta.Cols[ci]...)
+				vals = append(vals, t.Delta[ci]...)
 			}
 			ncol := colstore.NewColumn(c.Data.Name, len(rows), pool)
 			live := 0
@@ -520,7 +462,7 @@ func (cat *Catalog) Compact(pool *colstore.BufferPool) CompactStats {
 			t.Cols[ci] = &Col{Prop: c.Prop, Data: ncol, FKTable: c.FKTable, Folded: c.Folded}
 		}
 		t.Tail = tail
-		t.Delta = nil
+		t.Delta, t.unsealed = nil, 0
 		t.Del = t.Del.below(t.Count)
 		// Per-table CS refinement on a clone: the schema's copy is shared
 		// with published snapshots and read lock-free (SchemaSummary,

@@ -50,9 +50,9 @@ func (t *Table) RestoreTail(tail []dict.OID, del *Bitmap, n int, deltaCols [][]d
 			return fmt.Errorf("relational: delta column %d has %d rows, want %d", ci, len(col), n)
 		}
 	}
-	t.Tail, t.Del, t.Delta, t.tailRow = tail, del, nil, nil
+	t.Tail, t.Del, t.Delta, t.unsealed, t.tailRow = tail, del, nil, n, nil
 	if n > 0 {
-		t.Delta = &DeltaRows{Cols: deltaCols, n: n}
+		t.Delta = deltaCols
 	}
 	if words := del.Words(); del.AnyInRange(t.SealedRows(), len(words)<<6) {
 		return fmt.Errorf("relational: a tombstone past the %d sealed rows", t.SealedRows())

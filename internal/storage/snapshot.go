@@ -597,11 +597,9 @@ func writeCatalog(cat *relational.Catalog, schema *cs.Schema) (catPayload, segPa
 		}
 		b = writeBitmap(b, t.Del)
 		b = binary.AppendUvarint(b, uint64(t.DeltaLen()))
-		if t.Delta != nil {
-			for _, col := range t.Delta.Cols {
-				for _, v := range col {
-					b = appendOID(b, v)
-				}
+		for _, col := range t.Delta {
+			for _, v := range col {
+				b = appendOID(b, v)
 			}
 		}
 	}
