@@ -174,6 +174,9 @@ func lexLiteral(src string, pos int) (Lexeme, int, string) {
 	case strings.HasPrefix(src[end:], "^^"):
 		if end+2 < len(src) && src[end+2] == '<' {
 			dt, dend, msg := lexIRI(src, end+2)
+			if msg == "" && dt == "" {
+				return Lexeme{}, end + 2, "empty datatype IRI"
+			}
 			lit.Datatype = dt
 			return lit, dend, msg
 		}

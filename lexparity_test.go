@@ -28,6 +28,7 @@ func TestTermSyntaxParity(t *testing.T) {
 		{name: "Turtle string escapes UCHAR", text: `"caf\u00e9"`, want: dict.StringLit("café"), ntSyntax: true},
 		{name: "Turtle string escapes ECHAR", text: `"a\bb"`, want: dict.StringLit("a\bb"), ntSyntax: true},
 		{name: "empty language tag", text: `"x"@`, ntSyntax: true},
+		{name: "empty datatype IRI", text: `"x"^^<>`, ntSyntax: true},
 		{name: "Turtle double", text: `1.5e3`, want: dict.TypedLit("1.5e3", dict.XSDDouble)},
 		{name: "glued dot after prefixed name", text: `x:o`, want: dict.IRI("http://x/o")},
 		{name: "glued dot after blank node label", text: `_:b`, want: dict.Blank("b"), ntSyntax: true, noSPARQL: true},
