@@ -340,7 +340,7 @@ func cmdDump(args []string) error {
 		if *table != "" && t.Name != *table {
 			continue
 		}
-		fmt.Printf("-- %s (%d rows)\n%s\n", t.Name, t.Count, cat.DumpCSV(t, d, *limit))
+		fmt.Printf("-- %s (%d rows)\n%s\n", t.Name, t.LiveCount(), cat.DumpCSV(t, d, *limit))
 	}
 	return nil
 }

@@ -238,6 +238,52 @@ func TestDumpCSV(t *testing.T) {
 	}
 }
 
+// TestDumpCSVLiveRows deletes a clustered subject and adds two new ones,
+// compacting in between: the dump lists the live clustered rows, then
+// the sealed and the unsealed tail row, and never the deleted subject.
+func TestDumpCSVLiveRows(t *testing.T) {
+	cat, all, d, schema := build(t, dblpSrc, 3)
+	ex := func(s string) dict.OID { return d.InternIRI("http://dblp.example.org/" + s) }
+	rdfType := d.InternIRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+	write := func(drop, add dict.OID) {
+		t.Helper()
+		next := triples.NewTable(all.Len())
+		for i := 0; i < all.Len(); i++ {
+			if tr := all.At(i); tr.S != drop {
+				next.AppendTriple(tr)
+			}
+		}
+		next.Append(add, rdfType, ex("inproceeding"))
+		next.Append(add, ex("creator"), ex("author2"))
+		next.Append(add, ex("title"), d.Intern(dict.StringLit("new")))
+		next.Append(add, ex("partOf"), ex("conf1"))
+		all = next
+		subjects := []dict.OID{add}
+		if drop != dict.Nil {
+			subjects = []dict.OID{min(drop, add), max(drop, add)}
+		}
+		cat = cat.CloneForWrite()
+		if st := cat.ReassignSubjects(subjects, triples.Build(all, triples.SPO), schema); st.Matched != 1 {
+			t.Fatalf("the new subject matched no table: %+v", st)
+		}
+	}
+	write(ex("inproc2"), ex("inproc4"))
+	cat.Compact(colstore.NewPool(0))
+	write(dict.Nil, ex("inproc5"))
+
+	inproc := cat.ByName("inproceeding")
+	var ids []string
+	for _, ln := range strings.Split(strings.TrimSpace(cat.DumpCSV(inproc, d, 0)), "\n")[1:] {
+		ids = append(ids, strings.TrimPrefix(ln[:strings.IndexByte(ln, ',')], "http://dblp.example.org/"))
+	}
+	if got := strings.Join(ids, " "); got != "inproc1 inproc3 inproc4 inproc5" || inproc.LiveCount() != 4 {
+		t.Fatalf("dumped %s (live count %d), want inproc1 inproc3 inproc4 inproc5", got, inproc.LiveCount())
+	}
+	if got := len(strings.Split(strings.TrimSpace(cat.DumpCSV(inproc, d, 3)), "\n")); got != 4 {
+		t.Errorf("limited csv lines = %d, want 4", got)
+	}
+}
+
 func TestStats(t *testing.T) {
 	cat, _, _, _ := build(t, dblpSrc, 3)
 	s := cat.Stats()
