@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"srdf/internal/colstore"
 	"srdf/internal/dict"
 	"srdf/internal/nt"
 	"srdf/internal/plan"
@@ -121,6 +122,79 @@ func TestAutoCompactTriggers(t *testing.T) {
 	// and results survive in both plan families
 	if got := mustRows(t, s, plan.ModeDefault); got != 22 {
 		t.Fatalf("default-mode rows = %d, want 22", got)
+	}
+}
+
+// TestCompactDropsDeadTailRows adds n new subjects, compacts them into
+// sealed tail rows, deletes k of them and compacts again: the dead tail
+// rows are dropped, so no tombstone lies at or past Count.
+func TestCompactDropsDeadTailRows(t *testing.T) {
+	const n, k = 12, 5
+	s := newDeltaStore(t, 10, -1)
+	for i := 100; i < 100+n; i++ {
+		a, b := deltaTriple(i)
+		s.Add(a)
+		s.Add(b)
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 100; i < 100+k; i++ {
+		a, b := deltaTriple(i)
+		s.Delete(a)
+		s.Delete(b)
+	}
+	rep, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DroppedTombstones != k || rep.MergedRows != 0 {
+		t.Fatalf("second compact: %+v, want %d tail rows dropped and none merged", rep, k)
+	}
+	tab := s.Catalog().Tables[0]
+	if got, want := tab.SealedRows(), tab.Count+n-k; got != want || tab.DeltaLen() != 0 {
+		t.Fatalf("sealed rows %d (+%d delta), want Count+n-k = %d", got, tab.DeltaLen(), want)
+	}
+	if tab.Del.AnyInRange(tab.Count, tab.NumRows()) {
+		t.Fatal("a tombstone survived past Count")
+	}
+	if got := mustRows(t, s, plan.ModeRDFScan); got != 10+n-k {
+		t.Fatalf("rows = %d, want %d", got, 10+n-k)
+	}
+}
+
+// TestClusteredDeletesDoNotCompact deletes more clustered subjects than
+// the auto-compaction threshold: Compact could reclaim none of them, so
+// neither their refresh nor a further write's rewrites a sealed column.
+func TestClusteredDeletesDoNotCompact(t *testing.T) {
+	const thr = 4
+	s := newDeltaStore(t, 20, thr)
+	cols := func() []*colstore.Column {
+		var out []*colstore.Column
+		for _, tab := range s.Catalog().Tables {
+			for _, c := range tab.Cols {
+				out = append(out, c.Data)
+			}
+		}
+		return out
+	}
+	before := cols()
+	for i := 0; i < 2*thr; i++ {
+		a, b := deltaTriple(i)
+		s.Delete(a)
+		s.Delete(b)
+	}
+	s.Stats() // refresh: the tombstones land
+	a, _ := deltaTriple(2 * thr)
+	s.Delete(a)
+	if got := mustRows(t, s, plan.ModeRDFScan); got != 20-2*thr-1 {
+		t.Fatalf("rows = %d, want %d", got, 20-2*thr-1)
+	}
+	if !slices.Equal(cols(), before) {
+		t.Fatal("a refresh after clustered deletes rewrote sealed columns")
+	}
+	if st := s.Stats(); st.Tombstones != 2*thr+1 {
+		t.Fatalf("tombstones = %d, want %d", st.Tombstones, 2*thr+1)
 	}
 }
 
