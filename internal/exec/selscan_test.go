@@ -11,15 +11,21 @@ import (
 	"srdf/internal/sparql"
 )
 
-// synthTable builds a standalone CS table with sealed columns from raw
-// value vectors (dict.Nil = NULL), bypassing the organize pipeline so
-// scans can be tested against exact per-block layouts.
-func synthTable(name string, base uint64, cols map[dict.OID][]dict.OID) *relational.Table {
-	t := &relational.Table{Name: name, Base: base}
+// synthTable builds a standalone CS table from raw value vectors
+// (dict.Nil = NULL), bypassing the organize pipeline so scans can be
+// tested against exact per-block layouts. Rows past count are tail rows
+// of the given subjects: the last unsealed of them stay unsealed, the
+// others are sealed with the clustered run, as Compact leaves them. del
+// tombstones sealed rows.
+func synthTable(tb testing.TB, name string, base uint64, count int, tail []dict.OID, unsealed int,
+	del *relational.Bitmap, cols map[dict.OID][]dict.OID) *relational.Table {
+	tb.Helper()
+	t := &relational.Table{Name: name, Base: base, Count: count}
+	sealed := count + len(tail) - unsealed
+	var delta [][]dict.OID
 	for pred, vals := range cols {
-		t.Count = len(vals)
-		c := colstore.NewColumn(name, len(vals), nil)
-		for i, v := range vals {
+		c := colstore.NewColumn(name, sealed, nil)
+		for i, v := range vals[:sealed] {
 			if v != dict.Nil {
 				c.Set(i, v)
 			}
@@ -29,45 +35,59 @@ func synthTable(name string, base uint64, cols map[dict.OID][]dict.OID) *relatio
 			Prop: &cs.PropStat{Pred: pred, Name: name},
 			Data: c,
 		})
+		delta = append(delta, vals[sealed:])
+	}
+	if err := t.RestoreTail(tail, del, unsealed, delta); err != nil {
+		tb.Fatal(err)
 	}
 	return t
 }
 
 // refScan is the row-at-a-time reference the selection-vector scan must
-// match exactly.
-func refScan(t *relational.Table, star Star, rowLo, rowHi int) *Rel {
-	if rowHi < 0 || rowHi > t.Count {
-		rowHi = t.Count
+// match exactly: the live sealed rows of the [rowLo,rowHi) window, then
+// every unsealed row, each read through Table.Value, tested against
+// every property and then every bloom.
+func refScan(t *relational.Table, star Star, blooms []ScanBloom, rowLo, rowHi int) *Rel {
+	sealed := t.SealedRows()
+	if rowHi < 0 || rowHi > sealed {
+		rowHi = sealed
 	}
-	if rowLo < 0 {
-		rowLo = 0
-	}
-	cols := make([][]dict.OID, len(star.Props))
+	idx := make([]int, len(star.Props))
 	for i := range star.Props {
-		cols[i] = t.Col(star.Props[i].Pred).Data.Values()
+		idx[i] = t.ColIndex(star.Props[i].Pred)
 	}
 	rel := NewRel(star.Vars()...)
 	row := make([]dict.OID, 0, len(rel.Vars))
-	for r := rowLo; r < rowHi; r++ {
-		ok := true
-		for i := range cols {
-			v := cols[i][r]
+	scan := func(r int) {
+		if t.Del.Get(r) {
+			return
+		}
+		row = append(row[:0], t.SubjectOID(r))
+		for i := range star.Props {
+			v := t.Value(idx[i], r)
 			if v == dict.Nil || !star.Props[i].matches(v) {
-				ok = false
-				break
+				return
+			}
+			if star.Props[i].ObjVar != "" {
+				row = append(row, v)
 			}
 		}
-		if !ok {
-			continue
-		}
-		row = row[:0]
-		row = append(row, t.SubjectOID(r))
-		for i := range cols {
-			if star.Props[i].ObjVar != "" {
-				row = append(row, cols[i][r])
+		for _, b := range blooms {
+			k := row[0]
+			if b.Prop >= 0 {
+				k = t.Value(idx[b.Prop], r)
+			}
+			if !b.H.Filter().MayContain(k) {
+				return
 			}
 		}
 		rel.AppendRow(row...)
+	}
+	for r := max(rowLo, 0); r < rowHi; r++ {
+		scan(r)
+	}
+	for r := sealed; r < t.NumRows(); r++ {
+		scan(r)
 	}
 	return rel
 }
@@ -90,7 +110,11 @@ func relsEqual(a, b *Rel) bool {
 // equality, range, presence and windowed shapes — including predicates
 // straddling block boundaries, all-NULL blocks and a single-row tail —
 // and checks row-identical output against the reference scan, with and
-// without zone maps.
+// without zone maps. A second table adds tombstones and a tail: sealed
+// rows past the clustered run and unsealed rows after them, with NULL
+// cells and overflow members past the range's watermark, scanned with
+// bloom filters on the subject and on an object column, and through a
+// window that leaves the sealed region empty.
 func TestScanSelectionParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	n := 3*colstore.BlockRows + 1 // ragged single-row tail block
@@ -109,7 +133,36 @@ func TestScanSelectionParity(t *testing.T) {
 		}
 		vb[i] = dict.LiteralOID(uint64(1 + rng.Intn(30)))
 	}
-	tab := synthTable("synth", 1, map[dict.OID][]dict.OID{pa: va, pb: vb})
+	clustered := synthTable(t, "synth", 1, n, nil, 0, nil, map[dict.OID][]dict.OID{pa: va, pb: vb})
+
+	// The tail: sealedTail rows sealed past the run, then unsealed rows,
+	// with subjects outside the run's range in no particular order. Its
+	// cells mix NULLs, prefix values and overflow literals past N.
+	const sealedTail, unsealed = colstore.BlockRows + 37, 2*colstore.BlockRows + 5
+	watermark := dict.LiteralOID(500)
+	over := []dict.OID{dict.LiteralOID(1000), dict.LiteralOID(1003)}
+	tail := make([]dict.OID, sealedTail+unsealed)
+	for i, k := range rng.Perm(len(tail)) {
+		tail[i] = dict.ResourceOID(uint64(100000 + k))
+	}
+	ta, tb := append([]dict.OID(nil), va...), append([]dict.OID(nil), vb...)
+	cell := func() dict.OID {
+		switch rng.Intn(10) {
+		case 0:
+			return dict.Nil
+		case 1, 2:
+			return dict.LiteralOID(uint64(1000 + rng.Intn(5)))
+		}
+		return dict.LiteralOID(uint64(1 + rng.Intn(40)))
+	}
+	for range tail {
+		ta, tb = append(ta, cell()), append(tb, cell())
+	}
+	del := &relational.Bitmap{}
+	for r := 3; r < n+sealedTail; r += 50 {
+		del.Set(r)
+	}
+	withTail := synthTable(t, "synth", 1, n, tail, unsealed, del, map[dict.OID][]dict.OID{pa: ta, pb: tb})
 
 	straddle := dict.LiteralOID(uint64(1 + (colstore.BlockRows-1)/97)) // run crossing block 0→... boundary region
 	stars := map[string]Star{
@@ -130,16 +183,47 @@ func TestScanSelectionParity(t *testing.T) {
 		"empty-range": {SubjVar: "s", Props: []StarProp{
 			{Pred: pa, ObjVar: "a", HasRange: true, Lo: 1, Hi: 0},
 		}},
+		"range-with-overflow": {SubjVar: "s", Props: []StarProp{
+			{Pred: pb, ObjVar: "b"},
+			{Pred: pa, ObjVar: "a", HasRange: true, Lo: dict.LiteralOID(5), Hi: dict.LiteralOID(20),
+				N: watermark, Over: over},
+		}},
 	}
-	windows := [][2]int{{0, -1}, {13, 2*colstore.BlockRows + 5}, {colstore.BlockRows, colstore.BlockRows + 1}}
-	for name, star := range stars {
-		for _, w := range windows {
-			want := refScan(tab, star, w[0], w[1])
-			for _, zones := range []bool{false, true} {
-				got := Drain(&Ctx{}, NewScanOp(tab, star, zones, w[0], w[1]))
-				if !relsEqual(got, want) {
-					t.Errorf("%s window=%v zones=%v: got %d rows, want %d",
-						name, w, zones, got.Len(), want.Len())
+	// bloom filters over every third subject and the object values up to 12
+	subjects, objects := NewBloomFilter(len(tail)), NewBloomFilter(12)
+	for r := 0; r < withTail.NumRows(); r += 3 {
+		subjects.Add(withTail.SubjectOID(r))
+	}
+	for v := 1; v <= 12; v++ {
+		objects.Add(dict.LiteralOID(uint64(v)))
+	}
+	hs, ho := &BloomHandle{Var: "s"}, &BloomHandle{Var: "b"}
+	hs.publish(subjects)
+	ho.publish(objects)
+	bloomSets := map[string][]ScanBloom{
+		"none":    nil,
+		"subject": {{H: hs, Prop: -1}},
+		"object":  {{H: ho, Prop: 0}},
+	}
+	windows := [][2]int{{0, -1}, {13, 2*colstore.BlockRows + 5}, {colstore.BlockRows, colstore.BlockRows + 1},
+		{2 * colstore.BlockRows, n + sealedTail - 3}, {7, 7}}
+	for tname, tab := range map[string]*relational.Table{"clustered": clustered, "tail": withTail} {
+		for name, star := range stars {
+			for bname, blooms := range bloomSets {
+				if bname == "object" && star.Props[0].Pred != pb {
+					continue // the object bloom keys on pb as the star's first property
+				}
+				for _, w := range windows {
+					want := refScan(tab, star, blooms, w[0], w[1])
+					for _, zones := range []bool{false, true} {
+						op := NewScanOp(tab, star, zones, w[0], w[1])
+						op.Blooms = blooms
+						got := Drain(&Ctx{}, op)
+						if !relsEqual(got, want) {
+							t.Errorf("%s %s blooms=%s window=%v zones=%v: got %d rows, want %d",
+								tname, name, bname, w, zones, got.Len(), want.Len())
+						}
+					}
 				}
 			}
 		}

@@ -27,6 +27,14 @@ import (
 // selection vector over zero-copy decoded block views, so rejected rows
 // are never copied — consumers gather through Batch.Sel only at
 // materialization points.
+//
+// A table is its sealed rows (the clustered run, then the tail rows
+// Compact sealed) followed by its unsealed tail rows, and the scan walks
+// both regions with the one per-block loop: after the last sealed block
+// it reads the unsealed cells as flat blocks of BlockRows rows through
+// the same kernels, overflow test, bloom pass and views. Zone maps,
+// tombstones and buffer-pool pages exist for sealed rows only, so those
+// checks apply to the sealed region alone.
 type ScanOp struct {
 	Table    *relational.Table
 	Star     Star
@@ -45,21 +53,22 @@ type ScanOp struct {
 	props  []scanProp // in star order
 	order  []int      // props in evaluation order
 	blooms []scanBloom
-	block  int // next block to scan
-	last   int // last block (inclusive)
-	lo     int // effective row window
+	block  int // next block of the region to scan
+	last   int // last block of the region (inclusive)
+	lo     int // row window within the region
 	hi     int
+	// base is the physical row of the region's first row, sealed is
+	// true while the scan walks the sealed region, and tail is the
+	// number of unsealed rows it walks after that.
+	base   int
+	sealed bool
+	tail   int
 	// pinned is the block whose columns the scan holds buffer-pool pins
 	// on (-1 = none): the views lent by emitBlock stay backed until the
 	// consumer's next pull, so eviction never races a live
 	// selection-vector view.
 	pinned int
 	sc     scanScratch
-	// delta-tail cursor: after the sealed blocks the scan walks the
-	// table's unsealed delta rows (dOn false when the star is
-	// unanswerable and the whole scan is empty).
-	dOn  bool
-	dCur int
 }
 
 // scanProp is one star property as the scan evaluates it: its column,
@@ -67,9 +76,11 @@ type ScanOp struct {
 // pushed-down range, or every non-NULL value for a presence-only
 // property — and its rank in the evaluation order.
 type scanProp struct {
-	p      *StarProp
+	p *StarProp
+	// col is the property's column in the scanned region: the sealed
+	// column, then a flat view of its unsealed cells.
 	col    *colstore.Column
-	idx    int // column index in Table.Cols, for delta-tail access
+	idx    int // column index in Table.Cols
 	lo, hi dict.OID
 	rank   int     // propConst, propRange or propPresent
 	zsel   float64 // fraction of the scanned blocks a range's zones admit
@@ -142,23 +153,18 @@ func (s *ScanOp) Vars() []string { return s.Star.Vars() }
 
 func (s *ScanOp) Open(ctx *Ctx) error {
 	s.ctx = ctx
-	s.last = -1 // empty unless a valid block range is established below
+	s.block, s.last = 0, -1 // empty unless rows to scan are established below
+	s.base, s.sealed, s.tail = 0, true, 0
 	s.pinned = -1
-	s.dOn = false
-	s.dCur = 0
-	s.lo, s.hi = s.RowLo, s.RowHi
+	s.lo, s.hi = max(s.RowLo, 0), s.RowHi
 	if s.hi < 0 || s.hi > s.Table.SealedRows() {
 		s.hi = s.Table.SealedRows()
-	}
-	if s.lo < 0 {
-		s.lo = 0
 	}
 	s.props = make([]scanProp, len(s.Star.Props))
 	for i := range s.Star.Props {
 		idx := s.Table.ColIndex(s.Star.Props[i].Pred)
 		if idx < 0 {
-			s.hi = s.lo // planner error; empty result
-			return nil
+			return nil // planner error; empty result
 		}
 		s.props[i] = scanProp{p: &s.Star.Props[i], col: s.Table.Cols[idx].Data, idx: idx}
 	}
@@ -182,22 +188,39 @@ func (s *ScanOp) Open(ctx *Ctx) error {
 		s.blooms = append(s.blooms, scanBloom{f: f, prop: sb.Prop, oc: oc})
 	}
 	// The row window restricts the sealed region only; the unsealed
-	// delta tail is always scanned (its rows carry arbitrary subjects
-	// and evaluate every predicate in full).
-	s.dOn = s.Table.DeltaLen() > 0
-	if s.hi <= s.lo {
-		if s.dOn {
-			s.sc.init(&s.Star)
-		}
+	// tail is always scanned (its rows carry arbitrary subjects).
+	tail := s.Table.DeltaLen()
+	if s.hi > s.lo {
+		s.block = s.lo / colstore.BlockRows
+		s.last = (s.hi - 1) / colstore.BlockRows
+	} else if tail == 0 {
 		return nil
 	}
-	s.block = s.lo / colstore.BlockRows
-	s.last = (s.hi - 1) / colstore.BlockRows
 	if !s.rankProps() {
-		s.last = -1 // contradictory constraints: no sealed row qualifies
+		s.last = -1 // contradictory constraints: no row qualifies
+		return nil
 	}
+	s.tail = tail
 	s.sc.init(&s.Star)
 	return nil
+}
+
+// enterTail moves the scan from the sealed region to the unsealed tail,
+// reporting false when there is none to scan: each property's column
+// becomes a flat, untracked view of its unsealed cells, walked from the
+// first of them in blocks of BlockRows rows.
+func (s *ScanOp) enterTail() bool {
+	if !s.sealed || s.tail == 0 {
+		return false
+	}
+	s.sealed, s.base = false, s.Table.SealedRows()
+	s.lo, s.hi = 0, s.tail
+	s.block, s.last = 0, (s.tail-1)/colstore.BlockRows
+	for i := range s.props {
+		sp := &s.props[i]
+		sp.col = &colstore.Column{Name: sp.col.Name, Vals: s.Table.Delta[sp.idx]}
+	}
+	return true
 }
 
 // rankProps sets each property's kernel range and evaluation order:
@@ -247,8 +270,8 @@ func (s *ScanOp) rankProps() bool {
 	return true
 }
 
-// blockMayMatch reports whether zone maps leave block b of the scanned
-// columns able to hold a row satisfying every property.
+// blockMayMatch reports whether zone maps leave sealed block b of the
+// scanned columns able to hold a row satisfying every property.
 func (s *ScanOp) blockMayMatch(b int) bool {
 	for i := range s.props {
 		sp := &s.props[i]
@@ -269,15 +292,16 @@ func (s *ScanOp) blockMayMatch(b int) bool {
 	return true
 }
 
-// selectBlock evaluates the star's predicates over block blk with the
-// column kernels and returns the surviving rows as a block-relative
-// selection vector (owned by sc). all=true means every row of the
-// [wlo,whi) window qualifies without any kernel having run; otherwise an
-// empty sel means the block produced nothing.
+// selectBlock evaluates the star's predicates over block blk of the
+// scanned region with the column kernels and returns the surviving rows
+// as a block-relative selection vector (owned by sc). all=true means
+// every row of the region's [wlo,whi) window qualifies without any
+// kernel having run; otherwise an empty sel means the block produced
+// nothing.
 func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, wlo, whi int) {
 	bs := blk * colstore.BlockRows
 	wlo, whi = max(bs, s.lo), min(bs+colstore.BlockRows, s.hi)
-	if s.UseZones && !s.blockMayMatch(blk) {
+	if s.UseZones && s.sealed && !s.blockMayMatch(blk) {
 		return nil, false, wlo, whi // pruned: pages never touched
 	}
 	rlo, rhi := wlo-bs, whi-bs
@@ -286,17 +310,14 @@ func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, w
 		sp := &s.props[i]
 		col := sp.col
 		sp.touched = false
-		if zm := col.Zones(); blk < zm.NumBlocks() {
-			// a NULL-free zone inside the range: every row passes
-			if z := zm.Zones[blk]; !z.HasNull && !z.AllNull && z.Min >= sp.lo && z.Max <= sp.hi {
-				sp.skips++
-				continue
-			}
+		if s.sealed && zonePasses(col, blk, sp) {
+			sp.skips++
+			continue
 		}
 		col.Touch(wlo, whi)
 		sp.touched = true
 		switch {
-		case len(sp.p.Over) > 0 && overflowBlock(col, blk, sp.p):
+		case len(sp.p.Over) > 0 && (!s.sealed || overflowBlock(col, blk, sp.p)):
 			if all {
 				sc.sel = appendWindow(sc.sel[:0], rlo, rhi)
 			}
@@ -313,7 +334,7 @@ func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, w
 	}
 	// Mask tombstoned rows (deleted or migrated to the delta tail): the
 	// sealed segments are immutable, so deletion is a scan-time filter.
-	if del := s.Table.Del; del.AnyInRange(wlo, whi) {
+	if del := s.Table.Del; s.sealed && del.AnyInRange(wlo, whi) {
 		if all {
 			sc.sel = appendWindow(sc.sel[:0], rlo, rhi)
 			all = false
@@ -342,7 +363,7 @@ func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, w
 			out := sc.sel[:0]
 			if bl.prop < 0 {
 				for _, k := range sc.sel {
-					if bl.f.MayContain(s.Table.SubjectOID(bs + int(k))) {
+					if bl.f.MayContain(s.Table.SubjectOID(s.base + bs + int(k))) {
 						out = append(out, k)
 					}
 				}
@@ -382,9 +403,21 @@ func appendWindow(sel []int32, rlo, rhi int) []int32 {
 	return sel
 }
 
-// overflowBlock reports that block blk of col may hold literals minted
-// since Organize: its zone max lies past the watermark, which only
-// blocks sealed by Compact do. Blocks sealed at Organize never get here.
+// zonePasses reports that sealed block blk of col is NULL-free with its
+// zone inside sp's range, so every row passes without a kernel.
+func zonePasses(col *colstore.Column, blk int, sp *scanProp) bool {
+	zm := col.Zones()
+	if blk >= zm.NumBlocks() {
+		return false
+	}
+	z := zm.Zones[blk]
+	return !z.HasNull && !z.AllNull && z.Min >= sp.lo && z.Max <= sp.hi
+}
+
+// overflowBlock reports that sealed block blk of col may hold literals
+// minted since Organize: its zone max lies past the watermark, which
+// only blocks sealed by Compact do (unsealed blocks always may). Blocks
+// sealed at Organize never get here.
 func overflowBlock(col *colstore.Column, blk int, p *StarProp) bool {
 	zm := col.Zones()
 	return blk >= zm.NumBlocks() || zm.Zones[blk].Max > p.N
@@ -441,7 +474,7 @@ func (s *ScanOp) emitBlock(b *Batch, blk int, sel []int32, wlo, whi int) {
 		n := whi - wlo
 		subj := sc.subj[:n]
 		for k := 0; k < n; k++ {
-			subj[k] = s.Table.SubjectOID(wlo + k)
+			subj[k] = s.Table.SubjectOID(s.base + wlo + k)
 		}
 		views = append(views, subj)
 		oc := 0
@@ -458,7 +491,7 @@ func (s *ScanOp) emitBlock(b *Batch, blk int, sel []int32, wlo, whi int) {
 	}
 	subj := sc.subj[:colstore.BlockRows]
 	for _, k := range sel {
-		subj[k] = s.Table.SubjectOID(bs + int(k))
+		subj[k] = s.Table.SubjectOID(s.base + bs + int(k))
 	}
 	views = append(views, subj)
 	oc := 0
@@ -497,101 +530,37 @@ func (s *ScanOp) Next(b *Batch) bool {
 	if s.ctx.Cancelled() {
 		return false
 	}
-	for s.block <= s.last {
-		// a selective scan can skip many blocks between emitted batches;
-		// re-poll so cancellation latency stays bounded by one block
-		if s.ctx.Cancelled() {
-			return false
-		}
-		// the chaos tests' panic-isolation point: a panicking scan
-		// fails its query, not the process
-		if err := fault.Point("exec.scan"); err != nil {
-			panic(err)
-		}
-		blk := s.block
-		s.block++
-		s.pinBlock(blk)
-		sel, all, wlo, whi := s.selectBlock(blk, &s.sc)
-		if !all && len(sel) == 0 {
-			s.unpinBlock(blk)
-			continue
-		}
-		if all {
-			sel = nil
-		}
-		s.emitBlock(b, blk, sel, wlo, whi)
-		s.pinned = blk // held until the consumer's next pull or Close
-		return true
-	}
-	return s.nextDelta(b)
-}
-
-// nextDelta streams the table's unsealed tail rows after the sealed
-// blocks: each chunk evaluates the star's predicates row-at-a-time over
-// the delta columns (they are memory-resident flat vectors — no
-// compressed kernels, no page accounting) and lends the delta column
-// slices to the batch as zero-copy views under a selection vector.
-func (s *ScanOp) nextDelta(b *Batch) bool {
-	if !s.dOn {
-		return false
-	}
-	d, n := s.Table.Delta, s.Table.DeltaLen()
-	subj := s.Table.Tail[len(s.Table.Tail)-n:]
-	sc := &s.sc
-	for s.dCur < n {
-		if s.ctx.Cancelled() {
-			return false
-		}
-		lo := s.dCur
-		hi := lo + colstore.BlockRows
-		if hi > n {
-			hi = n
-		}
-		s.dCur = hi
-		sel := sc.sel[:0]
-		for r := lo; r < hi; r++ {
-			ok := true
-			for i := range s.props {
-				p := &s.Star.Props[i]
-				v := d[s.props[i].idx][r]
-				if v == dict.Nil || !p.matches(v) {
-					ok = false
-					break
-				}
+	for {
+		for s.block <= s.last {
+			// a selective scan can skip many blocks between emitted batches;
+			// re-poll so cancellation latency stays bounded by one block
+			if s.ctx.Cancelled() {
+				return false
 			}
-			for bi := 0; ok && bi < len(s.blooms); bi++ {
-				bl := &s.blooms[bi]
-				v := subj[r]
-				if bl.prop >= 0 {
-					v = d[s.props[bl.prop].idx][r]
-				}
-				ok = bl.f.MayContain(v)
+			// the chaos tests' panic-isolation point: a panicking scan
+			// fails its query, not the process
+			if err := fault.Point("exec.scan"); err != nil {
+				panic(err)
 			}
-			if ok {
-				sel = append(sel, int32(r-lo))
-			}
-		}
-		sc.sel = sel
-		if len(sel) == 0 {
-			continue
-		}
-		views := sc.views[:0]
-		views = append(views, subj[lo:hi])
-		for i := range s.props {
-			if s.Star.Props[i].ObjVar == "" {
+			blk := s.block
+			s.block++
+			s.pinBlock(blk)
+			sel, all, wlo, whi := s.selectBlock(blk, &s.sc)
+			if !all && len(sel) == 0 {
+				s.unpinBlock(blk)
 				continue
 			}
-			views = append(views, d[s.props[i].idx][lo:hi])
+			if all {
+				sel = nil
+			}
+			s.emitBlock(b, blk, sel, wlo, whi)
+			s.pinned = blk // held until the consumer's next pull or Close
+			return true
 		}
-		sc.views = views
-		if len(sel) == hi-lo {
-			b.SetViews(nil, views...)
-		} else {
-			b.SetViews(sel, views...)
+		if !s.enterTail() {
+			return false
 		}
-		return true
 	}
-	return false
 }
 
 func (s *ScanOp) Close() {
@@ -681,7 +650,7 @@ func (d *DefaultStarOp) Open(ctx *Ctx) error {
 	case sp.HasRange:
 		// the range seed must sort by subject before streaming
 		d.kind = seedRange
-		d.seedRel = relCursor{rel: seedScan(ctx, sp, d.star.SubjVar, d.pso, d.pos)}
+		d.seedRel = relCursor{rel: rangeSeed(ctx, sp, d.star.SubjVar, d.pos)}
 	default:
 		d.kind = seedRun
 		d.cursor, d.hiRow = d.pso.Range1(sp.Pred)
