@@ -168,3 +168,57 @@ ex:b ex:v "x" ; ex:w "y|6|z" .
 	}
 	check("organized")
 }
+
+// TestDistinctTermIdentity checks that DISTINCT and COUNT(DISTINCT) key
+// on RDF term identity: the four terms reading "chat" (two language
+// tags, a plain literal, an IRI) and the three reading 1 (two integer
+// spellings, a plain literal) are seven values, while a computed
+// column still collapses by value. Both plan families, before and after
+// Organize.
+func TestDistinctTermIdentity(t *testing.T) {
+	st := srdf.New(srdf.Defaults())
+	st.MustLoadTurtle(`@prefix ex: <http://ex/> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+ex:a ex:o "chat"@en ; ex:n 1 .
+ex:b ex:o "chat"@fr ; ex:n "01"^^xsd:integer .
+ex:c ex:o "chat" ; ex:n 2 .
+ex:d ex:o <chat> .
+ex:e ex:o 1 .
+ex:f ex:o "01"^^xsd:integer .
+ex:g ex:o "1" .
+`)
+	cases := []struct {
+		q    string
+		rows int
+		n    string // the single cell's lexical form, for a COUNT
+	}{
+		{`SELECT DISTINCT ?o WHERE { ?s <http://ex/o> ?o }`, 7, ""},
+		{`SELECT (COUNT(DISTINCT ?o) AS ?c) WHERE { ?s <http://ex/o> ?o }`, 1, "7"},
+		{`SELECT DISTINCT ?n WHERE { ?s <http://ex/n> ?n }`, 3, ""},
+		{`SELECT DISTINCT ((?n + 0) AS ?m) WHERE { ?s <http://ex/n> ?n }`, 2, ""},
+		{`SELECT (COUNT(DISTINCT (?n + 0)) AS ?c) WHERE { ?s <http://ex/n> ?n }`, 1, "2"},
+	}
+	check := func(label string) {
+		t.Helper()
+		for _, c := range cases {
+			for _, o := range []srdf.QueryOptions{{Mode: srdf.Default}, lookupOpts} {
+				res, err := st.QueryWith(c.q, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Len() != c.rows {
+					t.Errorf("%s %+v %s: %d rows, want %d", label, o, c.q, res.Len(), c.rows)
+					continue
+				}
+				if got := res.Rows[0][0].Lexical(); c.n != "" && got != c.n {
+					t.Errorf("%s %+v %s: count %s, want %s", label, o, c.q, got, c.n)
+				}
+			}
+		}
+	}
+	check("unorganized")
+	if _, err := st.Organize(); err != nil {
+		t.Fatal(err)
+	}
+	check("organized")
+}

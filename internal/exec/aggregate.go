@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math/bits"
 
 	"srdf/internal/dict"
@@ -45,6 +44,7 @@ type AggregateOp struct {
 	sums []sumState
 	exts []extState
 	seen []map[string]struct{}
+	kb   []byte     // a DISTINCT aggregate's value key
 	repr []dict.OID // each group's first input row, row-major
 	// Direct group ids: each GROUP BY column's OIDs map to dense codes,
 	// which concatenate into an index of direct (group id + 1, 0 for
@@ -537,23 +537,27 @@ func (s *sumState) add(v num) {
 }
 
 // foldDistinct folds the values of a DISTINCT aggregate that each group
-// has not seen yet.
+// has not seen yet: a bare variable's values are told apart as terms,
+// a computed argument's by value (see appendCellKey).
 func (a *AggregateOp) foldDistinct(l *aggLeaf, b *Batch, gids []int32) {
 	x := a.args.result(l.arg)
 	for k, g := range gids {
 		if x.v[k].k == dict.VInvalid {
 			continue
 		}
-		v := x.value(k)
-		key := fmt.Sprintf("%d|%s", v.Kind, v.Lexical())
+		if l.col >= 0 {
+			a.kb = appendCellKey(a.kb[:0], dict.Value{OID: b.At(l.col, k)})
+		} else {
+			a.kb = appendCellKey(a.kb[:0], x.value(k))
+		}
 		set := &a.seen[int(g)*a.nSeen+l.seen]
-		if _, dup := (*set)[key]; dup {
+		if _, dup := (*set)[string(a.kb)]; dup {
 			continue
 		}
 		if *set == nil {
 			*set = map[string]struct{}{}
 		}
-		(*set)[key] = struct{}{}
+		(*set)[string(a.kb)] = struct{}{}
 		if l.ext {
 			a.foldExt(l, b, int(g), x, k)
 		} else {

@@ -303,16 +303,20 @@ func HeadStream(ctx *Ctx, op Operator, q *sparql.Query) (*Result, error) {
 	return it.Collect(), nil
 }
 
-// appendDistinctKey appends the DISTINCT identity of row to dst: per cell
-// its kind, the length of its lexical form and the lexical form. The
-// length prefix keeps the encoding unambiguous whatever bytes the
-// lexical forms contain.
-func appendDistinctKey(dst []byte, row []dict.Value) []byte {
-	for _, v := range row {
-		lex := v.Lexical()
-		dst = append(dst, byte(v.Kind))
-		dst = binary.AppendUvarint(dst, uint64(len(lex)))
-		dst = append(dst, lex...)
+// appendCellKey appends the DISTINCT identity of one head cell to dst,
+// for DistinctOp and the DISTINCT aggregates alike. A cell that names a
+// dictionary term is that term, keyed by its OID, so "chat"@en,
+// "chat"@fr and <chat> stay apart, and so do 1 and "01"^^xsd:integer. A
+// computed cell is its value: its kind, the length of its lexical form
+// and the lexical form, the length prefix keeping the encoding
+// unambiguous whatever bytes the lexical forms contain.
+func appendCellKey(dst []byte, v dict.Value) []byte {
+	if v.OID != dict.Nil {
+		dst = append(dst, 0xff) // no ValueKind
+		return binary.AppendUvarint(dst, uint64(v.OID))
 	}
-	return dst
+	lex := v.Lexical()
+	dst = append(dst, byte(v.Kind))
+	dst = binary.AppendUvarint(dst, uint64(len(lex)))
+	return append(dst, lex...)
 }

@@ -13,7 +13,7 @@ import (
 //
 // A cell is materialized late: ProjectOp hands a bare variable on as its
 // OID alone (Kind VInvalid, OID set), and only a consumer that needs the
-// typed value — RowIter.Row, DistinctOp, SortOp — decodes it, through
+// typed value — RowIter.Row, SortOp — decodes it, through
 // Ctx.decodeRow. A serializer never does: it writes the term the OID
 // names. Computed cells carry their value and no OID; the zero Value is
 // unbound.
@@ -245,7 +245,9 @@ func (p *ProjectOp) Close() {
 // DistinctOp streams DISTINCT: a hash set of row keys filters each batch
 // as it flows past. Only the key set is retained — never the rows — so
 // memory is bounded by the number of distinct results, and a downstream
-// LIMIT still terminates the pipeline early.
+// LIMIT still terminates the pipeline early. A row's key is its cells'
+// term identities (appendCellKey), so no cell is decoded: the rows pass
+// on as the head produced them.
 type DistinctOp struct {
 	in ValOperator
 
@@ -276,8 +278,10 @@ func (d *DistinctOp) Next(b *VBatch) bool {
 		}
 		for i := 0; i < d.inb.Len(); i++ {
 			d.row = d.inb.Row(i, d.row)
-			d.ctx.decodeRow(d.row)
-			d.kb = appendDistinctKey(d.kb[:0], d.row)
+			d.kb = d.kb[:0]
+			for _, v := range d.row {
+				d.kb = appendCellKey(d.kb, v)
+			}
 			if d.seen[string(d.kb)] {
 				continue
 			}

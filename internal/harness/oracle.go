@@ -72,8 +72,11 @@ func (o *Oracle) Eval(text string) (*Answer, error) {
 	for _, it := range items {
 		a.Vars = append(a.Vars, it.As)
 	}
+	// from is the binding each row's variables read: its solution, or
+	// its group's first solution
+	var from []binding
 	if q.Aggregating() {
-		a.Rows = group(q, items, sols)
+		a.Rows, from = group(q, items, sols)
 	} else {
 		for _, b := range sols {
 			row := make([]dict.Value, len(items))
@@ -82,14 +85,19 @@ func (o *Oracle) Eval(text string) (*Answer, error) {
 			}
 			a.Rows = append(a.Rows, row)
 		}
+		from = sols
 	}
 	if q.Distinct {
 		seen := map[string]bool{}
 		rows := a.Rows[:0]
-		for _, r := range a.Rows {
-			if k := rowKey(r); !seen[k] {
+		for r, row := range a.Rows {
+			var kb strings.Builder
+			for i, it := range items {
+				kb.WriteString(cellKey(it.Expr, from[r], row[i]))
+			}
+			if k := kb.String(); !seen[k] {
 				seen[k] = true
-				rows = append(rows, r)
+				rows = append(rows, row)
 			}
 		}
 		a.Rows = rows
@@ -265,16 +273,17 @@ type acc struct {
 	seen     map[string]bool
 }
 
-func (a *acc) add(v dict.Value, distinct bool) {
+// add folds v; a DISTINCT aggregate passes v's cellKey, which skips a
+// value already seen, and any other passes "".
+func (a *acc) add(v dict.Value, key string) {
 	if v.Kind == dict.VInvalid {
 		return
 	}
-	if distinct {
-		k := rowKey([]dict.Value{v})
-		if a.seen[k] {
+	if key != "" {
+		if a.seen[key] {
 			return
 		}
-		a.seen[k] = true
+		a.seen[key] = true
 	}
 	if v.Numeric() {
 		a.sum += v.AsFloat()
@@ -312,8 +321,9 @@ func (a *acc) result(f sparql.AggFunc) dict.Value {
 }
 
 // group evaluates an aggregating query: one row per GROUP BY key (one
-// row overall without GROUP BY, even over no solutions).
-func group(q *sparql.Query, items []sparql.SelectItem, sols []binding) [][]dict.Value {
+// row overall without GROUP BY, even over no solutions), and each
+// row's group's first solution.
+func group(q *sparql.Query, items []sparql.SelectItem, sols []binding) ([][]dict.Value, []binding) {
 	var leaves []*sparql.ExAgg
 	for _, it := range items {
 		sparql.WalkExpr(it.Expr, func(e sparql.Expr) bool {
@@ -355,10 +365,14 @@ func group(q *sparql.Query, items []sparql.SelectItem, sols []binding) [][]dict.
 				g.accs[i].n++
 				continue
 			}
-			g.accs[i].add(eval(x.Arg, b.value, nil), x.Distinct)
+			v, key := eval(x.Arg, b.value, nil), ""
+			if x.Distinct {
+				key = cellKey(x.Arg, b, v)
+			}
+			g.accs[i].add(v, key)
 		}
 	}
-	rows := make([][]dict.Value, 0, len(order))
+	rows, firsts := make([][]dict.Value, 0, len(order)), make([]binding, 0, len(order))
 	for _, k := range order {
 		g := groups[k]
 		aggs := map[*sparql.ExAgg]dict.Value{}
@@ -369,18 +383,21 @@ func group(q *sparql.Query, items []sparql.SelectItem, sols []binding) [][]dict.
 		for i, it := range items {
 			row[i] = eval(it.Expr, g.first.value, aggs)
 		}
-		rows = append(rows, row)
+		rows, firsts = append(rows, row), append(firsts, g.first)
 	}
-	return rows
+	return rows, firsts
 }
 
-// rowKey is a row's DISTINCT identity: each cell's kind and lexical form.
-func rowKey(row []dict.Value) string {
-	var b strings.Builder
-	for _, v := range row {
-		fmt.Fprintf(&b, "%d:%q|", v.Kind, v.Lexical())
+// cellKey is the DISTINCT identity of the cell v that e evaluated to
+// under b: a bound variable's RDF term, so "chat"@en, "chat"@fr and
+// <chat> stay apart, or else the value's kind and lexical form.
+func cellKey(e sparql.Expr, b binding, v dict.Value) string {
+	if x, ok := e.(*sparql.ExVar); ok {
+		if t, ok := b[x.Name]; ok {
+			return fmt.Sprintf("t%d:%q:%q:%q|", t.Kind, t.Value, t.Datatype, t.Lang)
+		}
 	}
-	return b.String()
+	return fmt.Sprintf("v%d:%q|", v.Kind, v.Lexical())
 }
 
 // Before compares two result rows under the query's ORDER BY keys

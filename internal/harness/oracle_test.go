@@ -14,14 +14,15 @@ import (
 )
 
 // oracleSrc is the oracle's hand-checked fixture: a numeric predicate
-// with an IRI object and a decimal, a date, and a subject missing a
-// property the others have.
+// with an IRI object and a decimal, a date, a subject missing a
+// property the others have, and four distinct tags, three of which read
+// as the integer 7 and one of which reads as the IRI x:a.
 const oracleSrc = `@prefix x: <http://x/> .
 @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
-x:a x:name "ann" ; x:age 30 ; x:score 7 ; x:born "1990-05-01"^^xsd:date ; x:knows x:b .
-x:b x:name "bob" ; x:age 25 ; x:score "2.5"^^xsd:decimal ; x:knows x:c .
-x:c x:name "cat" ; x:score x:a ; x:born "1985-01-01"^^xsd:date .
-x:d x:age 30 ; x:score 7 .
+x:a x:name "ann" ; x:age 30 ; x:score 7 ; x:born "1990-05-01"^^xsd:date ; x:knows x:b ; x:tag "7" .
+x:b x:name "bob" ; x:age 25 ; x:score "2.5"^^xsd:decimal ; x:knows x:c ; x:tag 7 .
+x:c x:name "cat" ; x:score x:a ; x:born "1985-01-01"^^xsd:date ; x:tag "07"^^xsd:integer .
+x:d x:age 30 ; x:score 7 ; x:tag "http://x/a" .
 `
 
 // oracleAnswer evaluates one query over the fixture.
@@ -95,6 +96,14 @@ func TestOracleAnswers(t *testing.T) {
 			[]string{"int:0|int:0|invalid:"}},
 		{"distinct", `SELECT DISTINCT ?g WHERE { ?s x:age ?g }`, false,
 			[]string{"int:25", "int:30"}},
+		// DISTINCT tells a variable's terms apart, even where they read
+		// alike, and a computed value by its value
+		{"distinct terms", `SELECT DISTINCT ?t WHERE { ?s x:tag ?t }`, false,
+			[]string{"int:7", "int:7", "int:7", "string:http://x/a"}},
+		{"distinct values", `SELECT DISTINCT ((?t + 0) AS ?u) WHERE { ?s x:tag ?t }`, false,
+			[]string{"int:7", "invalid:"}},
+		{"count distinct", `SELECT (COUNT(DISTINCT ?t) AS ?n) (COUNT(DISTINCT (?t + 0)) AS ?m) WHERE { ?s x:tag ?t }`, false,
+			[]string{"int:4|int:1"}},
 		{"order by", `SELECT ?s ?v WHERE { ?s x:score ?v } ORDER BY ?v DESC(?s)`, true,
 			[]string{b + "|float:2.5", d + "|int:7", a + "|int:7", c + "|" + a}},
 	} {
