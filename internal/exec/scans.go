@@ -101,64 +101,42 @@ func chooseSeed(star *Star, pso, pos *triples.Projection) (seed, cost int) {
 	return seed, cost
 }
 
-// seedScan produces the initial (subject[, object]) relation of a star,
-// sorted by subject.
-func seedScan(ctx *Ctx, p *StarProp, subjVar string, pso, pos *triples.Projection) *Rel {
-	switch {
-	case p.ObjConst != dict.Nil:
-		lo, hi := pos.Range2(p.Pred, p.ObjConst)
-		ctx.touchProj(pos, lo, hi, 4) // C = subjects
-		rel := NewRel(subjVar)
-		rel.Cols[0] = append(rel.Cols[0], pos.C[lo:hi]...) // sorted by S
-		return rel
-	case p.HasRange:
-		// the prefix interval is one POS run; each overflow member
-		// (usually none) is a run of its own
-		type so struct{ s, o dict.OID }
-		var rows []so
-		add := func(lo, hi int) {
-			ctx.touchProj(pos, lo, hi, 2|4)
-			for i := lo; i < hi; i++ {
-				rows = append(rows, so{pos.C[i], pos.B[i]})
-			}
+// rangeSeed produces the (subject[, object]) relation of a range
+// property's triples, sorted by subject: the prefix interval is one POS
+// run, and each overflow member (usually none) is a run of its own.
+func rangeSeed(ctx *Ctx, p *StarProp, subjVar string, pos *triples.Projection) *Rel {
+	type so struct{ s, o dict.OID }
+	var rows []so
+	add := func(lo, hi int) {
+		ctx.touchProj(pos, lo, hi, 2|4)
+		for i := lo; i < hi; i++ {
+			rows = append(rows, so{pos.C[i], pos.B[i]})
 		}
-		lo, hi := pos.Range2Between(p.Pred, p.Lo, p.Hi)
-		rows = make([]so, 0, max(hi-lo, 0))
-		add(lo, hi)
-		for _, o := range p.Over {
-			add(pos.Range2(p.Pred, o))
+	}
+	lo, hi := pos.Range2Between(p.Pred, p.Lo, p.Hi)
+	rows = make([]so, 0, max(hi-lo, 0))
+	add(lo, hi)
+	for _, o := range p.Over {
+		add(pos.Range2(p.Pred, o))
+	}
+	sort.Slice(rows, func(x, y int) bool {
+		if rows[x].s != rows[y].s {
+			return rows[x].s < rows[y].s
 		}
-		sort.Slice(rows, func(x, y int) bool {
-			if rows[x].s != rows[y].s {
-				return rows[x].s < rows[y].s
-			}
-			return rows[x].o < rows[y].o
-		})
-		if p.ObjVar != "" {
-			rel := NewRel(subjVar, p.ObjVar)
-			for _, r := range rows {
-				rel.AppendRow(r.s, r.o)
-			}
-			return rel
-		}
-		rel := NewRel(subjVar)
+		return rows[x].o < rows[y].o
+	})
+	if p.ObjVar != "" {
+		rel := NewRel(subjVar, p.ObjVar)
 		for _, r := range rows {
-			rel.Cols[0] = append(rel.Cols[0], r.s)
+			rel.AppendRow(r.s, r.o)
 		}
-		return rel
-	default:
-		lo, hi := pso.Range1(p.Pred)
-		ctx.touchProj(pso, lo, hi, 2|4)
-		if p.ObjVar != "" {
-			rel := NewRel(subjVar, p.ObjVar)
-			rel.Cols[0] = append(rel.Cols[0], pso.B[lo:hi]...)
-			rel.Cols[1] = append(rel.Cols[1], pso.C[lo:hi]...)
-			return rel
-		}
-		rel := NewRel(subjVar)
-		rel.Cols[0] = append(rel.Cols[0], pso.B[lo:hi]...)
 		return rel
 	}
+	rel := NewRel(subjVar)
+	for _, r := range rows {
+		rel.Cols[0] = append(rel.Cols[0], r.s)
+	}
+	return rel
 }
 
 // LookupStarSubject evaluates a star for one concrete subject via SPO
