@@ -13,9 +13,6 @@ const (
 	// sealed segment (decode amortized across the block, zone pruning
 	// already applied by the caller via a selectivity factor).
 	ScanRow = 1.0
-	// DeltaRow is the cost of scanning one value out of the unsealed
-	// delta tail: row-at-a-time, uncompressed, tombstone-checked.
-	DeltaRow = 4.0
 	// HashBuild is the per-row cost of materializing a build side into
 	// the string-keyed hash table.
 	HashBuild = 5.0
@@ -48,14 +45,15 @@ func Sort(n float64) float64 {
 	return SortKey * n * math.Log2(n)
 }
 
-// Scan is the cost of a star scan: sealedRows surviving zone pruning and
-// deltaRows from the unsealed tail, each touching cols columns.
-func Scan(sealedRows, deltaRows float64, cols int) float64 {
+// Scan is the cost of a star scan of rows rows (sealed rows surviving
+// zone pruning plus unsealed tail rows, which the scan reads through the
+// same block kernels), each touching cols columns.
+func Scan(rows float64, cols int) float64 {
 	c := float64(cols)
 	if c < 1 {
 		c = 1
 	}
-	return sealedRows*ScanRow*c + deltaRows*DeltaRow*c
+	return rows * ScanRow * c
 }
 
 // HashJoin is the cost of building on build rows and probing with probe

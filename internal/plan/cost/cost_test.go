@@ -47,11 +47,11 @@ func TestMergeVsHashPreference(t *testing.T) {
 	}
 }
 
-func TestScanDeltaPenalty(t *testing.T) {
-	if Scan(1000, 0, 2) >= Scan(1000, 500, 2) {
-		t.Fatal("delta rows must cost extra")
+func TestScanCostGrows(t *testing.T) {
+	if Scan(1000, 2) >= Scan(1500, 2) {
+		t.Fatal("more rows must cost more")
 	}
-	if Scan(1000, 0, 1) >= Scan(1000, 0, 3) {
+	if Scan(1000, 1) >= Scan(1000, 3) {
 		t.Fatal("wider scans must cost more")
 	}
 }

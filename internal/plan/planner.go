@@ -601,11 +601,11 @@ func (b *builder) starScanCost(st *star) float64 {
 	useZones := b.opts.ZoneMaps && b.sv.Organized
 	total := 0.0
 	for _, t := range st.tables {
-		sealed := float64(t.Count)
+		sealed := float64(t.SealedRows())
 		if useZones {
 			sealed *= zoneSel(t, st)
 		}
-		total += cost.Scan(sealed, float64(t.DeltaLen()), len(st.props))
+		total += cost.Scan(sealed+float64(t.DeltaLen()), len(st.props))
 	}
 	return total
 }
@@ -912,13 +912,13 @@ func (b *builder) estimate(st *star) float64 {
 	return b.starBase(st) * starSel(b.sv.Idx, st)
 }
 
-// starBase is the unconstrained star cardinality: member count of the
+// starBase is the unconstrained star cardinality: live row count of the
 // covering tables, or the smallest property run before organization.
 func (b *builder) starBase(st *star) float64 {
 	if len(st.tables) > 0 {
 		var base float64
 		for _, t := range st.tables {
-			base += float64(t.Count)
+			base += float64(t.LiveCount())
 		}
 		return base
 	}
