@@ -21,9 +21,9 @@ func normalizeAnalyze(s string) string { return timeRe.ReplaceAllString(s, "time
 // TestGoldenExplainCostedChain: the same trees, but every operator line
 // additionally carries the actual row count of a real execution, and
 // the footer reports the executed totals and the worst est/act
-// mis-estimation. In the delta and compacted stages the planner
-// under-estimates the author scan by the trickled-in author (est 5,
-// act 6), which the misestimate line surfaces as 1.2x.
+// mis-estimation. In the delta and compacted stages the planner sizes
+// the author scan by its live rows, the trickled-in author included
+// (est 6, act 6), so the misestimate line reads 1.0x.
 func TestGoldenExplainAnalyzeChain(t *testing.T) {
 	o := srdf.Defaults()
 	o.CompactThreshold = -1 // explicit Compact only: the test drives it
@@ -70,16 +70,16 @@ misestimate: worst est/act 1.0x at MergeJoin ?c
 
 	const deltaWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=2 (analyzed)
 Project ?b ?n act_rows=6 time=?
-  HashJoin on [?a] est_rows=6 cost=89 act_rows=6 time=?
-    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=5 cost=33 act_rows=6 time=?
-      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps delta=1 est_rows=5 cost=18 act_rows=6 time=?
+  HashJoin on [?a] est_rows=6 cost=90 act_rows=6 time=?
+    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=29 act_rows=6 time=?
+      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps delta=1 est_rows=6 cost=12 act_rows=6 time=?
         col p=R17 ?nm enc=for×1 skip=1
         col p=R18 ?c enc=for×1 skip=1
     RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
       col p=R15 ?a enc=for×1 skip=1
       col p=R16 ?y enc=for×1 skip=1
 actual: rows=6 time=?
-misestimate: worst est/act 1.2x at MergeJoin ?c
+misestimate: worst est/act 1.0x at HashJoin on [?a]
 `
 	check("delta", deltaWant)
 
@@ -88,16 +88,16 @@ misestimate: worst est/act 1.2x at MergeJoin ?c
 	}
 	const compactedWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=2 (analyzed)
 Project ?b ?n act_rows=6 time=?
-  HashJoin on [?a] est_rows=6 cost=81 act_rows=6 time=?
-    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=5 cost=25 act_rows=6 time=?
-      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps est_rows=5 cost=10 act_rows=6 time=?
+  HashJoin on [?a] est_rows=6 cost=90 act_rows=6 time=?
+    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=29 act_rows=6 time=?
+      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
         col p=R17 ?nm enc=for×1 skip=1
         col p=R18 ?c enc=for×1 skip=1
     RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
       col p=R15 ?a enc=for×1 skip=1
       col p=R16 ?y enc=for×1 skip=1
 actual: rows=6 time=?
-misestimate: worst est/act 1.2x at MergeJoin ?c
+misestimate: worst est/act 1.0x at HashJoin on [?a]
 `
 	check("compacted", compactedWant)
 }

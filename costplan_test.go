@@ -82,9 +82,9 @@ Project ?b ?n
 	// hash-joins the books on top.
 	const deltaWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=2
 Project ?b ?n
-  HashJoin on [?a] est_rows=6 cost=89
-    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=5 cost=33
-      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps delta=1 est_rows=5 cost=18
+  HashJoin on [?a] est_rows=6 cost=90
+    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=29
+      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps delta=1 est_rows=6 cost=12
         col p=R17 ?nm enc=for×1
         col p=R18 ?c enc=for×1
     RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12
@@ -101,9 +101,9 @@ Project ?b ?n
 	// join; the countries merge join needs only the inner table dense.
 	const compactedWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=2
 Project ?b ?n
-  HashJoin on [?a] est_rows=6 cost=81
-    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=5 cost=25
-      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps est_rows=5 cost=10
+  HashJoin on [?a] est_rows=6 cost=90
+    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=29
+      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12
         col p=R17 ?nm enc=for×1
         col p=R18 ?c enc=for×1
     RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12

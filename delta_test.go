@@ -69,7 +69,7 @@ Project ?b ?y
 
 	const deltaWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=0
 Project ?b ?y
-  RDFscan ?b over author_isbn [2 props, 0 self-joins] +zonemaps delta=3 dead=1 est_rows=1 cost=32
+  RDFscan ?b over author_isbn [2 props, 0 self-joins] +zonemaps delta=3 dead=1 est_rows=2 cost=14
     col p=R7 ?a enc=rle×1
     col p=R8 ?y in[L6,L10]+ovf2 enc=for×1 zsel=1.00
 `
@@ -86,7 +86,7 @@ Project ?b ?y
 	}
 	const compactedWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=0
 Project ?b ?y
-  RDFscan ?b over author_isbn [2 props, 0 self-joins] +zonemaps dead=1 est_rows=1 cost=8
+  RDFscan ?b over author_isbn [2 props, 0 self-joins] +zonemaps dead=1 est_rows=2 cost=14
     col p=R7 ?a enc=for×1
     col p=R8 ?y in[L6,L10]+ovf2 enc=for×1 zsel=1.00
 `
