@@ -78,8 +78,9 @@ type ScanOp struct {
 type scanProp struct {
 	p *StarProp
 	// col is the property's column in the scanned region: the sealed
-	// column, then a flat view of its unsealed cells.
+	// column, then flat, the untracked view of its unsealed cells.
 	col    *colstore.Column
+	flat   colstore.Column
 	idx    int // column index in Table.Cols
 	lo, hi dict.OID
 	rank   int     // propConst, propRange or propPresent
@@ -218,7 +219,8 @@ func (s *ScanOp) enterTail() bool {
 	s.block, s.last = 0, (s.tail-1)/colstore.BlockRows
 	for i := range s.props {
 		sp := &s.props[i]
-		sp.col = &colstore.Column{Name: sp.col.Name, Vals: s.Table.Delta[sp.idx]}
+		sp.flat = colstore.Column{Name: sp.col.Name, Vals: s.Table.Delta[sp.idx]}
+		sp.col = &sp.flat
 	}
 	return true
 }
