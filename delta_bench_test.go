@@ -47,19 +47,27 @@ func addDelta(st *core.Store, base, count int) {
 const deltaBenchQuery = `PREFIX d: <http://del/>
 SELECT ?s ?x WHERE { ?s d:a ?x . ?s d:b ?y . }`
 
+// deltaBenchRangeQuery is deltaBenchQuery with a range FILTER pushed
+// into the scan, which the kernels test on every block (a third of the
+// rows pass).
+const deltaBenchRangeQuery = `PREFIX d: <http://del/>
+SELECT ?s ?x WHERE { ?s d:a ?x . ?s d:b ?y . FILTER (?y < 30) }`
+
 // BenchmarkStream_DeltaScan measures the RDF-H-style update workload
 // read path: a multi-block sealed table scanned through selection
 // vectors followed by the unsealed delta tail. The sealed variant is
 // the no-updates baseline; delta4096 carries a 4096-row unsealed tail
-// plus tombstones from 512 deletions.
+// plus tombstones from 512 deletions, and delta4096-range scans the
+// same store under a range FILTER, so the per-row predicate cost of
+// the tail shows.
 func BenchmarkStream_DeltaScan(b *testing.B) {
 	qo := core.QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true}
-	run := func(b *testing.B, st *core.Store) {
+	run := func(b *testing.B, st *core.Store, q string) {
 		// fold pending writes in once, outside the timer
 		st.Stats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rows, err := st.QueryStream(context.Background(), deltaBenchQuery, qo)
+			rows, err := st.QueryStream(context.Background(), q, qo)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -70,16 +78,22 @@ func BenchmarkStream_DeltaScan(b *testing.B) {
 			rows.Close()
 		}
 	}
-	b.Run("sealed", func(b *testing.B) {
-		run(b, deltaBenchStore(b, 20000, 0))
-	})
-	b.Run("delta4096", func(b *testing.B) {
+	withDeletes := func(b *testing.B) *core.Store {
 		st := deltaBenchStore(b, 20000, 4096)
 		for i := 0; i < 512; i++ {
 			s := dict.IRI(fmt.Sprintf("http://del/s%06d", i*7))
 			st.Delete(nt.Triple{S: s, P: dict.IRI("http://del/a"), O: dict.IntLit(int64((i * 7) % 9973))})
 		}
-		run(b, st)
+		return st
+	}
+	b.Run("sealed", func(b *testing.B) {
+		run(b, deltaBenchStore(b, 20000, 0), deltaBenchQuery)
+	})
+	b.Run("delta4096", func(b *testing.B) {
+		run(b, withDeletes(b), deltaBenchQuery)
+	})
+	b.Run("delta4096-range", func(b *testing.B) {
+		run(b, withDeletes(b), deltaBenchRangeQuery)
 	})
 }
 
