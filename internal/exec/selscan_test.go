@@ -145,7 +145,7 @@ func TestScanSelectionParity(t *testing.T) {
 	for i, k := range rng.Perm(len(tail)) {
 		tail[i] = dict.ResourceOID(uint64(100000 + k))
 	}
-	ta, tb := append([]dict.OID(nil), va...), append([]dict.OID(nil), vb...)
+	wa, wb := append([]dict.OID(nil), va...), append([]dict.OID(nil), vb...)
 	cell := func() dict.OID {
 		switch rng.Intn(10) {
 		case 0:
@@ -156,13 +156,13 @@ func TestScanSelectionParity(t *testing.T) {
 		return dict.LiteralOID(uint64(1 + rng.Intn(40)))
 	}
 	for range tail {
-		ta, tb = append(ta, cell()), append(tb, cell())
+		wa, wb = append(wa, cell()), append(wb, cell())
 	}
 	del := &relational.Bitmap{}
 	for r := 3; r < n+sealedTail; r += 50 {
 		del.Set(r)
 	}
-	withTail := synthTable(t, "synth", 1, n, tail, unsealed, del, map[dict.OID][]dict.OID{pa: ta, pb: tb})
+	withTail := synthTable(t, "synth", 1, n, tail, unsealed, del, map[dict.OID][]dict.OID{pa: wa, pb: wb})
 
 	straddle := dict.LiteralOID(uint64(1 + (colstore.BlockRows-1)/97)) // run crossing block 0→... boundary region
 	stars := map[string]Star{
