@@ -14,7 +14,7 @@ import (
 // one CS table, so the star needs no self-joins. It walks the table
 // block by block (the zone-map granularity), pruning blocks and touching
 // pages only as the consumer pulls — so a satisfied LIMIT stops the scan
-// before the tail blocks are ever faulted in.
+// before the later blocks are ever faulted in.
 //
 // Predicates are evaluated by the column predicate kernels directly on
 // the compressed segments (RLE answers equality in O(runs), FOR blocks
