@@ -436,15 +436,22 @@ func wideStore(b *testing.B, n int) *core.Store {
 // lineitem/orders shape: nParent parent subjects with a date and a
 // payload, and 2*nParent child subjects whose FK is correlated with
 // their own date key (children of a date window reference a matching
-// window of parents, as date-clustered fact tables do).
-func fkJoinStore(b *testing.B, nParent int) *core.Store {
+// window of parents, as date-clustered fact tables do). With unsorted,
+// the FKs of each run of 128 children are reversed, so children in date
+// order reach the same parents out of order; nParent must then be a
+// multiple of 64.
+func fkJoinStore(b *testing.B, nParent int, unsorted bool) *core.Store {
 	var src strings.Builder
 	src.WriteString("@prefix e: <http://fk/> .\n")
 	for i := 0; i < nParent; i++ {
 		fmt.Fprintf(&src, "e:o%06d e:odate %d ; e:ototal %d .\n", i, i, (i*7)%1000)
 	}
 	for i := 0; i < 2*nParent; i++ {
-		fmt.Fprintf(&src, "e:li%06d e:ldate %d ; e:fk e:o%06d .\n", i, i, i/2)
+		fk := i / 2
+		if unsorted {
+			fk ^= 63
+		}
+		fmt.Fprintf(&src, "e:li%06d e:ldate %d ; e:fk e:o%06d .\n", i, i, fk)
 	}
 	opts := core.DefaultOptions()
 	st := core.NewStore(opts)
@@ -460,12 +467,12 @@ func fkJoinStore(b *testing.B, nParent int) *core.Store {
 // BenchmarkStream_MergeJoin contrasts join algorithms on a clustered,
 // date-selective FK join. Hash drains the full parent star into a hash
 // table (or scans it as probe input) no matter how few keys flow in;
-// merge sorts the incoming FK keys once and binary-searches the
-// subject-ordered parent table, scanning only the FK-spanned row
-// window. Blooms are off in both arms so the comparison is the bare
-// algorithms.
+// merge counting-sorts the incoming FK keys by parent row and scans
+// only the FK-spanned row window of the subject-ordered parent table.
+// Blooms are off in both arms so the comparison is the bare
+// algorithms. The -unsorted arms reach the parents out of FK order, so
+// the merge join must order its outer keys, as Q3's does.
 func BenchmarkStream_MergeJoin(b *testing.B) {
-	st := fkJoinStore(b, 40000)
 	q := `PREFIX e: <http://fk/>
 SELECT (SUM(?t) AS ?s)
 WHERE {
@@ -474,15 +481,23 @@ WHERE {
   ?o e:ototal ?t .
   FILTER (?d >= 30000 && ?d < 32000)
 }`
-	for _, algo := range []string{"hash", "merge"} {
-		b.Run(algo, func(b *testing.B) {
-			qo := core.QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true, ForceAlgo: algo, NoBloom: true}
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Query(q, qo); err != nil {
-					b.Fatal(err)
-				}
+	for _, unsorted := range []bool{false, true} {
+		st := fkJoinStore(b, 40000, unsorted)
+		for _, algo := range []string{"hash", "merge"} {
+			name := algo
+			if unsorted {
+				name += "-unsorted"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				qo := core.QueryOptions{Mode: plan.ModeRDFScan, ZoneMaps: true, ForceAlgo: algo, NoBloom: true}
+				for i := 0; i < b.N; i++ {
+					if _, err := st.Query(q, qo); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

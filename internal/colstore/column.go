@@ -324,14 +324,7 @@ func (c *Column) GatherBlock(b int, sel []int32, buf []dict.OID) []dict.OID {
 		}
 		return c.Vals[lo:hi]
 	}
-	seg := c.segs[b]
-	if p, ok := asPlain(seg); ok {
-		return p.view()
-	}
-	for _, k := range sel {
-		buf[k] = seg.Get(int(k))
-	}
-	return buf
+	return gather(c.segs[b], sel, buf)
 }
 
 // SelectBlock appends the rows i (block-relative, within [lo,hi)) of

@@ -41,6 +41,13 @@ func kernelMismatch(seg Segment, vals []dict.OID, lo, hi int, vlo, vhi dict.OID,
 			return fmt.Sprintf("Get(%d) = %v, want %v", i, g, v)
 		}
 	}
+	buf := make([]dict.OID, len(vals))
+	g := gather(seg, in, buf)
+	for _, k := range in {
+		if g[k] != vals[k] {
+			return fmt.Sprintf("gather %v: row %d = %v, want %v", in, k, g[k], vals[k])
+		}
+	}
 	prefix := []int32{-1} // selects append after what sel holds
 	for _, r := range [][2]dict.OID{{vlo, vhi}, {vlo, vlo}, {dict.Nil, ^dict.OID(0)}} {
 		// a range, an equality test and a presence test

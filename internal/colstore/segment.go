@@ -286,6 +286,65 @@ func maxPacked(packed []uint64, width, n int) uint64 {
 	return m
 }
 
+// packedAt returns packed value i (width bits, width in [1,64]).
+func packedAt(packed []uint64, width, i int) uint64 {
+	bit := i * width
+	w, off := bit>>6, uint(bit&63)
+	v := packed[w] >> off
+	if off+uint(width) > 64 {
+		v |= packed[w+1] << (64 - off)
+	}
+	return v & widthMask(width)
+}
+
+// gather writes buf[k] = row k of seg for every k in sel (ascending,
+// block-relative) and returns buf; a plain block returns its zero-copy
+// view instead. A lazy block is resolved once, and then each encoding
+// reads the selected rows in one loop of its own: FOR and dict unpack
+// just the selected positions, RLE walks its runs alongside sel.
+func gather(seg Segment, sel []int32, buf []dict.OID) []dict.OID {
+	if lz, ok := seg.(*lazySegment); ok {
+		seg = lz.load()
+	}
+	switch s := seg.(type) {
+	case *plainSegment:
+		return s.view()
+	case *forSegment:
+		if s.width == 0 {
+			for _, k := range sel {
+				buf[k] = s.base
+			}
+			break
+		}
+		for _, k := range sel {
+			buf[k] = s.base + dict.OID(packedAt(s.packed, s.width, int(k)))
+		}
+	case *dictSegment:
+		if s.width == 0 {
+			for _, k := range sel {
+				buf[k] = s.dictVals[0]
+			}
+			break
+		}
+		for _, k := range sel {
+			buf[k] = s.dictVals[packedAt(s.packed, s.width, int(k))]
+		}
+	case *rleSegment:
+		r := 0
+		for _, k := range sel {
+			for s.ends[r] <= k {
+				r++
+			}
+			buf[k] = s.vals[r]
+		}
+	default:
+		for _, k := range sel {
+			buf[k] = seg.Get(int(k))
+		}
+	}
+	return buf
+}
+
 // appendRows appends every row i in [lo,hi).
 func appendRows(lo, hi int, sel []int32) []int32 {
 	for i := lo; i < hi; i++ {

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"srdf/internal/dict"
 )
 
@@ -109,10 +111,26 @@ func (b *Batch) AppendRow(vals ...dict.OID) {
 // gatherSel appends the selected rows of col to dst — the one gather
 // loop shared by every materialization point.
 func gatherSel(dst, col []dict.OID, sel []int32) []dict.OID {
+	dst = slices.Grow(dst, len(sel))
 	for _, k := range sel {
 		dst = append(dst, col[k])
 	}
 	return dst
+}
+
+// gatherPairs appends one row per join match pair i to b, column by
+// column: output column c reads rel's column fromRel[c] at row rows[i]
+// when fromRel[c] >= 0, else bat's column fromBat[c] at physical row
+// at[i]. It is the output path of the joins, which match a
+// materialized side against a streamed batch.
+func gatherPairs(b *Batch, rel *Rel, fromRel []int, rows []int32, bat *Batch, fromBat []int, at []int32) {
+	for c := range b.Cols {
+		if ri := fromRel[c]; ri >= 0 {
+			b.Cols[c] = gatherSel(b.Cols[c], rel.Cols[ri], rows)
+		} else {
+			b.Cols[c] = gatherSel(b.Cols[c], bat.Cols[fromBat[c]], at)
+		}
+	}
 }
 
 // AppendToCols gathers the batch's logical rows onto dst column-wise —

@@ -90,15 +90,6 @@ func (r *Rel) Select(keep []int32) *Rel {
 	return out
 }
 
-// appendOIDKey appends v's fixed-width little-endian encoding to kb —
-// the hash join's key encoding.
-func appendOIDKey(kb []byte, v dict.OID) []byte {
-	for sh := 0; sh < 64; sh += 8 {
-		kb = append(kb, byte(v>>sh))
-	}
-	return kb
-}
-
 // Ctx carries the store state an executor needs.
 type Ctx struct {
 	Dict *dict.Dictionary

@@ -910,6 +910,12 @@ func NewRDFJoinOp(in Operator, keyVar string, t *relational.Table, star Star, fu
 // schema is the left child's variables followed by the right child's
 // extras regardless of which side builds, so plan shapes keep their
 // column order.
+//
+// The hash table is keyed on the OIDs of the shared variables, however
+// many (none makes a cross product): slots is open-addressed over the
+// distinct build keys and holds each key's first build row + 1, and
+// next chains the key's further build rows in ascending order. So every
+// probe row meets its matches in build order.
 type HashJoinOp struct {
 	left, right Operator
 	buildLeft   bool
@@ -922,7 +928,9 @@ type HashJoinOp struct {
 	ctx      *Ctx
 	probe    Operator
 	build    *Rel
-	buildMap map[string][]int32
+	slots    []int32
+	next     []int32
+	key      []dict.OID // the key being inserted or looked up
 	buildKey []int
 	probeKey []int
 	// per output var: source column (build or probe)
@@ -930,7 +938,13 @@ type HashJoinOp struct {
 	fromProbe []int
 
 	probeBatch *Batch
-	pending    relCursor
+	// The resume cursor: probe row j of probeBatch emits build row cur
+	// next (-1: row j is not looked up yet). rows/at are the match pairs
+	// (build row, physical probe row) of the batch being filled.
+	j        int
+	cur      int32
+	rows, at []int32
+	done     bool
 }
 
 // NewHashJoinOp joins left and right on their shared variables, hashing
@@ -965,8 +979,16 @@ func (h *HashJoinOp) Open(ctx *Ctx) error {
 		// fail Open instead of probing against a partial build
 		return err
 	}
-	// hash table overhead on top of the drained cells Drain charged
-	if err := ctx.Mem.Grow(int64(h.build.Len()) * 32); err != nil {
+	// the hash table on top of the drained cells Drain charged
+	n := h.build.Len()
+	size := 0
+	if n > 0 {
+		size = 2
+		for size < 2*n {
+			size *= 2
+		}
+	}
+	if err := ctx.Mem.Grow(4 * int64(size+n)); err != nil {
 		ctx.Fail(err)
 		return err
 	}
@@ -985,8 +1007,8 @@ func (h *HashJoinOp) Open(ctx *Ctx) error {
 		if ci < 0 {
 			continue
 		}
-		f := NewBloomFilter(h.build.Len())
-		for i := 0; i < h.build.Len(); i++ {
+		f := NewBloomFilter(n)
+		for i := 0; i < n; i++ {
 			f.Add(h.build.Cols[ci][i])
 		}
 		bh.publish(f)
@@ -1007,49 +1029,95 @@ func (h *HashJoinOp) Open(ctx *Ctx) error {
 		h.fromBuild[i] = colOf(h.build.Vars, v)
 		h.fromProbe[i] = colOf(probeVars, v)
 	}
-	h.buildMap = make(map[string][]int32, h.build.Len())
-	var kb []byte
-	for i := 0; i < h.build.Len(); i++ {
-		kb = kb[:0]
-		for _, ci := range h.buildKey {
-			kb = appendOIDKey(kb, h.build.Cols[ci][i])
+	// Insert the build rows last to first, each at the head of its key's
+	// chain, so the chains come out ascending.
+	h.slots, h.next = make([]int32, size), make([]int32, n)
+	h.key = make([]dict.OID, len(h.buildKey))
+	mask := uint64(size - 1)
+	for i := n - 1; i >= 0; i-- {
+		for c, ci := range h.buildKey {
+			h.key[c] = h.build.Cols[ci][i]
 		}
-		h.buildMap[string(kb)] = append(h.buildMap[string(kb)], int32(i))
+		s := hashKey(h.key) & mask
+		for h.slots[s] != 0 && !h.buildKeyEq(h.slots[s]-1) {
+			s = (s + 1) & mask
+		}
+		h.next[i] = h.slots[s] - 1
+		h.slots[s] = int32(i + 1)
 	}
 	h.probeBatch = NewBatch(probeVars)
+	h.j, h.cur = 0, -1
+	h.rows, h.at = make([]int32, 0, BatchRows), make([]int32, 0, BatchRows)
+	h.done = false
 	return nil
 }
 
-func (h *HashJoinOp) Next(b *Batch) bool {
-	var kb []byte
-	for {
-		if h.pending.rel != nil && h.pending.fill(b) {
-			return true
-		}
-		h.probeBatch.Reset()
-		if !h.probe.Next(h.probeBatch) {
+// buildKeyEq reports whether build row r's key equals h.key.
+func (h *HashJoinOp) buildKeyEq(r int32) bool {
+	for c, ci := range h.buildKey {
+		if h.build.Cols[ci][r] != h.key[c] {
 			return false
 		}
-		out := NewRel(h.vars...)
-		for j := 0; j < h.probeBatch.Len(); j++ {
-			kb = kb[:0]
-			for _, ci := range h.probeKey {
-				kb = appendOIDKey(kb, h.probeBatch.At(ci, j))
+	}
+	return true
+}
+
+// lookup returns the first build row whose key equals physical probe
+// row p's, or -1.
+func (h *HashJoinOp) lookup(p int) int32 {
+	if len(h.slots) == 0 {
+		return -1
+	}
+	for c, ci := range h.probeKey {
+		h.key[c] = h.probeBatch.Cols[ci][p]
+	}
+	mask := uint64(len(h.slots) - 1)
+	for s := hashKey(h.key) & mask; h.slots[s] != 0; s = (s + 1) & mask {
+		if r := h.slots[s] - 1; h.buildKeyEq(r) {
+			return r
+		}
+	}
+	return -1
+}
+
+// Next appends the matches of the next probe rows to b until it is
+// full, resuming inside a probe row whose matches did not fit last time.
+func (h *HashJoinOp) Next(b *Batch) bool {
+	for !h.done && !b.Full() {
+		pb := h.probeBatch
+		if h.j == pb.Len() {
+			pb.Reset()
+			h.j = 0
+			if !h.probe.Next(pb) {
+				h.done = true
 			}
-			for _, i := range h.buildMap[string(kb)] {
-				for c := range h.vars {
-					var v dict.OID
-					if bi := h.fromBuild[c]; bi >= 0 {
-						v = h.build.Cols[bi][i]
-					} else {
-						v = h.probeBatch.At(h.fromProbe[c], j)
-					}
-					out.Cols[c] = append(out.Cols[c], v)
+			continue
+		}
+		rows, at := h.rows[:0], h.at[:0]
+		room := BatchRows - b.Len()
+		for h.j < pb.Len() && len(rows) < room {
+			p := h.j
+			if pb.Sel != nil {
+				p = int(pb.Sel[p])
+			}
+			if h.cur < 0 {
+				if h.cur = h.lookup(p); h.cur < 0 {
+					h.j++
+					continue
 				}
 			}
+			for ; h.cur >= 0 && len(rows) < room; h.cur = h.next[h.cur] {
+				rows, at = append(rows, h.cur), append(at, int32(p))
+			}
+			if h.cur >= 0 {
+				break // b is full: resume inside row j
+			}
+			h.j++
 		}
-		h.pending = relCursor{rel: out}
+		gatherPairs(b, h.build, h.fromBuild, rows, pb, h.fromProbe, at)
+		h.rows, h.at = rows, at
 	}
+	return b.Len() > 0
 }
 
 func (h *HashJoinOp) Close() { h.probe.Close() }

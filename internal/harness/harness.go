@@ -402,6 +402,7 @@ var Configs = []Config{
 	{Mode: plan.ModeRDFScan, Zones: true},
 	{Mode: plan.ModeRDFScan, Zones: true, Algo: "merge"},
 	{Mode: plan.ModeRDFScan, Zones: true, Algo: "hash", NoBloom: true},
+	{Mode: plan.ModeRDFScan, Zones: true, Algo: "rdfjoin"},
 }
 
 // renderRow encodes one decoded row for comparison (kind-tagged so an

@@ -14,7 +14,7 @@ const (
 	// already applied by the caller via a selectivity factor).
 	ScanRow = 1.0
 	// HashBuild is the per-row cost of materializing a build side into
-	// the string-keyed hash table.
+	// the OID-keyed hash table.
 	HashBuild = 5.0
 	// HashProbe is the per-row cost of probing it.
 	HashProbe = 3.0
@@ -64,7 +64,9 @@ func HashJoin(build, probe, out float64) float64 {
 
 // MergeJoin is the cost of sorting outer keys (unless already sorted),
 // scanning the inner table window (innerScan, in Scan units) and merging
-// both streams. Input costs are the caller's to add.
+// both streams. Input costs are the caller's to add. The Sort term
+// prices a comparison sort, though the operator counting-sorts its keys
+// in linear time; repricing it would change which plans win.
 func MergeJoin(outer, innerRows, innerScan, out float64, sorted bool) float64 {
 	c := innerScan + (outer+innerRows)*MergeRow + out*OutRow
 	if !sorted {
