@@ -21,9 +21,8 @@ func normalizeAnalyze(s string) string { return timeRe.ReplaceAllString(s, "time
 // TestGoldenExplainCostedChain: the same trees, but every operator line
 // additionally carries the actual row count of a real execution, and
 // the footer reports the executed totals and the worst est/act
-// mis-estimation. In the delta and compacted stages the planner sizes
-// the author scan by its live rows, the trickled-in author included
-// (est 6, act 6), so the misestimate line reads 1.0x.
+// mis-estimation. In every stage each operator's estimate equals its
+// actual rows, so the misestimate line reads 1.0x.
 func TestGoldenExplainAnalyzeChain(t *testing.T) {
 	o := srdf.Defaults()
 	o.CompactThreshold = -1 // explicit Compact only: the test drives it
@@ -51,35 +50,30 @@ func TestGoldenExplainAnalyzeChain(t *testing.T) {
 
 	const sealedWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=2 (analyzed)
 Project ?b ?n act_rows=6 time=?
-  MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=51 act_rows=6 time=?
-    MergeJoin ?a -> country_name [2 props, subject-ordered scan] est_rows=6 cost=34 act_rows=6 time=?
+  FKJoin ?c -> cname_pop [2 props, positional] est_rows=6 cost=76 act_rows=6 time=?
+    FKJoin ?a -> country_name [2 props, positional] est_rows=6 cost=46 act_rows=6 time=?
       RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
         col p=R15 ?a enc=for×1 skip=1
         col p=R16 ?y enc=for×1 skip=1
 actual: rows=6 time=?
-misestimate: worst est/act 1.0x at MergeJoin ?c
+misestimate: worst est/act 1.0x at FKJoin ?c
 `
 	check("sealed", sealedWant)
 
-	// A new author arrives: the author table grows a delta tail, the
-	// plan re-anchors on the author star (see the costed-chain golden),
-	// and the author scan now actually produces 6 rows against an
-	// estimate of 5.
+	// A new author arrives: the author table grows a delta tail, and
+	// the plan keeps its FK joins (see the costed-chain golden).
 	s.Add(srdf.Triple{S: srdf.IRI("http://l/a9"), P: srdf.IRI("http://l/name"), O: srdf.StringLit("Zoe")})
 	s.Add(srdf.Triple{S: srdf.IRI("http://l/a9"), P: srdf.IRI("http://l/country"), O: srdf.IRI("http://l/c3")})
 
 	const deltaWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=2 (analyzed)
 Project ?b ?n act_rows=6 time=?
-  HashJoin on [?a] est_rows=6 cost=90 act_rows=6 time=?
-    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=29 act_rows=6 time=?
-      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps delta=1 est_rows=6 cost=12 act_rows=6 time=?
-        col p=R17 ?nm enc=for×1 skip=1
-        col p=R18 ?c enc=for×1 skip=1
-    RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
-      col p=R15 ?a enc=for×1 skip=1
-      col p=R16 ?y enc=for×1 skip=1
+  FKJoin ?c -> cname_pop [2 props, positional] est_rows=6 cost=78 act_rows=6 time=?
+    FKJoin ?a -> country_name [2 props, positional] est_rows=6 cost=48 act_rows=6 time=?
+      RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
+        col p=R15 ?a enc=for×1 skip=1
+        col p=R16 ?y enc=for×1 skip=1
 actual: rows=6 time=?
-misestimate: worst est/act 1.0x at HashJoin on [?a]
+misestimate: worst est/act 1.0x at FKJoin ?c
 `
 	check("delta", deltaWant)
 
@@ -88,16 +82,13 @@ misestimate: worst est/act 1.0x at HashJoin on [?a]
 	}
 	const compactedWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=2 (analyzed)
 Project ?b ?n act_rows=6 time=?
-  HashJoin on [?a] est_rows=6 cost=90 act_rows=6 time=?
-    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=29 act_rows=6 time=?
-      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
-        col p=R17 ?nm enc=for×1 skip=1
-        col p=R18 ?c enc=for×1 skip=1
-    RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
-      col p=R15 ?a enc=for×1 skip=1
-      col p=R16 ?y enc=for×1 skip=1
+  FKJoin ?c -> cname_pop [2 props, positional] est_rows=6 cost=78 act_rows=6 time=?
+    FKJoin ?a -> country_name [2 props, positional] est_rows=6 cost=48 act_rows=6 time=?
+      RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12 act_rows=6 time=?
+        col p=R15 ?a enc=for×1 skip=1
+        col p=R16 ?y enc=for×1 skip=1
 actual: rows=6 time=?
-misestimate: worst est/act 1.0x at HashJoin on [?a]
+misestimate: worst est/act 1.0x at FKJoin ?c
 `
 	check("compacted", compactedWant)
 }

@@ -464,15 +464,14 @@ func fkJoinStore(b *testing.B, nParent int, unsorted bool) *core.Store {
 	return st
 }
 
-// BenchmarkStream_MergeJoin contrasts join algorithms on a clustered,
+// BenchmarkStream_FKJoin contrasts join algorithms on a clustered,
 // date-selective FK join. Hash drains the full parent star into a hash
 // table (or scans it as probe input) no matter how few keys flow in;
-// merge counting-sorts the incoming FK keys by parent row and scans
-// only the FK-spanned row window of the subject-ordered parent table.
-// Blooms are off in both arms so the comparison is the bare
-// algorithms. The -unsorted arms reach the parents out of FK order, so
-// the merge join must order its outer keys, as Q3's does.
-func BenchmarkStream_MergeJoin(b *testing.B) {
+// fk resolves each incoming key to its parent row and runs the parent
+// star's kernels over just those rows of each block. Blooms are off in
+// both arms so the comparison is the bare algorithms. The -unsorted
+// arms reach the parents out of FK order, as Q3's joins do.
+func BenchmarkStream_FKJoin(b *testing.B) {
 	q := `PREFIX e: <http://fk/>
 SELECT (SUM(?t) AS ?s)
 WHERE {
@@ -483,7 +482,7 @@ WHERE {
 }`
 	for _, unsorted := range []bool{false, true} {
 		st := fkJoinStore(b, 40000, unsorted)
-		for _, algo := range []string{"hash", "merge"} {
+		for _, algo := range []string{"hash", "fk"} {
 			name := algo
 			if unsorted {
 				name += "-unsorted"
@@ -502,9 +501,9 @@ WHERE {
 }
 
 // BenchmarkStream_CostedStar pits the cost-based join order for Q3
-// (selective lineitem scan first, then two merge joins up the FK
-// chain) against the naive pattern-order left-deep hash plan the old
-// greedy planner could produce.
+// (selective lineitem scan first, then two FK joins up the FK chain)
+// against the naive pattern-order left-deep hash plan the old greedy
+// planner could produce.
 func BenchmarkStream_CostedStar(b *testing.B) {
 	h := getHarness(b)
 	q := rdfh.Queries()["Q3"]

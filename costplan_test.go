@@ -26,11 +26,11 @@ l:c3 l:cname "FR" ; l:pop 68 .
 
 // TestGoldenExplainCostedChain pins the costed plan for a 3-way star
 // chain across the live-update lifecycle. Sealed, the optimizer runs
-// the FK chain as MergeJoins over the subject-ordered author and
-// country tables. Trickling a new author in puts delta rows on the
-// author table, which disqualifies it from merge joins (the delta tail
-// is unsorted), so that step falls back to a hash join; Compact seals
-// the delta and the merge plan comes back.
+// the FK chain as FK joins into the author and country tables.
+// Trickling a new author in puts a tail row on the author table, and
+// Compact seals it outside the table's dense subject range; the FK join
+// resolves such a subject through the table's tail map, so the plan
+// keeps its shape and only the resolution cost of the tail grows.
 func TestGoldenExplainCostedChain(t *testing.T) {
 	o := srdf.Defaults()
 	o.CompactThreshold = -1 // explicit Compact only: the test drives it
@@ -65,8 +65,8 @@ func TestGoldenExplainCostedChain(t *testing.T) {
 
 	const sealedWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=2
 Project ?b ?n
-  MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=51
-    MergeJoin ?a -> country_name [2 props, subject-ordered scan] est_rows=6 cost=34
+  FKJoin ?c -> cname_pop [2 props, positional] est_rows=6 cost=76
+    FKJoin ?a -> country_name [2 props, positional] est_rows=6 cost=46
       RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12
         col p=R15 ?a enc=for×1
         col p=R16 ?y enc=for×1
@@ -77,38 +77,26 @@ Project ?b ?n
 	s.Add(srdf.Triple{S: srdf.IRI("http://l/a9"), P: srdf.IRI("http://l/name"), O: srdf.StringLit("Zoe")})
 	s.Add(srdf.Triple{S: srdf.IRI("http://l/a9"), P: srdf.IRI("http://l/country"), O: srdf.IRI("http://l/c3")})
 
-	// The author table no longer qualifies for a merge join (unsorted
-	// delta tail), so the DP re-anchors the plan on the author star and
-	// hash-joins the books on top.
 	const deltaWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=2
 Project ?b ?n
-  HashJoin on [?a] est_rows=6 cost=90
-    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=29
-      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps delta=1 est_rows=6 cost=12
-        col p=R17 ?nm enc=for×1
-        col p=R18 ?c enc=for×1
-    RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12
-      col p=R15 ?a enc=for×1
-      col p=R16 ?y enc=for×1
+  FKJoin ?c -> cname_pop [2 props, positional] est_rows=6 cost=78
+    FKJoin ?a -> country_name [2 props, positional] est_rows=6 cost=48
+      RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12
+        col p=R15 ?a enc=for×1
+        col p=R16 ?y enc=for×1
 `
 	check("delta", deltaWant)
 
 	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// Compact seals the delta, but the merged-in author a9 sits outside
-	// the table's dense subject range, so books->authors stays a hash
-	// join; the countries merge join needs only the inner table dense.
 	const compactedWant = `Plan [RDFscan/RDFjoin +zonemaps] joins=2
 Project ?b ?n
-  HashJoin on [?a] est_rows=6 cost=90
-    MergeJoin ?c -> cname_pop [2 props, subject-ordered scan] est_rows=6 cost=29
-      RDFscan ?a over country_name [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12
-        col p=R17 ?nm enc=for×1
-        col p=R18 ?c enc=for×1
-    RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12
-      col p=R15 ?a enc=for×1
-      col p=R16 ?y enc=for×1
+  FKJoin ?c -> cname_pop [2 props, positional] est_rows=6 cost=78
+    FKJoin ?a -> country_name [2 props, positional] est_rows=6 cost=48
+      RDFscan ?b over author_year [2 props, 0 self-joins] +zonemaps est_rows=6 cost=12
+        col p=R15 ?a enc=for×1
+        col p=R16 ?y enc=for×1
 `
 	check("compacted", compactedWant)
 }

@@ -105,10 +105,11 @@ type QueryOptions struct {
 	Mode plan.Mode
 	// ZoneMaps lets RDFscan skip blocks by their min/max summaries.
 	ZoneMaps bool
-	// ForceAlgo pins the physical join algorithm ("hash", "merge",
-	// "rdfjoin") wherever the optimizer could have applied it; joins the
-	// pinned algorithm cannot serve keep the cost-based choice. Meant
-	// for testing and plan comparison, not production use.
+	// ForceAlgo pins the physical join algorithm ("hash" or "fk")
+	// wherever the optimizer could have applied it; joins the pinned
+	// algorithm cannot serve keep the cost-based choice, and any other
+	// non-empty value fails the query. Meant for testing and plan
+	// comparison, not production use.
 	ForceAlgo string
 	// NoBloom disables runtime bloom filters on hash-join probe sides.
 	NoBloom bool

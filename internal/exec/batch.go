@@ -286,11 +286,10 @@ func (s *LazyOp) Next(b *Batch) bool {
 }
 func (s *LazyOp) Close() {}
 
-// MapOp applies a chunkwise Rel transformation to every input batch (the
-// RDFJoin and EqSelect steps) that maps one relation to another
-// row-locally. One input batch
-// may expand to more than one output batch (joins) or shrink to zero
-// (filters); MapOp buffers the expansion and keeps pulling on shrink.
+// MapOp applies a chunkwise Rel transformation to every input batch
+// (the EqSelect step) that maps one relation to another row-locally. One
+// input batch may expand to more than one output batch or shrink to
+// zero; MapOp buffers the expansion and keeps pulling on shrink.
 type MapOp struct {
 	in   Operator
 	vars []string

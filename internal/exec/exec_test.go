@@ -205,9 +205,9 @@ func TestRDFJoinPositional(t *testing.T) {
 	catStar := Star{SubjVar: "c", Props: []StarProp{
 		{Pred: f.pred("http://s/label"), ObjVar: "l"},
 	}}
-	out := RDFJoin(f.ctx, in, "c", catTab, catStar, f.idx)
+	out := Drain(f.ctx, NewFKJoinOp(NewRelSource(in), "c", catTab, catStar, true, nil))
 	if out.Len() != 5 {
-		t.Fatalf("RDFJoin rows = %d, want 5", out.Len())
+		t.Fatalf("FK join rows = %d, want 5", out.Len())
 	}
 	li := out.ColIdx("l")
 	if li < 0 {
@@ -241,7 +241,7 @@ func TestRDFJoinFallbackForForeignSubjects(t *testing.T) {
 	in := union(f, prodStar.Vars(), scanTable(f, prodTab, prodStar, false),
 		ResidualStar(f.ctx, prodStar, []*relational.Table{prodTab}))
 	catStar := Star{SubjVar: "c", Props: []StarProp{{Pred: f.pred("http://s/label"), ObjVar: "l"}}}
-	out := RDFJoin(f.ctx, in, "c", catTab, catStar, f.idx)
+	out := Drain(f.ctx, NewFKJoinOp(NewRelSource(in), "c", catTab, catStar, true, f.idx))
 	// all 6 products must find a label, incl. the one pointing at the
 	// subject that is not in catTab
 	if out.Len() != 6 {

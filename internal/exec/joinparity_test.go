@@ -26,31 +26,6 @@ func joinVars(left, right []string) []string {
 	return out
 }
 
-// refMergeJoin is the nested-loop reference of MergeJoinOp: the live
-// inner rows in table order, each followed by the outer rows whose
-// keyVar equals its subject, in input order.
-func refMergeJoin(left *Rel, keyVar string, tab *relational.Table, star Star) *Rel {
-	inner := refScan(tab, star, nil, 0, -1)
-	out := NewRel(joinVars(left.Vars, inner.Vars)...)
-	ki := left.ColIdx(keyVar)
-	row := make([]dict.OID, 0, len(out.Vars))
-	for i := 0; i < inner.Len(); i++ {
-		for li := 0; li < left.Len(); li++ {
-			if left.Cols[ki][li] != inner.Cols[0][i] {
-				continue
-			}
-			row = left.Row(li, row)
-			for c, v := range inner.Vars {
-				if left.ColIdx(v) < 0 {
-					row = append(row, inner.Cols[c][i])
-				}
-			}
-			out.AppendRow(row...)
-		}
-	}
-	return out
-}
-
 // refHashJoin is the nested-loop reference of HashJoinOp: the probe
 // rows in order, each followed by the build rows that agree with it on
 // every shared variable, in build order. Nil equals Nil, as in the
@@ -89,19 +64,15 @@ func refHashJoin(left, right *Rel, buildLeft bool) *Rel {
 	return out
 }
 
-// refRDFJoin is the reference of NewRDFJoinOp: each outer row extended
-// by its key's live row of tab — found by a linear search over the
-// subjects — when every property holds there, else (no live row) by
-// the cross product of the key's matching values among foreign, in
-// property order.
-func refRDFJoin(in *Rel, keyVar string, tab *relational.Table, star Star, foreign []triples.Triple) *Rel {
-	vars := append([]string(nil), in.Vars...)
-	for i := range star.Props {
-		if star.Props[i].ObjVar != "" {
-			vars = append(vars, star.Props[i].ObjVar)
-		}
-	}
-	out := NewRel(vars...)
+// refFKJoin is the nested-loop reference of FKJoinOp: each outer row,
+// in input order, extended by its key's live row of tab — found by a
+// linear search over the rows — when every property holds there. With
+// the full index (foreign non-nil), a key without a live row or with a
+// triple in irregular is extended instead by the cross product of its
+// matching values among foreign, in property order. An object variable
+// the outer row binds must agree with it and is not repeated.
+func refFKJoin(in *Rel, keyVar string, tab *relational.Table, star Star, foreign, irregular []triples.Triple) *Rel {
+	out := NewRel(joinVars(in.Vars, star.Vars())...)
 	ki := in.ColIdx(keyVar)
 	idx := make([]int, len(star.Props))
 	for i := range star.Props {
@@ -115,11 +86,15 @@ func refRDFJoin(in *Rel, keyVar string, tab *relational.Table, star Star, foreig
 				live = r
 			}
 		}
+		lookup := foreign != nil && (live < 0 || slices.ContainsFunc(irregular, func(tr triples.Triple) bool { return tr.S == s }))
+		if !lookup && live < 0 {
+			continue
+		}
 		// per property, the values the row or the foreign triples offer
 		vals := make([][]dict.OID, len(star.Props))
 		for pi := range star.Props {
 			p := &star.Props[pi]
-			if live >= 0 {
+			if !lookup {
 				if v := tab.Value(idx[pi], live); v != dict.Nil && p.matches(v) {
 					vals[pi] = []dict.OID{v}
 				}
@@ -139,10 +114,15 @@ func refRDFJoin(in *Rel, keyVar string, tab *relational.Table, star Star, foreig
 				return
 			}
 			for _, v := range vals[pi] {
-				if star.Props[pi].ObjVar != "" {
-					rec(pi+1, append(row, v))
-				} else {
+				switch ov := star.Props[pi].ObjVar; {
+				case ov == "":
 					rec(pi+1, row)
+				case in.ColIdx(ov) >= 0:
+					if v == in.Cols[in.ColIdx(ov)][i] {
+						rec(pi+1, row)
+					}
+				default:
+					rec(pi+1, append(row, v))
 				}
 			}
 		}
@@ -155,8 +135,10 @@ func refRDFJoin(in *Rel, keyVar string, tab *relational.Table, star Star, foreig
 // same clustered run of count subjects from base, with tombstones and
 // NULL cells, alone (clustered) and followed by a tail (withTail) of
 // moved subjects — tombstoned clustered rows re-homed — and foreign
-// ones, partly sealed and partly unsealed. foreign holds triples of
-// subjects outside both tables, for RDFjoin's fallback.
+// ones, partly sealed and partly unsealed. foreign holds the triples of
+// the full index: subjects outside both tables, as a second covering
+// table's would be, and every triple of a few clustered subjects that
+// also have an overflow value in the irregular store (irregular).
 type joinFixture struct {
 	base      uint64
 	count     int
@@ -165,7 +147,9 @@ type joinFixture struct {
 	withTail  *relational.Table
 	tail      []dict.OID
 	foreign   []triples.Triple
+	irregular []triples.Triple
 	fullIdx   *triples.IndexSet
+	cat       *relational.Catalog // holds the irregular store
 }
 
 func newJoinFixture(tb testing.TB) *joinFixture {
@@ -218,19 +202,33 @@ func newJoinFixture(tb testing.TB) *joinFixture {
 	}
 	f.withTail = synthTable(tb, "join", f.base, f.count, f.tail, unsealed, tdel, map[dict.OID][]dict.OID{f.pa: wa, f.pb: wb})
 
-	tt := triples.NewTable(0)
-	for k := 0; k < 4; k++ {
-		s := dict.ResourceOID(uint64(200000 + k))
-		for j := 0; j <= k; j++ { // subject k has k+1 values of pa
-			tr := triples.Triple{S: s, P: f.pa, O: dict.LiteralOID(uint64(10 + 3*j))}
-			f.foreign = append(f.foreign, tr)
-			tt.AppendTriple(tr)
-		}
-		tr := triples.Triple{S: s, P: f.pb, O: dict.LiteralOID(uint64(1 + k))}
+	tt, irr := triples.NewTable(0), triples.NewTable(0)
+	add := func(tr triples.Triple) {
 		f.foreign = append(f.foreign, tr)
 		tt.AppendTriple(tr)
 	}
+	for k := 0; k < 4; k++ {
+		s := dict.ResourceOID(uint64(200000 + k))
+		for j := 0; j <= k; j++ { // subject k has k+1 values of pa
+			add(triples.Triple{S: s, P: f.pa, O: dict.LiteralOID(uint64(10 + 3*j))})
+		}
+		add(triples.Triple{S: s, P: f.pb, O: dict.LiteralOID(uint64(1 + k))})
+	}
+	// live clustered rows of both tables whose pa has a second value
+	for _, r := range []int{10, 600, 2050} {
+		s := dict.ResourceOID(f.base + uint64(r))
+		for pred, v := range map[dict.OID]dict.OID{f.pa: va[r], f.pb: vb[r]} {
+			if v != dict.Nil {
+				add(triples.Triple{S: s, P: pred, O: v})
+			}
+		}
+		ovf := triples.Triple{S: s, P: f.pa, O: dict.LiteralOID(uint64(5 + r%3))}
+		add(ovf)
+		f.irregular = append(f.irregular, ovf)
+		irr.AppendTriple(ovf)
+	}
 	f.fullIdx = triples.NewIndexSet(tt)
+	f.cat = &relational.Catalog{IrregularIdx: triples.NewIndexSet(irr)}
 	return f
 }
 
@@ -254,6 +252,7 @@ func (f *joinFixture) outerKeys(rng *rand.Rand) map[string][]dict.OID {
 		dict.LiteralOID(f.base + 7), dict.LiteralOID(3), // literals, one with a subject's payload
 		sub(3), sub(40), // tombstoned rows
 		dict.ResourceOID(200001), dict.ResourceOID(200003), // foreign subjects
+		sub(10), sub(600), sub(2050), // with an overflow value
 	}
 	for i := 0; i < 400; i++ {
 		mixed = append(mixed, sub(rng.Intn(f.count)))
@@ -287,6 +286,15 @@ func (f *joinFixture) stars() map[string]Star {
 			{Pred: f.pa, ObjVar: "a"},
 		}},
 		"const": {SubjVar: "o", Props: []StarProp{{Pred: f.pb, ObjConst: dict.LiteralOID(5)}, {Pred: f.pa, ObjVar: "a"}}},
+		// literals past the watermark N: blocks whose zone max passes it
+		// take the overflow test
+		"overflow": {SubjVar: "o", Props: []StarProp{
+			{Pred: f.pa, ObjVar: "a", HasRange: true, Lo: dict.LiteralOID(100), Hi: dict.LiteralOID(200),
+				N: dict.LiteralOID(420), Over: []dict.OID{dict.LiteralOID(430), dict.LiteralOID(437)}},
+			{Pred: f.pb, ObjVar: "b"},
+		}},
+		// x is bound by the outer side (its input position)
+		"bound": {SubjVar: "o", Props: []StarProp{{Pred: f.pa, ObjVar: "x"}, {Pred: f.pb, ObjVar: "b"}}},
 	}
 }
 
@@ -331,28 +339,25 @@ func checkRel(t *testing.T, what string, got, want *Rel) {
 	}
 }
 
-// TestJoinParity checks MergeJoinOp, HashJoinOp (building either side)
-// and NewRDFJoinOp against nested-loop references, comparing row
-// sequences, not sets. The outer keys repeat, fall below Base and at or
-// past Base+Count, are literals or Nil, name tombstoned rows, moved and
-// foreign tail subjects, spread over the whole table, or repeat one key
-// more than BatchRows times so output resumes across batches. The hash
-// join also runs 0- to 3-key joins over small key domains, so chains
-// are long and slots collide, and empty build and probe sides.
+// TestJoinParity checks FKJoinOp and HashJoinOp (building either side)
+// against nested-loop references, comparing row sequences, not sets.
+// The outer keys repeat, fall below Base and at or past Base+Count, are
+// literals or Nil, name tombstoned rows, moved and foreign tail
+// subjects, subjects with an overflow value in the irregular store,
+// spread over the whole table, or repeat one key more than BatchRows
+// times so output resumes across batches. The inner table is the
+// clustered run alone or followed by sealed, unsealed and tombstoned
+// tail rows, and the FK join runs with and without the full index. The
+// hash join also runs 0- to 3-key joins over small key domains, so
+// chains are long and slots collide, and empty build and probe sides.
 func TestJoinParity(t *testing.T) {
 	f := newJoinFixture(t)
 	rng := rand.New(rand.NewSource(7))
-	ctx := &Ctx{}
+	ctx := &Ctx{Cat: f.cat}
 	tables := map[string]*relational.Table{"clustered": f.clustered, "tail": f.withTail}
 	for kname, keys := range f.outerKeys(rng) {
 		outer := outerRel(keys)
 		for sname, star := range f.stars() {
-			// the merge join needs a table without a tail
-			want := refMergeJoin(outer, "o", f.clustered, star)
-			for _, zones := range []bool{false, true} {
-				got := Drain(ctx, NewMergeJoinOp(NewRelSource(outer), "o", f.clustered, star, zones))
-				checkRel(t, fmt.Sprintf("merge %s %s zones=%v", kname, sname, zones), got, want)
-			}
 			for tname, tab := range tables {
 				inner := refScan(tab, star, nil, 0, -1)
 				for _, buildLeft := range []bool{true, false} {
@@ -360,9 +365,18 @@ func TestJoinParity(t *testing.T) {
 					got := Drain(ctx, NewHashJoinOp(NewRelSource(outer), NewScanOp(tab, star, true, 0, -1), buildLeft))
 					checkRel(t, fmt.Sprintf("hash %s %s %s buildLeft=%v", kname, sname, tname, buildLeft), got, want)
 				}
-				want := refRDFJoin(outer, "o", tab, star, f.foreign)
-				got := Drain(ctx, NewRDFJoinOp(NewRelSource(outer), "o", tab, star, f.fullIdx))
-				checkRel(t, fmt.Sprintf("rdfjoin %s %s %s", kname, sname, tname), got, want)
+				for _, full := range []bool{false, true} {
+					var idx *triples.IndexSet
+					var foreign, irregular []triples.Triple
+					if full {
+						idx, foreign, irregular = f.fullIdx, f.foreign, f.irregular
+					}
+					want := refFKJoin(outer, "o", tab, star, foreign, irregular)
+					for _, zones := range []bool{false, true} {
+						got := Drain(ctx, NewFKJoinOp(NewRelSource(outer), "o", tab, star, zones, idx))
+						checkRel(t, fmt.Sprintf("fk %s %s %s full=%v zones=%v", kname, sname, tname, full, zones), got, want)
+					}
+				}
 			}
 		}
 	}
@@ -382,21 +396,37 @@ func TestJoinParity(t *testing.T) {
 	}
 }
 
-// TestMergeJoinMemBudget checks that the merge join charges its outer
-// key order to the query's budget: a budget that holds the drained
-// outer side but not the order fails the join with ErrMemBudget.
-func TestMergeJoinMemBudget(t *testing.T) {
+// TestFKJoinMemBudget checks that the FK join charges its state to the
+// query's budget, and that the state does not grow with the outer side:
+// a budget too small for the drained outer side still joins it, and one
+// too small for the state fails the join with ErrMemBudget.
+func TestFKJoinMemBudget(t *testing.T) {
 	f := newJoinFixture(t)
-	keys := make([]dict.OID, 2000)
+	keys := make([]dict.OID, 40000)
 	for i := range keys {
 		keys[i] = dict.ResourceOID(f.base + uint64(i%f.count))
 	}
 	outer := NewRel("o")
 	outer.Cols[0] = keys
 	star := f.stars()["presence"]
+	want := refFKJoin(outer, "o", f.withTail, star, nil, nil)
 	ctx := (&Ctx{}).WithQueryContext(context.Background())
-	ctx.Mem = NewMemAccountant(8*int64(len(keys)) + 1024) // the drained keys and a little more
-	op := NewMergeJoinOp(NewRelSource(outer), "o", f.clustered, star, true)
+	ctx.Mem = NewMemAccountant(8 * int64(len(keys)) / 2) // half the drained keys
+	op := NewFKJoinOp(NewRelSource(outer), "o", f.withTail, star, true, nil)
+	out := NewRel(op.Vars()...)
+	if err := op.Open(ctx); err != nil {
+		t.Fatalf("Open = %v", err)
+	}
+	b := NewBatch(op.Vars())
+	for b.Reset(); op.Next(b); b.Reset() {
+		b.AppendToCols(out.Cols)
+	}
+	op.Close()
+	checkRel(t, "fk under budget", out, want)
+
+	ctx = (&Ctx{}).WithQueryContext(context.Background())
+	ctx.Mem = NewMemAccountant(1024)
+	op = NewFKJoinOp(NewRelSource(outer), "o", f.withTail, star, true, nil)
 	if err := op.Open(ctx); !errors.Is(err, ErrMemBudget) {
 		t.Fatalf("Open = %v, want ErrMemBudget", err)
 	}
@@ -407,17 +437,17 @@ func TestMergeJoinMemBudget(t *testing.T) {
 }
 
 // FuzzJoinKernels drives random outer key multisets — with duplicates,
-// Nil, literals and keys outside the table — through the merge join and
-// the hash join against the table scan, and random 0- to 3-key
-// relations through the hash join, each checked against its nested-loop
-// reference.
+// Nil, literals, tail subjects and keys outside the table — through the
+// FK join, with and without the full index, and the hash join against
+// the table scan, and random 0- to 3-key relations through the hash
+// join, each checked against its nested-loop reference.
 func FuzzJoinKernels(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 9, 9, 9, 200}, []byte{1, 2, 3}, uint8(1))
 	f.Add([]byte{255, 7, 7, 0, 130, 3}, []byte{}, uint8(2))
 	f.Add([]byte{}, []byte{5, 5, 5, 5, 0, 1, 2}, uint8(3))
 	jf := newJoinFixture(f)
 	stars := jf.stars()
-	names := []string{"const", "presence", "range"}
+	names := []string{"bound", "const", "overflow", "presence", "range"}
 	f.Fuzz(func(t *testing.T, outerBytes, buildBytes []byte, pick uint8) {
 		// a byte pair is a key: its first byte picks the kind, the pair
 		// a row of the table
@@ -431,18 +461,28 @@ func FuzzJoinKernels(f *testing.F) {
 				keys = append(keys, dict.LiteralOID(jf.base+uint64(row)))
 			case 2:
 				keys = append(keys, dict.ResourceOID(jf.base-1-uint64(row%4)))
+			case 3:
+				keys = append(keys, jf.tail[row%len(jf.tail)])
 			default: // rows past count lie past the table
 				keys = append(keys, dict.ResourceOID(jf.base+uint64(row)))
 			}
 		}
 		outer := outerRel(keys)
 		star := stars[names[int(pick)%len(names)]]
-		ctx := &Ctx{}
-		got := Drain(ctx, NewMergeJoinOp(NewRelSource(outer), "o", jf.clustered, star, pick&4 != 0))
-		checkRel(t, "merge", got, refMergeJoin(outer, "o", jf.clustered, star))
-		inner := refScan(jf.clustered, star, nil, 0, -1)
+		ctx := &Ctx{Cat: jf.cat}
+		tab := jf.clustered
+		if pick&64 != 0 {
+			tab = jf.withTail
+		}
+		idx, foreign, irregular := (*triples.IndexSet)(nil), []triples.Triple(nil), []triples.Triple(nil)
+		if pick&128 != 0 {
+			idx, foreign, irregular = jf.fullIdx, jf.foreign, jf.irregular
+		}
+		got := Drain(ctx, NewFKJoinOp(NewRelSource(outer), "o", tab, star, pick&4 != 0, idx))
+		checkRel(t, "fk", got, refFKJoin(outer, "o", tab, star, foreign, irregular))
+		inner := refScan(tab, star, nil, 0, -1)
 		for _, buildLeft := range []bool{true, false} {
-			got := Drain(ctx, NewHashJoinOp(NewRelSource(outer), NewScanOp(jf.clustered, star, true, 0, -1), buildLeft))
+			got := Drain(ctx, NewHashJoinOp(NewRelSource(outer), NewScanOp(tab, star, true, 0, -1), buildLeft))
 			checkRel(t, "hash scan", got, refHashJoin(outer, inner, buildLeft))
 		}
 		// the relation join: outer bytes are the left rows, build bytes

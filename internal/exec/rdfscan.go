@@ -8,102 +8,6 @@ import (
 	"srdf/internal/triples"
 )
 
-// RDFJoin is the RDFscan variant that "does the same, but receiving a
-// stream of candidate subjects" (§II-C; cf. the Pivot Index Scan of
-// Brodt et al.). For every input row it fetches the star's columns
-// positionally from the CS table; candidates outside the table fall back
-// to SPO point lookups over the full index, so subjects living in other
-// CSs or in the irregular store are still answered exactly.
-func RDFJoin(ctx *Ctx, in *Rel, keyVar string, t *relational.Table, star Star, fullIdx *triples.IndexSet) *Rel {
-	ki := in.ColIdx(keyVar)
-	outVars := append([]string{}, in.Vars...)
-	for i := range star.Props {
-		if star.Props[i].ObjVar != "" {
-			outVars = append(outVars, star.Props[i].ObjVar)
-		}
-	}
-	out := NewRel(outVars...)
-	if ki < 0 {
-		return out
-	}
-	colIdx := make([]int, len(star.Props))
-	for i := range star.Props {
-		colIdx[i] = t.ColIndex(star.Props[i].Pred)
-	}
-	var irrSPO *triples.Projection
-	if ctx.Cat != nil && ctx.Cat.IrregularIdx.Len() > 0 {
-		irrSPO = ctx.Cat.IrregularIdx.Get(triples.SPO)
-	}
-
-	buf := make([]dict.OID, 0, len(outVars))
-	vals := make([]dict.OID, 0, len(colIdx))
-	for i := 0; i < in.Len(); i++ {
-		s := in.Cols[ki][i]
-		// RowOf resolves tail rows too, and rejects tombstoned rows
-		// (their subject moved or died).
-		row := t.RowOf(s)
-		if row < 0 || anyNegIdx(colIdx) {
-			// Fallback: point star lookup over the full index.
-			sub := LookupStarSubject(ctx, fullIdx, s, star)
-			for r := 0; r < sub.Len(); r++ {
-				buf = in.Row(i, buf)
-				for c := 1; c < len(sub.Cols); c++ { // col 0 is the subject
-					buf = append(buf, sub.Cols[c][r])
-				}
-				out.AppendRow(buf...)
-			}
-			continue
-		}
-		if irrSPO != nil {
-			// The table holds first values only; overflow values of
-			// multi-valued properties live in the irregular store, so
-			// exact semantics require the full-index path for this
-			// subject when it has residual triples.
-			if lo, hi := irrSPO.Range1(s); hi > lo {
-				sub := LookupStarSubject(ctx, fullIdx, s, star)
-				for r := 0; r < sub.Len(); r++ {
-					buf = in.Row(i, buf)
-					for c := 1; c < len(sub.Cols); c++ {
-						buf = append(buf, sub.Cols[c][r])
-					}
-					out.AppendRow(buf...)
-				}
-				continue
-			}
-		}
-		ok := true
-		vals = vals[:0]
-		for ci := range colIdx {
-			v := t.Value(colIdx[ci], row)
-			vals = append(vals, v)
-			if v == dict.Nil || !star.Props[ci].matches(v) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		buf = in.Row(i, buf)
-		for ci := range colIdx {
-			if star.Props[ci].ObjVar != "" {
-				buf = append(buf, vals[ci])
-			}
-		}
-		out.AppendRow(buf...)
-	}
-	return out
-}
-
-func anyNegIdx(idx []int) bool {
-	for _, i := range idx {
-		if i < 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // ResidualStar answers the part of a star pattern the covering tables
 // cannot: subjects with matching triples in the irregular store (noise
 // properties, overflow values, subjects of dropped CSs) or in link

@@ -62,7 +62,7 @@ type Star struct {
 // Vars lists the star's output variables: subject first, then object
 // variables in property order.
 func (s *Star) Vars() []string {
-	out := []string{s.SubjVar}
+	out := append(make([]string, 0, 1+len(s.Props)), s.SubjVar)
 	for i := range s.Props {
 		if s.Props[i].ObjVar != "" {
 			out = append(out, s.Props[i].ObjVar)

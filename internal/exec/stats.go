@@ -30,8 +30,7 @@ type OpStats struct {
 	// Batches counts Next calls, the final exhausted one included.
 	Batches atomic.Int64
 	// OpenNS is wall time spent in Open — where materializing
-	// operators (hash build, merge-join outer side) do their heavy
-	// lifting.
+	// operators (the hash build) do their heavy lifting.
 	OpenNS atomic.Int64
 	// FirstNS is the wall time of the first Next call.
 	FirstNS atomic.Int64

@@ -153,22 +153,33 @@ func NewScanOp(t *relational.Table, star Star, useZones bool, rowLo, rowHi int) 
 func (s *ScanOp) Vars() []string { return s.Star.Vars() }
 
 func (s *ScanOp) Open(ctx *Ctx) error {
+	s.start(ctx)
+	return nil
+}
+
+// start prepares the scan of the sealed window [RowLo,RowHi) and the
+// unsealed tail: it resolves the star's columns and bloom filters, ranks
+// the properties and takes the scratch. It reports false, leaving
+// nothing to scan, when the table has no row to read or no row can
+// qualify.
+func (s *ScanOp) start(ctx *Ctx) bool {
 	s.ctx = ctx
 	s.block, s.last = 0, -1 // empty unless rows to scan are established below
-	s.base, s.sealed, s.tail = 0, true, 0
+	s.tail = 0
 	s.pinned = -1
-	s.lo, s.hi = max(s.RowLo, 0), s.RowHi
-	if s.hi < 0 || s.hi > s.Table.SealedRows() {
-		s.hi = s.Table.SealedRows()
+	lo, hi := max(s.RowLo, 0), s.RowHi
+	if hi < 0 || hi > s.Table.SealedRows() {
+		hi = s.Table.SealedRows()
 	}
 	s.props = make([]scanProp, len(s.Star.Props))
 	for i := range s.Star.Props {
 		idx := s.Table.ColIndex(s.Star.Props[i].Pred)
 		if idx < 0 {
-			return nil // planner error; empty result
+			return false // planner error; empty result
 		}
-		s.props[i] = scanProp{p: &s.Star.Props[i], col: s.Table.Cols[idx].Data, idx: idx}
+		s.props[i] = scanProp{p: &s.Star.Props[i], idx: idx}
 	}
+	s.region(true, lo, hi)
 	// Resolve published bloom handles once: the fill happened in the
 	// upstream hash join's Open, strictly before this probe-side Open.
 	s.blooms = s.blooms[:0]
@@ -191,37 +202,48 @@ func (s *ScanOp) Open(ctx *Ctx) error {
 	// The row window restricts the sealed region only; the unsealed
 	// tail is always scanned (its rows carry arbitrary subjects).
 	tail := s.Table.DeltaLen()
-	if s.hi > s.lo {
-		s.block = s.lo / colstore.BlockRows
-		s.last = (s.hi - 1) / colstore.BlockRows
+	if hi > lo {
+		s.block = lo / colstore.BlockRows
+		s.last = (hi - 1) / colstore.BlockRows
 	} else if tail == 0 {
-		return nil
+		return false
 	}
 	if !s.rankProps() {
 		s.last = -1 // contradictory constraints: no row qualifies
-		return nil
+		return false
 	}
 	s.tail = tail
 	s.sc.init(&s.Star)
-	return nil
+	return true
+}
+
+// region points the scan at the sealed region's row window [lo,hi) or,
+// when sealed is false, at the first hi rows of the unsealed tail: there
+// each property's column is a flat, untracked view of its unsealed
+// cells, walked from the first of them in blocks of BlockRows rows.
+func (s *ScanOp) region(sealed bool, lo, hi int) {
+	s.sealed, s.lo, s.hi, s.base = sealed, lo, hi, 0
+	if !sealed {
+		s.base = s.Table.SealedRows()
+	}
+	for i := range s.props {
+		sp := &s.props[i]
+		sp.col = s.Table.Cols[sp.idx].Data
+		if !sealed {
+			sp.flat = colstore.Column{Name: sp.col.Name, Vals: s.Table.Delta[sp.idx]}
+			sp.col = &sp.flat
+		}
+	}
 }
 
 // enterTail moves the scan from the sealed region to the unsealed tail,
-// reporting false when there is none to scan: each property's column
-// becomes a flat, untracked view of its unsealed cells, walked from the
-// first of them in blocks of BlockRows rows.
+// reporting false when there is none to scan.
 func (s *ScanOp) enterTail() bool {
 	if !s.sealed || s.tail == 0 {
 		return false
 	}
-	s.sealed, s.base = false, s.Table.SealedRows()
-	s.lo, s.hi = 0, s.tail
+	s.region(false, 0, s.tail)
 	s.block, s.last = 0, (s.tail-1)/colstore.BlockRows
-	for i := range s.props {
-		sp := &s.props[i]
-		sp.flat = colstore.Column{Name: sp.col.Name, Vals: s.Table.Delta[sp.idx]}
-		sp.col = &sp.flat
-	}
 	return true
 }
 
@@ -296,18 +318,20 @@ func (s *ScanOp) blockMayMatch(b int) bool {
 
 // selectBlock evaluates the star's predicates over block blk of the
 // scanned region with the column kernels and returns the surviving rows
-// as a block-relative selection vector (owned by sc). all=true means
-// every row of the region's [wlo,whi) window qualifies without any
-// kernel having run; otherwise an empty sel means the block produced
-// nothing.
-func (s *ScanOp) selectBlock(blk int, sc *scanScratch) (sel []int32, all bool, wlo, whi int) {
+// as a block-relative selection vector (owned by sc). It tests every row
+// of the region's [wlo,whi) window or, when seeded, only the rows sc.sel
+// holds on entry (ascending, block-relative, inside the window).
+// all=true means every row of the window qualifies; otherwise an empty
+// sel means the block produced nothing. Seeded, the survivors are in
+// sc.sel either way.
+func (s *ScanOp) selectBlock(blk int, sc *scanScratch, seeded bool) (sel []int32, all bool, wlo, whi int) {
 	bs := blk * colstore.BlockRows
 	wlo, whi = max(bs, s.lo), min(bs+colstore.BlockRows, s.hi)
 	if s.UseZones && s.sealed && !s.blockMayMatch(blk) {
 		return nil, false, wlo, whi // pruned: pages never touched
 	}
 	rlo, rhi := wlo-bs, whi-bs
-	all = true
+	all = !seeded
 	for _, i := range s.order {
 		sp := &s.props[i]
 		col := sp.col
@@ -547,7 +571,7 @@ func (s *ScanOp) Next(b *Batch) bool {
 			blk := s.block
 			s.block++
 			s.pinBlock(blk)
-			sel, all, wlo, whi := s.selectBlock(blk, &s.sc)
+			sel, all, wlo, whi := s.selectBlock(blk, &s.sc, false)
 			if !all && len(sel) == 0 {
 				s.unpinBlock(blk)
 				continue
@@ -889,20 +913,6 @@ func (f *FilterOp) Next(b *Batch) bool {
 func (f *FilterOp) Close() {
 	f.in.Close()
 	f.prog.release()
-}
-
-// NewRDFJoinOp streams RDFJoin: candidate subjects arrive batch by
-// batch and each batch is extended positionally from the CS table.
-func NewRDFJoinOp(in Operator, keyVar string, t *relational.Table, star Star, fullIdx *triples.IndexSet) Operator {
-	outVars := append([]string{}, in.Vars()...)
-	for i := range star.Props {
-		if star.Props[i].ObjVar != "" {
-			outVars = append(outVars, star.Props[i].ObjVar)
-		}
-	}
-	return NewMapOp(in, outVars, func(ctx *Ctx, chunk *Rel) *Rel {
-		return RDFJoin(ctx, chunk, keyVar, t, star, fullIdx)
-	})
 }
 
 // HashJoinOp is the streaming natural hash join: the build side is

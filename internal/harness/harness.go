@@ -400,9 +400,8 @@ var Configs = []Config{
 	{Mode: plan.ModeDefault},
 	{Mode: plan.ModeRDFScan},
 	{Mode: plan.ModeRDFScan, Zones: true},
-	{Mode: plan.ModeRDFScan, Zones: true, Algo: "merge"},
+	{Mode: plan.ModeRDFScan, Zones: true, Algo: "fk"},
 	{Mode: plan.ModeRDFScan, Zones: true, Algo: "hash", NoBloom: true},
-	{Mode: plan.ModeRDFScan, Zones: true, Algo: "rdfjoin"},
 }
 
 // renderRow encodes one decoded row for comparison (kind-tagged so an

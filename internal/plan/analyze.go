@@ -138,11 +138,7 @@ func (f *finisher) node(n Node) {
 	case *RDFScanNode:
 		x.sid = f.next()
 		f.star(&x.Star, x.Tables)
-	case *RDFJoinNode:
-		x.sid = f.next()
-		f.star(&x.Star, []*relational.Table{x.Table})
-		f.node(x.Input)
-	case *MergeJoinNode:
+	case *FKJoinNode:
 		x.sid = f.next()
 		f.star(&x.Star, []*relational.Table{x.Table})
 		f.node(x.Left)

@@ -1,8 +1,8 @@
 // Package cost is the planner's calibrated cost model. All costs are in
 // abstract row-work units: one unit is roughly "touch one value in one
 // sealed compressed segment". The constants were calibrated against the
-// RDF-H benchmark harness so that relative costs — hash build vs merge
-// stream, positional fetch vs scan — order plans the same way wall-clock
+// RDF-H benchmark harness so that relative costs — hash build vs
+// positional fetch, fetch vs scan — order plans the same way wall-clock
 // time does; absolute values are meaningless.
 package cost
 
@@ -18,13 +18,11 @@ const (
 	HashBuild = 5.0
 	// HashProbe is the per-row cost of probing it.
 	HashProbe = 3.0
-	// SortKey is the per-key, per-log2(n) cost of sorting a drained
-	// outer side for a merge join.
-	SortKey = 0.15
-	// MergeRow is the per-row cost of advancing a merge join cursor.
+	// MergeRow is the per-row cost of grouping an FK join's outer key
+	// by block.
 	MergeRow = 0.8
 	// LookupRow is the per-row, per-property cost of a positional
-	// RDFjoin fetch (or its full-index fallback, amortized).
+	// fetch of one inner row (or its full-index fallback, amortized).
 	LookupRow = 6.0
 	// OutRow is the per-row cost of emitting a join result.
 	OutRow = 0.2
@@ -35,14 +33,6 @@ const (
 // join key on either side.
 func JoinCard(l, r, ld, rd float64) float64 {
 	return l * r / math.Max(math.Max(ld, rd), 1)
-}
-
-// Sort is the comparison-sort cost of n keys (zero-safe).
-func Sort(n float64) float64 {
-	if n < 2 {
-		return SortKey * n
-	}
-	return SortKey * n * math.Log2(n)
 }
 
 // Scan is the cost of a star scan of rows rows (sealed rows surviving
@@ -62,25 +52,13 @@ func HashJoin(build, probe, out float64) float64 {
 	return build*HashBuild + probe*HashProbe + out*OutRow
 }
 
-// MergeJoin is the cost of sorting outer keys (unless already sorted),
-// scanning the inner table window (innerScan, in Scan units) and merging
-// both streams. Input costs are the caller's to add. The Sort term
-// prices a comparison sort, though the operator counting-sorts its keys
-// in linear time; repricing it would change which plans win.
-func MergeJoin(outer, innerRows, innerScan, out float64, sorted bool) float64 {
-	c := innerScan + (outer+innerRows)*MergeRow + out*OutRow
-	if !sorted {
-		c += Sort(outer)
-	}
-	return c
-}
-
-// RDFJoin is the cost of positionally fetching props properties for each
-// of outer candidate subjects.
-func RDFJoin(outer float64, props int, out float64) float64 {
-	p := float64(props)
-	if p < 1 {
-		p = 1
-	}
-	return outer*LookupRow*p + out*OutRow
+// FKJoin is the cost of joining outer candidate subjects positionally
+// with a star of props properties: reading the inner rows costs at most
+// the zone-pruned star scan (scan, in Scan units) and at most one fetch
+// per outer row and property. Every outer key is then resolved to its
+// row, a random access priced as a hash probe, and grouped by block;
+// emitting out rows comes on top. Input costs are the caller's to add.
+func FKJoin(outer, scan float64, props int, out float64) float64 {
+	p := math.Max(float64(props), 1)
+	return math.Min(scan, outer*LookupRow*p) + outer*(HashProbe+MergeRow) + out*OutRow
 }

@@ -14,36 +14,26 @@ func TestJoinCard(t *testing.T) {
 	}
 }
 
-func TestSortMonotonic(t *testing.T) {
-	if Sort(0) != 0 {
-		t.Fatal("sorting nothing must be free")
-	}
-	prev := 0.0
-	for _, n := range []float64{1, 2, 100, 10000} {
-		c := Sort(n)
-		if c <= prev {
-			t.Fatalf("Sort(%v)=%v not increasing past %v", n, c, prev)
-		}
-		prev = c
-	}
-}
-
-func TestMergeVsHashPreference(t *testing.T) {
-	// A selective left against a big inner: merge pays the sort plus
-	// the inner scan window, hash pays a full build or probe of the
-	// inner. With the inner scan costed at its zone-pruned window,
-	// merge must win.
+func TestFKVsHashPreference(t *testing.T) {
+	// A selective outer side against a big inner: the FK join reads at
+	// most one inner row per outer key, the hash join builds or probes
+	// the whole inner. The FK join must win.
 	out := 2000.0
-	merge := MergeJoin(2000, 40000, 1000, out, false)
+	fk := FKJoin(2000, Scan(40000, 2), 2, out)
 	hash := HashJoin(2000, 40000, out)
-	if merge >= hash {
-		t.Fatalf("merge %v should beat hash %v on a windowed FK join", merge, hash)
+	if fk >= hash {
+		t.Fatalf("fk %v should beat hash %v on a selective FK join", fk, hash)
 	}
-	// With the full inner scan charged and a tiny build side, hash wins.
-	merge = MergeJoin(2000, 40000, 40000, out, false)
+	// Reading is capped by the zone-pruned scan: with few inner rows
+	// left after pruning, more outer keys cost only their resolution.
+	if FKJoin(1e6, 1000, 2, out) >= 1000+1e6*(HashProbe+MergeRow)+out*OutRow+1 {
+		t.Fatal("fk reads must be capped by the star scan")
+	}
+	// With a tiny build side and a big outer side, hash wins.
+	fk = FKJoin(40000, Scan(40000, 2), 2, out)
 	hash = HashJoin(100, 2000, out)
-	if hash >= merge {
-		t.Fatalf("hash %v should beat merge %v with a tiny build", hash, merge)
+	if hash >= fk {
+		t.Fatalf("hash %v should beat fk %v with a tiny build", hash, fk)
 	}
 }
 

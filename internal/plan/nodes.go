@@ -239,42 +239,42 @@ func (n *RDFScanNode) colPhysDesc(p *exec.StarProp) string {
 	return s
 }
 
-// RDFJoinNode extends candidate subjects flowing from Input with a star
-// fetched positionally from a CS table.
-type RDFJoinNode struct {
-	Input  Node
-	KeyVar string
-	Table  *relational.Table
-	Star   exec.Star
-	Idx    *triples.IndexSet
-	est    float64
-	cost   float64
-	sid    int
+// FKJoinNode joins the subjects flowing from Left in KeyVar with a star
+// over one CS table by position: the paper's RDFjoin, a fetch per key
+// with the scan's block kernels. Idx is the full index when the star has
+// another covering table or residual triples; keys the table cannot
+// answer are then looked up there.
+type FKJoinNode struct {
+	Left     Node
+	KeyVar   string
+	Table    *relational.Table
+	Star     exec.Star
+	UseZones bool
+	Idx      *triples.IndexSet
+	est      float64
+	cost     float64
+	sid      int
 }
 
-func (n *RDFJoinNode) Op() exec.Operator {
+func (n *FKJoinNode) Op() exec.Operator {
 	return exec.NewStatsOp(n.sid, false,
-		exec.NewRDFJoinOp(n.Input.Op(), n.KeyVar, n.Table, n.Star, n.Idx))
+		exec.NewFKJoinOp(n.Left.Op(), n.KeyVar, n.Table, n.Star, n.UseZones, n.Idx))
 }
-func (n *RDFJoinNode) Vars() []string {
-	out := append([]string{}, n.Input.Vars()...)
-	for i := range n.Star.Props {
-		if v := n.Star.Props[i].ObjVar; v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-func (n *RDFJoinNode) EstRows() float64 { return n.est }
-func (n *RDFJoinNode) Cost() float64    { return n.cost }
-func (n *RDFJoinNode) Joins() int       { return n.Input.Joins() + 1 }
-func (n *RDFJoinNode) Explain(b *strings.Builder, indent int, an *Analyze) {
+func (n *FKJoinNode) Vars() []string   { return unionVars(n.Left.Vars(), n.Star.Vars()) }
+func (n *FKJoinNode) EstRows() float64 { return n.est }
+func (n *FKJoinNode) Cost() float64    { return n.cost }
+func (n *FKJoinNode) Joins() int       { return n.Left.Joins() + 1 }
+func (n *FKJoinNode) Explain(b *strings.Builder, indent int, an *Analyze) {
 	pad(b, indent)
-	fmt.Fprintf(b, "RDFjoin ?%s -> %s [%d props fetched positionally] est_rows=%.0f cost=%.0f",
-		n.KeyVar, n.Table.Name, len(n.Star.Props), n.est, n.cost)
-	an.annotate(b, n.sid, n.est, true, "RDFjoin ?"+n.KeyVar)
+	lookup := ""
+	if n.Idx != nil {
+		lookup = " + index lookups"
+	}
+	fmt.Fprintf(b, "FKJoin ?%s -> %s [%d props, positional%s] est_rows=%.0f cost=%.0f",
+		n.KeyVar, n.Table.Name, len(n.Star.Props), lookup, n.est, n.cost)
+	an.annotate(b, n.sid, n.est, true, "FKJoin ?"+n.KeyVar)
 	b.WriteByte('\n')
-	n.Input.Explain(b, indent+1, an)
+	n.Left.Explain(b, indent+1, an)
 }
 
 // HashJoinNode is a natural hash join on shared variables.
@@ -295,14 +295,14 @@ func (n *HashJoinNode) Op() exec.Operator {
 	op.Blooms = n.blooms
 	return exec.NewStatsOp(n.sid, false, op)
 }
-func (n *HashJoinNode) Vars() []string {
-	out := append([]string{}, n.L.Vars()...)
-	seen := map[string]bool{}
-	for _, v := range out {
-		seen[v] = true
-	}
-	for _, v := range n.R.Vars() {
-		if !seen[v] {
+func (n *HashJoinNode) Vars() []string { return unionVars(n.L.Vars(), n.R.Vars()) }
+
+// unionVars is the output schema of a join: the left variables, then
+// the right ones the left lacks.
+func unionVars(l, r []string) []string {
+	out := append([]string{}, l...)
+	for _, v := range r {
+		if !contains(out, v) {
 			out = append(out, v)
 		}
 	}
@@ -323,45 +323,6 @@ func (n *HashJoinNode) Explain(b *strings.Builder, indent int, an *Analyze) {
 	b.WriteByte('\n')
 	n.L.Explain(b, indent+1, an)
 	n.R.Explain(b, indent+1, an)
-}
-
-// MergeJoinNode streams one covering CS table subject-ascending against
-// the key-sorted left side — the no-hash-build join clustered subject
-// OIDs make possible.
-type MergeJoinNode struct {
-	Left     Node
-	KeyVar   string
-	Table    *relational.Table
-	Star     exec.Star
-	UseZones bool
-	est      float64
-	cost     float64
-	sid      int
-}
-
-func (n *MergeJoinNode) Op() exec.Operator {
-	return exec.NewStatsOp(n.sid, false,
-		exec.NewMergeJoinOp(n.Left.Op(), n.KeyVar, n.Table, n.Star, n.UseZones))
-}
-func (n *MergeJoinNode) Vars() []string {
-	out := append([]string{}, n.Left.Vars()...)
-	for i := range n.Star.Props {
-		if v := n.Star.Props[i].ObjVar; v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-func (n *MergeJoinNode) EstRows() float64 { return n.est }
-func (n *MergeJoinNode) Cost() float64    { return n.cost }
-func (n *MergeJoinNode) Joins() int       { return n.Left.Joins() + 1 }
-func (n *MergeJoinNode) Explain(b *strings.Builder, indent int, an *Analyze) {
-	pad(b, indent)
-	fmt.Fprintf(b, "MergeJoin ?%s -> %s [%d props, subject-ordered scan] est_rows=%.0f cost=%.0f",
-		n.KeyVar, n.Table.Name, len(n.Star.Props), n.est, n.cost)
-	an.annotate(b, n.sid, n.est, true, "MergeJoin ?"+n.KeyVar)
-	b.WriteByte('\n')
-	n.Left.Explain(b, indent+1, an)
 }
 
 func sharedVarNames(l, r []string) []string {

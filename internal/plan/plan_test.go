@@ -111,12 +111,12 @@ SELECT ?l ?od WHERE {
   FILTER (?q >= 3)
 }`
 
-func TestFig4bRDFJoinPlan(t *testing.T) {
+func TestFig4bFKJoinPlan(t *testing.T) {
 	f := newFixture(t, ordersSrc, 3)
 	p := buildPlan(t, f, chainQ, Options{Mode: ModeRDFScan})
 	exp := p.Explain()
-	if !strings.Contains(exp, "RDFjoin") {
-		t.Errorf("chain plan should use RDFjoin:\n%s", exp)
+	if !strings.Contains(exp, "FKJoin ?o") {
+		t.Errorf("chain plan should fetch ?o positionally:\n%s", exp)
 	}
 	res, err := execute(p, f.ctx)
 	if err != nil {
@@ -124,6 +124,26 @@ func TestFig4bRDFJoinPlan(t *testing.T) {
 	}
 	if res.Len() != 3 { // l3, l4, l5
 		t.Fatalf("rows = %d, want 3:\n%s", res.Len(), res)
+	}
+}
+
+// TestUnknownForceAlgo checks that only "", "hash" and "fk" plan: a
+// misspelt or retired algorithm name must not silently plan cost-based.
+func TestUnknownForceAlgo(t *testing.T) {
+	f := newFixture(t, ordersSrc, 3)
+	q, err := sparql.Parse(chainQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"", "hash", "fk"} {
+		if _, err := Build(q, f.sv, Options{Mode: ModeRDFScan, ForceAlgo: algo}); err != nil {
+			t.Errorf("ForceAlgo %q: %v", algo, err)
+		}
+	}
+	for _, algo := range []string{"merge", "rdfjoin", "FK", "x"} {
+		if _, err := Build(q, f.sv, Options{Mode: ModeRDFScan, ForceAlgo: algo}); err == nil {
+			t.Errorf("ForceAlgo %q planned, want an error", algo)
+		}
 	}
 }
 

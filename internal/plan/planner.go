@@ -41,10 +41,10 @@ type Options struct {
 	// ZoneMaps enables zone-map block skipping and cross-table FK
 	// pushdown. Only effective on an organized store.
 	ZoneMaps bool
-	// ForceAlgo pins the physical join algorithm ("hash", "merge",
-	// "rdfjoin") wherever the pinned algorithm is applicable; joins it
-	// cannot apply fall back to the cost-based choice. Used by the
-	// differential harness and the plan-quality tests.
+	// ForceAlgo pins the physical join algorithm ("hash" or "fk")
+	// wherever the pinned algorithm is applicable; joins it cannot apply
+	// fall back to the cost-based choice. Any other non-empty value fails
+	// Build. Used by the differential harness and the plan-quality tests.
 	ForceAlgo string
 	// NoBloom disables runtime bloom filters on hash-join probe sides.
 	NoBloom bool
@@ -110,6 +110,9 @@ func (p *Plan) Stream(ctx *exec.Ctx) *exec.RowIter {
 
 // Build plans a parsed query against a store view.
 func Build(q *sparql.Query, sv *StoreView, opts Options) (*Plan, error) {
+	if a := opts.ForceAlgo; a != "" && a != "hash" && a != "fk" {
+		return nil, fmt.Errorf("plan: unknown join algorithm %q (want \"hash\" or \"fk\")", a)
+	}
 	b := &builder{q: q, sv: sv, opts: opts}
 	root, err := b.build()
 	if err != nil {
@@ -429,9 +432,8 @@ func (b *builder) starDistincts(st *star, rows float64) map[string]float64 {
 }
 
 // joinCandidates enumerates the physical ways to join `left` with one
-// more star and costs each: hash join (always applicable), RDFjoin
-// (positional fetch when the star's subject flows from the left), and
-// merge join (single clean covering table, subject-ordered scan). A
+// more star and costs each: hash join (always applicable) and FK join
+// (positional fetch when the star's subject flows from the left). A
 // pinned ForceAlgo narrows the list when applicable.
 func (b *builder) joinCandidates(left *joinState, st *star) []*joinState {
 	right := b.starState(st)
@@ -472,42 +474,25 @@ func (b *builder) joinCandidates(left *joinState, st *star) []*joinState {
 		&HashJoinNode{L: left.node, R: right.node, est: out, cost: hashCost},
 		out, hashCost, merged(out)))
 
-	subjFlows := b.opts.Mode == ModeRDFScan && left.vars[st.subjVar] && len(st.tables) >= 1
-	if subjFlows {
-		// RDFjoin: fetch the star positionally per candidate subject.
-		sel := starSel(b.sv.Idx, st)
-		outR := left.rows * sel
-		rdfCost := left.cost + cost.RDFJoin(left.rows, len(st.props), outR)
-		node := b.eqSelects(&RDFJoinNode{
-			Input:  left.node,
-			KeyVar: st.subjVar,
-			Table:  biggestTable(st.tables),
-			Star:   execStar(st),
-			Idx:    b.sv.Idx,
-			est:    outR,
-			cost:   rdfCost,
-		}, st)
-		cands = append(cands, newJoinState(node, node.EstRows(), rdfCost, merged(outR)))
-
-		if t := b.mergeTable(left, st); t != nil {
-			// Merge join: stream the covering table subject-ascending
-			// against the key-sorted left side.
-			outM := left.rows * sel
-			innerScan := b.starScanCost(st)
-			sorted := leftSortedOn(left.node, st.subjVar)
-			mergeCost := left.cost +
-				cost.MergeJoin(left.rows, float64(t.Count), innerScan, outM, sorted)
-			node := b.eqSelects(&MergeJoinNode{
-				Left:     left.node,
-				KeyVar:   st.subjVar,
-				Table:    t,
-				Star:     execStar(st),
-				UseZones: b.opts.ZoneMaps && b.sv.Organized,
-				est:      outM,
-				cost:     mergeCost,
-			}, st)
-			cands = append(cands, newJoinState(node, node.EstRows(), mergeCost, merged(outM)))
+	if b.opts.Mode == ModeRDFScan && left.vars[st.subjVar] && len(st.tables) >= 1 {
+		// FK join: fetch the star positionally per candidate subject.
+		var idx *triples.IndexSet
+		if len(st.tables) > 1 || !b.residualFree(st) {
+			idx = b.sv.Idx
 		}
+		outR := left.rows * starSel(b.sv.Idx, st)
+		fkCost := left.cost + cost.FKJoin(left.rows, b.starScanCost(st), len(st.props), outR)
+		node := b.eqSelects(&FKJoinNode{
+			Left:     left.node,
+			KeyVar:   st.subjVar,
+			Table:    biggestTable(st.tables),
+			Star:     execStar(st),
+			UseZones: b.opts.ZoneMaps && b.sv.Organized,
+			Idx:      idx,
+			est:      outR,
+			cost:     fkCost,
+		}, st)
+		cands = append(cands, newJoinState(node, node.EstRows(), fkCost, merged(outR)))
 	}
 
 	if forced := b.filterForced(cands); len(forced) > 0 {
@@ -536,59 +521,13 @@ func (b *builder) filterForced(cands []*joinState) []*joinState {
 			if b.opts.ForceAlgo == "hash" {
 				out = append(out, c)
 			}
-		case *MergeJoinNode:
-			if b.opts.ForceAlgo == "merge" {
-				out = append(out, c)
-			}
-		case *RDFJoinNode:
-			if b.opts.ForceAlgo == "rdfjoin" {
+		case *FKJoinNode:
+			if b.opts.ForceAlgo == "fk" {
 				out = append(out, c)
 			}
 		}
 	}
 	return out
-}
-
-// mergeTable returns the single covering table a merge join may stream,
-// or nil when the star is not merge-joinable: it needs exactly one
-// covering table, no residual triples outside it, a table that is its
-// clustered run alone (the scan must be the complete subject-ascending
-// answer), and object variables that do not repeat variables already
-// bound on the left (the operator re-checks no equalities).
-func (b *builder) mergeTable(left *joinState, st *star) *relational.Table {
-	if len(st.tables) != 1 || !b.residualFree(st) {
-		return nil
-	}
-	t := st.tables[0]
-	if !t.Clustered() {
-		return nil
-	}
-	for i := range st.props {
-		if v := st.props[i].ObjVar; v != "" && left.vars[v] {
-			return nil
-		}
-	}
-	return t
-}
-
-// leftSortedOn reports that the node's output is already ascending in
-// key — a bare single-table scan whose table is physically sub-ordered
-// on the property producing key. Cost-only: the operator re-checks.
-func leftSortedOn(n Node, key string) bool {
-	sc, ok := n.(*RDFScanNode)
-	if !ok || len(sc.Tables) != 1 {
-		return false
-	}
-	t := sc.Tables[0]
-	if t.SortPred == dict.Nil || !t.Clustered() {
-		return false
-	}
-	for i := range sc.Star.Props {
-		if p := &sc.Star.Props[i]; p.ObjVar == key && p.Pred == t.SortPred {
-			return true
-		}
-	}
-	return false
 }
 
 // starScanCost estimates the physical cost of scanning one star,
@@ -676,10 +615,8 @@ func (b *builder) planBlooms(n Node) {
 		for _, sc := range scans {
 			sc.blooms = append(sc.blooms, h)
 		}
-	case *MergeJoinNode:
+	case *FKJoinNode:
 		b.planBlooms(x.Left)
-	case *RDFJoinNode:
-		b.planBlooms(x.Input)
 	case *FilterNode:
 		b.planBlooms(x.Input)
 	case *EqSelectNode:
@@ -718,13 +655,9 @@ func collectBloomScans(n Node, v string, out *[]*RDFScanNode) {
 		if carries(x.R) {
 			collectBloomScans(x.R, v, out)
 		}
-	case *MergeJoinNode:
+	case *FKJoinNode:
 		if carries(x.Left) {
 			collectBloomScans(x.Left, v, out)
-		}
-	case *RDFJoinNode:
-		if carries(x.Input) {
-			collectBloomScans(x.Input, v, out)
 		}
 	case *FilterNode:
 		collectBloomScans(x.Input, v, out)

@@ -163,11 +163,7 @@ func rangeEnforced(n Node, v string) (bound, enforced bool) {
 		return star(&x.Star, false)
 	case *DefaultStarNode:
 		return star(&x.Star, false)
-	case *RDFJoinNode:
-		b1, e1 := rangeEnforced(x.Input, v)
-		b2, e2 := star(&x.Star, true)
-		return both(b1, e1, b2, e2)
-	case *MergeJoinNode:
+	case *FKJoinNode:
 		b1, e1 := rangeEnforced(x.Left, v)
 		b2, e2 := star(&x.Star, true)
 		return both(b1, e1, b2, e2)

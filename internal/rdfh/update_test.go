@@ -115,7 +115,7 @@ func TestQ6PushdownSurvivesWrites(t *testing.T) {
 }
 
 var (
-	joinRe  = regexp.MustCompile(`(?m)^\s*(RDFjoin \?\w+|MergeJoin \?\w+|HashJoin on \[[^\]]*\])`)
+	joinRe  = regexp.MustCompile(`(?m)^\s*(FKJoin \?\w+|HashJoin on \[[^\]]*\])`)
 	sdColRe = regexp.MustCompile(`(?m)^\s+col p=\S+ \?sd in\[\S+\] enc=(\S+) zsel=([\d.]+) skip=(\d+)$`)
 	encRe   = regexp.MustCompile(`×(\d+)`)
 	deltaRe = regexp.MustCompile(`RDFscan \?li .* delta=(\d+)`)
@@ -132,9 +132,10 @@ var (
 // delta rows it scans whole. In every state Q3, Q5 and Q6 answer as the
 // reference computation over the live rows. Clustered deletes leave the
 // sealed layout as it was — segment bytes, every block's encoding, the
-// joins and windows — while new rows turn Q3's MergeJoin on ?o into a
-// HashJoin until the next Organize; a change to the layout after writes
-// must restate every number it moves.
+// joins and windows — while new rows end the subject window on Q3's
+// lineitem scan until the next Organize, and the bloom-filtered hash
+// join then beats the FK join on ?o; a change to the layout after
+// writes must restate every number it moves.
 func TestLayoutAcrossStorageStates(t *testing.T) {
 	d := Generate(0.004, 11) // Q5 has answers here
 	opts := core.DefaultOptions()
@@ -146,10 +147,10 @@ func TestLayoutAcrossStorageStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := *d
-	q3Sealed := "MergeJoin ?c, MergeJoin ?o"
-	q5Sealed := "HashJoin on [?s ?n], HashJoin on [?o], HashJoin on [?c], HashJoin on [?n], MergeJoin ?r"
-	q3Tail := "HashJoin on [?o], MergeJoin ?c"
-	q5Tail := "HashJoin on [?o ?s], HashJoin on [?c], HashJoin on [?n], MergeJoin ?r, MergeJoin ?n"
+	q3Sealed := "FKJoin ?c, FKJoin ?o"
+	q5Sealed := "HashJoin on [?s ?n], HashJoin on [?o], HashJoin on [?c], HashJoin on [?n], HashJoin on [?r]"
+	q3Tail := "HashJoin on [?o], HashJoin on [?c]"
+	q5Tail := "HashJoin on [?o ?s], HashJoin on [?c], HashJoin on [?n], HashJoin on [?n], HashJoin on [?r]"
 	want := []struct{ state, q3, q5, windows, q6 string }{
 		{"sealed", q3Sealed, q5Sealed, "Q3 ?o, Q5 ?o", "5/24 blocks"},
 		{"clustered deletes + Compact", q3Sealed, q5Sealed, "Q3 ?o, Q5 ?o", "5/24 blocks"},

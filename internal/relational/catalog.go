@@ -99,14 +99,20 @@ func (t *Table) SubjectOID(i int) dict.OID {
 }
 
 // RowOf returns the physical row currently holding subject s's data —
-// its tail row, else its live clustered row — or -1. A tombstoned
+// its live clustered row, else its tail row — or -1. A tombstoned
 // clustered row does not resolve: its subject moved to the tail or
-// was deleted.
+// was deleted. The clustered run goes first because it is arithmetic:
+// vacate tombstones a clustered row before its subject enters the tail,
+// so a subject with a live clustered row has no tail row, and only the
+// others pay the map lookup.
 func (t *Table) RowOf(s dict.OID) int {
+	if r := t.DenseLiveRow(s); r >= 0 {
+		return r
+	}
 	if r, ok := t.tailRow[s]; ok {
 		return r
 	}
-	return t.DenseLiveRow(s)
+	return -1
 }
 
 // Clustered reports whether the table is its clustered run alone: with

@@ -345,3 +345,36 @@ func TestByNameHidesAbsorbed(t *testing.T) {
 		}
 	}
 }
+
+// TestRowOfClusteredFirst checks RowOf on both sides of the invariant
+// its lookup order relies on: a vacated clustered subject resolves to
+// its tail row, a live one to s − Base, a subject added since Organize
+// to its tail row, and a deleted one to nothing.
+func TestRowOfClusteredFirst(t *testing.T) {
+	const base, count = 100, 5
+	c := colstore.NewColumn("v", count, nil)
+	for i := 0; i < count; i++ {
+		c.Set(i, dict.LiteralOID(uint64(i+1)))
+	}
+	c.Seal()
+	tab := &Table{Name: "t", Base: base, Count: count, Cols: []*Col{{Prop: &cs.PropStat{Name: "v"}, Data: c}}}
+	subj := func(i uint64) dict.OID { return dict.ResourceOID(base + i) }
+	moved, added, deleted := subj(1), dict.ResourceOID(900), subj(3)
+	tab.vacate(moved)
+	tab.appendDeltaRow(moved, []dict.OID{dict.LiteralOID(50)})
+	tab.appendDeltaRow(added, []dict.OID{dict.LiteralOID(51)})
+	tab.vacate(deleted)
+	for s, want := range map[dict.OID]int{
+		subj(0): 0, subj(2): 2, subj(4): 4, // live clustered rows
+		moved:                     count,
+		added:                     count + 1,
+		deleted:                   -1,
+		subj(count):               -1, // past the run
+		dict.Nil:                  -1,
+		dict.LiteralOID(base + 2): -1, // a literal with a subject's payload
+	} {
+		if got := tab.RowOf(s); got != want {
+			t.Errorf("RowOf(%v) = %d, want %d", s, got, want)
+		}
+	}
+}

@@ -89,7 +89,7 @@ func TestPlanQuality(t *testing.T) {
 			"s": {"li", "n"}, "n": {"c", "s", "r"}, "r": {"n"},
 		}},
 	}
-	algos := []string{"hash", "merge"}
+	algos := []string{"hash", "fk"}
 	const reps = 3
 
 	for _, tc := range cases {
